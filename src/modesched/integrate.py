@@ -43,8 +43,11 @@ class SwitchedSystem:
     running_cost_gradient : callable
         ``running_cost_gradient(x) -> (n,)`` gradient of the integrand.
     vectorized : bool
-        When True, ``mode_field`` and ``running_cost`` accept stacked
-        states of shape ``(k, n)`` and return ``(k, n)`` / ``(k,)``.
+        When True, all four callables also accept stacked states of shape
+        ``(k, n)``: ``mode_field`` returns ``(k, n)``, ``mode_jacobian``
+        ``(k, n, n)``, ``running_cost`` ``(k,)`` and
+        ``running_cost_gradient`` ``(k, n)``.  A single state ``(n,)``
+        still gives the unstacked shapes above.
     name : str
         Label used in logs and run manifests.
     """
@@ -70,6 +73,20 @@ class SwitchedSystem:
         if self.vectorized:
             return np.asarray(self.running_cost(xs), float)
         return np.array([self.running_cost(x) for x in xs], float)
+
+    def jacobian_at(self, i, xs):
+        """Mode-``i`` Jacobians at stacked states; shape ``(k, n, n)``."""
+        xs = np.asarray(xs, float)
+        if self.vectorized:
+            return np.asarray(self.mode_jacobian(i, xs), float)
+        return np.array([self.mode_jacobian(i, x) for x in xs], float)
+
+    def cost_gradient_at(self, xs):
+        """Running-cost gradients at stacked states; shape ``(k, n)``."""
+        xs = np.asarray(xs, float)
+        if self.vectorized:
+            return np.asarray(self.running_cost_gradient(xs), float)
+        return np.array([self.running_cost_gradient(x) for x in xs], float)
 
 
 class SampledCurve:
@@ -314,7 +331,11 @@ def integrate_adjoint(sys, schedule, x, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         rs = sol.sol(ts).T
         rs[-1] = rho
         rs[0] = sol.y[:, -1]
-        fs = np.array([rhs(t, r) for t, r in zip(ts, rs)])
+        # knot derivatives in one batch; the stacked matmul runs the same
+        # BLAS kernel per knot as rhs's J^T @ r, so they match it bitwise
+        xs = x.eval_in_segment(i, ts)
+        fs = -(rs[:, None, :] @ sys.jacobian_at(m, xs))[:, 0] \
+            - sys.cost_gradient_at(xs)
         segs[i] = (ts, rs, fs)
         rho = sol.y[:, -1]
     return SampledCurve(bnds, segs)
@@ -323,16 +344,7 @@ def integrate_adjoint(sys, schedule, x, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 def evaluate_cost(sys, x):
     """Total cost of a trajectory: the integral of the running cost.
 
-    Uses the accumulator attached by :func:`integrate_state` when present;
-    otherwise quadrature of ``running_cost`` along the interpolant.
+    Reads the accumulator that :func:`integrate_state` attaches; a curve
+    built without one raises ``AttributeError``.
     """
-    if x.cost_curve is not None:
-        return x.cost
-    from scipy.integrate import quad
-    total = 0.0
-    for i in range(x.n_segments):
-        a, b = x.boundaries[i], x.boundaries[i + 1]
-        val, _ = quad(lambda t: float(sys.running_cost(x.eval_in_segment(i, t))),
-                      a, b, limit=200)
-        total += val
-    return total
+    return x.cost

@@ -235,14 +235,25 @@ def backtrack(cost_fn, cost0, s, mbar, gamma0, gamma3, alpha,
     Raises
     ------
     LineSearchError
-        If no admissible step is found within ``j_max`` trials.
+        If no admissible step is found within ``j_max`` trials, or as soon
+        as a trial repeats ``gamma0``: once ``beta**j * (gamma3 - gamma0)``
+        falls below an ulp of ``gamma0`` every later trial is that same
+        step, which has already failed the strict test.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta}")
     if s >= 0.0:
         raise LineSearchError(f"descent slope must be negative, got {s}")
+    last = None
     for j in range(j_max + 1):
         gamma = (gamma3 - gamma0) * beta**j + gamma0
+        if gamma == last == gamma0:
+            raise LineSearchError(
+                f"no distinct step remains after {j} backtracking trials: "
+                f"gamma has reached gamma0={gamma0:.6g} "
+                f"(gamma3={gamma3:.6g})"
+            )
+        last = gamma
         drop = cost_fn(gamma) - cost0
         if drop < alpha * s * (gamma - gamma0) ** (1.0 / mbar):
             return gamma, j

@@ -95,12 +95,19 @@ def electrical_power(Y, E, delta):
 
 
 def _power_jacobian(Y, E, delta):
-    """d(electrical_power)/d(delta) at a single phase vector."""
+    """d(electrical_power)/d(delta) at a phase vector or a batch of them.
+
+    ``delta`` of shape ``(n,)`` gives ``(n, n)``; a batch ``(..., n)``
+    gives ``(..., n, n)``.
+    """
     V = np.asarray(E, float) * np.exp(1j * np.asarray(delta, float))
-    S = np.outer(V, np.conj(V)) * np.conj(Y)
+    S = V[..., :, None] * np.conj(V)[..., None, :] * np.conj(Y)
     K = np.imag(S)
-    np.fill_diagonal(K, 0.0)
-    return K - np.diag(K.sum(axis=1))
+    n = K.shape[-1]
+    diag = (..., np.arange(n), np.arange(n))
+    K[diag] = 0.0
+    K[diag] -= K.sum(axis=-1)
+    return K
 
 
 def swing_mode_field(net, i, x):
@@ -129,10 +136,10 @@ def power_system(net):
 
     def mode_jacobian(i, x):
         x = np.asarray(x, float)
-        K = _power_jacobian(net.Y[i - 1], net.E, x[:n])
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, n:] = np.eye(n)
-        J[n:, :n] = -(net.omega_s / (2.0 * net.H))[:, None] * K
+        K = _power_jacobian(net.Y[i - 1], net.E, x[..., :n])
+        J = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
+        J[..., :n, n:] = np.eye(n)
+        J[..., n:, :n] = -(net.omega_s / (2.0 * net.H))[:, None] * K
         return J
 
     def running_cost(x):
@@ -144,9 +151,10 @@ def power_system(net):
 
     def running_cost_gradient(x):
         x = np.asarray(x, float)
-        g = np.empty(2 * n)
-        g[:n] = x[:n] - x[:n].mean()
-        g[n:] = (x[n:] - w_target) / 20.0
+        delta, rate = x[..., :n], x[..., n:]
+        g = np.empty(x.shape)
+        g[..., :n] = delta - delta.mean(axis=-1, keepdims=True)
+        g[..., n:] = (rate - w_target) / 20.0
         return g
 
     return SwitchedSystem(

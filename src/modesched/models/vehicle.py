@@ -82,10 +82,10 @@ def vehicle_system():
 
     def mode_jacobian(i, z):
         v, _ = MODES[i - 1]
-        psi = float(z[2])
-        J = np.zeros((4, 4))
-        J[0, 2] = -v * math.sin(psi)
-        J[1, 2] = v * math.cos(psi)
+        psi = np.asarray(z, float)[..., 2]
+        J = np.zeros(psi.shape + (4, 4))
+        J[..., 0, 2] = -v * np.sin(psi)
+        J[..., 1, 2] = v * np.cos(psi)
         return J
 
     def running_cost(z):
@@ -95,11 +95,12 @@ def vehicle_system():
 
     def running_cost_gradient(z):
         z = np.asarray(z, float)
-        s = float(z[3])
-        e = z[:3] - desired_trajectory(s)
-        g = np.empty(4)
-        g[:3] = e
-        g[3] = -float(e @ _desired_rate(s))
+        s = z[..., 3]
+        e = z[..., :3] - desired_trajectory(s)
+        g = np.empty(z.shape)
+        g[..., :3] = e
+        rate = _desired_rate(s)
+        g[..., 3] = -(e[..., None, :] @ rate[..., :, None])[..., 0, 0]
         return g
 
     return SwitchedSystem(

@@ -12,7 +12,14 @@ from modesched import (
     integrate_adjoint,
     integrate_state,
 )
-from modesched.models import vehicle_initial_state, vehicle_system
+from modesched.models import (
+    initial_state,
+    load_network,
+    power_system,
+    vehicle_initial_state,
+    vehicle_system,
+)
+from conftest import THREE_MACHINE
 
 
 def decay_system():
@@ -63,6 +70,49 @@ def test_decay_adjoint_matches_closed_form():
     expect = 0.5 * (np.exp(-ts) - np.exp(ts - 2 * T))
     np.testing.assert_allclose(rho(ts)[:, 0], expect, atol=1e-8)
     assert abs(rho(T)[0]) <= 1e-12
+    # the system is not vectorized, so its knot derivatives are looped
+    # point by point; rhodot = -(e^{-t} + e^{t-2T}) / 2
+    assert not sys_.vectorized
+    kts, _, fs = rho.knots[0]
+    np.testing.assert_allclose(
+        fs[:, 0], -0.5 * (np.exp(-kts) + np.exp(kts - 2 * T)), atol=1e-8)
+
+
+def test_evaluate_cost_needs_the_accumulator():
+    sys_ = decay_system()
+    sched = constant_schedule(1, 1.0, 1)
+    x = integrate_state(sys_, [1.0], sched)
+    rho = integrate_adjoint(sys_, sched, x)   # built without an accumulator
+    with pytest.raises(AttributeError, match="accumulator"):
+        evaluate_cost(sys_, rho)
+
+
+def power_problem():
+    net = load_network(THREE_MACHINE)
+    x0 = initial_state(net, magnitude=0.3, seed=0)
+    return power_system(net), x0, ModeSchedule((1, 2, 1), (0.3, 0.65), 1.0, 2)
+
+
+def vehicle_problem():
+    sched = ModeSchedule((1, 4, 2), (1.1, 2.3), 3.0, 4)
+    return vehicle_system(), vehicle_initial_state(), sched
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem])
+def test_adjoint_knot_derivatives_are_pointwise(problem):
+    # the batched knot derivatives equal -(J(x)^T rho) - grad l(x) taken
+    # one knot at a time, with the states read from x's own segments
+    sys_, x0, sched = problem()
+    x = integrate_state(sys_, x0, sched)
+    rho = integrate_adjoint(sys_, sched, x)
+    for i, (ts, rs, fs) in enumerate(rho.knots):
+        m = sched.sequence[i]
+        expect = np.array([
+            -(sys_.mode_jacobian(m, xk).T @ rk)
+            - sys_.running_cost_gradient(xk)
+            for xk, rk in zip(x.eval_in_segment(i, ts), rs)])
+        np.testing.assert_allclose(
+            fs, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
 
 
 def test_piecewise_exponential_switching():

@@ -278,6 +278,24 @@ def test_backtrack_exhaustion_raises():
     assert len(calls) == 8
 
 
+def test_backtrack_stops_once_gamma_reaches_gamma0():
+    # beta = 0.1 shrinks gamma3 - gamma0 = 1 below half an ulp of
+    # gamma0 = 1 at j = 16; the step gamma0 is tried once and the repeat
+    # that follows raises instead of re-running the same failed trial
+    calls = []
+
+    def cost_fn(g):
+        calls.append(g)
+        return 5.0 + 1.0      # never descends
+
+    with pytest.raises(LineSearchError, match="no distinct step remains"):
+        backtrack(cost_fn, 5.0, -1.0, 1, 1.0, 2.0, 0.4, beta=0.1,
+                  j_max=40)
+    assert len(calls) == 17
+    assert len(set(calls)) == len(calls)
+    assert calls[-1] == 1.0 and calls[-2] > 1.0
+
+
 def test_backtrack_rejects_bad_inputs():
     ok = lambda g: 0.0
     with pytest.raises(LineSearchError):

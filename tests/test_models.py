@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modesched import constant_schedule, integrate_state
 from modesched.models import (
@@ -284,3 +286,108 @@ def test_power_running_cost_at_equilibrium():
     np.testing.assert_allclose(sys_.running_cost(both),
                                [sys_.running_cost(calm),
                                 sys_.running_cost(bumped)])
+
+
+# -- batched model callables ---------------------------------------------------
+
+def ring_network(n=12):
+    """Small lossless ring; configuration 2 halves every other line."""
+    rng = np.random.default_rng(5)
+    B1, B2 = np.zeros((n, n)), np.zeros((n, n))
+    for a in range(n):
+        b = (a + 1) % n
+        s = rng.uniform(0.8, 1.2)
+        for B, w in ((B1, s), (B2, s * (0.5 if a % 2 else 1.0))):
+            B[a, b] += w
+            B[b, a] += w
+            B[a, a] -= w
+            B[b, b] -= w
+    return PowerNetwork(Y=[1j * B1, 1j * B2], E=np.ones(n),
+                        H=rng.uniform(2.5, 4.5, n), Pm=np.zeros(n))
+
+
+def _vehicle_case():
+    return vehicle_system(), np.zeros(4), np.full(4, 3.0)
+
+
+def _power_case(net):
+    n = net.n_gen
+    center = np.concatenate([np.zeros(n), np.full(n, net.omega_s)])
+    scale = np.concatenate([np.full(n, 1.5), np.full(n, 3.0)])
+    return power_system(net), center, scale
+
+
+def lossy_three_machine():
+    """The three-machine network with conductances: ``K`` loses symmetry."""
+    net = load_network(THREE_MACHINE)
+    return PowerNetwork(Y=[Y * (1.0 - 0.3j) for Y in net.Y], E=net.E,
+                        H=net.H, Pm=net.Pm)
+
+
+MODEL_CASES = {
+    "vehicle": _vehicle_case,
+    "three-machine": lambda: _power_case(load_network(THREE_MACHINE)),
+    "three-machine-lossy": lambda: _power_case(lossy_three_machine()),
+    "ring12": lambda: _power_case(ring_network()),
+}
+_BUILT = {}
+
+
+def model_case(name):
+    if name not in _BUILT:
+        _BUILT[name] = MODEL_CASES[name]()
+    return _BUILT[name]
+
+
+def states(draw, name):
+    sys_, center, scale = model_case(name)
+    k = draw(st.integers(1, 6))
+    unit = draw(arrays(np.float64, (k, sys_.dim),
+                       elements=st.floats(-1.0, 1.0)))
+    mode = draw(st.integers(1, sys_.num_modes))
+    return sys_, center + scale * unit, mode
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_callables_equal_stacked_singles(name, data):
+    sys_, xs, mode = states(data.draw, name)
+    J = sys_.mode_jacobian(mode, xs)
+    g = sys_.running_cost_gradient(xs)
+    J1 = np.stack([sys_.mode_jacobian(mode, x) for x in xs])
+    g1 = np.stack([sys_.running_cost_gradient(x) for x in xs])
+    assert J.shape == (len(xs), sys_.dim, sys_.dim)
+    assert g.shape == (len(xs), sys_.dim)
+    np.testing.assert_allclose(J, J1, rtol=1e-14,
+                               atol=1e-14 * np.abs(J1).max())
+    np.testing.assert_allclose(g, g1, rtol=1e-14,
+                               atol=1e-14 * np.abs(g1).max())
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_jacobian_matches_central_difference(name, data):
+    sys_, xs, mode = states(data.draw, name)
+    J = sys_.mode_jacobian(mode, xs)
+    h = 1e-6
+    for c in range(sys_.dim):
+        dx = np.zeros(sys_.dim)
+        dx[c] = h
+        fd = (sys_.mode_field(mode, xs + dx)
+              - sys_.mode_field(mode, xs - dx)) / (2 * h)
+        np.testing.assert_allclose(J[:, :, c], fd, rtol=1e-6,
+                                   atol=1e-6 * (1.0 + np.abs(J).max()))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_single_state_keeps_unstacked_shapes(name, data):
+    sys_, xs, mode = states(data.draw, name)
+    n = sys_.dim
+    assert sys_.mode_jacobian(mode, xs[0]).shape == (n, n)
+    assert sys_.running_cost_gradient(xs[0]).shape == (n,)
+    np.testing.assert_array_equal(sys_.jacobian_at(mode, xs[:1])[0],
+                                  sys_.mode_jacobian(mode, xs[0]))
