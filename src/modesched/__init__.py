@@ -12,12 +12,8 @@ Entry points: :func:`optimize` for a fixed horizon,
 """
 from .signals import (
     ModeSchedule,
-    SwitchingControl,
     constant_schedule,
-    check_non_chattering,
-    control_to_schedule,
     enforce_dwell,
-    schedule_to_control,
 )
 from .integrate import (
     SampledCurve,
@@ -69,12 +65,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModeSchedule",
-    "SwitchingControl",
     "constant_schedule",
-    "check_non_chattering",
-    "control_to_schedule",
     "enforce_dwell",
-    "schedule_to_control",
     "SampledCurve",
     "SwitchedSystem",
     "evaluate_cost",

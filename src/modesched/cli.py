@@ -329,7 +329,6 @@ def _manifest(args, cfg, meta, **extra):
         "command": args.command,
         "version": __version__,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "jobs": args.jobs,
         "seed_override": args.seed,
         "model": meta,
     }
@@ -360,8 +359,6 @@ def _parser():
                         help="validate the config and exit")
         sp.add_argument("--baseline", action="store_true",
                         help="also integrate the constant baseline schedule")
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker budget hint, recorded in the manifest")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the disturbance seed")
     return p
@@ -377,10 +374,6 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
 
     args = _parser().parse_args(argv)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
     try:
         cfg = _load_config(args.config)
         if args.command == "optimize":

@@ -9,29 +9,31 @@ partition with jumps only at switching times.  The most negative value of
 the field, ``theta``, is the optimality function: ``theta = 0`` exactly at
 schedules satisfying the minimum principle, and ``theta < 0`` points at the
 mode/time insertion of steepest descent.
+
+The field's interior minima, and the max rule's threshold crossings in
+:mod:`.projection`, are found by one mechanism: a bracketed root solve
+(:func:`_bracketed_root`, Brent's method) on the true field, with the
+bracket taken from a fixed sampling grid.  A minimum is the root of the
+channel's analytic slope, so it is exact to the root tolerance.
 """
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
+from scipy.optimize import brentq
 
 #: default minimum-search sampling: grid step = horizon / GRID_DENOM,
 #: never fewer than GRID_MIN_PTS points per segment
 GRID_DENOM = 2048
 GRID_MIN_PTS = 64
-#: golden-section refinement tolerance, relative to the horizon
-REFINE_TOL = 1e-10
-#: stationarity band, scaled by (1 + |d|_inf / T)
+#: root tolerance of minima and threshold crossings, relative to the horizon
+ROOT_TOL = 1e-12
+#: slope band of a moving switch's first-order model, scaled by
+#: (1 + |d|_inf / T)
 STATIONARY_TOL = 1e-6
 #: curvature positivity threshold, scaled by (1 + |d|_inf)
 CURVATURE_TOL = 1e-8
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def switching_time_gradient(sys, schedule, x, rho):
@@ -187,23 +189,29 @@ class InsertionGradientField:
         return self._norm_inf
 
     def local_minima(self):
-        """Refined per-channel local minima, one list for the whole field.
+        """Per-channel local minima, one list for the whole field.
 
         Returns a list of dicts with keys ``value, time, mode, segment,
         boundary`` where ``boundary`` is "left"/"right" when the minimum
-        sits on a segment end (one-sided) and None when interior.  Interior
-        minima are refined by golden-section search to ``1e-10 * horizon``.
+        sits on a segment end (one-sided) and None when interior.  An
+        interior minimum is the root of the channel's slope where it turns
+        from negative to nonnegative, solved by :func:`_bracketed_root` to
+        ``ROOT_TOL * horizon``.  Brackets are the two cells around each grid
+        node no higher than its neighbours, plus the first and last cell,
+        where a minimum hides from the node test; one batched slope call at
+        the bracket ends keeps those whose slope changes sign.
         """
         if self._minima is not None:
             return self._minima
         sched = self.schedule
-        tol = REFINE_TOL * self.horizon
+        xtol = ROOT_TOL * self.horizon
         found = []
         for seg in range(sched.n_segments):
             ts = self.grid(seg)
             vals = self.grid_values(seg)
-            end_slopes = self._slopes_fn(seg, ts[[0, -1]])
+            last = len(ts) - 1
             active = sched.sequence[seg]
+            brackets = []
             for a in range(1, self.num_modes + 1):
                 if a == active:
                     continue
@@ -212,47 +220,50 @@ class InsertionGradientField:
                                   mode=a, segment=seg, boundary="right"))
                 found.append(dict(value=float(v[-1]), time=float(ts[-1]),
                                   mode=a, segment=seg, boundary="left"))
-                interior = np.flatnonzero(
+                nodes = np.flatnonzero(
                     (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
-                for j in interior:
-                    t_min, v_min = self._refine_min(seg, a, ts[j - 1],
-                                                    ts[j + 1], tol)
-                    found.append(dict(value=v_min, time=t_min, mode=a,
-                                      segment=seg, boundary=None))
-                # an endpoint slope pointing into the segment means the
-                # endpoint is not a one-sided minimum: the true minimum
-                # hides inside the first/last grid cell, too close to the
-                # edge for the discrete test above to see it
-                if end_slopes[0, a - 1] < 0.0 and 1 not in interior:
-                    t_min, v_min = self._refine_min(seg, a, ts[0], ts[1],
-                                                    tol)
-                    found.append(dict(value=v_min, time=t_min, mode=a,
-                                      segment=seg, boundary=None))
-                if end_slopes[1, a - 1] > 0.0 and len(v) - 2 not in interior:
-                    t_min, v_min = self._refine_min(seg, a, ts[-2], ts[-1],
-                                                    tol)
-                    found.append(dict(value=v_min, time=t_min, mode=a,
-                                      segment=seg, boundary=None))
+                brackets.extend((a, j - 1, j + 1) for j in nodes)
+                if 1 not in nodes:
+                    brackets.append((a, 0, 1))
+                if last - 1 not in nodes:
+                    brackets.append((a, last - 1, last))
+            if not brackets:
+                continue
+            ends = np.unique([i for _, lo, hi in brackets for i in (lo, hi)])
+            S = self._slopes_fn(seg, ts[ends])
+            row = {int(i): k for k, i in enumerate(ends)}
+            roots = []
+            for a, lo, hi in brackets:
+                s_lo, s_hi = S[row[lo], a - 1], S[row[hi], a - 1]
+                if not s_lo < 0.0 <= s_hi:
+                    continue
+                slope = lambda t, a=a: float(
+                    self._slopes_fn(seg, np.array([t]))[0, a - 1])
+                roots.append((_bracketed_root(slope, ts[lo], ts[hi],
+                                             s_lo, s_hi, xtol), a))
+            if roots:
+                V = self._values_fn(seg, np.array([t for t, _ in roots]))
+                found.extend(dict(value=float(V[k, a - 1]), time=t, mode=a,
+                                  segment=seg, boundary=None)
+                             for k, (t, a) in enumerate(roots))
         self._minima = found
         return found
 
-    def _refine_min(self, seg, a, lo, hi, tol):
-        """Golden-section minimum of channel ``a`` within one segment."""
-        f = lambda t: float(self._values_fn(seg, np.array([t]))[0, a - 1])
-        c = hi - _INV_PHI * (hi - lo)
-        d = lo + _INV_PHI * (hi - lo)
-        fc, fd = f(c), f(d)
-        while hi - lo > tol:
-            if fc <= fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INV_PHI * (hi - lo)
-                fc = f(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _INV_PHI * (hi - lo)
-                fd = f(d)
-        t_min = 0.5 * (lo + hi)
-        return t_min, f(t_min)
+
+def _bracketed_root(f, lo, hi, f_lo, f_hi, xtol):
+    """Root of ``f`` in ``[lo, hi]`` from end values of opposite signs.
+
+    The known end values stand in for ``f(lo)``/``f(hi)``: a batched and a
+    single-point evaluation of the field may differ in the last bit, and a
+    re-evaluated end could then lose the sign change that chose the
+    bracket.  A zero end value is the root.
+    """
+    if f_lo == 0.0:
+        return float(lo)
+    if f_hi == 0.0:
+        return float(hi)
+    return brentq(lambda t: f_lo if t == lo else f_hi if t == hi else f(t),
+                  lo, hi, xtol=xtol)
 
 
 @dataclass
@@ -264,7 +275,7 @@ class OptimalityResult:
     locate the minimizer; ties go to the earliest time, then the lowest
     mode index.  ``boundary`` is "left"/"right" when the minimum is a
     one-sided segment-end value, None when interior; ``stationary`` marks
-    an interior minimum with vanishing slope.
+    an interior minimum, which is a root of the channel's slope.
     """
 
     theta: float
@@ -361,13 +372,10 @@ def optimality(field):
     best = min((c for c in cands if c["value"] <= vmin + tie),
                key=lambda c: (c["time"], c["mode"]))
     side = best["boundary"] or "right"
-    slope = field.slope(best["mode"], best["time"], side=side)
-    curvature = field.curvature(best["mode"], best["time"], side=side)
-    slope_tol = STATIONARY_TOL * (1.0 + norm_inf / field.horizon)
-    stationary = best["boundary"] is None and abs(slope) <= slope_tol
     return OptimalityResult(
         theta=float(best["value"]), mode=best["mode"], time=best["time"],
         segment=best["segment"], boundary=best["boundary"],
-        slope=slope, curvature=curvature, stationary=stationary,
-        norm_inf=norm_inf,
+        slope=field.slope(best["mode"], best["time"], side=side),
+        curvature=field.curvature(best["mode"], best["time"], side=side),
+        stationary=best["boundary"] is None, norm_inf=norm_inf,
     )

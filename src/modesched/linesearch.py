@@ -13,13 +13,10 @@ backtracking from a fixed upper step ``gamma3`` toward ``gamma0``.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .gradient import STATIONARY_TOL, CURVATURE_TOL
-
-log = logging.getLogger(__name__)
 
 #: default backtracking contraction and iteration cap
 BETA_DEFAULT = 0.4
@@ -156,23 +153,12 @@ def initial_switch_events(field, opt):
                 <= theta + match_tol):
             events.append(_classify(t_star, 1, mode, field, "left",
                                     slope_tol, curv_tol, is_new=True))
-    elif opt.stationary:
+    else:
         # interior stationary minimum: a new mode interval opens around
         # it, the left edge moving down in time and the right edge up
         events.append(_classify(t_star, 1, mode, field, "right",
                                 slope_tol, curv_tol, is_new=True))
         events.append(_classify(t_star, 0, mode, field, "right",
-                                slope_tol, curv_tol, is_new=True))
-    else:
-        # interior but measurably non-stationary: numerically suspect;
-        # classify one-sided by the slope's sign rather than fail here
-        log.warning(
-            "interior minimizer at t=%.6g has non-vanishing slope %.3g",
-            t_star, opt.slope,
-        )
-        omega = 1 if opt.slope < 0 else 0
-        events.append(_classify(t_star, omega, mode, field,
-                                "left" if omega == 1 else "right",
                                 slope_tol, curv_tol, is_new=True))
     return events
 

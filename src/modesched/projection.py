@@ -7,23 +7,21 @@ component, which reduces to a simple threshold rule: the active mode
 changes to ``argmin_a d_a(t)`` wherever ``min_a d_a(t) < -1/gamma`` and
 stays with the incumbent elsewhere.  Projecting is therefore a matter of
 locating the threshold crossings, assembling the new schedule, and
-re-integrating.  Applied to an already-feasible pair (``gamma = 0`` or a
-one-hot signal) the map is the identity, which makes it a projection.
+re-integrating.  Each crossing is a bracketed root of the field, solved
+as the field's minima are (see :mod:`.gradient`).  Applied to an
+already-feasible pair (``gamma = 0`` or a one-hot signal) the map is the
+identity, which makes it a projection.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gradient import ROOT_TOL, _bracketed_root
 from .integrate import integrate_state, DEFAULT_RTOL, DEFAULT_ATOL
-from .signals import ModeSchedule, SwitchingControl, enforce_dwell
+from .signals import ModeSchedule, enforce_dwell
 
-log = logging.getLogger(__name__)
-
-#: bisection tolerance for crossing times, relative to the horizon
-CROSSING_TOL = 1e-12
 #: default minimum dwell, relative to the horizon
 DWELL_DEFAULT = 1e-6
 
@@ -65,52 +63,25 @@ def _winners_from_values(D, inc, gamma, ts=None, seg=None):
     return w
 
 
-def _winner_at(field, seg, t, gamma):
-    D = field.values_in_segment(seg, np.array([t]))
-    return int(_winners_from_values(D, field.schedule.sequence[seg], gamma)[0])
+def _segment_spans(field, seg, gamma):
+    """(start, end, mode) spans for one segment under the max rule.
 
-
-def _bisect_change(field, seg, gamma, lo, hi, w_lo, tol):
-    """Locate where the winner stops being ``w_lo`` inside (lo, hi)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _winner_at(field, seg, mid, gamma) == w_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _blip_edges(field, seg, gamma, lo, hi, t, w_t, tol):
-    """Edges of the maximal interval around ``t`` where ``w_t`` wins."""
-    a, b = lo, t
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if _winner_at(field, seg, mid, gamma) == w_t:
-            b = mid
-        else:
-            a = mid
-    left = 0.5 * (a + b)
-    a, b = t, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if _winner_at(field, seg, mid, gamma) == w_t:
-            a = mid
-        else:
-            b = mid
-    return left, 0.5 * (a + b)
-
-
-def _segment_spans(field, seg, gamma, refine=0):
-    """(start, end, mode) spans for one segment under the max rule."""
+    Winners are taken on the grid and the segment's interior minima; each
+    change of winner between two adjacent samples is the root of
+    ``E_new - E_old``, where ``E_a = d_a`` for a challenger and the
+    incumbent's ``E`` is ``min(d_inc, -1/gamma)``, so that the max rule is
+    ``argmin E``.  Every interval where a challenger beats the threshold
+    holds a local minimum of its channel, and the field's minima are
+    samples, so no such interval hides between two samples.
+    """
     sched = field.schedule
     a, b = sched.segment_bounds(seg)
+    inc = sched.sequence[seg]
+    threshold = -1.0 / gamma
     ts = field.grid(seg)
     D = field.grid_values(seg)
     extra = [m["time"] for m in field.local_minima()
              if m["segment"] == seg and m["boundary"] is None]
-    if refine:
-        extra.extend(0.5 * (ts[:-1] + ts[1:]))
     if extra:
         te = np.asarray(extra, float)
         De = field.values_in_segment(seg, te)
@@ -120,47 +91,25 @@ def _segment_spans(field, seg, gamma, refine=0):
         ts, D = ts[order], D[order]
         keep = np.concatenate(([True], np.diff(ts) > 0))
         ts, D = ts[keep], D[keep]
-    w = _winners_from_values(D, sched.sequence[seg], gamma, ts=ts, seg=seg)
-    tol = CROSSING_TOL * sched.horizon
-    cuts = [a]
-    for j in range(len(ts) - 1):
-        if w[j] != w[j + 1]:
-            cuts.append(_bisect_change(field, seg, gamma,
-                                       ts[j], ts[j + 1], w[j], tol))
+    w = _winners_from_values(D, inc, gamma, ts=ts, seg=seg)
+
+    def gap(row, new, old):
+        """``E_new - E_old`` from one row of channel values."""
+        e = lambda m: min(row[m - 1], threshold) if m == inc else row[m - 1]
+        return e(new) - e(old)
+
+    tol = ROOT_TOL * sched.horizon
+    cuts, modes = [a], [int(w[0])]
+    for j in np.flatnonzero(w[1:] != w[:-1]):
+        new, old = int(w[j + 1]), int(w[j])
+        f = lambda t, new=new, old=old: gap(
+            field.values_in_segment(seg, np.array([t]))[0], new, old)
+        cuts.append(_bracketed_root(f, ts[j], ts[j + 1], gap(D[j], new, old),
+                                    gap(D[j + 1], new, old), tol))
+        modes.append(new)
     cuts.append(b)
-    spans = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= tol:
-            continue
-        spans.append((lo, hi, _winner_at(field, seg, 0.5 * (lo + hi), gamma)))
-    # consistency: quarter-point winners must match their span, otherwise
-    # the sampling was too coarse and a crossing pair went unseen.  On the
-    # first miss re-grid the whole segment at double density; after that,
-    # splice the offending sub-grid blip out directly.  A tangential graze
-    # of the threshold can flicker at floating-point scale, so the splice
-    # loop is bounded; leftover slivers are below the dwell and merge away.
-    for _pass in range(3):
-        bad = None
-        for k, (lo, hi, m) in enumerate(spans):
-            for q in (0.25, 0.75):
-                t = lo + q * (hi - lo)
-                w_t = _winner_at(field, seg, t, gamma)
-                if w_t != m:
-                    bad = (k, lo, hi, m, t, w_t)
-                    break
-            if bad:
-                break
-        if bad is None:
-            break
-        if not refine:
-            return _segment_spans(field, seg, gamma, refine=1)
-        k, lo, hi, m, t, w_t = bad
-        left, right = _blip_edges(field, seg, gamma, lo, hi, t, w_t, tol)
-        log.debug("segment %d: sub-grid winner blip, mode %d on "
-                  "[%.9g, %.9g]", seg, w_t, left, right)
-        pieces = [(lo, left, m), (left, right, w_t), (right, hi, m)]
-        spans[k:k + 1] = [p for p in pieces if p[1] - p[0] > tol]
-    return spans
+    return [(lo, hi, m) for lo, hi, m in zip(cuts[:-1], cuts[1:], modes)
+            if hi - lo > tol]
 
 
 def crossing_times(field, gamma):
@@ -189,10 +138,15 @@ def crossing_times(field, gamma):
 def max_map(u, field, gamma, dwell=None):
     """Project the signal ``u - gamma*d`` onto a feasible schedule.
 
+    In each segment of ``u`` the max rule is evaluated on the field's
+    sampling grid and its interior minima; every change of winner between
+    two samples is cut at the root of the two modes' difference, found by
+    a bracketed root solve on the field to ``ROOT_TOL * horizon``.
+
     Parameters
     ----------
-    u : ModeSchedule or SwitchingControl
-        Incumbent feasible control.
+    u : ModeSchedule
+        Incumbent feasible schedule.
     field : InsertionGradientField or None
         Insertion-gradient field of the incumbent; ``None`` means a pure
         vertex signal (the map is then the identity on ``u``).
@@ -207,17 +161,16 @@ def max_map(u, field, gamma, dwell=None):
     -------
     ModeSchedule
     """
-    sched = u.schedule if isinstance(u, SwitchingControl) else u
     if field is None or gamma is None or gamma <= 0.0:
-        return sched
+        return u
     if dwell is None:
-        dwell = DWELL_DEFAULT * sched.horizon
+        dwell = DWELL_DEFAULT * u.horizon
     spans = []
-    for seg in range(sched.n_segments):
+    for seg in range(u.n_segments):
         spans.extend(_segment_spans(field, seg, gamma))
     seq = tuple(m for _, _, m in spans)
     times = tuple(lo for lo, _, _ in spans[1:])
-    out = ModeSchedule(seq, times, sched.horizon, sched.num_modes)
+    out = ModeSchedule(seq, times, u.horizon, u.num_modes)
     return enforce_dwell(out, dwell)
 
 

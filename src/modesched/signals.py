@@ -1,4 +1,4 @@
-"""Mode schedules and their switching-control representation.
+"""Mode schedules.
 
 A schedule is a finite mode sequence together with the times at which the
 active mode changes.  The equivalent control signal is piecewise constant,
@@ -231,11 +231,6 @@ def constant_schedule(mode, horizon, num_modes):
     return ModeSchedule((mode,), (), horizon, num_modes)
 
 
-def check_non_chattering(schedule, dwell):
-    """True when every segment lasts at least ``dwell``."""
-    return schedule.min_dwell() >= dwell
-
-
 def enforce_dwell(schedule, dwell):
     """Absorb segments shorter than ``dwell`` into their longer neighbor.
 
@@ -277,34 +272,3 @@ def enforce_dwell(schedule, dwell):
     return ModeSchedule(
         tuple(seq), tuple(bounds[1:-1]), schedule.horizon, schedule.num_modes
     )
-
-
-class SwitchingControl:
-    """Vertex-valued view of a schedule: ``u(t)`` is one-hot over modes."""
-
-    def __init__(self, schedule):
-        self.schedule = schedule
-
-    @property
-    def num_modes(self):
-        return self.schedule.num_modes
-
-    @property
-    def horizon(self):
-        return self.schedule.horizon
-
-    def active(self, t):
-        return self.schedule.mode_at(t)
-
-    def __call__(self, t):
-        u = np.zeros(self.schedule.num_modes)
-        u[self.schedule.mode_at(t) - 1] = 1.0
-        return u
-
-
-def schedule_to_control(schedule):
-    return SwitchingControl(schedule)
-
-
-def control_to_schedule(u):
-    return u.schedule

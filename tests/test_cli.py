@@ -98,12 +98,6 @@ def test_horizon_advance_exceeding_window_exit_2(tmp_path, capsys):
     assert "advance" in capsys.readouterr().err
 
 
-def test_bad_jobs_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, vehicle_cfg())
-    assert main(["optimize", cfg, "--dry-run", "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
 def test_log_level_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODESCHED_LOG", "chatty")
     cfg = write_cfg(tmp_path, vehicle_cfg())

@@ -1,6 +1,7 @@
 """Insertion/switching-time gradients against finite-difference oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from modesched import (
     InsertionGradientField,
@@ -11,7 +12,7 @@ from modesched import (
     optimality,
     switching_time_gradient,
 )
-from conftest import random_schedule
+from conftest import quadratic_bottoms, quadratic_field, random_schedule
 
 
 def field_for(sys_, x0, sched):
@@ -130,6 +131,18 @@ def test_optimality_boundary_minimum():
     assert opt.time == pytest.approx(1.0, abs=1e-9)
     assert opt.boundary == "left"
     assert not opt.stationary
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=quadratic_bottoms())
+def test_quadratic_bottom_is_a_stationary_interior_minimum(q):
+    # the minimizer is the root of the analytic slope, wherever the centre
+    # sits and however flat or sharp the bottom is
+    opt = optimality(quadratic_field(q))
+    assert opt.mode == 2
+    assert opt.boundary is None
+    assert opt.stationary
+    assert abs(opt.time - q["c"]) <= 1e-9 * q["horizon"]
 
 
 def test_local_minima_catch_subgrid_dip():

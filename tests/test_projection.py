@@ -1,6 +1,7 @@
 """Max-projection: threshold rule, identity region, idempotence, slivers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from modesched import (
     DegenerateTieError,
@@ -16,7 +17,7 @@ from modesched import (
     optimality,
     project,
 )
-from conftest import random_schedule
+from conftest import quadratic_bottoms, quadratic_field, random_schedule
 
 
 def masked_channels(sched, raws):
@@ -177,6 +178,40 @@ def test_crossing_pair_around_parabolic_dip():
     np.testing.assert_allclose(out.times, [1.0 - r, 1.0 + r], atol=1e-9)
     # below the threshold nothing crosses
     assert crossing_times(field, 0.99 * g0) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=quadratic_bottoms())
+def test_crossings_of_a_quadratic_bottom_are_analytic(q):
+    # just past gamma0 = 1/|v0| the channel beats the threshold on
+    # (c - r, c + r), also when the pair sits inside one grid cell
+    gamma = gamma_zero(q["v0"]) * (1.0 + q["eps"])
+    cross = crossing_times(quadratic_field(q), gamma)
+    assert [m for _, m in cross] == [2, 1]
+    np.testing.assert_allclose([t for t, _ in cross],
+                               [q["c"] - q["r"], q["c"] + q["r"]],
+                               rtol=0.0, atol=1e-9 * q["horizon"])
+
+
+def test_last_bit_disagreement_at_a_bracket_end():
+    # a batched and a single-point evaluation of the field may differ in
+    # the last bit; a bracket end sampled exactly at the threshold must
+    # keep the sign its sample gave, or the root solve has no sign change
+    sched = constant_schedule(1, 1.0, 2)
+    t_j = zero_field(sched).grid(0)[1000]
+
+    def challenger(t):
+        t = np.atleast_1d(np.asarray(t, float))
+        d = -1.0 - (t - t_j)
+        return np.nextafter(d, -np.inf) if t.size == 1 else d
+
+    field = InsertionGradientField.from_callables(
+        sched, [lambda t: np.zeros_like(t), challenger])
+    assert field.grid_values(0)[1000, 1] == -1.0
+    assert field.value_channel(2, t_j) < -1.0
+    out = max_map(sched, field, 1.0)
+    assert out.sequence == (1, 2)
+    assert out.times == pytest.approx((t_j,), abs=1e-12)
 
 
 def test_sliver_crossings_are_merged():

@@ -16,6 +16,8 @@ from modesched import (
     truncate_schedule,
 )
 from modesched.models import vehicle_initial_state, vehicle_system
+from modesched.models.power import initial_state, load_network, power_system
+from conftest import THREE_MACHINE
 
 
 def two_rate_sq():
@@ -196,6 +198,20 @@ def test_receding_horizon_applies_window_heads():
     assert rh.cost == pytest.approx(rh.trajectory.cost)
     # better than never replanning away from mode 1
     assert rh.cost < 0.9 * 2.0 * (1.0 - math.exp(-2.0))
+
+
+def test_power_windows_step_at_quadratic_field_minima():
+    # the first windows of the published three-machine run (criterion 7)
+    # insert at clean quadratic minima of the field; typed as one-sided,
+    # such a minimum made the line search fail and the window fall back
+    net = load_network(str(THREE_MACHINE))
+    x0 = initial_state(net, magnitude=0.3, seed=0)
+    rh = receding_horizon(power_system(net), x0,
+                          constant_schedule(1, 1.0, net.num_configs),
+                          n_windows=3, advance=0.1,
+                          config=OptimizerConfig(alpha=0.4, beta=0.1))
+    assert [w.fell_back for w in rh.windows] == [False] * 3
+    assert all(w.steps >= 1 for w in rh.windows)
 
 
 def test_receding_horizon_fallback_keeps_plan(monkeypatch):

@@ -1,16 +1,11 @@
-"""Schedule container: geometry, editing, dwell, control view, round-trips."""
-import math
-
+"""Schedule container: geometry, editing, dwell, round-trips."""
 import numpy as np
 import pytest
 
 from modesched import (
     ModeSchedule,
-    check_non_chattering,
     constant_schedule,
-    control_to_schedule,
     enforce_dwell,
-    schedule_to_control,
 )
 from conftest import random_schedule
 
@@ -92,7 +87,7 @@ def test_enforce_dwell_absorbs_sliver():
     out = enforce_dwell(s, 1e-6)
     assert out.n_segments == 1
     assert out.sequence == (1,)
-    assert check_non_chattering(out, 1e-6)
+    assert out.min_dwell() >= 1e-6
     # schedules already satisfying the dwell come back untouched
     ok = ModeSchedule((1, 2), (1.0,), 2.0, 2)
     assert enforce_dwell(ok, 1e-6) is ok
@@ -104,18 +99,6 @@ def test_enforce_dwell_prefers_longer_neighbor():
     # the sliver belongs to mode 2; mode 3's segment is longer and eats it
     assert out.sequence == (1, 3)
     assert out.times == (1.0,)
-
-
-def test_control_view_is_one_hot():
-    rng = np.random.default_rng(3)
-    s = random_schedule(rng, 2 * math.pi, 4, 5)
-    u = schedule_to_control(s)
-    assert control_to_schedule(u) is s
-    for t in rng.uniform(0.0, s.horizon, 50):
-        vec = u(t)
-        assert vec.sum() == 1.0
-        assert vec[s.mode_at(t) - 1] == 1.0
-        assert u.active(t) == s.mode_at(t)
 
 
 def test_json_round_trip(tmp_path):
