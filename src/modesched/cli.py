@@ -78,8 +78,11 @@ def _build_problem(cfg, seed_override=None, config_dir="."):
 
     if mtype == "vehicle":
         sys_ = vehicle_system()
-        x0 = vehicle_initial_state(model.get("x0"))
-        horizon = float(cfg.get("horizon", HORIZON_DEFAULT))
+        try:
+            x0 = vehicle_initial_state(model.get("x0"))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad vehicle x0: {err}") from None
+        horizon = cfg.get("horizon", HORIZON_DEFAULT)
     elif mtype == "power":
         net_src = model.get("network")
         if net_src is None:
@@ -101,16 +104,18 @@ def _build_problem(cfg, seed_override=None, config_dir="."):
         x0 = initial_state(net, magnitude=magnitude, seed=seed)
         if "horizon" not in cfg:
             raise ConfigError('power runs need an explicit "horizon"')
-        horizon = float(cfg["horizon"])
+        horizon = cfg["horizon"]
         meta.update(n_gen=net.n_gen, disturbance_magnitude=magnitude,
                     seed=seed)
     else:
         raise ConfigError(f'unknown model type {mtype!r} '
                           f'(expected "vehicle" or "power")')
 
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    return sys_, x0, horizon, meta
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) \
+            or not horizon > 0.0:
+        raise ConfigError(f"horizon must be a positive number, "
+                          f"got {horizon!r}")
+    return sys_, x0, float(horizon), meta
 
 
 def _build_schedule(cfg, horizon, num_modes):
@@ -129,24 +134,10 @@ def _optimizer_config(cfg):
     opts = cfg.get("optimizer", {})
     if not isinstance(opts, dict):
         raise ConfigError('"optimizer" must be an object')
-    known = {f for f in OptimizerConfig.__dataclass_fields__}
-    extra = set(opts) - known
-    if extra:
-        raise ConfigError(f"unknown optimizer options: {sorted(extra)}")
     try:
-        oc = OptimizerConfig(**opts)
+        return OptimizerConfig(**opts)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad optimizer options: {err}") from None
-    if not 0.0 < oc.alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {oc.alpha}")
-    if not 0.0 < oc.beta < 1.0:
-        raise ConfigError(f"beta must be in (0,1), got {oc.beta}")
-    if oc.max_iter < 0 or oc.j_max < 0:
-        raise ConfigError("max_iter and j_max must be nonnegative")
-    if isinstance(oc.theta_stop, str) and oc.theta_stop != "auto":
-        raise ConfigError(f"theta_stop must be a number or 'auto', "
-                          f"got {oc.theta_stop!r}")
-    return oc
 
 
 # -- output writers ---------------------------------------------------------
@@ -205,14 +196,21 @@ def _final_field(sys_, result, opt_cfg):
     rho = integrate_adjoint(sys_, result.schedule, result.trajectory,
                             rtol=opt_cfg.rtol, atol=opt_cfg.atol,
                             knot_spacing=opt_cfg.knot_spacing)
-    return insertion_gradient(sys_, result.schedule, result.trajectory,
-                              rho, grid_step=opt_cfg.grid_step)
+    return insertion_gradient(sys_, result.schedule, result.trajectory, rho)
 
 
-def _run_baseline(sys_, x0, horizon, num_modes, cfg, opt_cfg, out, ts=None):
+def _baseline_mode(cfg, num_modes):
+    mode = cfg.get("baseline_mode", 1)
+    if isinstance(mode, bool) or not isinstance(mode, int) \
+            or not 1 <= mode <= num_modes:
+        raise ConfigError(f"baseline_mode must be a mode in 1..{num_modes}, "
+                          f"got {mode!r}")
+    return mode
+
+
+def _run_baseline(sys_, x0, horizon, num_modes, mode, opt_cfg, out, ts=None):
     # written on the same time grid as trajectory.csv so the two runs
     # compare row for row
-    mode = int(cfg.get("baseline_mode", 1))
     sched = constant_schedule(mode, horizon, num_modes)
     traj = integrate_state(sys_, x0, sched, rtol=opt_cfg.rtol,
                            atol=opt_cfg.atol,
@@ -227,6 +225,7 @@ def _cmd_optimize(args, cfg):
     sys_, x0, horizon, meta = _build_problem(
         cfg, args.seed, config_dir=Path(args.config).parent)
     sched0 = _build_schedule(cfg, horizon, sys_.num_modes)
+    baseline_mode = _baseline_mode(cfg, sys_.num_modes)
     opt_cfg = _optimizer_config(cfg)
 
     if args.dry_run:
@@ -256,7 +255,8 @@ def _cmd_optimize(args, cfg):
                          timings={"optimize_s": t_opt})
     if args.baseline:
         manifest["baseline"] = _run_baseline(
-            sys_, x0, horizon, sys_.num_modes, cfg, opt_cfg, out, ts=ts)
+            sys_, x0, horizon, sys_.num_modes, baseline_mode, opt_cfg, out,
+            ts=ts)
     _finish_manifest(out, manifest, t0)
 
     ok = result.status in ("optimal", "max_iter")
@@ -287,6 +287,7 @@ def _cmd_horizon(args, cfg):
     sys_, x0, _, meta = _build_problem(
         problem_cfg, args.seed, config_dir=Path(args.config).parent)
     sched0 = _build_schedule(cfg, window, sys_.num_modes)
+    baseline_mode = _baseline_mode(cfg, sys_.num_modes)
     opt_cfg = _optimizer_config(cfg)
 
     if args.dry_run:
@@ -314,8 +315,8 @@ def _cmd_horizon(args, cfg):
                          timings={"horizon_s": t_run})
     if args.baseline:
         manifest["baseline"] = _run_baseline(
-            sys_, x0, result.schedule.horizon, sys_.num_modes, cfg,
-            opt_cfg, out, ts=ts)
+            sys_, x0, result.schedule.horizon, sys_.num_modes,
+            baseline_mode, opt_cfg, out, ts=ts)
     _finish_manifest(out, manifest, t0)
 
     print(f"applied {result.schedule.horizon:g}s over {n_windows} windows "

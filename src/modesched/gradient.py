@@ -70,16 +70,12 @@ class InsertionGradientField:
     functions (synthetic fields for studies and tests).
     """
 
-    def __init__(self, schedule, values_fn, slopes_fn,
-                 grid_step=None, min_grid_pts=GRID_MIN_PTS):
+    def __init__(self, schedule, values_fn, slopes_fn):
         self.schedule = schedule
         self.num_modes = schedule.num_modes
         self.horizon = schedule.horizon
         self._values_fn = values_fn   # (seg, ts) -> (len(ts), N)
         self._slopes_fn = slopes_fn
-        self._grid_step = grid_step if grid_step is not None \
-            else schedule.horizon / GRID_DENOM
-        self._min_grid_pts = min_grid_pts
         self._grids = {}
         self._grid_vals = {}
         self._minima = None
@@ -88,7 +84,7 @@ class InsertionGradientField:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_callables(cls, schedule, channels, channel_slopes=None, **kw):
+    def from_callables(cls, schedule, channels, channel_slopes=None):
         """Build a synthetic field from N scalar functions of time.
 
         ``channels[a-1](t)`` gives channel ``a``; functions must be smooth
@@ -120,7 +116,7 @@ class InsertionGradientField:
                              a + h, b - h)
                 return (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
 
-        return cls(schedule, values_fn, slopes_fn, **kw)
+        return cls(schedule, values_fn, slopes_fn)
 
     # -- evaluation ---------------------------------------------------
 
@@ -169,7 +165,8 @@ class InsertionGradientField:
         """Master sample times for segment ``seg`` (endpoints included)."""
         if seg not in self._grids:
             a, b = self.schedule.segment_bounds(seg)
-            n = max(self._min_grid_pts, int(np.ceil((b - a) / self._grid_step)))
+            n = max(GRID_MIN_PTS,
+                    int(np.ceil((b - a) / (self.horizon / GRID_DENOM))))
             self._grids[seg] = np.linspace(a, b, n)
         return self._grids[seg]
 
@@ -293,7 +290,7 @@ class OptimalityResult:
         return self.mode is None
 
 
-def insertion_gradient(sys, schedule, x, rho, grid_step=None):
+def insertion_gradient(sys, schedule, x, rho):
     """Build the insertion-gradient field from trajectory and adjoint.
 
     Parameters
@@ -347,8 +344,7 @@ def insertion_gradient(sys, schedule, x, rho, grid_step=None):
             out[:, a - 1] = term1 + term2
         return out
 
-    return InsertionGradientField(schedule, values_fn, slopes_fn,
-                                  grid_step=grid_step)
+    return InsertionGradientField(schedule, values_fn, slopes_fn)
 
 
 def optimality(field):

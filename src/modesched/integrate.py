@@ -249,44 +249,43 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             dz[n] = sys.running_cost(x)
             return dz
 
-        fs_batch = None
-        if sys.vectorized:
-            def fs_batch(ts, zs, m=m):
-                return np.column_stack(
-                    [sys.field_at(m, zs[:, :n]), sys.cost_at(zs[:, :n])]
-                )
+        def fs_batch(ts, zs, m=m):
+            return np.column_stack(
+                [sys.field_at(m, zs[:, :n]), sys.cost_at(zs[:, :n])]
+            )
 
-        ts, zs, fs, z = _solve_segment(rhs, a, b, z, rtol, atol,
-                                       schedule.horizon, knot_spacing,
-                                       fs_batch=fs_batch)
+        ts, zs, fs, z = _solve_segment(rhs, fs_batch, a, b, z, rtol, atol,
+                                       schedule.horizon, knot_spacing)
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
     cost_curve = SampledCurve(bnds, c_segs)
     return SampledCurve(bnds, x_segs, cost_curve=cost_curve)
 
 
-def _solve_segment(rhs, a, b, z0, rtol, atol, horizon, knot_spacing,
-                   fs_batch=None):
-    """One smooth segment: solve, then resample onto Hermite knots."""
+def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
+                   knot_spacing):
+    """One smooth segment from ``t0`` to ``t1``, forward or backward in time.
+
+    Solves, then resamples onto Hermite knots in increasing time, with the
+    knot derivatives from one ``fs_batch(ts, zs)`` call.  Returns
+    ``(ts, zs, fs, z1)`` where ``z1`` is the solution at ``t1``.
+    """
+    a, b = min(t0, t1), max(t0, t1)
     if b - a < 1e-13 * horizon:  # degenerate sliver: one explicit step
-        f0 = rhs(a, z0)
-        z1 = z0 + (b - a) * f0
+        z1 = z0 + (t1 - t0) * rhs(t0, z0)
         ts = np.array([a, b])
-        zs = np.vstack([z0, z1])
-        fs = np.vstack([f0, rhs(b, z1)])
-        return ts, zs, fs, z1
-    sol = solve_ivp(rhs, (a, b), z0, method="DOP853", dense_output=True,
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed on [{a}, {b}]: {sol.message}")
-    ts = _knot_times(a, b, sol.t, horizon, knot_spacing)
-    zs = sol.sol(ts).T
-    zs[0], zs[-1] = z0, sol.y[:, -1]
-    if fs_batch is not None:
-        fs = fs_batch(ts, zs)
+        zs = np.empty((2, len(z0)))
     else:
-        fs = np.array([rhs(t, zz) for t, zz in zip(ts, zs)])
-    return ts, zs, fs, sol.y[:, -1]
+        sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853",
+                        dense_output=True, rtol=rtol, atol=atol)
+        if not sol.success:
+            raise RuntimeError(
+                f"integration failed on [{a}, {b}]: {sol.message}")
+        z1 = sol.y[:, -1]
+        ts = _knot_times(a, b, sol.t, horizon, knot_spacing)
+        zs = sol.sol(ts).T
+    zs[0], zs[-1] = (z0, z1) if t0 < t1 else (z1, z0)
+    return ts, zs, fs_batch(ts, zs), z1
 
 
 def integrate_adjoint(sys, schedule, x, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
@@ -316,28 +315,17 @@ def integrate_adjoint(sys, schedule, x, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             xt = x.eval_in_segment(i, t)
             return -(sys.mode_jacobian(m, xt).T @ r) - sys.running_cost_gradient(xt)
 
-        if b - a < 1e-13 * schedule.horizon:
-            f1 = rhs(b, rho)
-            r0 = rho - (b - a) * f1
-            segs[i] = (np.array([a, b]), np.vstack([r0, rho]),
-                       np.vstack([rhs(a, r0), f1]))
-            rho = r0
-            continue
-        sol = solve_ivp(rhs, (b, a), rho, method="DOP853", dense_output=True,
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"adjoint failed on [{a}, {b}]: {sol.message}")
-        ts = _knot_times(a, b, sol.t, schedule.horizon, knot_spacing)
-        rs = sol.sol(ts).T
-        rs[-1] = rho
-        rs[0] = sol.y[:, -1]
         # knot derivatives in one batch; the stacked matmul runs the same
         # BLAS kernel per knot as rhs's J^T @ r, so they match it bitwise
-        xs = x.eval_in_segment(i, ts)
-        fs = -(rs[:, None, :] @ sys.jacobian_at(m, xs))[:, 0] \
-            - sys.cost_gradient_at(xs)
+        def fs_batch(ts, rs, i=i, m=m):
+            xs = x.eval_in_segment(i, ts)
+            return -(rs[:, None, :] @ sys.jacobian_at(m, xs))[:, 0] \
+                - sys.cost_gradient_at(xs)
+
+        ts, rs, fs, rho = _solve_segment(rhs, fs_batch, b, a, rho, rtol,
+                                         atol, schedule.horizon,
+                                         knot_spacing)
         segs[i] = (ts, rs, fs)
-        rho = sol.y[:, -1]
     return SampledCurve(bnds, segs)
 
 

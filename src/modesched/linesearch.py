@@ -1,9 +1,11 @@
 """Step-size selection along the negative insertion gradient.
 
-Just past the threshold step ``gamma0`` the projected schedule acquires (or
-re-types) switching times whose motion in ``gamma`` is predictable from
-one-sided derivatives of the insertion gradient at those times.  Each
-moving switch is classified by type: a type-1 time moves linearly in
+Just past the threshold step ``gamma0`` the projection moves a switching
+time at every local minimum of the insertion gradient that attains
+``theta``: a new pair at an interior minimum, one new or re-typed existing
+switch at a segment end.  Their motion in ``gamma`` is predictable from
+one-sided derivatives of the field at those times.  Each moving switch is
+classified by type: a type-1 time moves linearly in
 ``(gamma - gamma0)`` at rate ``theta^2/slope``, a type-2 time (born at a
 stationary interior minimum) moves like ``sqrt(gamma - gamma0)``.  Summing
 the per-event cost rates gives a negative descent slope ``s`` that turns
@@ -54,10 +56,11 @@ class SwitchEvent:
     is_new: bool = False
 
 
-def _classify(time, omega, channel, field, side, slope_tol, curv_tol,
-              is_new):
+def _classify(field, time, omega, channel, side, is_new):
     slope = field.slope(channel, time, side=side)
     curv = field.curvature(channel, time, side=side)
+    slope_tol = STATIONARY_TOL * (1.0 + field.norm_inf / field.horizon)
+    curv_tol = CURVATURE_TOL * (1.0 + field.norm_inf)
     # A first-order event needs the channel rising away from the moving
     # end: positive slope when the time moves right, negative when left.
     # A clear slope of the wrong sign means the minimum actually sits a
@@ -77,89 +80,51 @@ def _classify(time, omega, channel, field, side, slope_tol, curv_tol,
 def initial_switch_events(field, opt):
     """Switching-time events of the projection just past ``gamma0``.
 
-    Existing switching times are re-typed under the new insertion: a
-    switch stays put (type 0) unless one of its flanking channels attains
-    ``theta`` there, in which case the switch itself starts moving.  The
-    minimizer ``(mode, time)`` adds new events: a pair moving in opposite
-    directions for an interior stationary minimum, a single event when
-    the minimum sits on a segment boundary or a horizon end.
+    Every local minimum of the field within ``1e-9 (1 + |theta|)`` of
+    ``theta`` starts moving.  An interior minimum opens a new interval
+    whose edges move apart (``omega = 1`` and ``0``).  A minimum on a
+    segment's end moves left (``omega = 1``), one on a segment's start
+    moves right (``omega = 0``); it is the existing switch, re-typed,
+    when its channel is the mode on the far side of that switch, and a
+    new event otherwise (the horizon ends have no far side).  Existing
+    switches that nothing re-types stay put (type 0).
 
     Parameters
     ----------
     field : InsertionGradientField
     opt : OptimalityResult
-        Must carry ``theta < 0`` and its minimizer.
+        Only ``theta`` is read; ``theta >= 0`` gives no events.
 
     Returns
     -------
     list of SwitchEvent
     """
-    if opt.is_optimal or opt.theta >= 0.0:
+    theta = opt.theta
+    if theta >= 0.0:
         return []
     sched = field.schedule
-    theta = opt.theta
-    slope_tol = STATIONARY_TOL * (1.0 + field.norm_inf / field.horizon)
-    curv_tol = CURVATURE_TOL * (1.0 + field.norm_inf)
     match_tol = 1e-9 * (1.0 + abs(theta))
-    time_tol = 1e-8 * field.horizon
-
-    events = []
-    for i, ti in enumerate(sched.times):
-        before = sched.sequence[i]
-        after = sched.sequence[i + 1]
-        retyped = False
-        if field.value_channel(after, ti, side="left") <= theta + match_tol:
-            events.append(_classify(ti, 1, after, field, "left",
-                                    slope_tol, curv_tol, is_new=False))
-            retyped = True
-        if field.value_channel(before, ti, side="right") <= theta + match_tol:
-            events.append(_classify(ti, 0, before, field, "right",
-                                    slope_tol, curv_tol, is_new=False))
-            retyped = True
-        if not retyped:
-            events.append(SwitchEvent(time=ti, omega=0, channel=None,
-                                      event_type=0))
-
-    def already_have(t, channel, omega):
-        return any(e.channel == channel and e.omega == omega
-                   and abs(e.time - t) <= time_tol for e in events)
-
-    t_star, mode = opt.time, opt.mode
-    at_start = t_star <= time_tol
-    at_end = t_star >= field.horizon - time_tol
-    if at_start:
-        events.append(_classify(t_star, 0, mode, field, "right",
-                                slope_tol, curv_tol, is_new=True))
-    elif at_end:
-        events.append(_classify(t_star, 1, mode, field, "left",
-                                slope_tol, curv_tol, is_new=True))
-    elif opt.boundary == "left":
-        # minimum is a left limit at a switching time: insertion grows
-        # leftward from there; check the mirror side for a double touch
-        if not already_have(t_star, mode, 1):
-            events.append(_classify(t_star, 1, mode, field, "left",
-                                    slope_tol, curv_tol, is_new=True))
-        if (not already_have(t_star, mode, 0)
-                and field.value_channel(mode, t_star, side="right")
-                <= theta + match_tol):
-            events.append(_classify(t_star, 0, mode, field, "right",
-                                    slope_tol, curv_tol, is_new=True))
-    elif opt.boundary == "right":
-        if not already_have(t_star, mode, 0):
-            events.append(_classify(t_star, 0, mode, field, "right",
-                                    slope_tol, curv_tol, is_new=True))
-        if (not already_have(t_star, mode, 1)
-                and field.value_channel(mode, t_star, side="left")
-                <= theta + match_tol):
-            events.append(_classify(t_star, 1, mode, field, "left",
-                                    slope_tol, curv_tol, is_new=True))
-    else:
-        # interior stationary minimum: a new mode interval opens around
-        # it, the left edge moving down in time and the right edge up
-        events.append(_classify(t_star, 1, mode, field, "right",
-                                slope_tol, curv_tol, is_new=True))
-        events.append(_classify(t_star, 0, mode, field, "right",
-                                slope_tol, curv_tol, is_new=True))
+    events, retyped = [], set()
+    for m in field.local_minima():
+        if m["value"] > theta + match_tol:
+            continue
+        t, a, seg = m["time"], m["mode"], m["segment"]
+        if m["boundary"] is None:
+            events += [_classify(field, t, 1, a, "right", True),
+                       _classify(field, t, 0, a, "right", True)]
+            continue
+        # index of the switch at t and the segment on its far side
+        if m["boundary"] == "left":
+            omega, i, far = 1, seg, seg + 1
+        else:
+            omega, i, far = 0, seg - 1, seg - 1
+        is_new = not (0 <= far < sched.n_segments
+                      and sched.sequence[far] == a)
+        if not is_new:
+            retyped.add(i)
+        events.append(_classify(field, t, omega, a, m["boundary"], is_new))
+    events += [SwitchEvent(time=t, omega=0, channel=None, event_type=0)
+               for i, t in enumerate(sched.times) if i not in retyped]
     return events
 
 

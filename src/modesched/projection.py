@@ -184,13 +184,13 @@ class ProjectionResult:
 
 
 def project(sys, x0, u, field, gamma, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-            dwell=None, knot_spacing=None):
+            knot_spacing=None):
     """Full projection: threshold the signal, then re-integrate.
 
     Composition of :func:`max_map` and trajectory integration; the
     returned cost comes from the integrator's running-cost accumulator.
     """
-    sched = max_map(u, field, gamma, dwell=dwell)
+    sched = max_map(u, field, gamma)
     x = integrate_state(sys, x0, sched, rtol=rtol, atol=atol,
                         knot_spacing=knot_spacing)
     return ProjectionResult(sched, x, x.cost)

@@ -51,7 +51,8 @@ class OptimizerConfig:
     ``theta >= theta_stop``.  The default ``"auto"`` resolves to
     ``-1e-2 * |theta|`` of the initial schedule, i.e. stop after the
     achievable descent rate has shrunk a hundredfold.  Set ``0.0`` to run
-    until no insertion helps at all (or the budget runs out).
+    until no insertion helps at all (or the budget runs out).  Invalid
+    values raise ``ValueError`` on construction.
     """
 
     alpha: float = 0.4
@@ -62,8 +63,17 @@ class OptimizerConfig:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
     knot_spacing: float = None
-    grid_step: float = None
-    dwell: float = None
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must be in (0,1), got {self.beta}")
+        if self.max_iter < 0 or self.j_max < 0:
+            raise ValueError("max_iter and j_max must be nonnegative")
+        if isinstance(self.theta_stop, str) and self.theta_stop != "auto":
+            raise ValueError(f"theta_stop must be a number or 'auto', "
+                             f"got {self.theta_stop!r}")
 
 
 @dataclass
@@ -111,15 +121,6 @@ class RunResult:
         return [r.cost for r in self.iterations]
 
 
-def _resolve_theta_stop(spec, theta0):
-    if isinstance(spec, str):
-        if spec != "auto":
-            raise ValueError(f"theta_stop must be a number or 'auto', "
-                             f"got {spec!r}")
-        return -1e-2 * abs(theta0)
-    return float(spec)
-
-
 def optimize(sys, x0, schedule, config=None):
     """Descend the schedule by projected insertion-gradient steps.
 
@@ -137,9 +138,6 @@ def optimize(sys, x0, schedule, config=None):
     RunResult
     """
     cfg = config or OptimizerConfig()
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {cfg.alpha}")
-
     u = schedule
     x = integrate_state(sys, x0, u, rtol=cfg.rtol, atol=cfg.atol,
                         knot_spacing=cfg.knot_spacing)
@@ -152,12 +150,13 @@ def optimize(sys, x0, schedule, config=None):
     for k in range(cfg.max_iter + 1):
         rho = integrate_adjoint(sys, u, x, rtol=cfg.rtol, atol=cfg.atol,
                                 knot_spacing=cfg.knot_spacing)
-        d = insertion_gradient(sys, u, x, rho, grid_step=cfg.grid_step)
+        d = insertion_gradient(sys, u, x, rho)
         opt = optimality(d)
         theta = opt.theta
         g0 = gamma_zero(theta)
         if theta_stop is None:
-            theta_stop = _resolve_theta_stop(cfg.theta_stop, theta)
+            theta_stop = -1e-2 * abs(theta) if cfg.theta_stop == "auto" \
+                else float(cfg.theta_stop)
 
         row = IterationReport(k=k, cost=J, theta=theta, gamma0=g0,
                               n_segments=u.n_segments)
@@ -196,7 +195,7 @@ def optimize(sys, x0, schedule, config=None):
             if gamma not in trials:
                 trials[gamma] = project(
                     sys, x0, u, d, gamma, rtol=cfg.rtol, atol=cfg.atol,
-                    dwell=cfg.dwell, knot_spacing=cfg.knot_spacing)
+                    knot_spacing=cfg.knot_spacing)
             return trials[gamma].cost
 
         try:

@@ -37,6 +37,36 @@ def random_schedule(rng, horizon, num_modes, n_switches):
     return ModeSchedule(tuple(seq), tuple(times), horizon, num_modes)
 
 
+def masked_channels(sched, raws):
+    """Zero each channel wherever it is the active mode (as real fields are)."""
+    times = np.asarray(sched.times)
+
+    def make(a, raw):
+        def chan(t):
+            t = np.atleast_1d(np.asarray(t, float))
+            seg = np.clip(np.searchsorted(times, t, side="right"), 0,
+                          sched.n_segments - 1)
+            inc = np.asarray(sched.sequence)[seg]
+            return np.where(inc == a, 0.0, raw(t))
+        return chan
+
+    return [make(a, raw) for a, raw in enumerate(raws, start=1)]
+
+
+def random_field(rng, sched):
+    """Smooth random channels, incumbent-masked, on the given schedule."""
+    raws = []
+    for _ in range(sched.num_modes):
+        c = rng.normal(0.0, 2.0, 3)
+        w = rng.uniform(0.5, 3.0, 2)
+        p = rng.uniform(0.0, 2 * np.pi, 2)
+        raws.append(lambda t, c=c, w=w, p=p:
+                    c[0] + c[1] * np.sin(w[0] * t + p[0])
+                    + c[2] * np.cos(w[1] * t + p[1]))
+    return InsertionGradientField.from_callables(
+        sched, masked_channels(sched, raws))
+
+
 @st.composite
 def quadratic_bottoms(draw):
     """A channel ``k (t - c)^2 + v0`` on one segment ``[0, T]``, with ``eps``.

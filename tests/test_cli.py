@@ -80,6 +80,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
                    "disturbance": {"magnitude": 0.3}},
          "horizon": 1.0},                             # no seed
         {"model": {"type": "vehicle"}, "horizon": -1.0},
+        {"model": {"type": "vehicle", "x0": [1, 2]}},
+        {"model": {"type": "vehicle"}, "horizon": "long"},
+        {"model": {"type": "vehicle"}, "baseline_mode": 7},
     ]
     for i, cfg in enumerate(cases):
         path = write_cfg(tmp_path, cfg, f"bad{i}.json")

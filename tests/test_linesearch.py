@@ -16,14 +16,17 @@ from modesched import (
     SwitchEvent,
     backtrack,
     constant_schedule,
+    crossing_times,
     descent_slope,
     gamma_one_estimate,
     gamma_three,
+    gamma_zero,
     initial_switch_events,
     max_type,
     monitor_assumptions,
     optimality,
 )
+from conftest import random_field, random_schedule
 
 
 def synth_field(sched, seg_channels):
@@ -162,6 +165,56 @@ def test_no_events_at_optimum():
     opt = optimality(field)
     assert opt.theta >= 0.0
     assert initial_switch_events(field, opt) == []
+
+
+def test_two_equal_wells_each_open_a_pair():
+    # both wells attain theta = -1 with curvature 8: the projection opens
+    # an interval at each, so all four edges move and each contributes
+    # -sqrt(2) theta^2 / sqrt(8) = -1/2
+    sched = constant_schedule(1, 2.0, 2)
+    field = InsertionGradientField.from_callables(
+        sched,
+        [zero, lambda t: 4.0 * (t - 0.5) ** 2 * (t - 1.5) ** 2 - 1.0],
+        channel_slopes=[zero, lambda t: 8.0 * (t - 0.5) * (t - 1.5)
+                        * (2.0 * t - 2.0)],
+    )
+    opt = optimality(field)
+    assert opt.theta == pytest.approx(-1.0, rel=1e-12)
+
+    events = initial_switch_events(field, opt)
+    assert len(events) == 4
+    assert all(e.event_type == 2 and e.is_new for e in events)
+    assert sorted(round(e.time, 6) for e in events) == [0.5, 0.5, 1.5, 1.5]
+    assert descent_slope(events, opt.theta, 2) == pytest.approx(-2.0,
+                                                                rel=1e-6)
+    assert len(crossing_times(field, gamma_zero(opt.theta) * 1.001)) == 4
+
+
+def test_events_count_the_crossings_just_past_gamma0():
+    # just past gamma0 the max rule keeps every existing switch (moved or
+    # not) and adds one crossing per new event
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(300):
+        sched = random_schedule(rng, 2.0, 3, int(rng.integers(0, 4)))
+        field = random_field(rng, sched)
+        opt = optimality(field)
+        theta = opt.theta
+        if theta >= -1e-3:
+            continue
+        # an interior well this close to a switch also lowers the switch's
+        # one-sided value to within the match tolerance of theta
+        match_tol = 1e-9 * (1.0 + abs(theta))
+        if any(m["boundary"] is None and m["value"] <= theta + match_tol
+               and any(abs(t - m["time"]) < 1e-2 for t in sched.times)
+               for m in field.local_minima()):
+            continue
+        events = initial_switch_events(field, opt)
+        crossings = crossing_times(field, gamma_zero(theta) * (1 + 1e-6))
+        assert len(crossings) == \
+            len(sched.times) + sum(e.is_new for e in events)
+        checked += 1
+    assert checked >= 200
 
 
 # -- descent-rate model --------------------------------------------------
