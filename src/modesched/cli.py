@@ -94,7 +94,10 @@ def _build_problem(cfg, seed_override=None, config_dir="."):
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"bad network description: {err}") from None
         dist = model.get("disturbance", {})
-        magnitude = float(dist.get("magnitude", 0.0))
+        try:
+            magnitude = float(dist.get("magnitude", 0.0))
+        except (AttributeError, TypeError, ValueError) as err:
+            raise ConfigError(f"bad disturbance: {err}") from None
         seed = seed_override if seed_override is not None \
             else dist.get("seed")
         if magnitude != 0.0 and seed is None:
@@ -281,6 +284,8 @@ def _cmd_horizon(args, cfg):
     if not 0.0 < advance <= window:
         raise ConfigError(f"advance must lie in (0, window={window:g}], "
                           f"got {advance:g}")
+    if n_windows < 1:
+        raise ConfigError(f"n_windows must be at least 1, got {n_windows}")
     # the window doubles as the model horizon unless the config says more
     problem_cfg = dict(cfg)
     problem_cfg.setdefault("horizon", window)

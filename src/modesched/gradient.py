@@ -88,23 +88,34 @@ class InsertionGradientField:
         """Build a synthetic field from N scalar functions of time.
 
         ``channels[a-1](t)`` gives channel ``a``; functions must be smooth
-        inside each schedule segment.  Slopes default to a central finite
-        difference with step ``1e-7 * horizon``.
+        inside each schedule segment.  At a switch a function of absolute
+        time already gives the next segment's branch, so a segment ending
+        there reads its own end at the float just below the switch.  Slopes
+        default to a central finite difference with step up to
+        ``h = 1e-7 * horizon`` whose stencil stays strictly inside the
+        segment.
         """
         if len(channels) != schedule.num_modes:
             raise ValueError(
                 f"{len(channels)} channel functions for "
                 f"{schedule.num_modes} modes"
             )
+        switches = schedule.times
+
+        def own_branch(seg, ts):
+            ts = np.atleast_1d(np.asarray(ts, float))
+            if seg < len(switches):
+                ts = np.minimum(ts, np.nextafter(switches[seg], -np.inf))
+            return ts
 
         def values_fn(seg, ts):
-            ts = np.atleast_1d(np.asarray(ts, float))
+            ts = own_branch(seg, ts)
             return np.column_stack([np.broadcast_to(f(ts), ts.shape)
                                     for f in channels])
 
         if channel_slopes is not None:
             def slopes_fn(seg, ts):
-                ts = np.atleast_1d(np.asarray(ts, float))
+                ts = own_branch(seg, ts)
                 return np.column_stack([np.broadcast_to(g(ts), ts.shape)
                                         for g in channel_slopes])
         else:
@@ -112,9 +123,11 @@ class InsertionGradientField:
 
             def slopes_fn(seg, ts):
                 a, b = schedule.segment_bounds(seg)
+                hs = min(h, (b - a) / 4.0)  # stencil in [a + hs, b - hs]
                 tc = np.clip(np.atleast_1d(np.asarray(ts, float)),
-                             a + h, b - h)
-                return (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
+                             a + 2.0 * hs, b - 2.0 * hs)
+                return (values_fn(seg, tc + hs)
+                        - values_fn(seg, tc - hs)) / (2.0 * hs)
 
         return cls(schedule, values_fn, slopes_fn)
 

@@ -50,6 +50,13 @@ class SwitchedSystem:
         still gives the unstacked shapes above.
     name : str
         Label used in logs and run manifests.
+
+    The solvers call ``mode_field`` and ``running_cost`` (forward) or
+    ``mode_jacobian`` and ``running_cost_gradient`` (adjoint) once per
+    Runge-Kutta stage, on a single ``(n,)`` state: about 80k stages in the
+    50-window power receding-horizon run.  Per-call overhead dominates
+    there, so a model should compute whatever does not depend on the state
+    once, when it builds the callables, rather than inside them.
     """
 
     num_modes: int
@@ -135,6 +142,8 @@ class SampledCurve:
         self.t0 = float(self.boundaries[0])
         self.t1 = float(self.boundaries[-1])
         self.cost_curve = cost_curve
+        # what integrate_state solved this curve from, for prefix reuse
+        self._inputs = None
 
     @property
     def n_segments(self):
@@ -209,7 +218,7 @@ def _knot_times(a, b, sol_ts, horizon, knot_spacing):
 
 
 def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                    knot_spacing=None):
+                    knot_spacing=None, reuse=None):
     """Integrate the switched system forward over a schedule.
 
     The running cost rides along as an extra accumulator state, so the
@@ -225,6 +234,13 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         Solver tolerances (applied to state and accumulator alike).
     knot_spacing : float, optional
         Maximum spacing of interpolation knots; default ``horizon/512``.
+    reuse : SampledCurve, optional
+        An earlier result of this function.  The leading segments it
+        shares with ``schedule`` (same mode, same end times) are copied
+        rather than solved again, which gives the same bits, since each
+        segment restarts from the previous one's pinned end knot.  Nothing
+        is copied from a curve solved from another system, ``x0``,
+        horizon or settings.
 
     Returns
     -------
@@ -236,17 +252,22 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     if x0.shape != (sys.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.dim},)")
     n = sys.dim
-    z = np.concatenate([x0, [0.0]])
+    inputs = (sys, schedule, rtol, atol, knot_spacing)
+    x_segs, c_segs = _shared_prefix(inputs, x0, reuse)
+    if x_segs:
+        z = np.concatenate([x_segs[-1][1][-1], c_segs[-1][1][-1]])
+    else:
+        z = np.concatenate([x0, [0.0]])
     bnds = schedule.boundaries
-    x_segs, c_segs = [], []
-    for i, m in enumerate(schedule.sequence):
-        a, b = bnds[i], bnds[i + 1]
+    field, cost = sys.mode_field, sys.running_cost
+    for i in range(len(x_segs), schedule.n_segments):
+        m = schedule.sequence[i]
 
         def rhs(t, zz, m=m):
             x = zz[:n]
             dz = np.empty(n + 1)
-            dz[:n] = sys.mode_field(m, x)
-            dz[n] = sys.running_cost(x)
+            dz[:n] = field(m, x)
+            dz[n] = cost(x)
             return dz
 
         def fs_batch(ts, zs, m=m):
@@ -254,12 +275,36 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                 [sys.field_at(m, zs[:, :n]), sys.cost_at(zs[:, :n])]
             )
 
-        ts, zs, fs, z = _solve_segment(rhs, fs_batch, a, b, z, rtol, atol,
-                                       schedule.horizon, knot_spacing)
+        ts, zs, fs, z = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1],
+                                       z, rtol, atol, schedule.horizon,
+                                       knot_spacing)
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
     cost_curve = SampledCurve(bnds, c_segs)
-    return SampledCurve(bnds, x_segs, cost_curve=cost_curve)
+    x = SampledCurve(bnds, x_segs, cost_curve=cost_curve)
+    x._inputs = inputs
+    return x
+
+
+def _shared_prefix(inputs, x0, curve):
+    """State and cost knots of the leading segments that a solve of
+    ``inputs`` from ``x0`` would repeat from ``curve``; two empty lists if
+    none.  The curve's first knot is its pinned initial state."""
+    if curve is None or curve._inputs is None:
+        return [], []
+    sys, sched, *settings = inputs
+    sys1, sched1, *settings1 = curve._inputs
+    if sys1 is not sys or settings1 != settings \
+            or sched1.horizon != sched.horizon \
+            or not np.array_equal(curve.knots[0][1][0], x0):
+        return [], []
+    b, b1 = sched.boundaries, sched1.boundaries
+    k = 0
+    while k < min(sched.n_segments, sched1.n_segments) \
+            and sched.sequence[k] == sched1.sequence[k] \
+            and b[k + 1] == b1[k + 1]:
+        k += 1
+    return curve.knots[:k], curve.cost_curve.knots[:k]
 
 
 def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
@@ -307,13 +352,18 @@ def integrate_adjoint(sys, schedule, x, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     bnds = schedule.boundaries
     rho = np.zeros(sys.dim)
     segs = [None] * schedule.n_segments
+    jac, grad = sys.mode_jacobian, sys.running_cost_gradient
     for i in range(schedule.n_segments - 1, -1, -1):
         a, b = bnds[i], bnds[i + 1]
         m = schedule.sequence[i]
+        # the state on this segment, clamped to its span as in
+        # eval_in_segment, without a lookup and np.clip per stage
+        spline = x._splines[i]
+        lo, hi = float(x.boundaries[i]), float(x.boundaries[i + 1])
 
-        def rhs(t, r, i=i, m=m):
-            xt = x.eval_in_segment(i, t)
-            return -(sys.mode_jacobian(m, xt).T @ r) - sys.running_cost_gradient(xt)
+        def rhs(t, r, m=m, spline=spline, lo=lo, hi=hi):
+            xt = spline(min(max(t, lo), hi))
+            return -(jac(m, xt).T @ r) - grad(xt)
 
         # knot derivatives in one batch; the stacked matmul runs the same
         # BLAS kernel per knot as rhs's J^T @ r, so they match it bitwise

@@ -82,79 +82,98 @@ class PowerNetwork:
         return 2.0 * math.pi * self.f_s
 
 
-def electrical_power(Y, E, delta):
+def electrical_power(Y, E, delta, YT=None):
     """Injected electrical power at every internal node.
 
     ``P_i = sum_j |E_i||E_j||Y_ij| cos(delta_i - delta_j - psi_ij)``
     with ``psi`` the admittance angles; the ``j = i`` term reduces to
     ``|E_i|^2 G_ii``.  ``delta`` may be a batch of shape ``(..., n)``.
+    ``YT`` is ``Y.T``, for callers that compute it once for many calls.
     """
-    delta = np.asarray(delta, float)
-    V = np.asarray(E, float) * np.exp(1j * delta)
-    return np.real(V * np.conj(V @ np.asarray(Y, complex).T))
+    V = np.asarray(E, float) * np.exp(1j * np.asarray(delta, float))
+    if YT is None:
+        YT = np.asarray(Y, complex).T
+    return (V * np.conj(V @ YT)).real
 
 
-def _power_jacobian(Y, E, delta):
+def _power_jacobian(Y, E, delta, conjY=None):
     """d(electrical_power)/d(delta) at a phase vector or a batch of them.
 
     ``delta`` of shape ``(n,)`` gives ``(n, n)``; a batch ``(..., n)``
-    gives ``(..., n, n)``.
+    gives ``(..., n, n)``.  ``conjY`` is ``conj(Y)``, for callers that
+    compute it once for many calls.
     """
     V = np.asarray(E, float) * np.exp(1j * np.asarray(delta, float))
-    S = V[..., :, None] * np.conj(V)[..., None, :] * np.conj(Y)
-    K = np.imag(S)
-    n = K.shape[-1]
-    diag = (..., np.arange(n), np.arange(n))
-    K[diag] = 0.0
-    K[diag] -= K.sum(axis=-1)
+    if conjY is None:
+        conjY = np.conj(Y)
+    K = (V[..., :, None] * np.conj(V)[..., None, :] * conjY).imag
+    diagonal = np.einsum("...ii->...i", K)  # a writeable view
+    diagonal[...] = 0.0
+    diagonal -= np.add.reduce(K, axis=-1)
     return K
 
 
-def swing_mode_field(net, i, x):
+def swing_mode_field(net, i, x, YT=None, accel=None):
     """Swing dynamics under configuration ``i``: phases integrate speeds,
     accelerations are ``(omega_s / 2H) * (Pm - Pe(delta))``.
+
+    ``YT`` (``net.Y[i - 1].T``) and ``accel`` (``omega_s / 2H``) may be
+    passed in precomputed.
     """
     x = np.asarray(x, float)
     n = net.n_gen
-    delta, rate = x[..., :n], x[..., n:]
-    acc = (net.Pm - electrical_power(net.Y[i - 1], net.E, delta)) \
-        * (net.omega_s / (2.0 * net.H))
-    return np.concatenate([rate, acc], axis=-1)
+    if accel is None:
+        accel = net.omega_s / (2.0 * net.H)
+    out = np.empty(x.shape)
+    out[..., :n] = x[..., n:]
+    out[..., n:] = (net.Pm - electrical_power(net.Y[i - 1], net.E,
+                                              x[..., :n], YT)) * accel
+    return out
 
 
 def power_system(net):
     """The network as a switched system with phase-coherence running cost.
 
     The running cost penalizes the spread of phases about their mean and,
-    with weight 1/40, speed deviations from synchronous.
+    with weight 1/40, speed deviations from synchronous.  The solvers call
+    these once per Runge-Kutta stage on a single state, so everything that
+    depends on the network alone is computed here, once.
     """
     n = net.n_gen
     w_target = net.omega_s
+    YT = [Y.T for Y in net.Y]
+    conjY = [np.conj(Y) for Y in net.Y]
+    accel = net.omega_s / (2.0 * net.H)
+    neg_accel = -accel[:, None]
+    J_rates = np.zeros((2 * n, 2 * n))  # the Jacobian's constant block
+    J_rates[:n, n:] = np.eye(n)
 
     def mode_field(i, x):
-        return swing_mode_field(net, i, x)
+        return swing_mode_field(net, i, x, YT[i - 1], accel)
 
     def mode_jacobian(i, x):
         x = np.asarray(x, float)
-        K = _power_jacobian(net.Y[i - 1], net.E, x[..., :n])
-        J = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
-        J[..., :n, n:] = np.eye(n)
-        J[..., n:, :n] = -(net.omega_s / (2.0 * net.H))[:, None] * K
+        K = _power_jacobian(net.Y[i - 1], net.E, x[..., :n], conjY[i - 1])
+        J = np.empty(x.shape[:-1] + (2 * n, 2 * n))
+        J[...] = J_rates
+        J[..., n:, :n] = neg_accel * K
         return J
+
+    def spread(delta):
+        return delta - np.add.reduce(delta, axis=-1, keepdims=True) / n
 
     def running_cost(x):
         x = np.asarray(x, float)
-        delta, rate = x[..., :n], x[..., n:]
-        e = delta - delta.mean(axis=-1, keepdims=True)
-        w = rate - w_target
-        return 0.5 * np.sum(e * e, axis=-1) + np.sum(w * w, axis=-1) / 40.0
+        e = spread(x[..., :n])
+        w = x[..., n:] - w_target
+        return 0.5 * np.add.reduce(e * e, axis=-1) \
+            + np.add.reduce(w * w, axis=-1) / 40.0
 
     def running_cost_gradient(x):
         x = np.asarray(x, float)
-        delta, rate = x[..., :n], x[..., n:]
         g = np.empty(x.shape)
-        g[..., :n] = delta - delta.mean(axis=-1, keepdims=True)
-        g[..., n:] = (rate - w_target) / 20.0
+        g[..., :n] = spread(x[..., :n])
+        g[..., n:] = (x[..., n:] - w_target) / 20.0
         return g
 
     return SwitchedSystem(

@@ -37,12 +37,12 @@ def vehicle_mode_field(sigma, x):
     array([4.5       , 0.        , 1.04719755])
     """
     v, w = MODES[sigma - 1]
-    x = np.asarray(x, float)
-    psi = x[..., 2]
-    return np.stack(
-        [v * np.cos(psi), v * np.sin(psi), np.broadcast_to(w, psi.shape)],
-        axis=-1,
-    )
+    psi = np.asarray(x, float)[..., 2]
+    out = np.empty(psi.shape + (3,))
+    out[..., 0] = v * np.cos(psi)
+    out[..., 1] = v * np.sin(psi)
+    out[..., 2] = w
+    return out
 
 
 def desired_trajectory(t):
@@ -50,20 +50,20 @@ def desired_trajectory(t):
     (6.5, -1.5) traversed at 1 rad/s, heading aligned with the velocity.
     """
     t = np.asarray(t, float)
-    return np.stack(
-        [6.5 - 4.0 * np.cos(t),
-         -1.5 + 4.0 * np.sin(t),
-         math.pi / 2 - t],
-        axis=-1,
-    )
+    out = np.empty(t.shape + (3,))
+    out[..., 0] = 6.5 - 4.0 * np.cos(t)
+    out[..., 1] = -1.5 + 4.0 * np.sin(t)
+    out[..., 2] = math.pi / 2 - t
+    return out
 
 
 def _desired_rate(t):
     t = np.asarray(t, float)
-    return np.stack(
-        [4.0 * np.sin(t), 4.0 * np.cos(t), np.broadcast_to(-1.0, t.shape)],
-        axis=-1,
-    )
+    out = np.empty(t.shape + (3,))
+    out[..., 0] = 4.0 * np.sin(t)
+    out[..., 1] = 4.0 * np.cos(t)
+    out[..., 2] = -1.0
+    return out
 
 
 def vehicle_system():
@@ -76,7 +76,7 @@ def vehicle_system():
     def mode_field(i, z):
         z = np.asarray(z, float)
         out = np.empty(z.shape)
-        out[..., :3] = vehicle_mode_field(i, z[..., :3])
+        out[..., :3] = vehicle_mode_field(i, z)
         out[..., 3] = 1.0
         return out
 
@@ -91,7 +91,7 @@ def vehicle_system():
     def running_cost(z):
         z = np.asarray(z, float)
         e = z[..., :3] - desired_trajectory(z[..., 3])
-        return 0.5 * np.sum(e * e, axis=-1)
+        return 0.5 * np.add.reduce(e * e, axis=-1)
 
     def running_cost_gradient(z):
         z = np.asarray(z, float)

@@ -184,13 +184,16 @@ class ProjectionResult:
 
 
 def project(sys, x0, u, field, gamma, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-            knot_spacing=None):
+            knot_spacing=None, reuse=None):
     """Full projection: threshold the signal, then re-integrate.
 
     Composition of :func:`max_map` and trajectory integration; the
     returned cost comes from the integrator's running-cost accumulator.
+    ``reuse`` is the incumbent's trajectory: the projected schedule agrees
+    with ``u`` up to its first crossing, and :func:`integrate_state`
+    copies that prefix from it instead of solving it again.
     """
     sched = max_map(u, field, gamma)
     x = integrate_state(sys, x0, sched, rtol=rtol, atol=atol,
-                        knot_spacing=knot_spacing)
+                        knot_spacing=knot_spacing, reuse=reuse)
     return ProjectionResult(sched, x, x.cost)

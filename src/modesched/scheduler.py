@@ -195,7 +195,7 @@ def optimize(sys, x0, schedule, config=None):
             if gamma not in trials:
                 trials[gamma] = project(
                     sys, x0, u, d, gamma, rtol=cfg.rtol, atol=cfg.atol,
-                    knot_spacing=cfg.knot_spacing)
+                    knot_spacing=cfg.knot_spacing, reuse=x)
             return trials[gamma].cost
 
         try:

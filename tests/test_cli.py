@@ -83,12 +83,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"model": {"type": "vehicle", "x0": [1, 2]}},
         {"model": {"type": "vehicle"}, "horizon": "long"},
         {"model": {"type": "vehicle"}, "baseline_mode": 7},
+        {"model": {"type": "power", "network": str(THREE_MACHINE),
+                   "disturbance": {"magnitude": "big", "seed": 0}},
+         "horizon": 1.0},
     ]
     for i, cfg in enumerate(cases):
         path = write_cfg(tmp_path, cfg, f"bad{i}.json")
         code = main(["optimize", path, "--dry-run"])
         assert code == 2, f"case {i} gave exit {code}"
         assert capsys.readouterr().err.startswith("error")
+    no_windows = power_cfg()
+    no_windows["horizon_driver"]["n_windows"] = -3
+    path = write_cfg(tmp_path, no_windows, "no_windows.json")
+    assert main(["horizon", path, "--dry-run"]) == 2
+    assert "n_windows" in capsys.readouterr().err
     # the missing seed is fixable from the command line
     ok = write_cfg(tmp_path, cases[5], "seedless.json")
     assert main(["optimize", ok, "--dry-run", "--seed", "3"]) == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from modesched import (
     InsertionGradientField,
+    ModeSchedule,
     constant_schedule,
     insertion_gradient,
     integrate_adjoint,
@@ -12,7 +13,8 @@ from modesched import (
     optimality,
     switching_time_gradient,
 )
-from conftest import quadratic_bottoms, quadratic_field, random_schedule
+from conftest import (masked_channels, quadratic_bottoms, quadratic_field,
+                      random_schedule)
 
 
 def field_for(sys_, x0, sched):
@@ -161,6 +163,26 @@ def test_local_minima_catch_subgrid_dip():
     assert best["boundary"] is None
     assert best["time"] == pytest.approx(1.0 - eps, abs=1e-7)
     assert best["value"] == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_no_phantom_minimum_at_a_jump_across_a_switch():
+    # a channel of absolute time already takes its next segment's branch at
+    # the switch; the difference stencil must not reach it, or the jump
+    # turns the slope positive just before the switch and fakes a minimum
+    switch, horizon = 0.6, 1.0
+    sched = ModeSchedule((1, 2), (switch,), horizon, 3)
+    zero = lambda t: np.zeros_like(t)
+    jump = lambda t: np.where(t < switch, -t, 10.0)
+    field = InsertionGradientField.from_callables(
+        sched, masked_channels(sched, [zero, zero, jump]))
+    assert field.slope(3, switch, side="left") == pytest.approx(-1.0)
+    near = [m for m in field.local_minima() if m["boundary"] is None
+            and abs(m["time"] - switch) <= 1e-6 * horizon]
+    assert near == []
+    # the well is the first segment's own end, a one-sided minimum
+    opt = optimality(field)
+    assert (opt.mode, opt.time, opt.boundary) == (3, switch, "left")
+    assert opt.theta == pytest.approx(-switch, rel=1e-12)
 
 
 def test_minima_respect_segment_boundaries(vehicle, vehicle_x0):

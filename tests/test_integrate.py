@@ -19,7 +19,7 @@ from modesched.models import (
     vehicle_initial_state,
     vehicle_system,
 )
-from conftest import THREE_MACHINE
+from conftest import THREE_MACHINE, random_schedule
 
 
 def decay_system():
@@ -230,3 +230,73 @@ def test_segment_count_matches_schedule(vehicle, vehicle_x0):
     x = integrate_state(vehicle, vehicle_x0, sched)
     assert x.n_segments == 4
     np.testing.assert_allclose(x.boundaries, sched.boundaries)
+
+
+# -- reusing an incumbent's prefix -------------------------------------------------
+
+def assert_same_curve(a, b):
+    """Knots, cost and the cost accumulator on a grid, bit for bit."""
+    assert a.n_segments == b.n_segments
+    for ka, kb in zip(a.knots + a.cost_curve.knots,
+                      b.knots + b.cost_curve.knots):
+        for va, vb in zip(ka, kb):
+            assert np.array_equal(va, vb)
+    assert a.cost == b.cost
+    ts = np.linspace(a.t0, a.t1, 97)
+    assert [a.cost_at(t) for t in ts] == [b.cost_at(t) for t in ts]
+
+
+def shared_segments(a, b):
+    """How many leading segments of ``a`` hold ``b``'s very knot arrays."""
+    k = 0
+    while k < min(a.n_segments, b.n_segments) \
+            and a.knots[k][1] is b.knots[k][1]:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reused_prefix_equals_a_fresh_solve(vehicle, vehicle_x0, seed):
+    rng = np.random.default_rng(seed)
+    u = random_schedule(rng, 4.0, 4, 3)
+    x_u = integrate_state(vehicle, vehicle_x0, u)
+    # a trial that keeps u's first j segments and inserts a mode in the next
+    j = int(rng.integers(1, u.n_segments))
+    lo, hi = u.segment_bounds(j)
+    t0 = lo + rng.uniform(0.2, 0.5) * (hi - lo)
+    t1 = t0 + rng.uniform(0.1, 0.4) * (hi - lo)
+    trial = u.insert(u.sequence[j] % 4 + 1, t0, t1)
+    reused = integrate_state(vehicle, vehicle_x0, trial, reuse=x_u)
+    assert_same_curve(reused, integrate_state(vehicle, vehicle_x0, trial))
+    assert shared_segments(reused, x_u) == j
+    # an unchanged schedule is copied whole
+    again = integrate_state(vehicle, vehicle_x0, u, reuse=x_u)
+    assert_same_curve(again, x_u)
+    assert shared_segments(again, x_u) == u.n_segments
+
+
+def test_reused_prefix_on_the_power_network():
+    net = load_network(THREE_MACHINE)
+    sys_ = power_system(net)
+    x0 = initial_state(net, magnitude=0.3, seed=0)
+    u = ModeSchedule((1, 2, 1), (0.3, 0.6), 1.0, 2)
+    trial = u.insert(2, 0.7, 0.8)
+    x_u = integrate_state(sys_, x0, u)
+    reused = integrate_state(sys_, x0, trial, reuse=x_u)
+    assert_same_curve(reused, integrate_state(sys_, x0, trial))
+    assert shared_segments(reused, x_u) == 2
+
+
+def test_nothing_reused_from_other_inputs(vehicle, vehicle_x0):
+    u = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
+    trial = u.insert(4, 2.2, 2.5)
+    x_u = integrate_state(vehicle, vehicle_x0, u)
+    other_x0 = vehicle_x0 + np.array([1e-3, 0.0, 0.0, 0.0])
+    for x0, kw in ((other_x0, {}), (vehicle_x0, {"rtol": 1e-10}),
+                   (vehicle_x0, {"knot_spacing": 0.01})):
+        reused = integrate_state(vehicle, x0, trial, reuse=x_u, **kw)
+        assert shared_segments(reused, x_u) == 0
+        assert_same_curve(reused, integrate_state(vehicle, x0, trial, **kw))
+    longer = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.5, 4)
+    reused = integrate_state(vehicle, vehicle_x0, longer, reuse=x_u)
+    assert shared_segments(reused, x_u) == 0

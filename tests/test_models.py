@@ -391,3 +391,112 @@ def test_single_state_keeps_unstacked_shapes(name, data):
     assert sys_.running_cost_gradient(xs[0]).shape == (n,)
     np.testing.assert_array_equal(sys_.jacobian_at(mode, xs[:1])[0],
                                   sys_.mode_jacobian(mode, xs[0]))
+
+
+# -- bit-exact model callables ---------------------------------------------------
+
+def reference_power(net):
+    """The power callables as written before their constants were hoisted."""
+    n = net.n_gen
+
+    def field(i, x):
+        delta, rate = x[..., :n], x[..., n:]
+        V = net.E * np.exp(1j * delta)
+        Pe = np.real(V * np.conj(V @ np.asarray(net.Y[i - 1], complex).T))
+        acc = (net.Pm - Pe) * (net.omega_s / (2.0 * net.H))
+        return np.concatenate([rate, acc], axis=-1)
+
+    def jacobian(i, x):
+        V = net.E * np.exp(1j * x[..., :n])
+        S = V[..., :, None] * np.conj(V)[..., None, :] * np.conj(net.Y[i - 1])
+        K = np.imag(S)
+        diag = (..., np.arange(n), np.arange(n))
+        K[diag] = 0.0
+        K[diag] -= K.sum(axis=-1)
+        J = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
+        J[..., :n, n:] = np.eye(n)
+        J[..., n:, :n] = -(net.omega_s / (2.0 * net.H))[:, None] * K
+        return J
+
+    def cost(x):
+        delta, rate = x[..., :n], x[..., n:]
+        e = delta - delta.mean(axis=-1, keepdims=True)
+        w = rate - net.omega_s
+        return 0.5 * np.sum(e * e, axis=-1) + np.sum(w * w, axis=-1) / 40.0
+
+    def gradient(x):
+        delta, rate = x[..., :n], x[..., n:]
+        g = np.empty(x.shape)
+        g[..., :n] = delta - delta.mean(axis=-1, keepdims=True)
+        g[..., n:] = (rate - net.omega_s) / 20.0
+        return g
+
+    return field, jacobian, cost, gradient
+
+
+def reference_vehicle():
+    """The vehicle callables as written with ``np.stack``."""
+    def desired(t):
+        return np.stack([6.5 - 4.0 * np.cos(t), -1.5 + 4.0 * np.sin(t),
+                         math.pi / 2 - t], axis=-1)
+
+    def field(i, z):
+        v, w = MODES[i - 1]
+        psi = z[..., 2]
+        out = np.empty(z.shape)
+        out[..., :3] = np.stack([v * np.cos(psi), v * np.sin(psi),
+                                 np.broadcast_to(w, psi.shape)], axis=-1)
+        out[..., 3] = 1.0
+        return out
+
+    def jacobian(i, z):
+        v, _ = MODES[i - 1]
+        psi = z[..., 2]
+        J = np.zeros(psi.shape + (4, 4))
+        J[..., 0, 2] = -v * np.sin(psi)
+        J[..., 1, 2] = v * np.cos(psi)
+        return J
+
+    def cost(z):
+        e = z[..., :3] - desired(z[..., 3])
+        return 0.5 * np.sum(e * e, axis=-1)
+
+    def gradient(z):
+        s = z[..., 3]
+        e = z[..., :3] - desired(s)
+        g = np.empty(z.shape)
+        g[..., :3] = e
+        rate = np.stack([4.0 * np.sin(s), 4.0 * np.cos(s),
+                         np.broadcast_to(-1.0, s.shape)], axis=-1)
+        g[..., 3] = -(e[..., None, :] @ rate[..., :, None])[..., 0, 0]
+        return g
+
+    return field, jacobian, cost, gradient
+
+
+REFERENCES = {
+    "vehicle": reference_vehicle,
+    "three-machine": lambda: reference_power(load_network(THREE_MACHINE)),
+    "three-machine-lossy": lambda: reference_power(lossy_three_machine()),
+    "ring12": lambda: reference_power(ring_network()),
+}
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_callables_equal_the_reference_expressions_bitwise(name, data):
+    # the solvers' right-hand sides call these once per stage; hoisting
+    # their constants must not move a single bit, on one state or a stack
+    sys_, xs, mode = states(data.draw, name)
+    field, jacobian, cost, gradient = REFERENCES[name]()
+    for x in (xs, xs[0]):
+        assert_same_bits(sys_.mode_field(mode, x), field(mode, x))
+        assert_same_bits(sys_.mode_jacobian(mode, x), jacobian(mode, x))
+        assert_same_bits(sys_.running_cost(x), cost(x))
+        assert_same_bits(sys_.running_cost_gradient(x), gradient(x))
