@@ -64,6 +64,15 @@ class SwitchedSystem:
         still gives the unstacked shapes above.
     name : str
         Label used in logs and run manifests.
+    cost_floor : float or None
+        A lower bound on ``running_cost`` over the whole state space, or
+        ``None`` (the default) when none is known.  With a floor ``f`` the
+        accumulated cost at time ``t`` plus ``f (T - t)`` bounds a
+        trajectory's total cost from below, which lets a bounded
+        :func:`integrate_state` abandon a trial that can no longer come in
+        under its bound.  A sum of squares has the floor ``0.0``; a model
+        with a signed running cost leaves it ``None`` and never has a trial
+        abandoned.
 
     The forward solver calls ``mode_field`` and ``running_cost`` once per
     Runge-Kutta stage, on a single ``(n,)`` state: about 34k stages in the
@@ -84,6 +93,7 @@ class SwitchedSystem:
     running_cost_gradient: callable
     vectorized: bool = False
     name: str = "system"
+    cost_floor: float | None = None
 
     def field_at(self, i, xs):
         """Mode-``i`` field at stacked states ``xs`` of shape ``(k, n)``."""
@@ -223,6 +233,14 @@ class SampledCurve:
         return out
 
 
+@dataclass(frozen=True)
+class Abandoned:
+    """A bounded :func:`integrate_state` that stopped at ``time``, where
+    the trajectory's cost could no longer come in under the bound."""
+
+    time: float
+
+
 def _knot_times(a, b, sol_ts, horizon, knot_spacing):
     """Union of solver steps and a uniform grid, deduplicated."""
     h = knot_spacing if knot_spacing is not None else horizon / KNOTS_PER_HORIZON
@@ -235,11 +253,21 @@ def _knot_times(a, b, sol_ts, horizon, knot_spacing):
 
 
 def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                    knot_spacing=None, reuse=None):
+                    knot_spacing=None, reuse=None, cost_bound=None):
     """Integrate the switched system forward over a schedule.
 
     The running cost rides along as an extra accumulator state, so the
     returned curve exposes ``.cost`` and ``.cost_at`` with solver accuracy.
+
+    With a ``cost_bound`` and a system whose ``cost_floor`` ``f`` is known,
+    the integration is abandoned at the first time ``t`` where the
+    accumulated cost ``acc(t)`` gives ``acc(t) + f (T - t) > cost_bound``:
+    the total cost would then exceed the bound too.  This is tested at
+    every segment start (``t = 0``, or the end of a reused prefix,
+    included) and inside each segment by a terminal solver event on the
+    accumulator.  Events are only tested after each accepted step, so an
+    integration that is not abandoned takes the same steps, and gives the
+    same bits, as one without a bound.
 
     Parameters
     ----------
@@ -258,12 +286,16 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         segment restarts from the previous one's pinned end knot.  Nothing
         is copied from a curve solved from another system, ``x0``,
         horizon or settings.
+    cost_bound : float, optional
+        Cost above which the trajectory is of no use to the caller; ignored
+        when ``sys.cost_floor`` is ``None``.
 
     Returns
     -------
-    SampledCurve
+    SampledCurve or Abandoned
         State trajectory on ``[0, T]`` with segment boundaries at the
-        switching times and a scalar cost accumulator attached.
+        switching times and a scalar cost accumulator attached; or, for an
+        abandoned integration, the time where it stopped.
     """
     x0 = np.asarray(x0, float)
     if x0.shape != (sys.dim,):
@@ -277,7 +309,15 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         z = np.concatenate([x0, [0.0]])
     bnds = schedule.boundaries
     field, cost = sys.mode_field, sys.running_cost
+    floor, T = sys.cost_floor, schedule.horizon
+    stop = None
+    if cost_bound is not None and floor is not None:
+        def stop(t, zz):
+            return zz[n] + floor * (T - t) - cost_bound
+        stop.terminal, stop.direction = True, 1.0
     for i in range(len(x_segs), schedule.n_segments):
+        if stop is not None and stop(bnds[i], z) > 0.0:
+            return Abandoned(float(bnds[i]))
         m = schedule.sequence[i]
 
         def rhs(t, zz, m=m):
@@ -292,9 +332,11 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                 [sys.field_at(m, zs[:, :n]), sys.cost_at(zs[:, :n])]
             )
 
-        ts, zs, fs, z = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1],
-                                       z, rtol, atol, schedule.horizon,
-                                       knot_spacing)
+        seg = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1], z, rtol,
+                             atol, T, knot_spacing, event=stop)
+        if isinstance(seg, Abandoned):
+            return seg
+        ts, zs, fs, z = seg
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
     cost_curve = SampledCurve(bnds, c_segs)
@@ -325,12 +367,13 @@ def _shared_prefix(inputs, x0, curve):
 
 
 def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
-                   knot_spacing):
+                   knot_spacing, event=None):
     """One smooth segment, solved forward from ``t0`` to ``t1``.
 
     Solves, then resamples onto Hermite knots, with the knot derivatives
     from one ``fs_batch(ts, zs)`` call.  Returns ``(ts, zs, fs, z1)`` where
-    ``z1`` is the solution at ``t1``.
+    ``z1`` is the solution at ``t1``, or :class:`Abandoned` at the time
+    where the terminal ``event`` stopped the solve.
     """
     if t1 - t0 < 1e-13 * horizon:  # degenerate sliver: one explicit step
         z1 = z0 + (t1 - t0) * rhs(t0, z0)
@@ -338,10 +381,12 @@ def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
         zs = np.empty((2, len(z0)))
     else:
         sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853",
-                        dense_output=True, rtol=rtol, atol=atol)
+                        dense_output=True, rtol=rtol, atol=atol, events=event)
         if not sol.success:
             raise RuntimeError(
                 f"integration failed on [{t0}, {t1}]: {sol.message}")
+        if sol.status == 1:
+            return Abandoned(float(sol.t_events[0][0]))
         z1 = sol.y[:, -1]
         ts = _knot_times(t0, t1, sol.t, horizon, knot_spacing)
         zs = sol.sol(ts).T

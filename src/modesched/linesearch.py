@@ -175,13 +175,24 @@ def gamma_three(gamma0, alpha):
     return gamma0 * kappa
 
 
+def sufficient_descent(s, mbar, gamma, gamma0, alpha):
+    """Right side ``alpha * s * (gamma - gamma0)^(1/mbar)`` of the
+    sufficient-descent test: a trial step ``gamma`` passes when its cost
+    drop is strictly below it."""
+    return alpha * s * (gamma - gamma0) ** (1.0 / mbar)
+
+
 def backtrack(cost_fn, cost0, s, mbar, gamma0, gamma3, alpha,
               beta=BETA_DEFAULT, j_max=JMAX_DEFAULT):
     """Find the first backtracked step satisfying sufficient descent.
 
     Tries ``gamma(j) = (gamma3 - gamma0) * beta^j + gamma0`` for
     ``j = 0, 1, ...`` and returns ``(gamma, j)`` for the first ``j`` with
-    ``cost_fn(gamma) - cost0 < alpha * s * (gamma - gamma0)^(1/mbar)``.
+    ``cost_fn(gamma) - cost0 < alpha * s * (gamma - gamma0)^(1/mbar)``
+    (:func:`sufficient_descent`).  ``cost_fn`` may return ``inf`` for a
+    trial it has abandoned as soon as its cost was sure to exceed
+    ``cost0`` plus that bound: such a trial fails the test, as its full
+    cost would have.
 
     Raises
     ------
@@ -206,7 +217,7 @@ def backtrack(cost_fn, cost0, s, mbar, gamma0, gamma3, alpha,
             )
         last = gamma
         drop = cost_fn(gamma) - cost0
-        if drop < alpha * s * (gamma - gamma0) ** (1.0 / mbar):
+        if drop < sufficient_descent(s, mbar, gamma, gamma0, alpha):
             return gamma, j
     raise LineSearchError(
         f"no sufficient-descent step in {j_max} backtracking trials "

@@ -135,7 +135,8 @@ def power_system(net):
     """The network as a switched system with phase-coherence running cost.
 
     The running cost penalizes the spread of phases about their mean and,
-    with weight 1/40, speed deviations from synchronous.  The solvers call
+    with weight 1/40, speed deviations from synchronous; a sum of squares,
+    so its ``cost_floor`` is 0.  The solvers call
     these once per Runge-Kutta stage on a single state, so everything that
     depends on the network alone is computed here, once.
     """
@@ -181,7 +182,7 @@ def power_system(net):
         mode_field=mode_field, mode_jacobian=mode_jacobian,
         running_cost=running_cost,
         running_cost_gradient=running_cost_gradient,
-        vectorized=True, name="power",
+        vectorized=True, name="power", cost_floor=0.0,
     )
 
 

@@ -70,7 +70,7 @@ def vehicle_system():
     """The tracking problem as a 4-state autonomous switched system.
 
     State is ``[X, Y, psi, s]`` with clock ``s``; running cost is
-    ``0.5 * ||[X, Y, psi] - x_d(s)||^2``.
+    ``0.5 * ||[X, Y, psi] - x_d(s)||^2``, so its ``cost_floor`` is 0.
     """
 
     def mode_field(i, z):
@@ -108,7 +108,7 @@ def vehicle_system():
         mode_field=mode_field, mode_jacobian=mode_jacobian,
         running_cost=running_cost,
         running_cost_gradient=running_cost_gradient,
-        vectorized=True, name="vehicle",
+        vectorized=True, name="vehicle", cost_floor=0.0,
     )
 
 

@@ -14,12 +14,13 @@ identity, which makes it a projection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gradient import ROOT_TOL, _bracketed_root
-from .integrate import integrate_state, DEFAULT_RTOL, DEFAULT_ATOL
+from .integrate import Abandoned, integrate_state, DEFAULT_RTOL, DEFAULT_ATOL
 from .signals import ModeSchedule, enforce_dwell
 
 #: default minimum dwell, relative to the horizon
@@ -176,15 +177,20 @@ def max_map(u, field, gamma, dwell=None):
 
 @dataclass
 class ProjectionResult:
-    """A projected schedule with its re-integrated trajectory and cost."""
+    """A projected schedule with its re-integrated trajectory and cost.
+
+    An abandoned integration (see :func:`project`) has ``trajectory=None``,
+    ``cost=inf`` and the time where it stopped in ``abandoned_at``.
+    """
 
     schedule: ModeSchedule
     trajectory: object
     cost: float
+    abandoned_at: float | None = None
 
 
 def project(sys, x0, u, field, gamma, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-            knot_spacing=None, reuse=None):
+            knot_spacing=None, reuse=None, cost_bound=None):
     """Full projection: threshold the signal, then re-integrate.
 
     Composition of :func:`max_map` and trajectory integration; the
@@ -192,8 +198,15 @@ def project(sys, x0, u, field, gamma, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     ``reuse`` is the incumbent's trajectory: the projected schedule agrees
     with ``u`` up to its first crossing, and :func:`integrate_state`
     copies that prefix from it instead of solving it again.
+    ``cost_bound`` is passed to :func:`integrate_state`: once the
+    projected schedule's cost is sure to exceed it (which needs a
+    ``cost_floor`` on ``sys``), the integration stops early and the result
+    is marked abandoned, with an infinite cost.
     """
     sched = max_map(u, field, gamma)
     x = integrate_state(sys, x0, sched, rtol=rtol, atol=atol,
-                        knot_spacing=knot_spacing, reuse=reuse)
+                        knot_spacing=knot_spacing, reuse=reuse,
+                        cost_bound=cost_bound)
+    if isinstance(x, Abandoned):
+        return ProjectionResult(sched, None, math.inf, abandoned_at=x.time)
     return ProjectionResult(sched, x, x.cost)

@@ -38,9 +38,18 @@ from .linesearch import (
     initial_switch_events,
     max_type,
     monitor_assumptions,
+    sufficient_descent,
 )
 
 log = logging.getLogger(__name__)
+
+#: slack, in solver tolerances ``atol + rtol |J|``, between the
+#: sufficient-descent bound and the cost at which a trial integration is
+#: abandoned: DOP853's quadrature weights include negative ones, so the
+#: accumulator of a nonnegative running cost is monotone at step ends only
+#: up to solver error, and the slack keeps that error from abandoning a
+#: trial that would pass
+ABANDON_SLACK = 10.0
 
 
 @dataclass
@@ -53,6 +62,13 @@ class OptimizerConfig:
     achievable descent rate has shrunk a hundredfold.  Set ``0.0`` to run
     until no insertion helps at all (or the budget runs out).  Invalid
     values raise ``ValueError`` on construction.
+
+    ``knot_spacing`` (default ``horizon/512``) caps the spacing of the
+    state curve's Hermite knots.  The adjoint is propagated on those same
+    knots, so a coarser spacing also coarsens the adjoint and with it
+    every insertion gradient: on small linear-quadratic problems with
+    ``knot_spacing = horizon`` the adjoint was off its closed form by up
+    to 2.3e-6 relative, against below 1e-9 at the default.
     """
 
     alpha: float = 0.4
@@ -189,12 +205,23 @@ def optimize(sys, x0, schedule, config=None):
         g3 = gamma_three(g0, cfg.alpha)
         row.gamma3 = g3
         trials = {}
+        slack = ABANDON_SLACK * (cfg.atol + cfg.rtol * abs(J))
 
         def trial_cost(gamma):
+            # a trial is abandoned once its cost is sure to fail
+            # backtrack's test; one that repeats the incumbent costs
+            # exactly J, and every smaller step only shrinks the inserted
+            # intervals further, so no later trial can pass either
             if gamma not in trials:
+                bound = J + sufficient_descent(s, mbar, gamma, g0,
+                                               cfg.alpha) + slack
                 trials[gamma] = project(
                     sys, x0, u, d, gamma, rtol=cfg.rtol, atol=cfg.atol,
-                    knot_spacing=cfg.knot_spacing, reuse=x)
+                    knot_spacing=cfg.knot_spacing, reuse=x,
+                    cost_bound=bound)
+                if trials[gamma].schedule == u:
+                    raise LineSearchError(
+                        "projection equals the incumbent schedule")
             return trials[gamma].cost
 
         try:

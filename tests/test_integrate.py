@@ -10,11 +10,13 @@ from scipy.linalg import expm
 
 from modesched import (
     ModeSchedule,
+    OptimizerConfig,
     SwitchedSystem,
     constant_schedule,
     integrate_adjoint,
     integrate_state,
 )
+from modesched.integrate import Abandoned
 from modesched.models import (
     initial_state,
     load_network,
@@ -185,10 +187,9 @@ def linear_quadratic(draw):
     return A, Q, x0, draw(st.floats(0.5, 2.0)), coarse
 
 
-@settings(max_examples=40, deadline=None)
-@given(lq=linear_quadratic())
-def test_linear_quadratic_adjoint_matches_the_closed_form(lq):
-    A, Q, x0, T, coarse = lq
+def linear_quadratic_adjoint(A, Q, x0, T, knot_spacing):
+    """Knot times, adjoint knots and their closed form for ``x' = A x``
+    with cost ``x^T Q x / 2``, the state solved at rtol 1e-12."""
     n = len(x0)
     sys_ = SwitchedSystem(
         num_modes=1, dim=n,
@@ -199,12 +200,21 @@ def test_linear_quadratic_adjoint_matches_the_closed_form(lq):
     )
     sched = constant_schedule(1, T, 1)
     x = integrate_state(sys_, x0, sched, rtol=1e-12, atol=1e-14,
-                        knot_spacing=T if coarse else None)
+                        knot_spacing=knot_spacing)
     ts, rs, _ = integrate_adjoint(sys_, sched, x).knots[0]
     # [rho; x]' = [[-A^T, -Q], [0, A]] [rho; x], with rho(T) = 0
     M = np.block([[-A.T, -Q], [np.zeros((n, n)), A]])
     zT = np.concatenate([np.zeros(n), expm(A * T) @ x0])
     want = np.array([(expm(M * (t - T)) @ zT)[:n] for t in ts])
+    return ts, rs, want
+
+
+@settings(max_examples=40, deadline=None)
+@given(lq=linear_quadratic())
+def test_linear_quadratic_adjoint_matches_the_closed_form(lq):
+    A, Q, x0, T, coarse = lq
+    ts, rs, want = linear_quadratic_adjoint(A, Q, x0, T,
+                                            T if coarse else None)
     tol = 1e-9
     if coarse:
         # the exponent's last row, h g^T, alone bounds its norm from below
@@ -212,6 +222,23 @@ def test_linear_quadratic_adjoint_matches_the_closed_form(lq):
         assert theta > 1.0
         tol = 1e-13 * (1.0 + theta)
     assert np.abs(rs - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_default_knot_spacing_keeps_the_adjoint_on_the_closed_form(seed):
+    # the adjoint runs on the state's knots, so the optimizer's default
+    # spacing (horizon/512) sets every gradient's accuracy; on the same
+    # kind of problem knot_spacing = T was off by up to 2.3e-6 relative
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    B = rng.uniform(-1.0, 1.0, (n, n))
+    Q = 10.0 ** rng.uniform(0.0, 3.0) * (B @ B.T + np.eye(n))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    T = rng.uniform(0.5, 2.0)
+    _, rs, want = linear_quadratic_adjoint(A, Q, x0, T,
+                                           OptimizerConfig().knot_spacing)
+    assert np.abs(rs - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_piecewise_exponential_switching():
@@ -399,3 +426,86 @@ def test_nothing_reused_from_other_inputs(vehicle, vehicle_x0):
     longer = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.5, 4)
     reused = integrate_state(vehicle, vehicle_x0, longer, reuse=x_u)
     assert shared_segments(reused, x_u) == 0
+
+
+# -- abandoning a trial once its cost passes a bound --------------------------
+
+def count_solves(monkeypatch):
+    """Route the integrator's ``solve_ivp`` through a call counter."""
+    import modesched.integrate as integrate_module
+    calls = []
+    real = integrate_module.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "solve_ivp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
+                         ids=["vehicle", "three-machine"])
+def test_unreached_bound_gives_the_same_curve(problem):
+    sys_, x0, sched = problem()
+    assert sys_.cost_floor == 0.0
+    x = integrate_state(sys_, x0, sched)
+    # down to the optimizer's slack above the final cost
+    for bound in (2.0 * x.cost + 1.0, x.cost + 10.0 * (1e-9 + 1e-8 * x.cost)):
+        assert_same_curve(integrate_state(sys_, x0, sched, cost_bound=bound),
+                          x)
+
+
+def test_no_cost_floor_never_abandons():
+    sys_ = decay_system()
+    assert sys_.cost_floor is None
+    sched = constant_schedule(1, 2.0, 1)
+    x = integrate_state(sys_, [1.0], sched)
+    bounded = integrate_state(sys_, [1.0], sched, cost_bound=-1.0)
+    assert not isinstance(bounded, Abandoned)
+    assert_same_curve(bounded, x)
+
+
+def test_abandoned_where_the_floored_cost_crosses_the_bound():
+    # xdot = -x with running cost x^2 / 2 + 1, floor 1: acc(t) + (T - t)
+    # = (1 - e^{-2t}) / 4 + T reaches the bound T + b at
+    # t = -log(1 - 4 b) / 2
+    base = decay_system()
+    sys_ = SwitchedSystem(
+        num_modes=1, dim=1, mode_field=base.mode_field,
+        mode_jacobian=base.mode_jacobian,
+        running_cost=lambda x: base.running_cost(x) + 1.0,
+        running_cost_gradient=base.running_cost_gradient,
+        cost_floor=1.0)
+    T, b = 3.0, 0.2
+    sched = constant_schedule(1, T, 1)
+    out = integrate_state(sys_, [1.0], sched, cost_bound=T + b)
+    assert isinstance(out, Abandoned)
+    assert out.time == pytest.approx(-0.5 * math.log(1.0 - 4.0 * b),
+                                     abs=1e-7)
+    # below T the bound fails before anything is integrated
+    assert integrate_state(sys_, [1.0], sched, cost_bound=T - 0.1) \
+        == Abandoned(0.0)
+
+
+def test_bound_below_the_reused_prefix_abandons_without_a_solve(
+        vehicle, vehicle_x0, monkeypatch):
+    u = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
+    trial = u.insert(4, 2.2, 2.5)   # shares u's first two segments
+    x_u = integrate_state(vehicle, vehicle_x0, u)
+    calls = count_solves(monkeypatch)
+    bound = 0.5 * x_u.cost_at(1.9)
+    assert integrate_state(vehicle, vehicle_x0, trial, reuse=x_u,
+                           cost_bound=bound) == Abandoned(1.9)
+    assert integrate_state(vehicle, vehicle_x0, trial,
+                           cost_bound=-1e-3) == Abandoned(0.0)
+    assert calls == []
+    # past the prefix, the solve stops where the accumulator crosses
+    full = integrate_state(vehicle, vehicle_x0, trial)
+    bound = 0.5 * (full.cost_at(1.9) + full.cost)
+    calls.clear()
+    out = integrate_state(vehicle, vehicle_x0, trial, reuse=x_u,
+                          cost_bound=bound)
+    assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
+    assert full.cost_at(out.time) == pytest.approx(bound, rel=1e-7)
+    assert calls[0] == (1.9, 2.2) and calls[-1][0] < out.time

@@ -8,12 +8,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modesched import (
     InsertionGradientField,
     LineSearchError,
     ModeSchedule,
     SwitchEvent,
+    SwitchedSystem,
     backtrack,
     constant_schedule,
     crossing_times,
@@ -22,10 +24,13 @@ from modesched import (
     gamma_three,
     gamma_zero,
     initial_switch_events,
+    integrate_state,
     max_type,
     monitor_assumptions,
     optimality,
 )
+from modesched.integrate import DEFAULT_ATOL, DEFAULT_RTOL, Abandoned
+from modesched.linesearch import sufficient_descent
 from conftest import random_field, random_schedule
 
 
@@ -359,6 +364,66 @@ def test_backtrack_rejects_bad_inputs():
     for bad in (0.0, 1.0, 1.3):
         with pytest.raises(ValueError):
             backtrack(ok, 1.0, -1.0, 1, 0.5, 1.0, 0.4, beta=bad)
+
+
+@st.composite
+def descent_curves(draw):
+    """A backtracking problem whose trial costs are real integrations.
+
+    The trial at ``gamma`` runs ``xdot = -x`` and switches to
+    ``xdot = a x + c`` at a time that moves earlier as ``gamma`` grows,
+    with running cost ``x^2`` (floor 0).  ``cost0``, the slope, the step
+    interval and the margin of the bound are drawn around those costs.
+    """
+    a = draw(st.floats(-3.0, 1.0))
+    c = draw(st.floats(-2.0, 2.0))
+    T = draw(st.floats(0.5, 3.0))
+    sys_ = SwitchedSystem(
+        num_modes=2, dim=1,
+        mode_field=lambda i, x: -x if i == 1 else a * x + c,
+        mode_jacobian=lambda i, x: np.eye(1) * (-1.0 if i == 1 else a),
+        running_cost=lambda x: float(x[0]) ** 2,
+        running_cost_gradient=lambda x: 2.0 * x,
+        cost_floor=0.0)
+    gamma0 = draw(st.floats(0.1, 10.0))
+    alpha = draw(st.floats(0.05, 0.95))
+    gamma3 = gamma_three(gamma0, alpha)
+    stay = integrate_state(sys_, [1.0], constant_schedule(1, T, 2)).cost
+    return dict(
+        sys=sys_, T=T, gamma0=gamma0, gamma3=gamma3, alpha=alpha,
+        beta=draw(st.floats(0.1, 0.7)), j_max=draw(st.integers(0, 12)),
+        mbar=draw(st.sampled_from([1, 2])),
+        s=-(10.0 ** draw(st.floats(-3.0, 1.0))),
+        cost0=stay * draw(st.floats(0.5, 1.5)),
+        margin=10.0 ** draw(st.floats(0.0, 3.0)) * (
+            DEFAULT_ATOL + DEFAULT_RTOL * stay))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=descent_curves())
+def test_backtrack_decides_the_same_with_abandoned_trials(q):
+    def trial(gamma):
+        share = (gamma - q["gamma0"]) / (q["gamma3"] - q["gamma0"])
+        return ModeSchedule((1, 2), (q["T"] * (1.0 - 0.9 * share),), q["T"],
+                            2)
+
+    def decide(bounded):
+        def cost_fn(gamma):
+            bound = q["cost0"] + sufficient_descent(
+                q["s"], q["mbar"], gamma, q["gamma0"], q["alpha"]) \
+                + q["margin"] if bounded else None
+            x = integrate_state(q["sys"], [1.0], trial(gamma),
+                                cost_bound=bound)
+            return math.inf if isinstance(x, Abandoned) else x.cost
+
+        try:
+            return backtrack(cost_fn, q["cost0"], q["s"], q["mbar"],
+                             q["gamma0"], q["gamma3"], q["alpha"],
+                             beta=q["beta"], j_max=q["j_max"])
+        except LineSearchError as err:
+            return str(err)
+
+    assert decide(True) == decide(False)
 
 
 # -- monitoring ------------------------------------------------------------

@@ -228,3 +228,13 @@ def test_project_reintegrates_cost(vehicle, vehicle_x0):
     check = integrate_state(vehicle, vehicle_x0, res.schedule)
     assert res.cost == pytest.approx(check.cost, rel=1e-12)
     assert res.cost < x.cost
+    assert res.abandoned_at is None
+    # under a bound the projected schedule cannot meet, the integration
+    # stops where the accumulated cost passes it
+    bound = 0.5 * res.cost
+    cut = project(vehicle, vehicle_x0, sched, field, 1.7 * g0,
+                  reuse=x, cost_bound=bound)
+    assert cut.schedule == res.schedule
+    assert cut.trajectory is None and cut.cost == np.inf
+    assert res.trajectory.cost_at(cut.abandoned_at) == pytest.approx(
+        bound, rel=1e-7)

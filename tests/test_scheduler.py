@@ -1,15 +1,18 @@
 """Descent loop, stop/status logic, and the sliding-window driver."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from modesched import (
+    InsertionGradientField,
     LineSearchError,
     ModeSchedule,
     OptimizerConfig,
     SwitchedSystem,
     constant_schedule,
+    gamma_three,
     optimize,
     receding_horizon,
     shift_schedule,
@@ -17,6 +20,7 @@ from modesched import (
 )
 from modesched.models import vehicle_initial_state, vehicle_system
 from modesched.models.power import initial_state, load_network, power_system
+from modesched.projection import DWELL_DEFAULT
 from conftest import THREE_MACHINE
 
 
@@ -167,6 +171,56 @@ def test_line_search_failure_keeps_last_iterate(monkeypatch):
     assert res.iterations[0].gamma is None
     assert (res.schedule.sequence, res.schedule.times) == ((1,), ())
     assert res.cost == pytest.approx(res.iterations[0].cost)
+
+
+def test_abandoned_trials_change_no_decision():
+    # with no cost floor no trial is abandoned; every iterate, step and
+    # cost must come out the same, bit for bit
+    floored = vehicle_system()
+    assert floored.cost_floor == 0.0
+    cfg = OptimizerConfig(max_iter=3, theta_stop=0.0)
+    u0 = constant_schedule(2, 3.0, 4)
+    runs = [optimize(sys_, vehicle_initial_state(), u0, cfg)
+            for sys_ in (floored, dataclasses.replace(floored,
+                                                      cost_floor=None))]
+    a, b = ([(r.cost, r.gamma, r.j) for r in run.iterations] + [run.cost]
+            for run in runs)
+    assert a == b
+    assert runs[0].schedule == runs[1].schedule
+
+
+def test_line_search_stops_when_a_trial_repeats_the_incumbent(monkeypatch):
+    # a well so narrow that even at gamma3 its interval is shorter than
+    # the dwell: the trial projects back onto the incumbent, and every
+    # smaller step would too
+    import modesched.scheduler as scheduler_module
+    alpha, k, c = 0.4, 1e6, 0.4
+    u0 = constant_schedule(1, 1.0, 2)
+    # at gamma the well k (t - c)^2 + v0 beats -1/gamma on a width
+    # 2 sqrt(-v0 (1 - gamma0/gamma) / k); at gamma3 that is 0.9 dwell
+    half = 0.45 * DWELL_DEFAULT * u0.horizon
+    v0 = -k * half**2 / (1.0 - 1.0 / gamma_three(1.0, alpha))
+    field = InsertionGradientField.from_callables(
+        u0, [lambda t: np.zeros_like(t), lambda t: k * (t - c) ** 2 + v0],
+        channel_slopes=[lambda t: np.zeros_like(t),
+                        lambda t: 2.0 * k * (t - c)])
+    monkeypatch.setattr(scheduler_module, "insertion_gradient",
+                        lambda *args: field)
+    gammas = []
+    real_project = scheduler_module.project
+
+    def project(*args, **kwargs):
+        gammas.append(args[4])
+        return real_project(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "project", project)
+    res = optimize(two_rate_sq(), [2.0], u0,
+                   OptimizerConfig(alpha=alpha, theta_stop=0.0, max_iter=5))
+    assert res.status == "line_search_failure"
+    assert gammas == [res.iterations[0].gamma3]
+    assert res.iterations[0].theta == pytest.approx(v0)
+    assert res.iterations[0].gamma is None
+    assert res.schedule == u0
 
 
 def test_unmodeled_event_type_stops_cleanly(monkeypatch):
