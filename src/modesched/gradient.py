@@ -134,17 +134,9 @@ class InsertionGradientField:
 
     # -- evaluation ---------------------------------------------------
 
-    def _segment_for(self, t, side):
-        sched = self.schedule
-        if side == "left":
-            i = int(np.searchsorted(sched.boundaries, t, side="left")) - 1
-        else:
-            i = int(np.searchsorted(sched.boundaries, t, side="right")) - 1
-        return min(max(i, 0), sched.n_segments - 1)
-
     def value(self, t, side="right"):
         """All N channels at scalar time ``t``; shape (N,)."""
-        seg = self._segment_for(float(t), side)
+        seg = self.schedule.segment_of(float(t), side)
         return self._values_fn(seg, np.array([float(t)]))[0]
 
     def value_channel(self, a, t, side="right"):
@@ -152,7 +144,7 @@ class InsertionGradientField:
 
     def slope(self, a, t, side="right"):
         """One-sided time-derivative of channel ``a`` at ``t``."""
-        seg = self._segment_for(float(t), side)
+        seg = self.schedule.segment_of(float(t), side)
         return float(self._slopes_fn(seg, np.array([float(t)]), a)[0])
 
     def curvature(self, a, t, side="right"):
@@ -162,7 +154,7 @@ class InsertionGradientField:
         evaluation stencil clamped inside the segment so boundary queries
         become one-sided automatically.
         """
-        seg = self._segment_for(float(t), side)
+        seg = self.schedule.segment_of(float(t), side)
         lo, hi = self.schedule.segment_bounds(seg)
         h = 1e-5 * (hi - lo)
         tc = min(max(float(t), lo + h), hi - h)
@@ -322,8 +314,8 @@ def insertion_gradient(sys, schedule, x, rho):
 
     def values_fn(seg, ts):
         ts = np.atleast_1d(np.asarray(ts, float))
-        xs = np.atleast_2d(x.eval_in_segment(seg, ts))
-        rs = np.atleast_2d(rho.eval_in_segment(seg, ts))
+        xs = x(ts, seg=seg)
+        rs = rho(ts, seg=seg)
         active = schedule.sequence[seg]
         fm = sys.field_at(active, xs)
         out = np.empty((len(ts), N))
@@ -337,10 +329,10 @@ def insertion_gradient(sys, schedule, x, rho):
 
     def slopes_fn(seg, ts, channel=None):
         ts = np.atleast_1d(np.asarray(ts, float))
-        xs = np.atleast_2d(x.eval_in_segment(seg, ts))
-        rs = np.atleast_2d(rho.eval_in_segment(seg, ts))
-        xd = np.atleast_2d(x.derivative_in_segment(seg, ts))
-        rd = np.atleast_2d(rho.derivative_in_segment(seg, ts))
+        xs = x(ts, seg=seg)
+        rs = rho(ts, seg=seg)
+        xd = x.derivative(ts, seg=seg)
+        rd = rho.derivative(ts, seg=seg)
         active = schedule.sequence[seg]
         modes = range(1, N + 1) if channel is None else (channel,)
         out = np.zeros((len(ts), len(modes)))

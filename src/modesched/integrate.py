@@ -3,10 +3,13 @@
 Integration is restarted exactly at each switching time, so no solver step
 ever straddles a vector-field discontinuity.  Each segment of the state is
 solved with an adaptive high-order explicit Runge-Kutta method
-(Dormand-Prince 8) and resampled onto (time, value, derivative) knots; a
-cubic Hermite interpolant through those knots makes both the curve and its
-time derivative cheaply evaluable anywhere, with one-sided limits at
-segment boundaries.
+(Dormand-Prince 8) and resampled onto (time, value, derivative) knots.
+A :class:`SampledCurve` keeps the cubic Hermite interpolant through all of
+a curve's knots as one piecewise-cubic table, which makes the curve and
+its time derivative cheaply evaluable anywhere.  Each query reads one
+segment's slice of the table, so a switching time has exact one-sided
+limits: ``side`` picks the earlier or later segment there, or ``seg``
+names the segment outright.
 
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import PPoly
 
 log = logging.getLogger(__name__)
 
@@ -131,14 +134,29 @@ class SampledCurve:
     derivative are both third/second-order accurate and no finite
     differencing is ever needed.  The curve is continuous across segment
     boundaries (each boundary sample is shared), while the derivative may
-    jump there; ``side`` selects the one-sided limit.
+    jump there.
+
+    The whole curve is one piecewise-cubic table: the knot times of all
+    segments, each interior boundary listed once, and for every interval
+    between two knots of one segment the four coefficients of its Hermite
+    cubic in powers of ``t - t_i`` (``c[k]`` multiplies the power
+    ``3 - k``), with the arithmetic of scipy's cubic Hermite spline, so
+    values agree with it to the bit.  The derivative has a table of its
+    own, the cubic's three differentiated coefficients.  A query is
+    answered by one segment's slice of the table, with ``t`` clamped to
+    that segment's span, and within a segment an interval owns its left
+    knot (the segment's last interval also its right).  The segment is
+    ``seg`` when given; otherwise the one containing ``t``, where ``side``
+    picks the earlier (``"left"``) or later (``"right"``) segment at a
+    boundary, and times outside ``[t0, t1]`` go to the first or last.
 
     Parameters
     ----------
     boundaries : array_like, shape (M+1,)
         Segment boundaries, strictly increasing.
     segments : list of (ts, ys, fs)
-        Per-segment knot data: ``ts`` shape ``(k,)``, ``ys`` and ``fs``
+        Per-segment knot data: ``ts`` shape ``(k,)``, strictly increasing
+        from the segment's first boundary to its last, ``ys`` and ``fs``
         shape ``(k, n)``.
     cost_curve : SampledCurve, optional
         Scalar running-cost accumulator riding along the same partition.
@@ -151,9 +169,7 @@ class SampledCurve:
                 f"{len(segments)} segments for {len(self.boundaries)} boundaries"
             )
         self.knots = []
-        self._splines = []
-        self._dsplines = []
-        for ts, ys, fs in segments:
+        for i, (ts, ys, fs) in enumerate(segments):
             ts = np.asarray(ts, float)
             ys = np.asarray(ys, float)
             fs = np.asarray(fs, float)
@@ -161,11 +177,32 @@ class SampledCurve:
                 ys = ys[:, None]
             if fs.ndim == 1:
                 fs = fs[:, None]
-            sp = CubicHermiteSpline(ts, ys, fs, axis=0)
+            a, b = self.boundaries[i], self.boundaries[i + 1]
+            if len(ts) < 2 or ts[0] != a or ts[-1] != b \
+                    or ys.shape != fs.shape or len(ys) != len(ts):
+                raise ValueError(
+                    f"segment {i}: need at least two knots from {a} to {b} "
+                    f"with values and derivatives of one shape")
             self.knots.append((ts, ys, fs))
-            self._splines.append(sp)
-            self._dsplines.append(sp.derivative())
-        self.dim = self.knots[0][1].shape[1]
+        ts, ys, fs = zip(*self.knots)
+        self._x = np.concatenate(ts[:1] + tuple(t[1:] for t in ts[1:]))
+        # segment i owns the intervals first[i] .. first[i + 1] - 1
+        self._first = np.cumsum([0] + [len(t) - 1 for t in ts])
+        # each interval's end data, from its own segment's knots
+        y0 = np.concatenate([y[:-1] for y in ys])
+        y1 = np.concatenate([y[1:] for y in ys])
+        f0 = np.concatenate([f[:-1] for f in fs])
+        f1 = np.concatenate([f[1:] for f in fs])
+        h = np.diff(self._x)[:, None]
+        if not np.all(h > 0.0):
+            raise ValueError("knot times must increase")
+        slope = (y1 - y0) / h
+        d = (f0 + f1 - 2 * slope) / h
+        self._c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
+        if not np.all(np.isfinite(self._c)):
+            raise ValueError("knot data must be finite")
+        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        self.dim = y0.shape[1]
         self.t0 = float(self.boundaries[0])
         self.t1 = float(self.boundaries[-1])
         self.cost_curve = cost_curve
@@ -174,7 +211,7 @@ class SampledCurve:
 
     @property
     def n_segments(self):
-        return len(self._splines)
+        return len(self.knots)
 
     @property
     def cost(self):
@@ -188,49 +225,34 @@ class SampledCurve:
             raise AttributeError("curve was built without a cost accumulator")
         return float(self.cost_curve(t)[0])
 
-    def segment_of(self, t, side="right"):
-        """Segment index whose interpolant governs ``t``.
+    def __call__(self, t, side="right", seg=None):
+        """Curve value(s) at ``t``: shape ``(n,)`` for a scalar ``t``,
+        ``(k, n)`` for ``k`` times; segment ``seg``'s piece if given."""
+        return self._evaluate(self._c, t, side, seg)
 
-        ``side="right"`` resolves an interior boundary to the later
-        segment, ``side="left"`` to the earlier one.
-        """
-        which = "right" if side == "right" else "left"
-        i = int(np.searchsorted(self.boundaries, t, side=which)) - 1
-        return min(max(i, 0), self.n_segments - 1)
-
-    def __call__(self, t, side="right"):
-        """Curve value(s) at ``t`` (scalar or array)."""
-        if np.ndim(t) == 0:
-            i = self.segment_of(float(t), side)
-            return self._splines[i](np.clip(t, self.t0, self.t1))
-        return self._eval_many(np.asarray(t, float), self._splines, side)
-
-    def derivative(self, t, side="right"):
+    def derivative(self, t, side="right", seg=None):
         """Interpolant time-derivative at ``t``; one-sided at boundaries."""
-        if np.ndim(t) == 0:
-            i = self.segment_of(float(t), side)
-            return self._dsplines[i](np.clip(t, self.t0, self.t1))
-        return self._eval_many(np.asarray(t, float), self._dsplines, side)
+        return self._evaluate(self._dc, t, side, seg)
 
-    def eval_in_segment(self, i, t):
-        """Evaluate segment ``i``'s interpolant (clamped to its span)."""
-        a, b = self.boundaries[i], self.boundaries[i + 1]
-        return self._splines[i](np.clip(t, a, b))
-
-    def derivative_in_segment(self, i, t):
-        a, b = self.boundaries[i], self.boundaries[i + 1]
-        return self._dsplines[i](np.clip(t, a, b))
-
-    def _eval_many(self, ts, splines, side):
-        which = "right" if side == "right" else "left"
-        idx = np.searchsorted(self.boundaries, ts, side=which) - 1
-        idx = np.clip(idx, 0, self.n_segments - 1)
-        tc = np.clip(ts, self.t0, self.t1)
-        out = np.empty((len(ts), self.dim))
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = np.atleast_2d(splines[i](tc[sel]))
-        return out
+    def _evaluate(self, c, t, side, seg):
+        """Table ``c`` at ``t``, by the segment rule of the class."""
+        t = np.asarray(t, float)
+        if seg is None:
+            segs = np.clip(np.searchsorted(self.boundaries, t, side) - 1,
+                           0, self.n_segments - 1)
+            if t.ndim == 0:
+                seg = int(segs)
+            else:
+                out = np.empty(t.shape + (self.dim,))
+                for i in np.unique(segs):
+                    sel = segs == i
+                    out[sel] = self._evaluate(c, t[sel], side, i)
+                return out
+        lo, hi = self._first[seg], self._first[seg + 1]
+        piece = PPoly.construct_fast(c[:, lo:hi], self._x[lo:hi + 1])
+        # clamped as np.clip would, at a fraction of its call overhead
+        return piece(np.minimum(np.maximum(t, self.boundaries[seg]),
+                                self.boundaries[seg + 1]))
 
 
 @dataclass(frozen=True)
@@ -432,6 +454,9 @@ def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
     for i in range(schedule.n_segments - 1, -1, -1):
         m = schedule.sequence[i]
         ts, xs, _ = x.knots[i]
+        h = np.diff(ts)
+        # the state at each interval's two Gauss nodes, in one evaluation
+        xg = x((ts[:-1, None] + h[:, None] * _GAUSS).ravel(), seg=i)
         ws = np.empty((len(ts), n + 1))
         ws[-1] = w
         # chunks of intervals from the last one back, each propagated from
@@ -440,8 +465,8 @@ def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
         for lo in range(last - 1 - (last - 1) % MAGNUS_CHUNK, -1,
                         -MAGNUS_CHUNK):
             hi = min(lo + MAGNUS_CHUNK, last)
-            ws[lo:hi] = _sweep(_magnus_maps(sys, m, x, i, ts[lo:hi + 1]),
-                               ws[hi])
+            ws[lo:hi] = _sweep(
+                _magnus_maps(sys, m, xg[2 * lo:2 * hi], h[lo:hi]), ws[hi])
         w = ws[0]
         rs = ws[:, :n]
         # knot derivatives in one batch; the stacked matmul runs one BLAS
@@ -452,21 +477,20 @@ def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
     return SampledCurve(schedule.boundaries, segs)
 
 
-def _magnus_maps(sys, m, x, seg, ts):
-    """Backward propagators of the adjoint over the intervals of ``ts``.
+def _magnus_maps(sys, m, xg, h):
+    """Backward propagators of the adjoint over intervals of lengths ``h``.
 
     In row form the augmented adjoint ``w = [rho^T, 1]`` solves
     ``wdot = -w U`` with ``U = [[J, 0], [g^T, 0]]``, the transpose of the
     column form ``[[-J^T, -g], [0, 0]]``.  Across an interval ``[t, t + h]``
-    of segment ``seg`` (mode ``m``), ``w(t) = w(t + h) exp(W)`` with the
-    fourth-order Magnus exponent ``W = h/2 (U1 + U2) + sqrt(3) h^2/12
-    [U2, U1]``, where ``U1``, ``U2`` are taken at the two Gauss nodes; this
-    is ``-Omega`` of the column form, transposed.  All Jacobians and cost
-    gradients come from one batched call each.  Returns the ``exp(W)``.
+    in mode ``m``, ``w(t) = w(t + h) exp(W)`` with the fourth-order Magnus
+    exponent ``W = h/2 (U1 + U2) + sqrt(3) h^2/12 [U2, U1]``, where ``U1``,
+    ``U2`` are taken at the states ``xg`` at the two Gauss nodes (two rows
+    per interval); this is ``-Omega`` of the column form, transposed.  All
+    Jacobians and cost gradients come from one batched call each.  Returns
+    the ``exp(W)``.
     """
     n = sys.dim
-    h = np.diff(ts)
-    xg = x.eval_in_segment(seg, (ts[:-1, None] + h[:, None] * _GAUSS).ravel())
     U = np.empty((len(xg), n + 1, n + 1))
     U[:, :n, :n] = sys.jacobian_at(m, xg)
     U[:, n, :n] = sys.cost_gradient_at(xg)

@@ -42,14 +42,15 @@ def gamma_zero(theta):
     return -1.0 / theta
 
 
-def _winners_from_values(D, inc, gamma, ts=None, seg=None):
-    """Active-mode choice of the max rule given channel values ``D``."""
+def _winners_from_values(D, inc, gamma, ts, seg):
+    """Active-mode choice of the max rule from channel values ``D`` at the
+    sample times ``ts`` of segment ``seg``."""
     dmin = D.min(axis=1)
     amin = D.argmin(axis=1) + 1
     w = np.where(dmin < -1.0 / gamma, amin, inc)
     # flag exact ties at the minimum while below threshold: a tie that
     # persists over an interval breaks the argmax's uniqueness assumption
-    if ts is not None and len(ts) >= 3:
+    if len(ts) >= 3:
         D2 = np.partition(D, 1, axis=1)
         tied = (D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))) \
             & (dmin < -1.0 / gamma)
@@ -92,7 +93,7 @@ def _segment_spans(field, seg, gamma):
         ts, D = ts[order], D[order]
         keep = np.concatenate(([True], np.diff(ts) > 0))
         ts, D = ts[keep], D[keep]
-    w = _winners_from_values(D, inc, gamma, ts=ts, seg=seg)
+    w = _winners_from_values(D, inc, gamma, ts, seg)
 
     def gap(row, new, old):
         """``E_new - E_old`` from one row of channel values."""

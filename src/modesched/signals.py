@@ -103,12 +103,17 @@ class ModeSchedule:
         b = self.boundaries
         return tuple(b[i + 1] - b[i] for i in range(len(b) - 1))
 
-    def segment_of(self, t):
-        """Index of the segment containing ``t`` (right-continuous)."""
+    def segment_of(self, t, side="right"):
+        """Index of the segment containing ``t``.
+
+        A switching time belongs to the later segment with ``side="right"``
+        (the schedule is right-continuous) and to the earlier one with
+        ``side="left"``.
+        """
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        i = bisect.bisect_right(self.times, t)
-        return min(i, len(self.sequence) - 1)
+        find = bisect.bisect_left if side == "left" else bisect.bisect_right
+        return min(find(self.times, t), len(self.sequence) - 1)
 
     def segment_bounds(self, i):
         b = self.boundaries

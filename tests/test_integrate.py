@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 
 from modesched import (
     ModeSchedule,
     OptimizerConfig,
+    SampledCurve,
     SwitchedSystem,
     constant_schedule,
     integrate_adjoint,
@@ -114,7 +116,7 @@ def test_adjoint_knot_derivatives_are_pointwise(problem):
         expect = np.array([
             -(sys_.mode_jacobian(m, xk).T @ rk)
             - sys_.running_cost_gradient(xk)
-            for xk, rk in zip(x.eval_in_segment(i, ts), rs)])
+            for xk, rk in zip(x(ts, seg=i), rs)])
         np.testing.assert_allclose(
             fs, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
 
@@ -135,7 +137,7 @@ def reference_adjoint(sys_, sched, x):
         a, b = sched.segment_bounds(i)
 
         def rhs(t, r, i=i, m=m):
-            xt = x.eval_in_segment(i, t)
+            xt = x(t, seg=i)
             return -(sys_.mode_jacobian(m, xt).T @ r) \
                 - sys_.running_cost_gradient(xt)
 
@@ -273,6 +275,94 @@ def test_derivative_jumps_at_switch():
     assert right == pytest.approx(-3 * v, rel=1e-7)
     # the state itself is continuous across the switch
     assert x(1.0, side="left")[0] == pytest.approx(v, abs=1e-12)
+
+
+@st.composite
+def partitions(draw):
+    """Boundaries and ``(ts, ys, fs)`` knots of 1-6 segments with 2-40
+    knots each, dimension 1-5, values and derivatives of either sign."""
+    n = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(2, 40), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t0 = draw(st.floats(-10.0, 10.0))
+    bounds = t0 + np.concatenate(([0.0], np.cumsum(
+        rng.uniform(0.01, 3.0, len(counts)))))
+    segments = []
+    for k, a, b in zip(counts, bounds[:-1], bounds[1:]):
+        ts = a + (b - a) * np.sort(rng.uniform(0.0, 1.0, k))
+        ts[0], ts[-1] = a, b
+        assume(np.all(np.diff(ts) > 0.0))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        segments.append((ts, scale * rng.standard_normal((k, n)),
+                         scale * rng.standard_normal((k, n))))
+    return bounds, segments, rng.uniform(bounds[0] - 1.0, bounds[-1] + 1.0,
+                                         20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=partitions())
+def test_curve_matches_per_segment_hermite_splines(p):
+    # the one-table curve gives, bit for bit, what one CubicHermiteSpline
+    # per segment gives: pick the segment (``seg``, or the one holding t,
+    # ``side`` deciding at a boundary), clamp t to it, evaluate its spline
+    bounds, segments, random_ts = p
+    curve = SampledCurve(bounds, segments)
+    splines = [CubicHermiteSpline(ts, ys, fs, axis=0)
+               for ts, ys, fs in segments]
+    derivs = [sp.derivative() for sp in splines]
+    M, n = len(segments), segments[0][1].shape[1]
+    inner = bounds[1:-1]
+    ts = np.concatenate([
+        random_ts, *(s[0] for s in segments), inner,
+        np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+        [bounds[0] - 0.5, bounds[-1] + 0.5]])
+
+    def reference(pieces, t, side, seg):
+        if seg is None:
+            seg = min(max(int(np.searchsorted(bounds, t, side)) - 1, 0),
+                      M - 1)
+        return pieces[seg](np.clip(t, bounds[seg], bounds[seg + 1]))
+
+    for side in ("left", "right"):
+        for seg in [None, *range(M)]:
+            for evaluate, pieces in ((curve, splines),
+                                     (curve.derivative, derivs)):
+                want = np.array([reference(pieces, t, side, seg)
+                                 for t in ts])
+                got = evaluate(ts, side=side, seg=seg)
+                assert got.shape == (len(ts), n)
+                np.testing.assert_array_equal(got, want)
+                for t in (*bounds, *random_ts[:3]):
+                    one = evaluate(t, side=side, seg=seg)
+                    assert one.shape == (n,)
+                    np.testing.assert_array_equal(
+                        one, reference(pieces, t, side, seg))
+
+
+@pytest.mark.parametrize("segments", [
+    [([0.0, 0.5], [1.0, 2.0], [0.0, 0.0])],             # stops short of 1
+    [([0.0, 0.5, 0.5, 1.0], [1.0] * 4, [0.0] * 4)],     # repeated knot
+    [([0.0, 1.0], [1.0, np.nan], [0.0, 0.0])],          # not finite
+    [([0.0, 1.0], [1.0, 2.0], [0.0, 0.0, 0.0])],        # shapes differ
+], ids=["short", "repeated", "nan", "shapes"])
+def test_curve_rejects_malformed_knots(segments):
+    with pytest.raises(ValueError):
+        SampledCurve([0.0, 1.0], segments)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
+                         ids=["vehicle", "three-machine"])
+def test_curve_side_picks_the_schedules_segment(problem, side):
+    # the curve's boundary rule is the schedule's, which the field uses
+    sys_, x0, sched = problem()
+    x = integrate_state(sys_, x0, sched)
+    for curve in (x, x.cost_curve):
+        for t in sched.boundaries:
+            seg = sched.segment_of(t, side)
+            np.testing.assert_array_equal(curve(t, side), curve(t, seg=seg))
+            np.testing.assert_array_equal(curve.derivative(t, side),
+                                          curve.derivative(t, seg=seg))
 
 
 def test_vehicle_single_mode_closed_form(vehicle, vehicle_x0):
