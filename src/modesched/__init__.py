@@ -41,11 +41,9 @@ from .linesearch import (
     SwitchEvent,
     backtrack,
     descent_slope,
-    gamma_one_estimate,
     gamma_three,
     initial_switch_events,
     max_type,
-    monitor_assumptions,
 )
 from .scheduler import (
     HorizonResult,
@@ -85,11 +83,9 @@ __all__ = [
     "SwitchEvent",
     "backtrack",
     "descent_slope",
-    "gamma_one_estimate",
     "gamma_three",
     "initial_switch_events",
     "max_type",
-    "monitor_assumptions",
     "HorizonResult",
     "IterationReport",
     "OptimizerConfig",

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time

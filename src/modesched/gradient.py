@@ -286,8 +286,6 @@ class OptimalityResult:
     time: float | None
     segment: int | None
     boundary: str | None
-    slope: float
-    curvature: float
     stationary: bool
     norm_inf: float
 
@@ -364,21 +362,18 @@ def optimality(field):
     """
     cands = field.local_minima()
     if not cands:
-        return OptimalityResult(0.0, None, None, None, None,
-                                0.0, 0.0, False, field.norm_inf)
+        return OptimalityResult(0.0, None, None, None, None, False,
+                                field.norm_inf)
     vmin = min(c["value"] for c in cands)
     norm_inf = field.norm_inf
     if vmin >= 0.0:
-        return OptimalityResult(0.0, None, None, None, None,
-                                0.0, 0.0, False, norm_inf)
+        return OptimalityResult(0.0, None, None, None, None, False,
+                                norm_inf)
     tie = 1e-12 * (1.0 + abs(vmin))
     best = min((c for c in cands if c["value"] <= vmin + tie),
                key=lambda c: (c["time"], c["mode"]))
-    side = best["boundary"] or "right"
     return OptimalityResult(
         theta=float(best["value"]), mode=best["mode"], time=best["time"],
         segment=best["segment"], boundary=best["boundary"],
-        slope=field.slope(best["mode"], best["time"], side=side),
-        curvature=field.curvature(best["mode"], best["time"], side=side),
         stationary=best["boundary"] is None, norm_inf=norm_inf,
     )

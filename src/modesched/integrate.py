@@ -19,15 +19,12 @@ knots.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PPoly
-
-log = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-9

@@ -23,10 +23,6 @@ from .gradient import STATIONARY_TOL, CURVATURE_TOL
 #: default backtracking contraction and iteration cap
 BETA_DEFAULT = 0.4
 JMAX_DEFAULT = 40
-#: monitor floors: flagged when (gamma1-gamma0)/|theta| or
-#: min_curvature/|theta| fall below these
-FLOOR_GAMMA_GAP = 1e-3
-FLOOR_CURVATURE = 1e-3
 
 
 class LineSearchError(RuntimeError):
@@ -223,37 +219,3 @@ def backtrack(cost_fn, cost0, s, mbar, gamma0, gamma3, alpha,
         f"no sufficient-descent step in {j_max} backtracking trials "
         f"(gamma0={gamma0:.6g}, gamma3={gamma3:.6g})"
     )
-
-
-def gamma_one_estimate(field, gamma0):
-    """Sampled estimate of the next step size that changes the schedule's
-    crossing structure: the smallest ``-1/v > gamma0`` over sampled local
-    minima and one-sided boundary values ``v < 0`` of the field.
-
-    Monitoring only; never used for step acceptance.  ``None`` when no
-    further structure change is visible in the samples.
-    """
-    cands = [-1.0 / c["value"] for c in field.local_minima()
-             if c["value"] < 0.0 and -1.0 / c["value"] > gamma0 * (1 + 1e-9)]
-    return min(cands, default=None)
-
-
-def monitor_assumptions(theta, gamma0, gamma1_est, events,
-                        floor_gamma_gap=FLOOR_GAMMA_GAP,
-                        floor_curvature=FLOOR_CURVATURE):
-    """Health flags for the quantities the convergence argument leans on.
-
-    Checks that the differentiability gap ``gamma1 - gamma0`` and the
-    smallest type-2 curvature keep pace with ``|theta|``; a dict of
-    booleans is returned for reporting.  Detection only — no remediation.
-    """
-    flags = {"gamma_gap_small": False, "curvature_small": False}
-    if theta >= 0.0:
-        return flags
-    if gamma1_est is not None:
-        flags["gamma_gap_small"] = \
-            (gamma1_est - gamma0) / abs(theta) < floor_gamma_gap
-    curvs = [e.curvature for e in events if e.event_type == 2]
-    if curvs:
-        flags["curvature_small"] = min(curvs) / abs(theta) < floor_curvature
-    return flags

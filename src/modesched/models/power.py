@@ -16,15 +16,12 @@ invariant.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..integrate import SwitchedSystem
-
-log = logging.getLogger(__name__)
 
 F_S_DEFAULT = 60.0
 

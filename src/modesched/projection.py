@@ -156,7 +156,7 @@ def max_map(u, field, gamma, dwell=None):
         Step size; ``None`` or ``<= 0`` gives the identity.
     dwell : float, optional
         Minimum segment length of the output; shorter segments are merged
-        into their longer neighbor with a logged warning.  Default
+        into their longer neighbor (:func:`.enforce_dwell`).  Default
         ``1e-6 * horizon``.
 
     Returns

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,11 +33,9 @@ from .linesearch import (
     LineSearchError,
     backtrack,
     descent_slope,
-    gamma_one_estimate,
     gamma_three,
     initial_switch_events,
     max_type,
-    monitor_assumptions,
     sufficient_descent,
 )
 
@@ -94,11 +92,22 @@ class OptimizerConfig:
 
 @dataclass
 class IterationReport:
-    """One row of the optimization trace.
+    """One row of the optimization trace: what iteration ``k`` did.
 
     ``cost``/``theta``/``n_segments`` describe iterate ``k``; ``gamma``
     and ``j`` describe the accepted step taken *from* iterate ``k``
     (``None`` on the final row and on failed iterations).
+
+    ``events`` are the switching events that typed the step
+    (:class:`SwitchEvent`: type, ``omega``, slope, curvature; empty on
+    the final row).  ``trials`` holds one
+    ``(gamma, cost, abandoned_at, n_segments)`` tuple per distinct
+    projection, in the order the line search tried them; an abandoned
+    trial has cost ``inf`` and the time its integration stopped in
+    ``abandoned_at`` (``None`` otherwise).  On an accepted row the last
+    trial is the accepted step.  ``reason`` says why a failed row stopped
+    the descent (the line-search or type-failure message); ``None``
+    otherwise.
     """
 
     k: int
@@ -109,8 +118,9 @@ class IterationReport:
     gamma: float = None
     j: int = None
     n_segments: int = 1
-    event_types: tuple = ()
-    monitors: dict = field(default_factory=dict)
+    events: tuple = ()
+    trials: tuple = ()
+    reason: str = None
 
 
 @dataclass
@@ -186,22 +196,17 @@ def optimize(sys, x0, schedule, config=None):
             status = "max_iter"
             break
 
-        events = initial_switch_events(d, opt)
-        row.event_types = tuple(e.event_type for e in events)
-        mbar = max_type(events)
-        row.monitors = monitor_assumptions(
-            theta, g0, gamma_one_estimate(d, g0), events)
-        if any(row.monitors.values()):
-            log.warning("iterate %d: assumption monitors flagged %s", k,
-                        [m for m, v in row.monitors.items() if v])
+        row.events = tuple(initial_switch_events(d, opt))
+        mbar = max_type(row.events)
         if mbar not in (1, 2):
+            row.reason = ("step model does not cover event types "
+                          f"{tuple(e.event_type for e in row.events)}")
             rows.append(row)
             status = "type_failure"
-            log.warning("iterate %d: step model does not cover event "
-                        "types %s", k, row.event_types)
+            log.warning("iterate %d: %s", k, row.reason)
             break
 
-        s = descent_slope(events, theta, mbar)
+        s = descent_slope(row.events, theta, mbar)
         g3 = gamma_three(g0, cfg.alpha)
         row.gamma3 = g3
         trials = {}
@@ -228,14 +233,17 @@ def optimize(sys, x0, schedule, config=None):
             gamma, j = backtrack(trial_cost, J, s, mbar, g0, g3,
                                  cfg.alpha, beta=cfg.beta, j_max=cfg.j_max)
         except LineSearchError as err:
-            rows.append(row)
+            row.reason = str(err)
+        row.trials = tuple((g, p.cost, p.abandoned_at, p.schedule.n_segments)
+                           for g, p in trials.items())
+        rows.append(row)
+        if row.reason is not None:
             status = "line_search_failure"
-            log.warning("iterate %d: %s", k, err)
+            log.warning("iterate %d: %s", k, row.reason)
             break
 
         accepted = trials[gamma]
         row.gamma, row.j = gamma, j
-        rows.append(row)
         log.info("iterate %d: J=%.6g theta=%.4g gamma=%.4g (j=%d) -> "
                  "J=%.6g, %d segments", k, J, theta, gamma, j,
                  accepted.cost, accepted.schedule.n_segments)
@@ -293,7 +301,12 @@ def shift_schedule(sched, dt, horizon=None, pad_mode=None):
 
 @dataclass
 class WindowReport:
-    """What happened in one planning window."""
+    """What happened in one planning window.
+
+    ``reason`` is the failed iteration's :attr:`IterationReport.reason`
+    when the window's descent stopped on a failure, ``None`` otherwise;
+    a window that ``fell_back`` kept its inherited plan for that reason.
+    """
 
     index: int
     t_start: float
@@ -303,6 +316,7 @@ class WindowReport:
     theta: float
     steps: int
     fell_back: bool
+    reason: str = None
 
 
 @dataclass
@@ -364,16 +378,17 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     for w in range(n_windows):
         res = optimize(sys, state, plan, cfg)
         steps = sum(1 for r in res.iterations if r.gamma is not None)
-        fell_back = res.status in ("type_failure",
-                                   "line_search_failure") and steps == 0
+        reason = res.iterations[-1].reason
+        fell_back = reason is not None and steps == 0
         if fell_back:
-            log.warning("window %d (t=%.3g): %s with no accepted step; "
-                        "keeping inherited plan", w, t_abs, res.status)
+            log.warning("window %d (t=%.3g): %s with no accepted step "
+                        "(%s); keeping inherited plan", w, t_abs, res.status,
+                        reason)
         reports.append(WindowReport(
             index=w, t_start=t_abs, status=res.status,
             cost_before=res.iterations[0].cost, cost_after=res.cost,
             theta=res.iterations[0].theta, steps=steps,
-            fell_back=fell_back))
+            fell_back=fell_back, reason=reason))
 
         head = truncate_schedule(res.schedule, min(advance, window))
         for i, m in enumerate(head.sequence):

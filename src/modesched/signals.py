@@ -11,12 +11,9 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,7 @@ def enforce_dwell(schedule, dwell):
 
     Returns the (possibly identical) schedule.  Merging is repeated until
     every remaining segment satisfies the dwell or only one segment is
-    left; each absorbed segment is reported through the module logger.
+    left.
     """
     seq = list(schedule.sequence)
     bounds = list(schedule.boundaries)
@@ -253,10 +250,6 @@ def enforce_dwell(schedule, dwell):
             break
         left = durs[i - 1] if i > 0 else -1.0
         right = durs[i + 1] if i < len(seq) - 1 else -1.0
-        log.warning(
-            "segment %d (mode %d, length %.3g) below dwell %.3g; merging",
-            i, seq[i], durs[i], dwell,
-        )
         if right > left:
             del seq[i]
             del bounds[i + 1]

@@ -120,7 +120,8 @@ def test_optimality_on_synthetic_parabola():
     assert opt.time == pytest.approx(0.75, abs=1e-6)
     assert opt.stationary
     assert opt.boundary is None
-    assert opt.curvature == pytest.approx(2.0, rel=1e-3)
+    assert field.curvature(opt.mode, opt.time) == pytest.approx(2.0,
+                                                                rel=1e-3)
     # the sup-norm is a grid-level diagnostic, not a refined quantity
     assert opt.norm_inf == pytest.approx(2.0, rel=1e-3)
 

@@ -20,13 +20,11 @@ from modesched import (
     constant_schedule,
     crossing_times,
     descent_slope,
-    gamma_one_estimate,
     gamma_three,
     gamma_zero,
     initial_switch_events,
     integrate_state,
     max_type,
-    monitor_assumptions,
     optimality,
 )
 from modesched.integrate import DEFAULT_ATOL, DEFAULT_RTOL, Abandoned
@@ -424,52 +422,3 @@ def test_backtrack_decides_the_same_with_abandoned_trials(q):
             return str(err)
 
     assert decide(True) == decide(False)
-
-
-# -- monitoring ------------------------------------------------------------
-
-def test_gamma_one_estimate_two_wells():
-    # wells of depth -2 (the minimum, -1/theta = gamma0) and -1.5; the
-    # shallower well is the next crossing, at -1/(-1.5) = 2/3
-    sched = constant_schedule(1, 2.0, 2)
-    well = lambda t: (3.0 - 5.0 * np.exp(-((t - 0.5) / 0.15) ** 2)
-                      - 4.5 * np.exp(-((t - 1.5) / 0.15) ** 2))
-    field = synth_field(sched, [[zero, well]])
-    opt = optimality(field)
-    assert opt.theta == pytest.approx(-2.0, rel=1e-9)
-    gamma0 = -1.0 / opt.theta
-    assert gamma_one_estimate(field, gamma0) == pytest.approx(2.0 / 3.0,
-                                                              rel=1e-9)
-
-
-def test_gamma_one_estimate_none_without_second_structure():
-    # a single well at the minimum itself, positive everywhere else:
-    # no second crossing for the monitor to see
-    sched = constant_schedule(1, 2.0, 2)
-    well = lambda t: 3.0 - 5.0 * np.exp(-((t - 0.75) / 0.15) ** 2)
-    field = synth_field(sched, [[zero, well]])
-    assert gamma_one_estimate(field, 0.5) is None
-
-
-def test_monitor_assumptions_flags():
-    t2 = SwitchEvent(time=0.5, omega=0, channel=2, event_type=2,
-                     curvature=2.0)
-    flags = monitor_assumptions(-2.0, 0.5, 2.0 / 3.0, [t2])
-    assert flags == {"gamma_gap_small": False, "curvature_small": False}
-
-    flags = monitor_assumptions(-2.0, 0.5, 0.5 + 1e-5, [t2])
-    assert flags["gamma_gap_small"] and not flags["curvature_small"]
-
-    weak = SwitchEvent(time=0.5, omega=0, channel=2, event_type=2,
-                       curvature=1e-4)
-    flags = monitor_assumptions(-2.0, 0.5, 2.0 / 3.0, [t2, weak])
-    assert flags["curvature_small"] and not flags["gamma_gap_small"]
-
-    # no estimate, no type-2 events: nothing to flag
-    t1 = SwitchEvent(time=0.1, omega=0, channel=2, event_type=1, slope=4.0)
-    flags = monitor_assumptions(-2.0, 0.5, None, [t1])
-    assert flags == {"gamma_gap_small": False, "curvature_small": False}
-
-    # at the optimum the monitors are vacuous
-    flags = monitor_assumptions(0.0, 0.5, 0.5 + 1e-9, [weak])
-    assert flags == {"gamma_gap_small": False, "curvature_small": False}

@@ -1,5 +1,6 @@
 """Descent loop, stop/status logic, and the sliding-window driver."""
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from modesched import (
     truncate_schedule,
 )
 from modesched.models import vehicle_initial_state, vehicle_system
+from modesched.models.vehicle import HORIZON_DEFAULT
 from modesched.models.power import initial_state, load_network, power_system
 from modesched.projection import DWELL_DEFAULT
 from conftest import THREE_MACHINE
@@ -131,11 +133,52 @@ def test_step_bookkeeping():
         assert 0.0 < r.gamma0 < r.gamma <= r.gamma3 * (1 + 1e-12)
         assert 1.5717 < r.gamma3 / r.gamma0 < 2.0
         assert 0 <= r.j <= OptimizerConfig().j_max
-        assert r.event_types and all(t in (0, 1, 2) for t in r.event_types)
+        assert r.events and all(e.event_type in (0, 1, 2) for e in r.events)
     # the last row reports the final iterate, with no outgoing step
     last = res.iterations[-1]
     assert last.gamma is None and last.j is None
     assert last.theta == res.theta_final
+
+
+def test_reports_record_the_published_descent(monkeypatch, caplog):
+    # the published 10-step vehicle descent: every distinct projection
+    # appears in its row's trials, in backtracking order, and a healthy
+    # descent logs no warning
+    import modesched.scheduler as scheduler_module
+    calls = []
+    real_project = scheduler_module.project
+
+    def project(*args, **kwargs):
+        calls.append(args[4])
+        return real_project(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "project", project)
+    cfg = OptimizerConfig(alpha=0.4, beta=0.4, max_iter=10, theta_stop=0.0)
+    with caplog.at_level(logging.INFO, logger="modesched"):
+        res = optimize(vehicle_system(), vehicle_initial_state(),
+                       constant_schedule(2, HORIZON_DEFAULT, 4), cfg)
+    assert not [r for r in caplog.records if r.name.startswith("modesched")
+                and r.levelno >= logging.WARNING]
+    assert res.status == "max_iter"
+    rows = res.iterations
+    abandoned = 0
+    for r, after in zip(rows, rows[1:]):
+        assert r.gamma is not None and r.reason is None and r.events
+        gammas = [g for g, _, _, _ in r.trials]
+        assert gammas == [(r.gamma3 - r.gamma0) * cfg.beta**j + r.gamma0
+                          for j in range(r.j + 1)]
+        assert r.trials[-1][:2] == (r.gamma, after.cost)
+        assert r.trials[-1][3] == after.n_segments
+        for _, cost, stop, _ in r.trials:
+            if stop is None:
+                assert math.isfinite(cost)
+            else:
+                abandoned += 1
+                assert cost == math.inf
+                assert 0.0 <= stop < HORIZON_DEFAULT
+    assert abandoned
+    assert rows[-1].trials == () and rows[-1].reason is None
+    assert [g for r in rows for g, _, _, _ in r.trials] == calls
 
 
 def test_stop_threshold_variants():
@@ -169,6 +212,7 @@ def test_line_search_failure_keeps_last_iterate(monkeypatch):
     assert res.status == "line_search_failure"
     assert len(res.iterations) == 1
     assert res.iterations[0].gamma is None
+    assert res.iterations[0].reason == "forced"
     assert (res.schedule.sequence, res.schedule.times) == ((1,), ())
     assert res.cost == pytest.approx(res.iterations[0].cost)
 
@@ -220,6 +264,9 @@ def test_line_search_stops_when_a_trial_repeats_the_incumbent(monkeypatch):
     assert gammas == [res.iterations[0].gamma3]
     assert res.iterations[0].theta == pytest.approx(v0)
     assert res.iterations[0].gamma is None
+    assert res.iterations[0].reason == \
+        "projection equals the incumbent schedule"
+    assert [t[0] for t in res.iterations[0].trials] == gammas
     assert res.schedule == u0
 
 
@@ -229,7 +276,10 @@ def test_unmodeled_event_type_stops_cleanly(monkeypatch):
                    OptimizerConfig(theta_stop=0.0, max_iter=5))
     assert res.status == "type_failure"
     assert len(res.iterations) == 1
-    assert res.iterations[0].event_types  # the offending types are logged
+    row = res.iterations[0]
+    assert row.events and row.trials == ()
+    assert row.reason == "step model does not cover event types " \
+        f"{tuple(e.event_type for e in row.events)}"
 
 
 # -- receding horizon -------------------------------------------------------
@@ -278,6 +328,7 @@ def test_receding_horizon_fallback_keeps_plan(monkeypatch):
                           n_windows=3, advance=0.2)
     assert all(w.fell_back and w.steps == 0 for w in rh.windows)
     assert all(w.status == "line_search_failure" for w in rh.windows)
+    assert all(w.reason == "forced" for w in rh.windows)
     # the inherited plan is constant mode 1, so that is what gets applied
     assert (rh.schedule.sequence, rh.schedule.times) == ((1,), ())
     assert rh.schedule.horizon == pytest.approx(0.6)
