@@ -284,14 +284,9 @@ class OptimalityResult:
     theta: float
     mode: int | None
     time: float | None
-    segment: int | None
     boundary: str | None
     stationary: bool
     norm_inf: float
-
-    @property
-    def is_optimal(self):
-        return self.mode is None
 
 
 def insertion_gradient(sys, schedule, x, rho):
@@ -315,14 +310,14 @@ def insertion_gradient(sys, schedule, x, rho):
         xs = x(ts, seg=seg)
         rs = rho(ts, seg=seg)
         active = schedule.sequence[seg]
-        fm = sys.field_at(active, xs)
+        fm = sys.mode_field(active, xs)
         out = np.empty((len(ts), N))
         for a in range(1, N + 1):
             if a == active:
                 out[:, a - 1] = 0.0
             else:
                 out[:, a - 1] = np.einsum(
-                    "ij,ij->i", rs, sys.field_at(a, xs) - fm)
+                    "ij,ij->i", rs, sys.mode_field(a, xs) - fm)
         return out
 
     def slopes_fn(seg, ts, channel=None):
@@ -335,16 +330,16 @@ def insertion_gradient(sys, schedule, x, rho):
         modes = range(1, N + 1) if channel is None else (channel,)
         out = np.zeros((len(ts), len(modes)))
         if channel != active:
-            fm = sys.field_at(active, xs)
-            Jm = sys.jacobian_at(active, xs)
+            fm = sys.mode_field(active, xs)
+            Jm = sys.mode_jacobian(active, xs)
         for col, a in enumerate(modes):
             if a == active:
                 continue
-            fa = sys.field_at(a, xs)
+            fa = sys.mode_field(a, xs)
             term1 = np.einsum("ij,ij->i", rd, fa - fm)
             # rho^T (J_a - J_active) xdot per point, as stacked matmuls:
             # each point keeps the BLAS arithmetic of the unbatched product
-            dJxd = (sys.jacobian_at(a, xs) - Jm) @ xd[:, :, None]
+            dJxd = (sys.mode_jacobian(a, xs) - Jm) @ xd[:, :, None]
             term2 = (rs[:, None, :] @ dJxd)[:, 0, 0]
             out[:, col] = term1 + term2
         return out if channel is None else out[:, 0]
@@ -362,18 +357,16 @@ def optimality(field):
     """
     cands = field.local_minima()
     if not cands:
-        return OptimalityResult(0.0, None, None, None, None, False,
-                                field.norm_inf)
+        return OptimalityResult(0.0, None, None, None, False, field.norm_inf)
     vmin = min(c["value"] for c in cands)
     norm_inf = field.norm_inf
     if vmin >= 0.0:
-        return OptimalityResult(0.0, None, None, None, None, False,
-                                norm_inf)
+        return OptimalityResult(0.0, None, None, None, False, norm_inf)
     tie = 1e-12 * (1.0 + abs(vmin))
     best = min((c for c in cands if c["value"] <= vmin + tie),
                key=lambda c: (c["time"], c["mode"]))
     return OptimalityResult(
         theta=float(best["value"]), mode=best["mode"], time=best["time"],
-        segment=best["segment"], boundary=best["boundary"],
-        stationary=best["boundary"] is None, norm_inf=norm_inf,
+        boundary=best["boundary"], stationary=best["boundary"] is None,
+        norm_inf=norm_inf,
     )

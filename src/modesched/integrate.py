@@ -56,14 +56,6 @@ class SwitchedSystem:
         ``running_cost(x) -> float`` integrand of the trajectory cost.
     running_cost_gradient : callable
         ``running_cost_gradient(x) -> (n,)`` gradient of the integrand.
-    vectorized : bool
-        When True, all four callables also accept stacked states of shape
-        ``(k, n)``: ``mode_field`` returns ``(k, n)``, ``mode_jacobian``
-        ``(k, n, n)``, ``running_cost`` ``(k,)`` and
-        ``running_cost_gradient`` ``(k, n)``.  A single state ``(n,)``
-        still gives the unstacked shapes above.
-    name : str
-        Label used in logs and run manifests.
     cost_floor : float or None
         A lower bound on ``running_cost`` over the whole state space, or
         ``None`` (the default) when none is known.  With a floor ``f`` the
@@ -74,15 +66,21 @@ class SwitchedSystem:
         with a signed running cost leaves it ``None`` and never has a trial
         abandoned.
 
+    Each of the four callables takes either a single state ``x`` of shape
+    ``(n,)``, giving the shapes above, or a stack of ``k`` states of shape
+    ``(k, n)``, giving one result per state: ``mode_field`` ``(k, n)``,
+    ``mode_jacobian`` ``(k, n, n)``, ``running_cost`` ``(k,)`` and
+    ``running_cost_gradient`` ``(k, n)``.
+
     The forward solver calls ``mode_field`` and ``running_cost`` once per
     Runge-Kutta stage, on a single ``(n,)`` state: about 34k stages in the
     50-window power receding-horizon run.  Per-call overhead dominates
     there, so a model should compute whatever does not depend on the state
-    once, when it builds the callables, rather than inside them.
-    ``mode_jacobian`` and ``running_cost_gradient`` are only called through
-    :meth:`jacobian_at` and :meth:`cost_gradient_at`, on all the knots or
-    Gauss nodes of a segment (or a chunk of one) at a time, and on single
-    points by the field's slopes.
+    once, when it builds the callables, rather than inside them.  Every
+    other call is on a stack: all the knots or Gauss nodes of a segment
+    (or a chunk of one) at a time, or the points where the insertion
+    gradient is sampled; ``mode_jacobian`` and ``running_cost_gradient``
+    see only stacks.
     """
 
     num_modes: int
@@ -91,36 +89,7 @@ class SwitchedSystem:
     mode_jacobian: callable
     running_cost: callable
     running_cost_gradient: callable
-    vectorized: bool = False
-    name: str = "system"
     cost_floor: float | None = None
-
-    def field_at(self, i, xs):
-        """Mode-``i`` field at stacked states ``xs`` of shape ``(k, n)``."""
-        xs = np.asarray(xs, float)
-        if self.vectorized:
-            return np.asarray(self.mode_field(i, xs), float)
-        return np.array([self.mode_field(i, x) for x in xs], float)
-
-    def cost_at(self, xs):
-        xs = np.asarray(xs, float)
-        if self.vectorized:
-            return np.asarray(self.running_cost(xs), float)
-        return np.array([self.running_cost(x) for x in xs], float)
-
-    def jacobian_at(self, i, xs):
-        """Mode-``i`` Jacobians at stacked states; shape ``(k, n, n)``."""
-        xs = np.asarray(xs, float)
-        if self.vectorized:
-            return np.asarray(self.mode_jacobian(i, xs), float)
-        return np.array([self.mode_jacobian(i, x) for x in xs], float)
-
-    def cost_gradient_at(self, xs):
-        """Running-cost gradients at stacked states; shape ``(k, n)``."""
-        xs = np.asarray(xs, float)
-        if self.vectorized:
-            return np.asarray(self.running_cost_gradient(xs), float)
-        return np.array([self.running_cost_gradient(x) for x in xs], float)
 
 
 class SampledCurve:
@@ -346,10 +315,8 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             dz[n] = cost(x)
             return dz
 
-        def fs_batch(ts, zs, m=m):
-            return np.column_stack(
-                [sys.field_at(m, zs[:, :n]), sys.cost_at(zs[:, :n])]
-            )
+        def fs_batch(zs, m=m):
+            return np.column_stack([field(m, zs[:, :n]), cost(zs[:, :n])])
 
         seg = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1], z, rtol,
                              atol, T, knot_spacing, event=stop)
@@ -390,7 +357,7 @@ def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
     """One smooth segment, solved forward from ``t0`` to ``t1``.
 
     Solves, then resamples onto Hermite knots, with the knot derivatives
-    from one ``fs_batch(ts, zs)`` call.  Returns ``(ts, zs, fs, z1)`` where
+    from one ``fs_batch(zs)`` call.  Returns ``(ts, zs, fs, z1)`` where
     ``z1`` is the solution at ``t1``, or :class:`Abandoned` at the time
     where the terminal ``event`` stopped the solve.
     """
@@ -410,7 +377,7 @@ def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
         ts = _knot_times(t0, t1, sol.t, horizon, knot_spacing)
         zs = sol.sol(ts).T
     zs[0], zs[-1] = z0, z1
-    return ts, zs, fs_batch(ts, zs), z1
+    return ts, zs, fs_batch(zs), z1
 
 
 def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
@@ -468,8 +435,8 @@ def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
         rs = ws[:, :n]
         # knot derivatives in one batch; the stacked matmul runs one BLAS
         # product per knot, the same as a pointwise J^T @ rho
-        fs = -(rs[:, None, :] @ sys.jacobian_at(m, xs))[:, 0] \
-            - sys.cost_gradient_at(xs)
+        fs = -(rs[:, None, :] @ sys.mode_jacobian(m, xs))[:, 0] \
+            - sys.running_cost_gradient(xs)
         segs[i] = (ts, rs, fs)
     return SampledCurve(schedule.boundaries, segs)
 
@@ -489,8 +456,8 @@ def _magnus_maps(sys, m, xg, h):
     """
     n = sys.dim
     U = np.empty((len(xg), n + 1, n + 1))
-    U[:, :n, :n] = sys.jacobian_at(m, xg)
-    U[:, n, :n] = sys.cost_gradient_at(xg)
+    U[:, :n, :n] = sys.mode_jacobian(m, xg)
+    U[:, n, :n] = sys.running_cost_gradient(xg)
     U[:, :, n] = 0.0
     U1, U2 = U[0::2], U[1::2]
     h = h[:, None, None]

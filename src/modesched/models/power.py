@@ -179,7 +179,7 @@ def power_system(net):
         mode_field=mode_field, mode_jacobian=mode_jacobian,
         running_cost=running_cost,
         running_cost_gradient=running_cost_gradient,
-        vectorized=True, name="power", cost_floor=0.0,
+        cost_floor=0.0,
     )
 
 

@@ -108,7 +108,7 @@ def vehicle_system():
         mode_field=mode_field, mode_jacobian=mode_jacobian,
         running_cost=running_cost,
         running_cost_gradient=running_cost_gradient,
-        vectorized=True, name="vehicle", cost_floor=0.0,
+        cost_floor=0.0,
     )
 
 

@@ -266,37 +266,20 @@ def truncate_schedule(sched, t_end):
                         num_modes=sched.num_modes)
 
 
-def shift_schedule(sched, dt, horizon=None, pad_mode=None):
-    """Slide a schedule earlier by ``dt`` and pad the tail.
+def shift_schedule(sched, dt):
+    """Slide a schedule earlier by ``dt``, holding its final mode.
 
-    The restriction to ``[dt, horizon]`` is moved to start at 0 and the
-    vacated tail is filled with ``pad_mode`` (default: the schedule's
-    final mode), keeping the horizon length unless a new one is given.
-    This is the warm start for the next planning window.
+    The restriction to ``[dt, T]`` is moved to start at 0 and the final
+    mode is held on the vacated tail ``[T - dt, T]``, so the horizon
+    ``T`` is kept.  A switch at ``dt`` itself is dropped: the shifted
+    schedule starts in the later mode.  This is the warm start for the
+    next planning window.
     """
-    horizon = sched.horizon if horizon is None else horizon
     if not 0.0 <= dt <= sched.horizon:
         raise ValueError(f"dt must lie in [0, {sched.horizon}], got {dt}")
-    if pad_mode is None:
-        pad_mode = sched.sequence[-1]
-    if dt == sched.horizon:
-        return ModeSchedule(sequence=(pad_mode,), times=(),
-                            horizon=horizon, num_modes=sched.num_modes)
-    seg0 = sched.segment_of(dt)
-    seq = list(sched.sequence[seg0:])
-    times = [t - dt for t in sched.times if t > dt]
-    body = sched.horizon - dt
-    if body < horizon:
-        if seq[-1] != pad_mode:
-            seq.append(pad_mode)
-            times.append(body)
-    else:
-        # no tail to pad (the window shrank); clip instead
-        keep = [t for t in times if t < horizon]
-        seq = seq[:len(keep) + 1]
-        times = keep
-    return ModeSchedule(sequence=tuple(seq), times=tuple(times),
-                        horizon=horizon, num_modes=sched.num_modes)
+    return ModeSchedule(sequence=sched.sequence[sched.segment_of(dt):],
+                        times=tuple(t - dt for t in sched.times if t > dt),
+                        horizon=sched.horizon, num_modes=sched.num_modes)
 
 
 @dataclass
@@ -390,7 +373,7 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
             theta=res.iterations[0].theta, steps=steps,
             fell_back=fell_back, reason=reason))
 
-        head = truncate_schedule(res.schedule, min(advance, window))
+        head = truncate_schedule(res.schedule, advance)
         for i, m in enumerate(head.sequence):
             if seq and seq[-1] == m:
                 continue  # same mode carries across the boundary

@@ -95,7 +95,7 @@ def test_switching_time_gradient_fd_oracle(vehicle, vehicle_x0):
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
-def test_switch_gradient_equals_field_at_switch(vehicle, vehicle_x0):
+def test_switch_gradient_equals_earlier_mode_channel(vehicle, vehicle_x0):
     # nudging switch i right extends the earlier mode into the later
     # segment, so dJ/dT_i equals the earlier mode's channel there
     rng = np.random.default_rng(23)

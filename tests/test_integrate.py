@@ -34,10 +34,9 @@ def decay_system():
     return SwitchedSystem(
         num_modes=1, dim=1,
         mode_field=lambda i, x: -np.asarray(x, float),
-        mode_jacobian=lambda i, x: -np.eye(1),
-        running_cost=lambda x: 0.5 * float(np.dot(x, x)),
+        mode_jacobian=lambda i, x: np.full(np.shape(x) + (1,), -1.0),
+        running_cost=lambda x: 0.5 * np.asarray(x, float)[..., 0] ** 2,
         running_cost_gradient=lambda x: np.asarray(x, float),
-        name="decay",
     )
 
 
@@ -47,10 +46,9 @@ def two_rate_system():
     return SwitchedSystem(
         num_modes=2, dim=1,
         mode_field=lambda i, x: rates[i] * np.asarray(x, float),
-        mode_jacobian=lambda i, x: rates[i] * np.eye(1),
-        running_cost=lambda x: float(x[0]),
-        running_cost_gradient=lambda x: np.ones(1),
-        name="two-rate",
+        mode_jacobian=lambda i, x: np.full(np.shape(x) + (1,), rates[i]),
+        running_cost=lambda x: np.asarray(x, float)[..., 0],
+        running_cost_gradient=lambda x: np.ones(np.shape(x)),
     )
 
 
@@ -76,9 +74,7 @@ def test_decay_adjoint_matches_closed_form():
     expect = 0.5 * (np.exp(-ts) - np.exp(ts - 2 * T))
     np.testing.assert_allclose(rho(ts)[:, 0], expect, atol=1e-8)
     assert abs(rho(T)[0]) <= 1e-12
-    # the system is not vectorized, so its knot derivatives are looped
-    # point by point; rhodot = -(e^{-t} + e^{t-2T}) / 2
-    assert not sys_.vectorized
+    # the knot derivatives: rhodot = -(e^{-t} + e^{t-2T}) / 2
     kts, _, fs = rho.knots[0]
     np.testing.assert_allclose(
         fs[:, 0], -0.5 * (np.exp(-kts) + np.exp(kts - 2 * T)), atol=1e-8)
@@ -195,10 +191,10 @@ def linear_quadratic_adjoint(A, Q, x0, T, knot_spacing):
     n = len(x0)
     sys_ = SwitchedSystem(
         num_modes=1, dim=n,
-        mode_field=lambda i, x: A @ x,
-        mode_jacobian=lambda i, x: A,
-        running_cost=lambda x: 0.5 * x @ Q @ x,
-        running_cost_gradient=lambda x: Q @ x,
+        mode_field=lambda i, x: x @ A.T,
+        mode_jacobian=lambda i, x: np.broadcast_to(A, np.shape(x) + (n,)),
+        running_cost=lambda x: 0.5 * np.sum((x @ Q) * x, axis=-1),
+        running_cost_gradient=lambda x: x @ Q,
     )
     sched = constant_schedule(1, T, 1)
     x = integrate_state(sys_, x0, sched, rtol=1e-12, atol=1e-14,
@@ -389,7 +385,7 @@ def test_vehicle_cost_matches_quadrature(vehicle, vehicle_x0):
     sched = ModeSchedule((1, 3, 2), (0.7, 1.4), T, 4)
     x = integrate_state(vehicle, vehicle_x0, sched)
     ts = np.linspace(0.0, T, 4001)
-    ref = simpson(vehicle.cost_at(x(ts)), x=ts)
+    ref = simpson(vehicle.running_cost(x(ts)), x=ts)
     assert x.cost == pytest.approx(ref, rel=1e-7)
 
 

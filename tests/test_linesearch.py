@@ -379,8 +379,9 @@ def descent_curves(draw):
     sys_ = SwitchedSystem(
         num_modes=2, dim=1,
         mode_field=lambda i, x: -x if i == 1 else a * x + c,
-        mode_jacobian=lambda i, x: np.eye(1) * (-1.0 if i == 1 else a),
-        running_cost=lambda x: float(x[0]) ** 2,
+        mode_jacobian=lambda i, x: np.full(np.shape(x) + (1,),
+                                           -1.0 if i == 1 else a),
+        running_cost=lambda x: x[..., 0] ** 2,
         running_cost_gradient=lambda x: 2.0 * x,
         cost_floor=0.0)
     gamma0 = draw(st.floats(0.1, 10.0))

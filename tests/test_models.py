@@ -373,7 +373,7 @@ def test_single_state_keeps_unstacked_shapes(name, data):
     n = sys_.dim
     assert sys_.mode_jacobian(mode, xs[0]).shape == (n, n)
     assert sys_.running_cost_gradient(xs[0]).shape == (n,)
-    np.testing.assert_array_equal(sys_.jacobian_at(mode, xs[:1])[0],
+    np.testing.assert_array_equal(sys_.mode_jacobian(mode, xs[:1])[0],
                                   sys_.mode_jacobian(mode, xs[0]))
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modesched import (
     InsertionGradientField,
@@ -36,10 +37,9 @@ def two_rate_sq():
     return SwitchedSystem(
         num_modes=2, dim=1,
         mode_field=lambda i, x: rates[i] * np.asarray(x, float),
-        mode_jacobian=lambda i, x: rates[i] * np.eye(1),
-        running_cost=lambda x: float(x[0]) ** 2,
+        mode_jacobian=lambda i, x: np.full(np.shape(x) + (1,), rates[i]),
+        running_cost=lambda x: np.asarray(x, float)[..., 0] ** 2,
         running_cost_gradient=lambda x: 2.0 * np.asarray(x, float),
-        name="two-rate-sq",
     )
 
 
@@ -67,20 +67,43 @@ def test_shift_pads_tail_with_final_mode():
     # shifting exactly onto a switch starts inside the later segment
     sh = shift_schedule(s, 1.0)
     assert (sh.sequence, sh.times) == ((2, 3), (1.0,))
-    # explicit pad mode appends one more segment
-    sh = shift_schedule(s, 0.5, pad_mode=1)
-    assert sh.sequence == (1, 2, 3, 1)
-    assert sh.times == pytest.approx((0.5, 1.5, 2.5))
-    # shrinking horizon clips instead of padding
-    sh = shift_schedule(s, 0.5, horizon=1.0)
-    assert (sh.sequence, sh.horizon) == ((1, 2), 1.0)
-    assert sh.times == pytest.approx((0.5,))
     # shifting the whole schedule away leaves a constant pad
     sh = shift_schedule(s, 3.0)
     assert (sh.sequence, sh.times, sh.horizon) == ((3,), (), 3.0)
     for bad in (-0.1, 3.1):
         with pytest.raises(ValueError):
             shift_schedule(s, bad)
+
+
+@st.composite
+def shifted_schedules(draw):
+    """A schedule on ``[0, T]``, a shift ``dt`` in ``[0, T]`` (often a
+    switching time or an end) and a time ``t`` in ``[0, T]`` at least
+    ``1e-9 T`` from every shifted switch."""
+    T = draw(st.floats(0.1, 10.0))
+    times = sorted(set(draw(st.lists(
+        st.floats(0.0, T, exclude_min=True, exclude_max=True),
+        max_size=6))))
+    seq = draw(st.lists(st.integers(1, 3), min_size=len(times) + 1,
+                        max_size=len(times) + 1))
+    s = ModeSchedule(tuple(seq), tuple(times), T, 3)
+    dt = draw(st.one_of(st.floats(0.0, T),
+                        st.sampled_from((0.0, T) + s.times)))
+    t = draw(st.floats(0.0, T))
+    assume(all(abs(t - (u - dt)) >= 1e-9 * T for u in s.times if u > dt))
+    return s, dt, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shifted_schedules())
+def test_shift_follows_the_schedule_then_holds_its_final_mode(case):
+    s, dt, t = case
+    sh = shift_schedule(s, dt)
+    assert sh.horizon == s.horizon
+    if t + dt < s.horizon:
+        assert sh.mode_at(t) == s.mode_at(t + dt)
+    else:
+        assert sh.mode_at(t) == s.sequence[-1]
 
 
 # -- descent loop ----------------------------------------------------------
