@@ -31,7 +31,6 @@ from .gradient import (
 from .projection import (
     DegenerateTieError,
     ProjectionResult,
-    crossing_times,
     gamma_zero,
     max_map,
     project,
@@ -75,7 +74,6 @@ __all__ = [
     "switching_time_gradient",
     "DegenerateTieError",
     "ProjectionResult",
-    "crossing_times",
     "gamma_zero",
     "max_map",
     "project",

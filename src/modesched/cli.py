@@ -24,7 +24,8 @@ from . import __version__
 from .signals import ModeSchedule, constant_schedule
 from .integrate import integrate_adjoint, integrate_state
 from .gradient import insertion_gradient
-from .scheduler import OptimizerConfig, optimize, receding_horizon
+from .scheduler import (OptimizerConfig, check_knot_spacing, optimize,
+                        receding_horizon)
 from .models import (
     HORIZON_DEFAULT,
     initial_state,
@@ -132,11 +133,12 @@ def _build_schedule(cfg, horizon, num_modes):
         raise ConfigError(f"bad u0: {err}") from None
 
 
-def _optimizer_config(cfg):
+def _optimizer_config(cfg, horizon):
     opts = cfg.get("optimizer", {})
     if not isinstance(opts, dict):
         raise ConfigError('"optimizer" must be an object')
     try:
+        check_knot_spacing(opts.get("knot_spacing"), horizon)
         return OptimizerConfig(**opts)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad optimizer options: {err}") from None
@@ -160,9 +162,9 @@ def _write_iterates(path, result):
     _write_csv(path, ["k", "J", "theta", "gamma0", "gamma", "j", "M"], rows)
 
 
-def _write_trajectory(path, curve, schedule, n_samples=1001, ts=None):
+def _write_trajectory(path, curve, schedule, ts=None):
     if ts is None:
-        ts = np.union1d(np.linspace(0.0, schedule.horizon, n_samples),
+        ts = np.union1d(np.linspace(0.0, schedule.horizon, 1001),
                         schedule.boundaries)
     xs = curve(ts)
     header = ["t", "mode"] + [f"x{i + 1}" for i in range(xs.shape[1])]
@@ -226,7 +228,7 @@ def _cmd_optimize(args, cfg):
         cfg, args.seed, config_dir=Path(args.config).parent)
     sched0 = _build_schedule(cfg, horizon, sys_.num_modes)
     baseline_mode = _baseline_mode(cfg, sys_.num_modes)
-    opt_cfg = _optimizer_config(cfg)
+    opt_cfg = _optimizer_config(cfg, horizon)
 
     if args.dry_run:
         print(f"config ok: optimize {meta['model']} over T={horizon:g}, "
@@ -271,11 +273,13 @@ def _cmd_horizon(args, cfg):
     drv = cfg.get("horizon_driver")
     if not isinstance(drv, dict):
         raise ConfigError('horizon runs need a "horizon_driver" object')
+    unknown = set(drv) - {"window", "n_windows", "advance"}
+    if unknown:
+        raise ConfigError(f"unknown horizon_driver keys {sorted(unknown)}")
     try:
         window = float(drv["window"])
         n_windows = int(drv["n_windows"])
         advance = float(drv.get("advance", 0.1))
-        per_window = int(drv.get("iterations_per_window", 1))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad horizon_driver: {err}") from None
     if not 0.0 < advance <= window:
@@ -290,20 +294,19 @@ def _cmd_horizon(args, cfg):
         problem_cfg, args.seed, config_dir=Path(args.config).parent)
     sched0 = _build_schedule(cfg, window, sys_.num_modes)
     baseline_mode = _baseline_mode(cfg, sys_.num_modes)
-    opt_cfg = _optimizer_config(cfg)
+    opt_cfg = _optimizer_config(cfg, window)
 
     if args.dry_run:
         print(f"config ok: horizon {meta['model']}, window {window:g} "
               f"advancing {advance:g} x {n_windows} windows "
-              f"({per_window} iteration(s) each)")
+              f"(one descent step each)")
         return 0
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     result = receding_horizon(sys_, x0, sched0, n_windows,
-                              advance=advance, config=opt_cfg,
-                              iterations_per_window=per_window)
+                              advance=advance, config=opt_cfg)
     t_run = time.perf_counter() - t0
 
     _write_windows(out / "windows.csv", result)

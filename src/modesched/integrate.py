@@ -380,8 +380,7 @@ def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
     return ts, zs, fs_batch(zs), z1
 
 
-def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
-                      knot_spacing=None):
+def integrate_adjoint(sys, schedule, x, rtol=None, atol=None):
     """Integrate the first-order adjoint backward from rho(T) = 0.
 
     The adjoint ``rhodot = -Df_sigma(x(t))^T rho - Dl(x(t))^T`` is linear in
@@ -399,8 +398,8 @@ def integrate_adjoint(sys, schedule, x, rtol=None, atol=None,
     schedule : ModeSchedule
     x : SampledCurve
         State trajectory from :func:`integrate_state` over ``schedule``.
-    rtol, atol, knot_spacing : ignored
-        Accepted so that callers may pass the state solve's settings
+    rtol, atol : ignored
+        Accepted so that callers may pass the state solve's tolerances
         along; the knots and the accuracy come from ``x``.
 
     Returns

@@ -48,20 +48,17 @@ def _winners_from_values(D, inc, gamma, ts, seg):
     dmin = D.min(axis=1)
     amin = D.argmin(axis=1) + 1
     w = np.where(dmin < -1.0 / gamma, amin, inc)
-    # flag exact ties at the minimum while below threshold: a tie that
-    # persists over an interval breaks the argmax's uniqueness assumption
-    if len(ts) >= 3:
-        D2 = np.partition(D, 1, axis=1)
-        tied = (D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))) \
-            & (dmin < -1.0 / gamma)
-        run = 0
-        for j, flag in enumerate(tied):
-            run = run + 1 if flag else 0
-            if run >= 3:
-                raise DegenerateTieError(
-                    f"degenerate argmax tie below threshold on "
-                    f"[{ts[j - 2]:.6g}, {ts[j]:.6g}] (segment {seg})"
-                )
+    # flag exact ties at the minimum while below threshold: a tie over
+    # three samples in a row breaks the argmax's uniqueness assumption
+    D2 = np.partition(D, 1, axis=1)
+    tied = (D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))) \
+        & (dmin < -1.0 / gamma)
+    runs = np.flatnonzero(tied[:-2] & tied[1:-1] & tied[2:])
+    if runs.size:
+        j = runs[0]
+        raise DegenerateTieError(
+            f"degenerate argmax tie below threshold on "
+            f"[{ts[j]:.6g}, {ts[j + 2]:.6g}] (segment {seg})")
     return w
 
 
@@ -112,29 +109,6 @@ def _segment_spans(field, seg, gamma):
     cuts.append(b)
     return [(lo, hi, m) for lo, hi, m in zip(cuts[:-1], cuts[1:], modes)
             if hi - lo > tol]
-
-
-def crossing_times(field, gamma):
-    """Times where the max rule changes the active mode, with new modes.
-
-    Returns a list of ``(t, mode)`` pairs in increasing time order; empty
-    when ``gamma`` never pushes any channel past the ``-1/gamma``
-    threshold.
-    """
-    if gamma is None or gamma <= 0.0:
-        return []
-    sched = field.schedule
-    out = []
-    prev_mode = None
-    for seg in range(sched.n_segments):
-        for lo, hi, m in _segment_spans(field, seg, gamma):
-            if prev_mode is None:
-                prev_mode = m
-                continue
-            if m != prev_mode:
-                out.append((lo, m))
-                prev_mode = m
-    return out
 
 
 def max_map(u, field, gamma, dwell=None):

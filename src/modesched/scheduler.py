@@ -22,6 +22,7 @@ from .signals import ModeSchedule
 from .integrate import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    KNOTS_PER_HORIZON,
     integrate_adjoint,
     integrate_state,
 )
@@ -62,11 +63,11 @@ class OptimizerConfig:
     values raise ``ValueError`` on construction.
 
     ``knot_spacing`` (default ``horizon/512``) caps the spacing of the
-    state curve's Hermite knots.  The adjoint is propagated on those same
-    knots, so a coarser spacing also coarsens the adjoint and with it
-    every insertion gradient: on small linear-quadratic problems with
-    ``knot_spacing = horizon`` the adjoint was off its closed form by up
-    to 2.3e-6 relative, against below 1e-9 at the default.
+    state curve's Hermite knots and may only refine them (:func:`optimize`
+    raises ``ValueError`` above ``horizon/512``): the adjoint runs on the
+    same knots, and at ``knot_spacing = horizon`` it was off its closed
+    form by up to 2.3e-6 relative on small linear-quadratic problems,
+    against below 1e-9 at the default.
     """
 
     alpha: float = 0.4
@@ -147,6 +148,14 @@ class RunResult:
         return [r.cost for r in self.iterations]
 
 
+def check_knot_spacing(knot_spacing, horizon):
+    """Reject a ``knot_spacing`` outside ``(0, horizon/512]``."""
+    finest = horizon / KNOTS_PER_HORIZON
+    if knot_spacing is not None and not 0.0 < knot_spacing <= finest:
+        raise ValueError(f"knot_spacing must lie in (0, horizon/512 = "
+                         f"{finest:g}], got {knot_spacing!r}")
+
+
 def optimize(sys, x0, schedule, config=None):
     """Descend the schedule by projected insertion-gradient steps.
 
@@ -164,6 +173,7 @@ def optimize(sys, x0, schedule, config=None):
     RunResult
     """
     cfg = config or OptimizerConfig()
+    check_knot_spacing(cfg.knot_spacing, schedule.horizon)
     u = schedule
     x = integrate_state(sys, x0, u, rtol=cfg.rtol, atol=cfg.atol,
                         knot_spacing=cfg.knot_spacing)
@@ -318,11 +328,11 @@ class HorizonResult:
 
 
 def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
-                     config=None, iterations_per_window=1):
+                     config=None):
     """Plan on a sliding window, applying only the first ``advance``.
 
-    Each window runs ``iterations_per_window`` schedule-descent
-    iterations starting from the previous plan shifted by ``advance``
+    Each window takes one schedule-descent step (one :func:`optimize`
+    iteration), starting from the previous plan shifted by ``advance``
     (tail padded with its final mode).  A window whose step fails keeps
     the inherited plan unchanged and is flagged in its report; planning
     continues from it.
@@ -339,8 +349,7 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     advance : float
         How much of each plan is executed before replanning.
     config : OptimizerConfig, optional
-        Per-window iteration knobs (``max_iter`` is overridden).
-    iterations_per_window : int
+        Per-window iteration knobs (``max_iter`` is set to 1).
 
     Returns
     -------
@@ -349,8 +358,7 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     window = schedule0.horizon
     if not 0.0 < advance <= window:
         raise ValueError(f"advance must lie in (0, {window}], got {advance}")
-    cfg = replace(config or OptimizerConfig(),
-                  max_iter=iterations_per_window)
+    cfg = replace(config or OptimizerConfig(), max_iter=1)
 
     plan = schedule0
     state = np.asarray(x0, float)

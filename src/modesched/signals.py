@@ -9,7 +9,6 @@ already active.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 from dataclasses import dataclass
 
@@ -189,32 +188,6 @@ class ModeSchedule:
     def load_json(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-    def save_csv(self, path):
-        """Write one row per segment: ``t_start, t_end, mode``."""
-        b = self.boundaries
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_start", "t_end", "mode"])
-            for i, m in enumerate(self.sequence):
-                w.writerow([f"{b[i]:.17g}", f"{b[i + 1]:.17g}", m])
-
-    @classmethod
-    def load_csv(cls, path, num_modes=None):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            raise ValueError(f"empty schedule CSV: {path}")
-        seq = tuple(int(r["mode"]) for r in rows)
-        starts = [float(r["t_start"]) for r in rows]
-        ends = [float(r["t_end"]) for r in rows]
-        for a, b in zip(ends[:-1], starts[1:]):
-            if abs(a - b) > 1e-12 * max(1.0, ends[-1]):
-                raise ValueError(f"schedule CSV has a gap between {a} and {b}")
-        if abs(starts[0]) > 1e-12 * max(1.0, ends[-1]):
-            raise ValueError("schedule CSV must start at t=0")
-        n = num_modes if num_modes is not None else max(seq)
-        return cls(seq, tuple(starts[1:]), ends[-1], n)
 
 
 def _merge_vacuous(seq, times):

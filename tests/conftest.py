@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from modesched import InsertionGradientField, ModeSchedule, constant_schedule
+from modesched import (InsertionGradientField, ModeSchedule,
+                       constant_schedule, max_map)
 from modesched.gradient import GRID_DENOM
 from modesched.models import (PowerNetwork, vehicle_initial_state,
                               vehicle_system)
@@ -82,6 +83,13 @@ def random_field(rng, sched):
                     + c[2] * np.cos(w[1] * t + p[1]))
     return InsertionGradientField.from_callables(
         sched, masked_channels(sched, raws))
+
+
+def max_rule_crossings(field, gamma):
+    """``(time, new mode)`` of every switch of the max rule at ``gamma``,
+    with no dwell merging."""
+    s = max_map(field.schedule, field, gamma, dwell=0.0)
+    return list(zip(s.times, s.sequence[1:]))
 
 
 @st.composite

@@ -9,7 +9,9 @@ import pytest
 
 import modesched
 from modesched.cli import main
-from conftest import THREE_MACHINE
+from conftest import REPO, THREE_MACHINE
+
+DEMOS = REPO / "demos"
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -86,6 +88,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"model": {"type": "power", "network": str(THREE_MACHINE),
                    "disturbance": {"magnitude": "big", "seed": 0}},
          "horizon": 1.0},
+        {"model": {"type": "vehicle"},
+         "optimizer": {"knot_spacing": 1.0}},         # coarser than T/512
     ]
     for i, cfg in enumerate(cases):
         path = write_cfg(tmp_path, cfg, f"bad{i}.json")
@@ -107,6 +111,26 @@ def test_horizon_advance_exceeding_window_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, power_cfg(advance=1.5))
     assert main(["horizon", cfg, "--dry-run"]) == 2
     assert "advance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, driver", [
+    ("iterations_per_window", {"window": 1.0, "n_windows": 2, "advance": 0.4,
+                               "iterations_per_window": 3}),
+    # misspelled, it must not fall back to the default advance
+    ("advnace", {"window": 1.0, "n_windows": 2, "advnace": 0.4}),
+])
+def test_horizon_driver_rejects_unknown_keys(tmp_path, capsys, key, driver):
+    cfg = power_cfg()
+    cfg["horizon_driver"] = driver
+    assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [("optimize", "vehicle.json"),
+                                           ("horizon", "power_triangle.json")])
+def test_shipped_configs_pass_dry_run(capsys, command, name):
+    assert main([command, str(DEMOS / name), "--dry-run"]) == 0
+    assert "config ok" in capsys.readouterr().out
 
 
 def test_log_level_fallback(tmp_path, capsys, monkeypatch):

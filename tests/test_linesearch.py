@@ -18,7 +18,6 @@ from modesched import (
     SwitchedSystem,
     backtrack,
     constant_schedule,
-    crossing_times,
     descent_slope,
     gamma_three,
     gamma_zero,
@@ -29,7 +28,7 @@ from modesched import (
 )
 from modesched.integrate import DEFAULT_ATOL, DEFAULT_RTOL, Abandoned
 from modesched.linesearch import sufficient_descent
-from conftest import random_field, random_schedule
+from conftest import max_rule_crossings, random_field, random_schedule
 
 
 def synth_field(sched, seg_channels):
@@ -191,7 +190,7 @@ def test_two_equal_wells_each_open_a_pair():
     assert sorted(round(e.time, 6) for e in events) == [0.5, 0.5, 1.5, 1.5]
     assert descent_slope(events, opt.theta, 2) == pytest.approx(-2.0,
                                                                 rel=1e-6)
-    assert len(crossing_times(field, gamma_zero(opt.theta) * 1.001)) == 4
+    assert len(max_rule_crossings(field, gamma_zero(opt.theta) * 1.001)) == 4
 
 
 def test_events_count_the_crossings_just_past_gamma0():
@@ -214,7 +213,7 @@ def test_events_count_the_crossings_just_past_gamma0():
                for m in field.local_minima()):
             continue
         events = initial_switch_events(field, opt)
-        crossings = crossing_times(field, gamma_zero(theta) * (1 + 1e-6))
+        crossings = max_rule_crossings(field, gamma_zero(theta) * (1 + 1e-6))
         assert len(crossings) == \
             len(sched.times) + sum(e.is_new for e in events)
         checked += 1

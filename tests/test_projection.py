@@ -8,7 +8,6 @@ from modesched import (
     InsertionGradientField,
     ModeSchedule,
     constant_schedule,
-    crossing_times,
     gamma_zero,
     insertion_gradient,
     integrate_adjoint,
@@ -17,7 +16,9 @@ from modesched import (
     optimality,
     project,
 )
+from modesched.projection import _winners_from_values
 from conftest import (
+    max_rule_crossings,
     quadratic_bottoms,
     quadratic_field,
     random_field,
@@ -144,7 +145,7 @@ def test_crossing_pair_around_parabolic_dip():
     gamma = g0 * 1.25
     # challenger wins where (t-1)^2 - 2 < -1/gamma
     r = np.sqrt(2.0 - 1.0 / gamma)
-    cross = crossing_times(field, gamma)
+    cross = max_rule_crossings(field, gamma)
     assert [m for _, m in cross] == [2, 1]
     assert cross[0][0] == pytest.approx(1.0 - r, abs=1e-9)
     assert cross[1][0] == pytest.approx(1.0 + r, abs=1e-9)
@@ -152,7 +153,7 @@ def test_crossing_pair_around_parabolic_dip():
     assert out.sequence == (1, 2, 1)
     np.testing.assert_allclose(out.times, [1.0 - r, 1.0 + r], atol=1e-9)
     # below the threshold nothing crosses
-    assert crossing_times(field, 0.99 * g0) == []
+    assert max_rule_crossings(field, 0.99 * g0) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,7 +162,7 @@ def test_crossings_of_a_quadratic_bottom_are_analytic(q):
     # just past gamma0 = 1/|v0| the channel beats the threshold on
     # (c - r, c + r), also when the pair sits inside one grid cell
     gamma = gamma_zero(q["v0"]) * (1.0 + q["eps"])
-    cross = crossing_times(quadratic_field(q), gamma)
+    cross = max_rule_crossings(quadratic_field(q), gamma)
     assert [m for _, m in cross] == [2, 1]
     np.testing.assert_allclose([t for t, _ in cross],
                                [q["c"] - q["r"], q["c"] + q["r"]],
@@ -205,6 +206,17 @@ def test_sliver_crossings_are_merged():
     assert out == sched
 
 
+def first_tie_run(tied):
+    """Start of the first run of three tied samples, or ``None`` (the
+    sample-by-sample reference for the vectorized check)."""
+    run = 0
+    for j, flag in enumerate(tied):
+        run = run + 1 if flag else 0
+        if run == 3:
+            return j - 2
+    return None
+
+
 def test_degenerate_tie_raises():
     sched = constant_schedule(1, 1.0, 3)
     field = InsertionGradientField.from_callables(
@@ -215,6 +227,25 @@ def test_degenerate_tie_raises():
     )
     with pytest.raises(DegenerateTieError):
         max_map(sched, field, 1.0)
+    # channels 2 and 3 tie below the threshold exactly where ``tied`` is
+    # set: two tied samples in a row pass, three raise, and the error
+    # names the first run's interval
+    pairs = np.array([False, True, True, False, True, True])
+    rng = np.random.default_rng(3)
+    for tied in [pairs] + [rng.random(n) < 0.6 for n in range(1, 40)]:
+        n = len(tied)
+        ts = np.sort(rng.uniform(0.0, 1.0, n))
+        D = np.column_stack([np.zeros(n), np.full(n, -2.0),
+                             np.where(tied, -2.0, -1.5)])
+        j = first_tie_run(tied)
+        if j is None:
+            np.testing.assert_array_equal(
+                _winners_from_values(D, 1, 1.0, ts, 5), np.full(n, 2))
+            continue
+        with pytest.raises(DegenerateTieError) as err:
+            _winners_from_values(D, 1, 1.0, ts, 5)
+        assert f"[{ts[j]:.6g}, {ts[j + 2]:.6g}] (segment 5)" \
+            in str(err.value)
 
 
 def test_project_reintegrates_cost(vehicle, vehicle_x0):

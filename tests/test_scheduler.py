@@ -223,6 +223,20 @@ def test_stop_threshold_variants():
         optimize(sys_, [2.0], u0, OptimizerConfig(alpha=1.5))
 
 
+def test_knot_spacing_may_only_refine_the_knots():
+    # the adjoint runs on the state's knots, so a spacing coarser than the
+    # default horizon/512 would coarsen every gradient
+    sys_ = two_rate_sq()
+    u0 = constant_schedule(1, 1.0, 2)
+    with pytest.raises(ValueError, match="knot_spacing"):
+        optimize(sys_, [2.0], u0, OptimizerConfig(knot_spacing=1.0))
+    res = optimize(sys_, [2.0], u0,
+                   OptimizerConfig(knot_spacing=1.0 / 1024, max_iter=2))
+    assert res.status in ("optimal", "max_iter")
+    for ts, _, _ in res.trajectory.knots:
+        assert np.diff(ts).max() <= 1.0 / 1024 + 1e-15
+
+
 def test_line_search_failure_keeps_last_iterate(monkeypatch):
     def boom(*a, **kw):
         raise LineSearchError("forced")

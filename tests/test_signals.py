@@ -108,21 +108,3 @@ def test_json_round_trip(tmp_path):
     s.save_json(p)
     back = ModeSchedule.load_json(p)
     assert back == s
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    s = random_schedule(rng, 5.5, 4, 6)
-    p = tmp_path / "sched.csv"
-    s.save_csv(p)
-    back = ModeSchedule.load_csv(p, num_modes=4)
-    assert back.sequence == s.sequence
-    assert back.horizon == pytest.approx(s.horizon, abs=0.0)
-    np.testing.assert_allclose(back.times, s.times, rtol=0, atol=1e-15)
-
-
-def test_csv_rejects_gaps(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("t_start,t_end,mode\n0.0,1.0,1\n1.5,2.0,2\n")
-    with pytest.raises(ValueError):
-        ModeSchedule.load_csv(p)
