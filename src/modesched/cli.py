@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .signals import ModeSchedule, constant_schedule
-from .integrate import integrate_adjoint, integrate_state
-from .gradient import insertion_gradient
+from .integrate import integrate_state
 from .scheduler import (OptimizerConfig, check_knot_spacing, optimize,
                         receding_horizon)
 from .models import (
@@ -43,6 +42,11 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
 
 class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
+
+
+#: top-level config keys; ``comment`` is free text that no run reads
+_CONFIG_KEYS = frozenset({"model", "horizon", "u0", "optimizer",
+                         "baseline_mode", "horizon_driver", "comment"})
 
 
 def _fmt(x):
@@ -65,6 +69,9 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = set(cfg) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     return cfg
 
 
@@ -196,11 +203,6 @@ def _write_windows(path, result):
                       "theta", "steps", "fell_back"], rows)
 
 
-def _final_field(sys_, result):
-    rho = integrate_adjoint(sys_, result.schedule, result.trajectory)
-    return insertion_gradient(sys_, result.schedule, result.trajectory, rho)
-
-
 def _baseline_mode(cfg, num_modes):
     mode = cfg.get("baseline_mode", 1)
     if isinstance(mode, bool) or not isinstance(mode, int) \
@@ -246,7 +248,7 @@ def _cmd_optimize(args, cfg):
     result.schedule.save_json(out / "schedule.json")
     ts = _write_trajectory(out / "trajectory.csv", result.trajectory,
                            result.schedule)
-    _write_field(out / "d_field.csv", _final_field(sys_, result))
+    _write_field(out / "d_field.csv", result.field)
 
     first = result.iterations[0]
     manifest = _manifest(args, cfg, meta, status=result.status,
@@ -287,11 +289,14 @@ def _cmd_horizon(args, cfg):
                           f"got {advance:g}")
     if n_windows < 1:
         raise ConfigError(f"n_windows must be at least 1, got {n_windows}")
-    # the window doubles as the model horizon unless the config says more
+    # the window is the model horizon; a top-level one may only repeat it
     problem_cfg = dict(cfg)
     problem_cfg.setdefault("horizon", window)
-    sys_, x0, _, meta = _build_problem(
+    sys_, x0, horizon, meta = _build_problem(
         problem_cfg, args.seed, config_dir=Path(args.config).parent)
+    if horizon != window:
+        raise ConfigError(f"horizon {horizon!r} differs from "
+                          f"horizon_driver.window {window!r}")
     sched0 = _build_schedule(cfg, window, sys_.num_modes)
     baseline_mode = _baseline_mode(cfg, sys_.num_modes)
     opt_cfg = _optimizer_config(cfg, window)

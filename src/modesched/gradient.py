@@ -74,7 +74,9 @@ class InsertionGradientField:
         self.schedule = schedule
         self.num_modes = schedule.num_modes
         self.horizon = schedule.horizon
-        self._values_fn = values_fn   # (seg, ts) -> (len(ts), N)
+        # (seg, ts, channels=None) -> (len(ts), N), or the listed
+        # channels' (len(ts), len(channels))
+        self._values_fn = values_fn
         # (seg, ts, channel=None) -> (len(ts), N), or channel a's (len(ts),)
         self._slopes_fn = slopes_fn
         self._grids = {}
@@ -102,33 +104,39 @@ class InsertionGradientField:
                 f"{schedule.num_modes} modes"
             )
         switches = schedule.times
+        value_fns = channels
 
-        def columns(fns, seg, ts, channel=None):
+        def columns(fns, seg, ts, modes):
             ts = np.atleast_1d(np.asarray(ts, float))
             if seg < len(switches):  # own branch, below the switch
                 ts = np.minimum(ts, np.nextafter(switches[seg], -np.inf))
-            if channel is not None:
-                return np.broadcast_to(fns[channel - 1](ts), ts.shape)
-            return np.column_stack([np.broadcast_to(f(ts), ts.shape)
-                                    for f in fns])
+            if modes is None:
+                modes = range(1, len(fns) + 1)
+            return np.column_stack([np.broadcast_to(fns[a - 1](ts), ts.shape)
+                                    for a in modes])
 
-        def values_fn(seg, ts):
-            return columns(channels, seg, ts)
+        def values_fn(seg, ts, channels=None):
+            return columns(value_fns, seg, ts, channels)
 
         if channel_slopes is not None:
-            def slopes_fn(seg, ts, channel=None):
-                return columns(channel_slopes, seg, ts, channel)
+            def slope_columns(seg, ts, modes):
+                return columns(channel_slopes, seg, ts, modes)
         else:
             h = 1e-7 * schedule.horizon
 
-            def slopes_fn(seg, ts, channel=None):
+            def slope_columns(seg, ts, modes):
                 a, b = schedule.segment_bounds(seg)
                 hs = min(h, (b - a) / 4.0)  # stencil in [a + hs, b - hs]
                 tc = np.clip(np.atleast_1d(np.asarray(ts, float)),
                              a + 2.0 * hs, b - 2.0 * hs)
-                return (columns(channels, seg, tc + hs, channel)
-                        - columns(channels, seg, tc - hs, channel)) \
+                return (columns(value_fns, seg, tc + hs, modes)
+                        - columns(value_fns, seg, tc - hs, modes)) \
                     / (2.0 * hs)
+
+        def slopes_fn(seg, ts, channel=None):
+            if channel is None:
+                return slope_columns(seg, ts, None)
+            return slope_columns(seg, ts, (channel,))[:, 0]
 
         return cls(schedule, values_fn, slopes_fn)
 
@@ -161,9 +169,10 @@ class InsertionGradientField:
         sl = self._slopes_fn(seg, np.array([tc - h, tc + h]), a)
         return float((sl[1] - sl[0]) / (2.0 * h))
 
-    def values_in_segment(self, seg, ts):
-        """Channel matrix (len(ts), N) using segment ``seg``'s branch."""
-        return self._values_fn(seg, np.asarray(ts, float))
+    def values_in_segment(self, seg, ts, channels=None):
+        """Channel matrix (len(ts), N) using segment ``seg``'s branch;
+        with a sequence of modes ``channels``, only those columns."""
+        return self._values_fn(seg, np.asarray(ts, float), channels)
 
     # -- sampling and minima -------------------------------------------
 
@@ -305,18 +314,19 @@ def insertion_gradient(sys, schedule, x, rho):
     """
     N = sys.num_modes
 
-    def values_fn(seg, ts):
+    def values_fn(seg, ts, channels=None):
         ts = np.atleast_1d(np.asarray(ts, float))
         xs = x(ts, seg=seg)
         rs = rho(ts, seg=seg)
         active = schedule.sequence[seg]
+        modes = range(1, N + 1) if channels is None else channels
         fm = sys.mode_field(active, xs)
-        out = np.empty((len(ts), N))
-        for a in range(1, N + 1):
+        out = np.empty((len(ts), len(modes)))
+        for col, a in enumerate(modes):
             if a == active:
-                out[:, a - 1] = 0.0
+                out[:, col] = 0.0
             else:
-                out[:, a - 1] = np.einsum(
+                out[:, col] = np.einsum(
                     "ij,ij->i", rs, sys.mode_field(a, xs) - fm)
         return out
 

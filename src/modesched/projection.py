@@ -92,19 +92,21 @@ def _segment_spans(field, seg, gamma):
         ts, D = ts[keep], D[keep]
     w = _winners_from_values(D, inc, gamma, ts, seg)
 
-    def gap(row, new, old):
-        """``E_new - E_old`` from one row of channel values."""
-        e = lambda m: min(row[m - 1], threshold) if m == inc else row[m - 1]
-        return e(new) - e(old)
+    def gap(d_new, d_old, new, old):
+        """``E_new - E_old`` from the two channels' values."""
+        e = lambda v, m: min(v, threshold) if m == inc else v
+        return e(d_new, new) - e(d_old, old)
 
     tol = ROOT_TOL * sched.horizon
     cuts, modes = [a], [int(w[0])]
     for j in np.flatnonzero(w[1:] != w[:-1]):
         new, old = int(w[j + 1]), int(w[j])
         f = lambda t, new=new, old=old: gap(
-            field.values_in_segment(seg, np.array([t]))[0], new, old)
-        cuts.append(_bracketed_root(f, ts[j], ts[j + 1], gap(D[j], new, old),
-                                    gap(D[j + 1], new, old), tol))
+            *field.values_in_segment(seg, np.array([t]), (new, old))[0],
+            new, old)
+        cuts.append(_bracketed_root(
+            f, ts[j], ts[j + 1], gap(D[j, new - 1], D[j, old - 1], new, old),
+            gap(D[j + 1, new - 1], D[j + 1, old - 1], new, old), tol))
         modes.append(new)
     cuts.append(b)
     return [(lo, hi, m) for lo, hi, m in zip(cuts[:-1], cuts[1:], modes)

@@ -95,9 +95,11 @@ class OptimizerConfig:
 class IterationReport:
     """One row of the optimization trace: what iteration ``k`` did.
 
-    ``cost``/``theta``/``n_segments`` describe iterate ``k``; ``gamma``
-    and ``j`` describe the accepted step taken *from* iterate ``k``
-    (``None`` on the final row and on failed iterations).
+    ``cost``/``theta``/``n_segments`` describe iterate ``k`` (``theta`` is
+    nan on a final row that ``optimize(..., final_field=False)`` did not
+    build a field for); ``gamma`` and ``j`` describe the accepted step
+    taken *from* iterate ``k`` (``None`` on the final row and on failed
+    iterations).
 
     ``events`` are the switching events that typed the step
     (:class:`SwitchEvent`: type, ``omega``, slope, curvature; empty on
@@ -132,7 +134,9 @@ class RunResult:
     ``"max_iter"`` (budget exhausted), ``"type_failure"`` (a switching
     time moved in a way outside the first- and second-order step models),
     or ``"line_search_failure"``.  ``schedule``/``trajectory``/``cost``
-    always describe the best (last accepted) iterate.
+    always describe the best (last accepted) iterate, and ``field`` is
+    its :class:`InsertionGradientField` (``None`` when ``optimize`` ran
+    with ``final_field=False`` and took its last step).
     """
 
     schedule: ModeSchedule
@@ -141,6 +145,7 @@ class RunResult:
     status: str
     iterations: list
     theta_final: float
+    field: object = None
 
     @property
     def costs(self):
@@ -156,7 +161,7 @@ def check_knot_spacing(knot_spacing, horizon):
                          f"{finest:g}], got {knot_spacing!r}")
 
 
-def optimize(sys, x0, schedule, config=None):
+def optimize(sys, x0, schedule, config=None, *, final_field=True):
     """Descend the schedule by projected insertion-gradient steps.
 
     Parameters
@@ -167,6 +172,12 @@ def optimize(sys, x0, schedule, config=None):
     schedule : ModeSchedule
         Starting schedule; also fixes horizon and mode count.
     config : OptimizerConfig, optional
+    final_field : bool
+        With ``False``, a run that takes its ``max_iter``-th step (``max_iter
+        > 0``) stops there without building the final iterate's adjoint and
+        field: the last row and ``theta_final`` carry ``theta = nan``,
+        ``field`` is ``None`` and the status is ``"max_iter"``, so the run
+        is ``"optimal"`` only when its first iterate already meets the stop.
 
     Returns
     -------
@@ -182,8 +193,14 @@ def optimize(sys, x0, schedule, config=None):
     status = "max_iter"
     theta_stop = None
     theta = math.nan
+    d = None
 
     for k in range(cfg.max_iter + 1):
+        if k == cfg.max_iter > 0 and not final_field:
+            rows.append(IterationReport(k=k, cost=J, theta=math.nan,
+                                        n_segments=u.n_segments))
+            theta, d = math.nan, None
+            break
         rho = integrate_adjoint(sys, u, x)
         d = insertion_gradient(sys, u, x, rho)
         opt = optimality(d)
@@ -260,7 +277,7 @@ def optimize(sys, x0, schedule, config=None):
         u, x, J = accepted.schedule, accepted.trajectory, accepted.cost
 
     return RunResult(schedule=u, trajectory=x, cost=J, status=status,
-                     iterations=rows, theta_final=theta)
+                     iterations=rows, theta_final=theta, field=d)
 
 
 # -- schedule surgery for the sliding window --------------------------------
@@ -299,6 +316,9 @@ class WindowReport:
     ``reason`` is the failed iteration's :attr:`IterationReport.reason`
     when the window's descent stopped on a failure, ``None`` otherwise;
     a window that ``fell_back`` kept its inherited plan for that reason.
+    ``theta`` is the window's first iterate's; the stepped plan's is never
+    computed, so ``status`` is ``"optimal"`` only when that first iterate
+    already met the stop, and ``"max_iter"`` after a step.
     """
 
     index: int
@@ -335,7 +355,9 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     iteration), starting from the previous plan shifted by ``advance``
     (tail padded with its final mode).  A window whose step fails keeps
     the inherited plan unchanged and is flagged in its report; planning
-    continues from it.
+    continues from it.  The stepped plan's adjoint and field are not built
+    (``optimize(..., final_field=False)``): a window reports ``"optimal"``
+    only when its first iterate already meets the stop.
 
     Parameters
     ----------
@@ -367,7 +389,7 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     reports = []
 
     for w in range(n_windows):
-        res = optimize(sys, state, plan, cfg)
+        res = optimize(sys, state, plan, cfg, final_field=False)
         steps = sum(1 for r in res.iterations if r.gamma is not None)
         reason = res.iterations[-1].reason
         fell_back = reason is not None and steps == 0

@@ -90,6 +90,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "horizon": 1.0},
         {"model": {"type": "vehicle"},
          "optimizer": {"knot_spacing": 1.0}},         # coarser than T/512
+        {"model": {"type": "vehicle"}, "u0": 2,
+         "optimiser": {"max_iter": 3}},               # misspelt key
     ]
     for i, cfg in enumerate(cases):
         path = write_cfg(tmp_path, cfg, f"bad{i}.json")
@@ -124,6 +126,17 @@ def test_horizon_driver_rejects_unknown_keys(tmp_path, capsys, key, driver):
     cfg["horizon_driver"] = driver
     assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_horizon_run_rejects_a_horizon_other_than_the_window(tmp_path,
+                                                              capsys):
+    cfg = power_cfg()
+    cfg["horizon"] = 7.0
+    assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert "horizon_driver.window" in capsys.readouterr().err
+    cfg["horizon"] = 1.0                              # repeating it is fine
+    assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command, name", [("optimize", "vehicle.json"),

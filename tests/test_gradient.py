@@ -255,3 +255,42 @@ def test_single_channel_slopes_are_the_full_columns(name):
                 # the active mode's Jacobian and channel a's, or none
                 assert sorted(modes) == ([] if a == active
                                          else sorted([active, a]))
+
+
+@pytest.mark.parametrize("name", SLOPE_CASES)
+def test_listed_channel_values_are_the_full_columns(name):
+    # a crossing's root solve reads only the two modes it compares
+    sys_, x0, sched = SLOPE_CASES[name]()
+    modes = []
+
+    def mode_field(i, x):
+        modes.append(i)
+        return sys_.mode_field(i, x)
+
+    counted = dataclasses.replace(sys_, mode_field=mode_field)
+    _, _, field = field_for(counted, x0, sched)
+    rng = np.random.default_rng(4)
+    pairs = [(a, b) for a in range(1, sched.num_modes + 1)
+             for b in range(1, sched.num_modes + 1) if a != b]
+    for seg in range(sched.n_segments):
+        lo, hi = sched.segment_bounds(seg)
+        active = sched.sequence[seg]
+        for t in np.concatenate([[lo, hi], rng.uniform(lo, hi, 3)]):
+            ts = np.array([t])
+            full = field.values_in_segment(seg, ts)
+            for pair in pairs:
+                modes.clear()
+                got = field.values_in_segment(seg, ts, pair)
+                assert np.array_equal(got, full[:, [m - 1 for m in pair]])
+                assert sorted(modes) == sorted({active, *pair})
+
+
+def test_listed_channel_values_of_a_synthetic_field():
+    sched = ModeSchedule((1, 3, 2), (0.4, 0.7), 1.0, 3)
+    field = InsertionGradientField.from_callables(
+        sched, [np.sin, np.cos, lambda t: t ** 2])
+    ts = np.linspace(0.0, 1.0, 7)
+    for seg in range(sched.n_segments):
+        full = field.values_in_segment(seg, ts)
+        assert np.array_equal(field.values_in_segment(seg, ts, (3, 1)),
+                              full[:, [2, 0]])

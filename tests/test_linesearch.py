@@ -38,10 +38,12 @@ def synth_field(sched, seg_channels):
     keeps one-sided limits at switching times honest, which a single
     global callable per channel cannot.
     """
-    def values_fn(seg, ts):
+    def values_fn(seg, ts, channels=None):
         ts = np.atleast_1d(np.asarray(ts, float))
-        return np.column_stack([np.broadcast_to(f(ts), ts.shape)
-                                for f in seg_channels[seg]])
+        fns = seg_channels[seg]
+        modes = range(1, len(fns) + 1) if channels is None else channels
+        return np.column_stack([np.broadcast_to(fns[a - 1](ts), ts.shape)
+                                for a in modes])
 
     h = 1e-7 * sched.horizon
 

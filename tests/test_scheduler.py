@@ -13,8 +13,11 @@ from modesched import (
     ModeSchedule,
     OptimizerConfig,
     SwitchedSystem,
+    WindowReport,
     constant_schedule,
     gamma_three,
+    insertion_gradient,
+    integrate_adjoint,
     optimize,
     receding_horizon,
     shift_schedule,
@@ -254,6 +257,73 @@ def test_line_search_failure_keeps_last_iterate(monkeypatch):
     assert res.cost == pytest.approx(res.iterations[0].cost)
 
 
+def fresh_field(sys_, res):
+    """The insertion-gradient field of ``res``'s final iterate, rebuilt."""
+    rho = integrate_adjoint(sys_, res.schedule, res.trajectory)
+    return insertion_gradient(sys_, res.schedule, res.trajectory, rho)
+
+
+@pytest.mark.parametrize("cfg, status", [
+    (OptimizerConfig(theta_stop=0.0, max_iter=2), "max_iter"),
+    (OptimizerConfig(theta_stop=-1e6), "optimal"),
+])
+def test_result_field_is_the_final_iterates(cfg, status):
+    sys_ = two_rate_sq()
+    res = optimize(sys_, [2.0], constant_schedule(1, 1.0, 2), cfg)
+    assert res.status == status
+    ref = fresh_field(sys_, res)
+    assert res.field.schedule == res.schedule
+    for seg in range(res.schedule.n_segments):
+        assert np.array_equal(res.field.grid_values(seg),
+                              ref.grid_values(seg))
+
+
+def test_result_field_after_a_failed_step(monkeypatch):
+    def boom(*a, **kw):
+        raise LineSearchError("forced")
+
+    monkeypatch.setattr("modesched.scheduler.backtrack", boom)
+    sys_ = two_rate_sq()
+    res = optimize(sys_, [2.0], constant_schedule(1, 1.0, 2),
+                   OptimizerConfig(theta_stop=0.0, max_iter=5),
+                   final_field=False)
+    assert res.status == "line_search_failure"
+    assert np.array_equal(res.field.grid_values(0),
+                          fresh_field(sys_, res).grid_values(0))
+
+
+def test_final_field_false_cuts_only_the_last_row():
+    sys_ = two_rate_sq()
+    u0 = constant_schedule(1, 1.0, 2)
+    cfg = OptimizerConfig(theta_stop=0.0, max_iter=3)
+    full = optimize(sys_, [2.0], u0, cfg)
+    cut = optimize(sys_, [2.0], u0, cfg, final_field=False)
+    assert full.status == cut.status == "max_iter"
+    assert cut.iterations[:-1] == full.iterations[:-1]
+    last = cut.iterations[-1]
+    assert (last.k, last.cost, last.n_segments) == (
+        3, full.iterations[-1].cost, full.iterations[-1].n_segments)
+    assert math.isnan(last.theta) and math.isnan(cut.theta_final)
+    assert last.gamma is None and last.events == () and last.trials == ()
+    assert cut.field is None
+    assert (cut.schedule, cut.cost) == (full.schedule, full.cost)
+
+
+@pytest.mark.parametrize("theta_stop, status", [(-1e6, "optimal"),
+                                                (0.0, "max_iter")])
+def test_final_field_false_without_a_step_still_builds_the_field(
+        theta_stop, status):
+    # with no step to take, the first iterate is also the final one
+    res = optimize(two_rate_sq(), [2.0], constant_schedule(1, 1.0, 2),
+                   OptimizerConfig(theta_stop=theta_stop, max_iter=0),
+                   final_field=False)
+    assert res.status == status
+    assert len(res.iterations) == 1
+    assert math.isfinite(res.theta_final) and res.theta_final < 0.0
+    assert res.theta_final == res.iterations[0].theta
+    assert res.field is not None
+
+
 def test_abandoned_trials_change_no_decision():
     # with no cost floor no trial is abandoned; every iterate, step and
     # cost must come out the same, bit for bit
@@ -353,6 +423,60 @@ def test_power_windows_step_at_quadratic_field_minima():
                           config=OptimizerConfig(alpha=0.4, beta=0.1))
     assert [w.fell_back for w in rh.windows] == [False] * 3
     assert all(w.steps >= 1 for w in rh.windows)
+
+
+def three_machine_horizon(monkeypatch, final_field=None):
+    """Five published three-machine windows; the run and its adjoint count.
+
+    With ``final_field`` set, every window's ``optimize`` runs with it
+    whatever the driver asks for.
+    """
+    import modesched.scheduler as scheduler_module
+    calls = []
+    real_adjoint = scheduler_module.integrate_adjoint
+    real_optimize = scheduler_module.optimize
+
+    def integrate_adjoint(*args, **kwargs):
+        calls.append(args[1])
+        return real_adjoint(*args, **kwargs)
+
+    def optimize(*args, **kwargs):
+        kwargs["final_field"] = final_field
+        return real_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "integrate_adjoint",
+                        integrate_adjoint)
+    if final_field is not None:
+        monkeypatch.setattr(scheduler_module, "optimize", optimize)
+    net = load_network(str(THREE_MACHINE))
+    x0 = initial_state(net, magnitude=0.3, seed=0)
+    rh = receding_horizon(power_system(net), x0,
+                          constant_schedule(1, 1.0, net.num_configs),
+                          n_windows=5, advance=0.1,
+                          config=OptimizerConfig(alpha=0.4, beta=0.1))
+    monkeypatch.undo()
+    return rh, len(calls)
+
+
+def test_receding_horizon_builds_one_adjoint_per_window(monkeypatch):
+    rh, adjoints = three_machine_horizon(monkeypatch)
+    assert len(rh.windows) == 5
+    assert adjoints == 5
+
+
+def test_receding_horizon_reports_as_with_the_final_field(monkeypatch):
+    # the stepped plan's field fills only fields the driver never reads:
+    # every report and the applied schedule come out bit for bit the same
+    # as when each window builds it, one adjoint per window fewer
+    rh, adjoints = three_machine_horizon(monkeypatch)
+    ref, ref_adjoints = three_machine_horizon(monkeypatch, final_field=True)
+    assert ref_adjoints == adjoints + len(ref.windows)
+    assert [w.status for w in ref.windows] == ["max_iter"] * 5
+    for got, want in zip(rh.windows, ref.windows):
+        for f in dataclasses.fields(WindowReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert rh.schedule == ref.schedule
+    assert rh.cost == ref.cost
 
 
 def test_receding_horizon_fallback_keeps_plan(monkeypatch):
