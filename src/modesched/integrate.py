@@ -73,7 +73,7 @@ class SwitchedSystem:
     ``running_cost_gradient`` ``(k, n)``.
 
     The forward solver calls ``mode_field`` and ``running_cost`` once per
-    Runge-Kutta stage, on a single ``(n,)`` state: about 34k stages in the
+    Runge-Kutta stage, on a single ``(n,)`` state: about 21k stages in the
     50-window power receding-horizon run.  Per-call overhead dominates
     there, so a model should compute whatever does not depend on the state
     once, when it builds the callables, rather than inside them.  Every
@@ -296,7 +296,6 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     else:
         z = np.concatenate([x0, [0.0]])
     bnds = schedule.boundaries
-    field, cost = sys.mode_field, sys.running_cost
     floor, T = sys.cost_floor, schedule.horizon
     stop = None
     if cost_bound is not None and floor is not None:
@@ -306,18 +305,7 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     for i in range(len(x_segs), schedule.n_segments):
         if stop is not None and stop(bnds[i], z) > 0.0:
             return Abandoned(float(bnds[i]))
-        m = schedule.sequence[i]
-
-        def rhs(t, zz, m=m):
-            x = zz[:n]
-            dz = np.empty(n + 1)
-            dz[:n] = field(m, x)
-            dz[n] = cost(x)
-            return dz
-
-        def fs_batch(zs, m=m):
-            return np.column_stack([field(m, zs[:, :n]), cost(zs[:, :n])])
-
+        rhs, fs_batch = _augmented(sys, schedule.sequence[i])
         seg = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1], z, rtol,
                              atol, T, knot_spacing, event=stop)
         if isinstance(seg, Abandoned):
@@ -331,18 +319,27 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     return x
 
 
+def _solved_from(curve, inputs, x0):
+    """Whether :func:`integrate_state` solved ``curve`` from ``x0`` with
+    the system, horizon and settings of ``inputs``, ``(sys, schedule,
+    rtol, atol, knot_spacing)``.  The curve's first knot is its pinned
+    initial state."""
+    if curve is None or curve._inputs is None:
+        return False
+    sys, sched, *settings = inputs
+    sys1, sched1, *settings1 = curve._inputs
+    return sys1 is sys and settings1 == settings \
+        and sched1.horizon == sched.horizon \
+        and np.array_equal(curve.knots[0][1][0], x0)
+
+
 def _shared_prefix(inputs, x0, curve):
     """State and cost knots of the leading segments that a solve of
     ``inputs`` from ``x0`` would repeat from ``curve``; two empty lists if
-    none.  The curve's first knot is its pinned initial state."""
-    if curve is None or curve._inputs is None:
+    none."""
+    if not _solved_from(curve, inputs, x0):
         return [], []
-    sys, sched, *settings = inputs
-    sys1, sched1, *settings1 = curve._inputs
-    if sys1 is not sys or settings1 != settings \
-            or sched1.horizon != sched.horizon \
-            or not np.array_equal(curve.knots[0][1][0], x0):
-        return [], []
+    sched, sched1 = inputs[1], curve._inputs[1]
     b, b1 = sched.boundaries, sched1.boundaries
     k = 0
     while k < min(sched.n_segments, sched1.n_segments) \
@@ -350,6 +347,69 @@ def _shared_prefix(inputs, x0, curve):
             and b[k + 1] == b1[k + 1]:
         k += 1
     return curve.knots[:k], curve.cost_curve.knots[:k]
+
+
+def _shift_curve(x, dt, schedule):
+    """The state curve ``x`` slid earlier by ``dt`` onto ``schedule``, its
+    schedule shifted by ``dt`` with the final mode held on the tail.
+
+    ``x`` is an :func:`integrate_state` result.  On ``[dt, T]`` it already
+    solves the shifted schedule's ODE from ``x(dt)``, so its knots there
+    are kept, moved to ``t - dt``, with ``x.cost_at(dt)`` taken off the
+    accumulator.  Knots within ``_knot_times``' dedup distance of ``dt``
+    give way to a new first knot at ``x(dt)``; only the padded tail
+    ``[T - dt, T]`` is solved, in the held final mode, from the pinned end
+    knot.  The result names ``schedule`` and ``x(dt)`` as its inputs, so it
+    stands in for ``integrate_state(sys, x(dt), schedule, ...)`` (to solver
+    tolerance), prefix reuse included.  ``dt`` lies in ``(0, T]``.
+    """
+    sys, sched, rtol, atol, knot_spacing = x._inputs
+    T = sched.horizon
+    i0 = sched.segment_of(dt)
+    c_dt = x.cost_at(dt)
+    segs = [(ts - dt, np.hstack([ys, cs - c_dt]), np.hstack([fs, gs]))
+            for (ts, ys, fs), (_, cs, gs)
+            in zip(x.knots[i0:], x.cost_curve.knots[i0:])]
+    ts, zs, fs = segs[0]
+    keep = ts > 1e-14 * max(1.0, T)
+    keep[-1] = ts[-1] > 0.0  # a segment end past dt is a boundary
+    z0 = np.concatenate([x(dt), [0.0]])
+    f0 = _augmented(sys, sched.sequence[i0])[1](z0[None])
+    segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
+               np.vstack([f0, fs[keep]]))
+    ts, zs, fs = segs[-1]
+    tts, tzs, tfs, _ = _solve_segment(
+        *_augmented(sys, sched.sequence[-1]), float(ts[-1]), T, zs[-1],
+        rtol, atol, T, knot_spacing)
+    segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
+                np.vstack([fs, tfs[1:]]))
+    n = sys.dim
+    bnds = schedule.boundaries
+    cost_curve = SampledCurve(bnds, [(t, z[:, n:], f[:, n:])
+                                     for t, z, f in segs])
+    out = SampledCurve(bnds, [(t, z[:, :n], f[:, :n]) for t, z, f in segs],
+                       cost_curve=cost_curve)
+    out._inputs = (sys, schedule, rtol, atol, knot_spacing)
+    return out
+
+
+def _augmented(sys, m):
+    """Mode ``m``'s right-hand side with the running-cost accumulator
+    appended: ``rhs(t, z)`` at one state, ``fs_batch(zs)`` on a stack."""
+    n = sys.dim
+    field, cost = sys.mode_field, sys.running_cost
+
+    def rhs(t, zz):
+        x = zz[:n]
+        dz = np.empty(n + 1)
+        dz[:n] = field(m, x)
+        dz[n] = cost(x)
+        return dz
+
+    def fs_batch(zs):
+        return np.column_stack([field(m, zs[:, :n]), cost(zs[:, :n])])
+
+    return rhs, fs_batch
 
 
 def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,

@@ -23,6 +23,8 @@ from .integrate import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     KNOTS_PER_HORIZON,
+    _shift_curve,
+    _solved_from,
     integrate_adjoint,
     integrate_state,
 )
@@ -161,7 +163,8 @@ def check_knot_spacing(knot_spacing, horizon):
                          f"{finest:g}], got {knot_spacing!r}")
 
 
-def optimize(sys, x0, schedule, config=None, *, final_field=True):
+def optimize(sys, x0, schedule, config=None, *, final_field=True,
+             trajectory=None):
     """Descend the schedule by projected insertion-gradient steps.
 
     Parameters
@@ -178,6 +181,11 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True):
         field: the last row and ``theta_final`` carry ``theta = nan``,
         ``field`` is ``None`` and the status is ``"max_iter"``, so the run
         is ``"optimal"`` only when its first iterate already meets the stop.
+    trajectory : SampledCurve, optional
+        The starting schedule's state curve, used instead of integrating
+        it: a fresh :func:`integrate_state` result or a warm start built
+        from one.  ``ValueError`` unless it was solved for this system,
+        schedule, ``x0`` and the config's tolerances and knot spacing.
 
     Returns
     -------
@@ -186,8 +194,16 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True):
     cfg = config or OptimizerConfig()
     check_knot_spacing(cfg.knot_spacing, schedule.horizon)
     u = schedule
-    x = integrate_state(sys, x0, u, rtol=cfg.rtol, atol=cfg.atol,
-                        knot_spacing=cfg.knot_spacing)
+    if trajectory is None:
+        x = integrate_state(sys, x0, u, rtol=cfg.rtol, atol=cfg.atol,
+                            knot_spacing=cfg.knot_spacing)
+    elif _solved_from(trajectory, (sys, u, cfg.rtol, cfg.atol,
+                                   cfg.knot_spacing), x0) \
+            and trajectory._inputs[1] == u:
+        x = trajectory
+    else:
+        raise ValueError("trajectory was not solved for this system, "
+                         "schedule, x0, tolerances and knot spacing")
     J = x.cost
     rows = []
     status = "max_iter"
@@ -299,8 +315,9 @@ def shift_schedule(sched, dt):
     The restriction to ``[dt, T]`` is moved to start at 0 and the final
     mode is held on the vacated tail ``[T - dt, T]``, so the horizon
     ``T`` is kept.  A switch at ``dt`` itself is dropped: the shifted
-    schedule starts in the later mode.  This is the warm start for the
-    next planning window.
+    schedule starts in the later mode.  This is the schedule half of the
+    next planning window's warm start; the accepted trajectory, slid the
+    same way, is the other.
     """
     if not 0.0 <= dt <= sched.horizon:
         raise ValueError(f"dt must lie in [0, {sched.horizon}], got {dt}")
@@ -353,11 +370,17 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
 
     Each window takes one schedule-descent step (one :func:`optimize`
     iteration), starting from the previous plan shifted by ``advance``
-    (tail padded with its final mode).  A window whose step fails keeps
-    the inherited plan unchanged and is flagged in its report; planning
-    continues from it.  The stepped plan's adjoint and field are not built
-    (``optimize(..., final_field=False)``): a window reports ``"optimal"``
-    only when its first iterate already meets the stop.
+    (tail padded with its final mode).  Every window after the first is
+    warm-started: its starting trajectory is the previous plan's accepted
+    one slid by ``advance``, which already solves the shifted plan on all
+    but the padded tail, so only that tail is integrated.  The window's
+    state is that trajectory's value at ``advance``, and its costs agree
+    with a fresh integration to solver tolerance.  A window whose step
+    fails keeps the inherited plan unchanged and is flagged in its
+    report; planning continues from it.  The stepped plan's adjoint and
+    field are not built (``optimize(..., final_field=False)``): a window
+    reports ``"optimal"`` only when its first iterate already meets the
+    stop.
 
     Parameters
     ----------
@@ -384,12 +407,14 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
 
     plan = schedule0
     state = np.asarray(x0, float)
+    warm = None
     seq, times = [], []
     t_abs = 0.0
     reports = []
 
     for w in range(n_windows):
-        res = optimize(sys, state, plan, cfg, final_field=False)
+        res = optimize(sys, state, plan, cfg, final_field=False,
+                       trajectory=warm)
         steps = sum(1 for r in res.iterations if r.gamma is not None)
         reason = res.iterations[-1].reason
         fell_back = reason is not None and steps == 0
@@ -413,6 +438,8 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
                 times.append(t_abs + a)
         state = res.trajectory(advance)
         plan = shift_schedule(res.schedule, advance)
+        if w + 1 < n_windows:
+            warm = _shift_curve(res.trajectory, advance, plan)
         t_abs += advance
 
     applied = ModeSchedule(sequence=tuple(seq), times=tuple(times),

@@ -17,8 +17,9 @@ from modesched import (
     constant_schedule,
     integrate_adjoint,
     integrate_state,
+    shift_schedule,
 )
-from modesched.integrate import Abandoned
+from modesched.integrate import Abandoned, _shift_curve
 from modesched.models import (
     initial_state,
     load_network,
@@ -512,6 +513,70 @@ def test_nothing_reused_from_other_inputs(vehicle, vehicle_x0):
     longer = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.5, 4)
     reused = integrate_state(vehicle, vehicle_x0, longer, reuse=x_u)
     assert shared_segments(reused, x_u) == 0
+
+
+# -- warm start of the next planning window ---------------------------------------
+
+@st.composite
+def warm_starts(draw):
+    """A system, initial state and schedule of 1-4 segments, and a shift:
+    at a random time, exactly at a switching time, or the whole window."""
+    problem = draw(st.sampled_from([vehicle_problem, power_problem]))
+    sys_, x0, sched = problem()
+    seed = draw(st.integers(0, 2**32 - 1))
+    sched = random_schedule(np.random.default_rng(seed), sched.horizon,
+                            sys_.num_modes, draw(st.integers(0, 3)))
+    T = sched.horizon
+    where = draw(st.sampled_from(["random", "switch", "window"]))
+    if where == "switch" and sched.times:
+        dt = draw(st.sampled_from(sched.times))
+    elif where == "window":
+        dt = T
+    else:
+        dt = draw(st.floats(1e-3 * T, T))
+    return sys_, x0, sched, dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=warm_starts())
+def test_shifted_curve_matches_a_fresh_solve(case):
+    sys_, x0, sched, dt = case
+    x = integrate_state(sys_, x0, sched)
+    shifted = shift_schedule(sched, dt)
+    warm = _shift_curve(x, dt, shifted)
+    fresh = integrate_state(sys_, x(dt), shifted)
+    # the next window's x0 and schedule, bit for bit
+    assert np.array_equal(warm.knots[0][1][0], x(dt))
+    assert np.array_equal(warm.boundaries, shifted.boundaries)
+    assert warm._inputs == fresh._inputs
+    ts = np.linspace(0.0, sched.horizon, 401)
+    scale = np.abs(fresh(ts)).max()
+    assert np.abs(warm(ts) - fresh(ts)).max() <= 100 * 1e-8 * scale
+    J = fresh.cost
+    assert abs(warm.cost - J) <= 100 * (1e-9 + 1e-8 * abs(J))
+    for ts, _, _ in warm.knots:
+        assert np.diff(ts).max() <= sched.horizon / 512 * (1.0 + 1e-12)
+
+
+def test_warm_curve_keeps_the_trials_prefix_reuse(monkeypatch):
+    # a trial of the next window that first crosses inside segment j
+    # solves only from that segment on; a warm curve naming other inputs
+    # or another first knot would be solved again from 0
+    sys_, x0, sched = power_problem()
+    x = integrate_state(sys_, x0, sched)
+    shifted = shift_schedule(sched, 0.1)
+    warm = _shift_curve(x, 0.1, shifted)
+    assert shifted.n_segments == 3
+    calls = count_solves(monkeypatch)
+    for j in (1, 2):
+        lo, hi = shifted.segment_bounds(j)
+        t0, t1 = lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo)
+        trial = shifted.insert(3 - shifted.sequence[j], t0, t1)
+        calls.clear()
+        reused = integrate_state(sys_, x(0.1), trial, reuse=warm)
+        assert calls[0] == (lo, t0)
+        assert len(calls) == trial.n_segments - j
+        assert shared_segments(reused, warm) == j
 
 
 # -- abandoning a trial once its cost passes a bound --------------------------

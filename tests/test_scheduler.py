@@ -12,12 +12,14 @@ from modesched import (
     LineSearchError,
     ModeSchedule,
     OptimizerConfig,
+    RunResult,
     SwitchedSystem,
     WindowReport,
     constant_schedule,
     gamma_three,
     insertion_gradient,
     integrate_adjoint,
+    integrate_state,
     optimize,
     receding_horizon,
     shift_schedule,
@@ -238,6 +240,40 @@ def test_knot_spacing_may_only_refine_the_knots():
     assert res.status in ("optimal", "max_iter")
     for ts, _, _ in res.trajectory.knots:
         assert np.diff(ts).max() <= 1.0 / 1024 + 1e-15
+
+
+def test_optimize_rejects_a_trajectory_solved_for_other_inputs():
+    sys_, x0 = vehicle_system(), vehicle_initial_state()
+    u = ModeSchedule((1, 4, 2), (1.1, 2.3), 3.0, 4)
+    others = [
+        integrate_state(sys_, x0, u.with_times((1.2, 2.3))),
+        integrate_state(sys_, x0 + np.array([1e-3, 0.0, 0.0, 0.0]), u),
+        integrate_state(vehicle_system(), x0, u),
+        integrate_state(sys_, x0, u, rtol=1e-10),
+        integrate_state(sys_, x0, u, atol=1e-10),
+        integrate_state(sys_, x0, u, knot_spacing=3.0 / 1024),
+    ]
+    for x in others:
+        with pytest.raises(ValueError, match="trajectory"):
+            optimize(sys_, x0, u, OptimizerConfig(max_iter=1), trajectory=x)
+
+
+def test_optimize_from_a_fresh_trajectory_is_bitwise_unchanged():
+    # the first two steps of the published vehicle descent
+    sys_, x0 = vehicle_system(), vehicle_initial_state()
+    u0 = constant_schedule(2, HORIZON_DEFAULT, 4)
+    cfg = OptimizerConfig(max_iter=2)
+    ref = optimize(sys_, x0, u0, cfg)
+    got = optimize(sys_, x0, u0, cfg,
+                   trajectory=integrate_state(sys_, x0, u0))
+    for f in dataclasses.fields(RunResult):
+        if f.name not in ("trajectory", "field"):
+            assert getattr(got, f.name) == getattr(ref, f.name), f.name
+    for a, b in zip(got.trajectory.knots, ref.trajectory.knots):
+        assert all(np.array_equal(va, vb) for va, vb in zip(a, b))
+    for seg in range(ref.schedule.n_segments):
+        assert np.array_equal(got.field.grid_values(seg),
+                              ref.field.grid_values(seg))
 
 
 def test_line_search_failure_keeps_last_iterate(monkeypatch):
@@ -462,6 +498,33 @@ def test_receding_horizon_builds_one_adjoint_per_window(monkeypatch):
     rh, adjoints = three_machine_horizon(monkeypatch)
     assert len(rh.windows) == 5
     assert adjoints == 5
+
+
+def test_windows_after_the_first_start_from_the_accepted_trajectory(
+        monkeypatch):
+    import modesched.scheduler as scheduler_module
+    real_state = scheduler_module.integrate_state
+    real_optimize = scheduler_module.optimize
+    solved, windows = [], []
+
+    def integrate_state(*args, **kwargs):
+        solved.append(args[2])
+        return real_state(*args, **kwargs)
+
+    def optimize(*args, **kwargs):
+        windows.append(args[1:3] + (kwargs["trajectory"],))
+        return real_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "integrate_state", integrate_state)
+    monkeypatch.setattr(scheduler_module, "optimize", optimize)
+    rh, _ = three_machine_horizon(monkeypatch)
+    # only window 0's plan and the applied schedule are integrated whole
+    assert solved == [windows[0][1], rh.schedule]
+    assert windows[0][2] is None
+    for (x0, u, warm), report in zip(windows[1:], rh.windows[1:]):
+        J = real_state(warm._inputs[0], x0, u).cost
+        assert report.cost_before == warm.cost
+        assert abs(warm.cost - J) <= 100 * (1e-9 + 1e-8 * J)
 
 
 def test_receding_horizon_reports_as_with_the_final_field(monkeypatch):
