@@ -135,9 +135,9 @@ def _build_schedule(cfg, horizon, num_modes):
             return ModeSchedule(sequence=tuple(u0["sequence"]),
                                 times=tuple(u0.get("times", ())),
                                 horizon=horizon, num_modes=num_modes)
-        return constant_schedule(int(u0), horizon, num_modes)
     except (ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"bad u0: {err}") from None
+    return constant_schedule(_mode(cfg, "u0", num_modes), horizon, num_modes)
 
 
 def _optimizer_config(cfg, horizon):
@@ -203,11 +203,12 @@ def _write_windows(path, result):
                       "theta", "steps", "fell_back"], rows)
 
 
-def _baseline_mode(cfg, num_modes):
-    mode = cfg.get("baseline_mode", 1)
+def _mode(cfg, key, num_modes):
+    """Config entry ``key``, default 1: a JSON integer in ``1..N``."""
+    mode = cfg.get(key, 1)
     if isinstance(mode, bool) or not isinstance(mode, int) \
             or not 1 <= mode <= num_modes:
-        raise ConfigError(f"baseline_mode must be a mode in 1..{num_modes}, "
+        raise ConfigError(f"{key} must be a mode in 1..{num_modes}, "
                           f"got {mode!r}")
     return mode
 
@@ -229,7 +230,7 @@ def _cmd_optimize(args, cfg):
     sys_, x0, horizon, meta = _build_problem(
         cfg, args.seed, config_dir=Path(args.config).parent)
     sched0 = _build_schedule(cfg, horizon, sys_.num_modes)
-    baseline_mode = _baseline_mode(cfg, sys_.num_modes)
+    baseline_mode = _mode(cfg, "baseline_mode", sys_.num_modes)
     opt_cfg = _optimizer_config(cfg, horizon)
 
     if args.dry_run:
@@ -280,15 +281,17 @@ def _cmd_horizon(args, cfg):
         raise ConfigError(f"unknown horizon_driver keys {sorted(unknown)}")
     try:
         window = float(drv["window"])
-        n_windows = int(drv["n_windows"])
+        n_windows = drv["n_windows"]
         advance = float(drv.get("advance", 0.1))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad horizon_driver: {err}") from None
     if not 0.0 < advance <= window:
         raise ConfigError(f"advance must lie in (0, window={window:g}], "
                           f"got {advance:g}")
-    if n_windows < 1:
-        raise ConfigError(f"n_windows must be at least 1, got {n_windows}")
+    if isinstance(n_windows, bool) or not isinstance(n_windows, int) \
+            or n_windows < 1:
+        raise ConfigError(f"n_windows must be an integer >= 1, "
+                          f"got {n_windows!r}")
     # the window is the model horizon; a top-level one may only repeat it
     problem_cfg = dict(cfg)
     problem_cfg.setdefault("horizon", window)
@@ -298,7 +301,7 @@ def _cmd_horizon(args, cfg):
         raise ConfigError(f"horizon {horizon!r} differs from "
                           f"horizon_driver.window {window!r}")
     sched0 = _build_schedule(cfg, window, sys_.num_modes)
-    baseline_mode = _baseline_mode(cfg, sys_.num_modes)
+    baseline_mode = _mode(cfg, "baseline_mode", sys_.num_modes)
     opt_cfg = _optimizer_config(cfg, window)
 
     if args.dry_run:

@@ -29,11 +29,6 @@ GRID_DENOM = 2048
 GRID_MIN_PTS = 64
 #: root tolerance of minima and threshold crossings, relative to the horizon
 ROOT_TOL = 1e-12
-#: slope band of a moving switch's first-order model, scaled by
-#: (1 + |d|_inf / T)
-STATIONARY_TOL = 1e-6
-#: curvature positivity threshold, scaled by (1 + |d|_inf)
-CURVATURE_TOL = 1e-8
 
 
 def switching_time_gradient(sys, schedule, x, rho):
@@ -81,6 +76,7 @@ class InsertionGradientField:
         self._slopes_fn = slopes_fn
         self._grids = {}
         self._grid_vals = {}
+        self._samples = {}
         self._minima = None
         self._norm_inf = None
 
@@ -200,6 +196,13 @@ class InsertionGradientField:
             )
         return self._norm_inf
 
+    def samples(self, seg):
+        """``(ts, D)``: segment ``seg``'s grid and interior minima, sorted
+        and without repeats, and all N channels there, as :meth:`grid_values`
+        and :meth:`local_minima` computed them; the max rule's samples."""
+        self.local_minima()
+        return self._samples[seg]
+
     def local_minima(self):
         """Per-channel local minima, one list for the whole field.
 
@@ -223,6 +226,7 @@ class InsertionGradientField:
             vals = self.grid_values(seg)
             last = len(ts) - 1
             active = sched.sequence[seg]
+            self._samples[seg] = ts, vals
             brackets = []
             for a in range(1, self.num_modes + 1):
                 if a == active:
@@ -254,10 +258,15 @@ class InsertionGradientField:
                 roots.append((_bracketed_root(slope, ts[lo], ts[hi],
                                              s_lo, s_hi, xtol), a))
             if roots:
-                V = self._values_fn(seg, np.array([t for t, _ in roots]))
+                te = np.array([t for t, _ in roots])
+                V = self._values_fn(seg, te)
                 found.extend(dict(value=float(V[k, a - 1]), time=t, mode=a,
                                   segment=seg, boundary=None)
                              for k, (t, a) in enumerate(roots))
+                # a minimum on a grid time keeps the grid's row
+                ts, first = np.unique(np.concatenate([ts, te]),
+                                      return_index=True)
+                self._samples[seg] = ts, np.vstack([vals, V])[first]
         self._minima = found
         return found
 

@@ -268,11 +268,12 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     knot_spacing : float, optional
         Maximum spacing of interpolation knots; default ``horizon/512``.
     reuse : SampledCurve, optional
-        An earlier result of this function.  The leading segments it
-        shares with ``schedule`` (same mode, same end times) are copied
-        rather than solved again, which gives the same bits, since each
-        segment restarts from the previous one's pinned end knot.  Nothing
-        is copied from a curve solved from another system, ``x0``,
+        An earlier result of this function, or a warm start built from
+        one.  The leading segments it shares with ``schedule`` (same mode,
+        same end times) are copied rather than solved again, which gives
+        the same bits, since each segment restarts from the previous one's
+        pinned end knot; a curve sharing every segment is returned itself.
+        Nothing is copied from a curve solved from another system, ``x0``,
         horizon or settings.
     cost_bound : float, optional
         Cost above which the trajectory is of no use to the caller; ignored
@@ -291,6 +292,8 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     n = sys.dim
     inputs = (sys, schedule, rtol, atol, knot_spacing)
     x_segs, c_segs = _shared_prefix(inputs, x0, reuse)
+    if len(x_segs) == schedule.n_segments:
+        return reuse
     if x_segs:
         z = np.concatenate([x_segs[-1][1][-1], c_segs[-1][1][-1]])
     else:
@@ -313,33 +316,30 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         ts, zs, fs, z = seg
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
-    cost_curve = SampledCurve(bnds, c_segs)
-    x = SampledCurve(bnds, x_segs, cost_curve=cost_curve)
+    return _state_curve(inputs, x_segs, c_segs)
+
+
+def _state_curve(inputs, x_segs, c_segs):
+    """:func:`integrate_state`'s curve for ``inputs``, ``(sys, schedule,
+    rtol, atol, knot_spacing)``, from per-segment state and cost knots."""
+    bnds = inputs[1].boundaries
+    x = SampledCurve(bnds, x_segs, cost_curve=SampledCurve(bnds, c_segs))
     x._inputs = inputs
     return x
-
-
-def _solved_from(curve, inputs, x0):
-    """Whether :func:`integrate_state` solved ``curve`` from ``x0`` with
-    the system, horizon and settings of ``inputs``, ``(sys, schedule,
-    rtol, atol, knot_spacing)``.  The curve's first knot is its pinned
-    initial state."""
-    if curve is None or curve._inputs is None:
-        return False
-    sys, sched, *settings = inputs
-    sys1, sched1, *settings1 = curve._inputs
-    return sys1 is sys and settings1 == settings \
-        and sched1.horizon == sched.horizon \
-        and np.array_equal(curve.knots[0][1][0], x0)
 
 
 def _shared_prefix(inputs, x0, curve):
     """State and cost knots of the leading segments that a solve of
     ``inputs`` from ``x0`` would repeat from ``curve``; two empty lists if
-    none."""
-    if not _solved_from(curve, inputs, x0):
+    none.  The curve's first knot is its pinned initial state."""
+    if curve is None or curve._inputs is None:
         return [], []
-    sched, sched1 = inputs[1], curve._inputs[1]
+    sys, sched, *settings = inputs
+    sys1, sched1, *settings1 = curve._inputs
+    if sys1 is not sys or settings1 != settings \
+            or sched1.horizon != sched.horizon \
+            or not np.array_equal(curve.knots[0][1][0], x0):
+        return [], []
     b, b1 = sched.boundaries, sched1.boundaries
     k = 0
     while k < min(sched.n_segments, sched1.n_segments) \
@@ -361,7 +361,8 @@ def _shift_curve(x, dt, schedule):
     ``[T - dt, T]`` is solved, in the held final mode, from the pinned end
     knot.  The result names ``schedule`` and ``x(dt)`` as its inputs, so it
     stands in for ``integrate_state(sys, x(dt), schedule, ...)`` (to solver
-    tolerance), prefix reuse included.  ``dt`` lies in ``(0, T]``.
+    tolerance): passed to that call as ``reuse``, it comes back itself, and
+    the trials' prefix reuse applies to it.  ``dt`` lies in ``(0, T]``.
     """
     sys, sched, rtol, atol, knot_spacing = x._inputs
     T = sched.horizon
@@ -384,13 +385,9 @@ def _shift_curve(x, dt, schedule):
     segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
                 np.vstack([fs, tfs[1:]]))
     n = sys.dim
-    bnds = schedule.boundaries
-    cost_curve = SampledCurve(bnds, [(t, z[:, n:], f[:, n:])
-                                     for t, z, f in segs])
-    out = SampledCurve(bnds, [(t, z[:, :n], f[:, :n]) for t, z, f in segs],
-                       cost_curve=cost_curve)
-    out._inputs = (sys, schedule, rtol, atol, knot_spacing)
-    return out
+    return _state_curve((sys, schedule, rtol, atol, knot_spacing),
+                        [(t, z[:, :n], f[:, :n]) for t, z, f in segs],
+                        [(t, z[:, n:], f[:, n:]) for t, z, f in segs])
 
 
 def _augmented(sys, m):

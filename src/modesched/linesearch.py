@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gradient import STATIONARY_TOL, CURVATURE_TOL
-
 #: default backtracking contraction and iteration cap
 BETA_DEFAULT = 0.4
 JMAX_DEFAULT = 40
+#: slope band of a moving switch's first-order model, scaled by
+#: (1 + |d|_inf / T)
+STATIONARY_TOL = 1e-6
+#: curvature positivity threshold, scaled by (1 + |d|_inf)
+CURVATURE_TOL = 1e-8
 
 
 class LineSearchError(RuntimeError):

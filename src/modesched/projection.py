@@ -65,11 +65,11 @@ def _winners_from_values(D, inc, gamma, ts, seg):
 def _segment_spans(field, seg, gamma):
     """(start, end, mode) spans for one segment under the max rule.
 
-    Winners are taken on the grid and the segment's interior minima; each
-    change of winner between two adjacent samples is the root of
-    ``E_new - E_old``, where ``E_a = d_a`` for a challenger and the
-    incumbent's ``E`` is ``min(d_inc, -1/gamma)``, so that the max rule is
-    ``argmin E``.  Every interval where a challenger beats the threshold
+    Winners are taken on the field's ``samples(seg)``, its grid and
+    interior minima; each change of winner between two adjacent samples is
+    the root of ``E_new - E_old``, where ``E_a = d_a`` for a challenger and
+    the incumbent's ``E`` is ``min(d_inc, -1/gamma)``, so that the max rule
+    is ``argmin E``.  Every interval where a challenger beats the threshold
     holds a local minimum of its channel, and the field's minima are
     samples, so no such interval hides between two samples.
     """
@@ -77,19 +77,7 @@ def _segment_spans(field, seg, gamma):
     a, b = sched.segment_bounds(seg)
     inc = sched.sequence[seg]
     threshold = -1.0 / gamma
-    ts = field.grid(seg)
-    D = field.grid_values(seg)
-    extra = [m["time"] for m in field.local_minima()
-             if m["segment"] == seg and m["boundary"] is None]
-    if extra:
-        te = np.asarray(extra, float)
-        De = field.values_in_segment(seg, te)
-        ts = np.concatenate([ts, te])
-        D = np.vstack([D, De])
-        order = np.argsort(ts, kind="stable")
-        ts, D = ts[order], D[order]
-        keep = np.concatenate(([True], np.diff(ts) > 0))
-        ts, D = ts[keep], D[keep]
+    ts, D = field.samples(seg)
     w = _winners_from_values(D, inc, gamma, ts, seg)
 
     def gap(d_new, d_old, new, old):

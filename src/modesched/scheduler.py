@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from .integrate import (
     DEFAULT_RTOL,
     KNOTS_PER_HORIZON,
     _shift_curve,
-    _solved_from,
     integrate_adjoint,
     integrate_state,
 )
@@ -61,8 +61,11 @@ class OptimizerConfig:
     ``theta >= theta_stop``.  The default ``"auto"`` resolves to
     ``-1e-2 * |theta|`` of the initial schedule, i.e. stop after the
     achievable descent rate has shrunk a hundredfold.  Set ``0.0`` to run
-    until no insertion helps at all (or the budget runs out).  Invalid
-    values raise ``ValueError`` on construction.
+    until no insertion helps at all (or the budget runs out).
+
+    ``max_iter`` and ``j_max`` are integers ``>= 0``, ``rtol`` is finite
+    and ``> 0`` and ``atol`` finite and ``>= 0``; no field takes a bool.
+    Invalid values raise ``ValueError`` on construction.
 
     ``knot_spacing`` (default ``horizon/512``) caps the spacing of the
     state curve's Hermite knots and may only refine them (:func:`optimize`
@@ -86,11 +89,23 @@ class OptimizerConfig:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0,1), got {self.beta}")
-        if self.max_iter < 0 or self.j_max < 0:
-            raise ValueError("max_iter and j_max must be nonnegative")
-        if isinstance(self.theta_stop, str) and self.theta_stop != "auto":
+        if not (_is_number(self.max_iter, numbers.Integral)
+                and _is_number(self.j_max, numbers.Integral)
+                and self.max_iter >= 0 and self.j_max >= 0):
+            raise ValueError(f"max_iter and j_max must be integers >= 0, "
+                             f"got {self.max_iter!r} and {self.j_max!r}")
+        if not (_is_number(self.rtol) and 0.0 < self.rtol < math.inf
+                and _is_number(self.atol) and 0.0 <= self.atol < math.inf):
+            raise ValueError(f"rtol must be finite and > 0, atol finite and "
+                             f">= 0, got {self.rtol!r} and {self.atol!r}")
+        if not (_is_number(self.theta_stop) or self.theta_stop == "auto"):
             raise ValueError(f"theta_stop must be a number or 'auto', "
                              f"got {self.theta_stop!r}")
+
+
+def _is_number(v, kind=numbers.Real):
+    """Whether ``v`` is a ``kind`` of number; ``True``/``False`` are not."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass
@@ -164,7 +179,7 @@ def check_knot_spacing(knot_spacing, horizon):
 
 
 def optimize(sys, x0, schedule, config=None, *, final_field=True,
-             trajectory=None):
+             reuse=None):
     """Descend the schedule by projected insertion-gradient steps.
 
     Parameters
@@ -181,11 +196,12 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True,
         field: the last row and ``theta_final`` carry ``theta = nan``,
         ``field`` is ``None`` and the status is ``"max_iter"``, so the run
         is ``"optimal"`` only when its first iterate already meets the stop.
-    trajectory : SampledCurve, optional
-        The starting schedule's state curve, used instead of integrating
-        it: a fresh :func:`integrate_state` result or a warm start built
-        from one.  ``ValueError`` unless it was solved for this system,
-        schedule, ``x0`` and the config's tolerances and knot spacing.
+    reuse : SampledCurve, optional
+        Passed to the starting schedule's :func:`integrate_state`: a curve
+        solved for this system, schedule, ``x0`` and the config's
+        tolerances and knot spacing (a fresh result or a warm start built
+        from one) is the starting trajectory itself; from any other curve
+        only what that call would solve the same is copied.
 
     Returns
     -------
@@ -194,16 +210,8 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True,
     cfg = config or OptimizerConfig()
     check_knot_spacing(cfg.knot_spacing, schedule.horizon)
     u = schedule
-    if trajectory is None:
-        x = integrate_state(sys, x0, u, rtol=cfg.rtol, atol=cfg.atol,
-                            knot_spacing=cfg.knot_spacing)
-    elif _solved_from(trajectory, (sys, u, cfg.rtol, cfg.atol,
-                                   cfg.knot_spacing), x0) \
-            and trajectory._inputs[1] == u:
-        x = trajectory
-    else:
-        raise ValueError("trajectory was not solved for this system, "
-                         "schedule, x0, tolerances and knot spacing")
+    x = integrate_state(sys, x0, u, rtol=cfg.rtol, atol=cfg.atol,
+                        knot_spacing=cfg.knot_spacing, reuse=reuse)
     J = x.cost
     rows = []
     status = "max_iter"
@@ -401,6 +409,9 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     HorizonResult
     """
     window = schedule0.horizon
+    if not (_is_number(n_windows, numbers.Integral) and n_windows >= 1):
+        raise ValueError(f"n_windows must be an integer >= 1, "
+                         f"got {n_windows!r}")
     if not 0.0 < advance <= window:
         raise ValueError(f"advance must lie in (0, {window}], got {advance}")
     cfg = replace(config or OptimizerConfig(), max_iter=1)
@@ -414,7 +425,7 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
 
     for w in range(n_windows):
         res = optimize(sys, state, plan, cfg, final_field=False,
-                       trajectory=warm)
+                       reuse=warm)
         steps = sum(1 for r in res.iterations if r.gamma is not None)
         reason = res.iterations[-1].reason
         fell_back = reason is not None and steps == 0

@@ -128,3 +128,18 @@ def quadratic_field(q):
         channel_slopes=[lambda t: np.zeros_like(t),
                         lambda t: 2.0 * k * (t - c)],
     )
+
+
+def count_solves(monkeypatch):
+    """Route the integrator's ``solve_ivp`` through a call counter; the
+    returned list collects each call's ``(t0, t1)``."""
+    import modesched.integrate as integrate_module
+    calls = []
+    real = integrate_module.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "solve_ivp", counted)
+    return calls

@@ -92,6 +92,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "optimizer": {"knot_spacing": 1.0}},         # coarser than T/512
         {"model": {"type": "vehicle"}, "u0": 2,
          "optimiser": {"max_iter": 3}},               # misspelt key
+        {"model": {"type": "vehicle"}, "optimizer": {"max_iter": 2.5}},
+        {"model": {"type": "vehicle"}, "optimizer": {"j_max": True}},
+        {"model": {"type": "vehicle"}, "optimizer": {"theta_stop": True}},
+        {"model": {"type": "vehicle"}, "optimizer": {"rtol": -1.0}},
+        {"model": {"type": "vehicle"}, "u0": 2.7},    # not truncated to 2
+        {"model": {"type": "vehicle"}, "u0": True},
     ]
     for i, cfg in enumerate(cases):
         path = write_cfg(tmp_path, cfg, f"bad{i}.json")
@@ -107,6 +113,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ok = write_cfg(tmp_path, cases[5], "seedless.json")
     assert main(["optimize", ok, "--dry-run", "--seed", "3"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_windows", [2.7, 0, True, "2"])
+def test_horizon_rejects_a_window_count_that_is_no_positive_integer(
+        tmp_path, capsys, n_windows):
+    cfg = write_cfg(tmp_path, power_cfg(n_windows=n_windows))
+    assert main(["horizon", cfg, "--dry-run"]) == 2
+    assert "n_windows" in capsys.readouterr().err
 
 
 def test_horizon_advance_exceeding_window_exit_2(tmp_path, capsys):

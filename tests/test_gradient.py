@@ -205,6 +205,32 @@ def test_minima_respect_segment_boundaries(vehicle, vehicle_x0):
             assert m["time"] == pytest.approx(hi, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", [31, 41])
+def test_samples_merge_the_interior_minima_into_the_grid(vehicle, vehicle_x0,
+                                                         seed):
+    sched = random_schedule(np.random.default_rng(seed), 5.0, 4, 5)
+    _, _, field = field_for(vehicle, vehicle_x0, sched)
+    minima = field.local_minima()
+    assert any(m["boundary"] is None for m in minima)
+    for seg in range(sched.n_segments):
+        ts, D = field.samples(seg)
+        assert np.all(np.diff(ts) > 0.0)
+        grid = field.grid(seg)
+        te = np.array([m["time"] for m in minima
+                       if m["segment"] == seg and m["boundary"] is None])
+        at = np.searchsorted(ts, grid)
+        assert np.array_equal(ts[at], grid)
+        assert np.array_equal(D[at], field.grid_values(seg))
+        if te.size:
+            at = np.searchsorted(ts, te)
+            assert np.array_equal(ts[at], te)
+            # a minimum on a grid time keeps the grid's row
+            own = ~np.isin(te, grid)
+            assert np.array_equal(D[at][own],
+                                  field.values_in_segment(seg, te)[own])
+        assert len(ts) == len(np.union1d(grid, te))
+
+
 def test_theta_nonpositive_and_attained(vehicle, vehicle_x0):
     rng = np.random.default_rng(37)
     for _ in range(5):

@@ -27,7 +27,8 @@ from modesched.models import (
     vehicle_initial_state,
     vehicle_system,
 )
-from conftest import THREE_MACHINE, random_schedule, ring_network
+from conftest import (THREE_MACHINE, count_solves, random_schedule,
+                      ring_network)
 
 
 def decay_system():
@@ -488,6 +489,21 @@ def test_reused_prefix_equals_a_fresh_solve(vehicle, vehicle_x0, seed):
     assert shared_segments(again, x_u) == u.n_segments
 
 
+def test_a_fully_shared_curve_comes_back_itself(vehicle, vehicle_x0,
+                                               monkeypatch):
+    u = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
+    x_u = integrate_state(vehicle, vehicle_x0, u)
+    sys_, x0, sched = power_problem()
+    warm = _shift_curve(integrate_state(sys_, x0, sched), 0.1,
+                        shift_schedule(sched, 0.1))
+    calls = count_solves(monkeypatch)
+    assert integrate_state(vehicle, vehicle_x0, u.with_times(u.times),
+                           reuse=x_u) is x_u
+    assert integrate_state(sys_, warm.knots[0][1][0],
+                           shift_schedule(sched, 0.1), reuse=warm) is warm
+    assert calls == []
+
+
 def test_reused_prefix_on_the_power_network():
     net = load_network(THREE_MACHINE)
     sys_ = power_system(net)
@@ -580,20 +596,6 @@ def test_warm_curve_keeps_the_trials_prefix_reuse(monkeypatch):
 
 
 # -- abandoning a trial once its cost passes a bound --------------------------
-
-def count_solves(monkeypatch):
-    """Route the integrator's ``solve_ivp`` through a call counter."""
-    import modesched.integrate as integrate_module
-    calls = []
-    real = integrate_module.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(integrate_module, "solve_ivp", counted)
-    return calls
-
 
 @pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
                          ids=["vehicle", "three-machine"])

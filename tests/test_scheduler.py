@@ -29,7 +29,7 @@ from modesched.models import vehicle_initial_state, vehicle_system
 from modesched.models.vehicle import HORIZON_DEFAULT
 from modesched.models.power import initial_state, load_network, power_system
 from modesched.projection import DWELL_DEFAULT
-from conftest import THREE_MACHINE
+from conftest import THREE_MACHINE, count_solves
 
 
 def two_rate_sq():
@@ -228,6 +228,29 @@ def test_stop_threshold_variants():
         optimize(sys_, [2.0], u0, OptimizerConfig(alpha=1.5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 2.5),      # a budget of 2.5 iterations
+    ("max_iter", -1),
+    ("j_max", True),
+    ("j_max", 3.0),
+    ("theta_stop", True),
+    ("rtol", -1.0),         # scipy would clamp it silently
+    ("rtol", 0.0),
+    ("rtol", math.nan),
+    ("atol", -1e-9),
+    ("atol", math.inf),
+])
+def test_config_rejects_values_it_would_coerce(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_config_accepts_integral_and_boundary_values():
+    cfg = OptimizerConfig(max_iter=np.int64(0), j_max=0, theta_stop=-1,
+                          rtol=1e-6, atol=0.0)
+    assert (cfg.max_iter, cfg.j_max, cfg.atol) == (0, 0, 0.0)
+
+
 def test_knot_spacing_may_only_refine_the_knots():
     # the adjoint runs on the state's knots, so a spacing coarser than the
     # default horizon/512 would coarsen every gradient
@@ -242,9 +265,24 @@ def test_knot_spacing_may_only_refine_the_knots():
         assert np.diff(ts).max() <= 1.0 / 1024 + 1e-15
 
 
-def test_optimize_rejects_a_trajectory_solved_for_other_inputs():
+def assert_same_run(got, ref):
+    """Two :class:`RunResult` equal bit for bit, curves and fields too."""
+    for f in dataclasses.fields(RunResult):
+        if f.name not in ("trajectory", "field"):
+            assert getattr(got, f.name) == getattr(ref, f.name), f.name
+    for a, b in zip(got.trajectory.knots, ref.trajectory.knots):
+        assert all(np.array_equal(va, vb) for va, vb in zip(a, b))
+    for seg in range(ref.schedule.n_segments):
+        assert np.array_equal(got.field.grid_values(seg),
+                              ref.field.grid_values(seg))
+
+
+def test_optimize_reuses_nothing_from_a_curve_solved_for_other_inputs():
+    # nothing is copied from such a curve: the run is a fresh one
     sys_, x0 = vehicle_system(), vehicle_initial_state()
     u = ModeSchedule((1, 4, 2), (1.1, 2.3), 3.0, 4)
+    cfg = OptimizerConfig(max_iter=1)
+    ref = optimize(sys_, x0, u, cfg)
     others = [
         integrate_state(sys_, x0, u.with_times((1.2, 2.3))),
         integrate_state(sys_, x0 + np.array([1e-3, 0.0, 0.0, 0.0]), u),
@@ -254,8 +292,7 @@ def test_optimize_rejects_a_trajectory_solved_for_other_inputs():
         integrate_state(sys_, x0, u, knot_spacing=3.0 / 1024),
     ]
     for x in others:
-        with pytest.raises(ValueError, match="trajectory"):
-            optimize(sys_, x0, u, OptimizerConfig(max_iter=1), trajectory=x)
+        assert_same_run(optimize(sys_, x0, u, cfg, reuse=x), ref)
 
 
 def test_optimize_from_a_fresh_trajectory_is_bitwise_unchanged():
@@ -263,17 +300,10 @@ def test_optimize_from_a_fresh_trajectory_is_bitwise_unchanged():
     sys_, x0 = vehicle_system(), vehicle_initial_state()
     u0 = constant_schedule(2, HORIZON_DEFAULT, 4)
     cfg = OptimizerConfig(max_iter=2)
-    ref = optimize(sys_, x0, u0, cfg)
-    got = optimize(sys_, x0, u0, cfg,
-                   trajectory=integrate_state(sys_, x0, u0))
-    for f in dataclasses.fields(RunResult):
-        if f.name not in ("trajectory", "field"):
-            assert getattr(got, f.name) == getattr(ref, f.name), f.name
-    for a, b in zip(got.trajectory.knots, ref.trajectory.knots):
-        assert all(np.array_equal(va, vb) for va, vb in zip(a, b))
-    for seg in range(ref.schedule.n_segments):
-        assert np.array_equal(got.field.grid_values(seg),
-                              ref.field.grid_values(seg))
+    x = integrate_state(sys_, x0, u0)
+    got = optimize(sys_, x0, u0, cfg, reuse=x)
+    assert got.iterations[0].cost == x.cost
+    assert_same_run(got, optimize(sys_, x0, u0, cfg))
 
 
 def test_line_search_failure_keeps_last_iterate(monkeypatch):
@@ -504,24 +534,37 @@ def test_windows_after_the_first_start_from_the_accepted_trajectory(
         monkeypatch):
     import modesched.scheduler as scheduler_module
     real_state = scheduler_module.integrate_state
-    real_optimize = scheduler_module.optimize
-    solved, windows = [], []
+    real_shift = scheduler_module._shift_curve
+    solves = count_solves(monkeypatch)
+    starts, tails = [], []
 
     def integrate_state(*args, **kwargs):
-        solved.append(args[2])
-        return real_state(*args, **kwargs)
+        n = len(solves)
+        x = real_state(*args, **kwargs)
+        starts.append((args[1], args[2], kwargs.get("reuse"), x,
+                       solves[n:]))
+        return x
 
-    def optimize(*args, **kwargs):
-        windows.append(args[1:3] + (kwargs["trajectory"],))
-        return real_optimize(*args, **kwargs)
+    def _shift_curve(*args):
+        n = len(solves)
+        warm = real_shift(*args)
+        tails.append(solves[n:])
+        return warm
 
     monkeypatch.setattr(scheduler_module, "integrate_state", integrate_state)
-    monkeypatch.setattr(scheduler_module, "optimize", optimize)
+    monkeypatch.setattr(scheduler_module, "_shift_curve", _shift_curve)
     rh, _ = three_machine_horizon(monkeypatch)
-    # only window 0's plan and the applied schedule are integrated whole
-    assert solved == [windows[0][1], rh.schedule]
-    assert windows[0][2] is None
-    for (x0, u, warm), report in zip(windows[1:], rh.windows[1:]):
+    # only window 0's plan and the applied schedule are solved whole; each
+    # later window starts from its warm curve, which solved only the
+    # padded tail [T - advance, T]
+    (_, u0, reuse0, _, first), *warm_starts, final = starts
+    assert reuse0 is None and len(first) == u0.n_segments
+    assert final[1] == rh.schedule and len(final[4]) == rh.schedule.n_segments
+    assert len(warm_starts) == len(tails) == len(rh.windows) - 1
+    for tail in tails:
+        assert len(tail) == 1 and tail[0] == pytest.approx((0.9, 1.0))
+    for (x0, u, warm, x, solved), report in zip(warm_starts, rh.windows[1:]):
+        assert x is warm and solved == []
         J = real_state(warm._inputs[0], x0, u).cost
         assert report.cost_before == warm.cost
         assert abs(warm.cost - J) <= 100 * (1e-9 + 1e-8 * J)
@@ -557,6 +600,15 @@ def test_receding_horizon_fallback_keeps_plan(monkeypatch):
     assert (rh.schedule.sequence, rh.schedule.times) == ((1,), ())
     assert rh.schedule.horizon == pytest.approx(0.6)
     assert rh.cost == pytest.approx(2.0 * (1.0 - math.exp(-1.2)), rel=1e-7)
+
+
+@pytest.mark.parametrize("n_windows", [0, -2, 2.7, True])
+def test_receding_horizon_rejects_bad_window_counts(monkeypatch, n_windows):
+    calls = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="n_windows"):
+        receding_horizon(two_rate_sq(), [2.0], constant_schedule(1, 1.0, 2),
+                         n_windows=n_windows)
+    assert calls == []      # rejected before any work
 
 
 def test_receding_horizon_rejects_bad_advance():
