@@ -122,8 +122,8 @@ def _build_problem(cfg, seed_override=None, config_dir="."):
                           f'(expected "vehicle" or "power")')
 
     if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) \
-            or not horizon > 0.0:
-        raise ConfigError(f"horizon must be a positive number, "
+            or not 0.0 < horizon < np.inf:
+        raise ConfigError(f"horizon must be a finite positive number, "
                           f"got {horizon!r}")
     return sys_, x0, float(horizon), meta
 
@@ -187,9 +187,7 @@ def _write_field(path, field):
         + [f"d{a}" for a in range(1, field.num_modes + 1)]
     rows = []
     for seg in range(sched.n_segments):
-        ts = field.grid(seg)
-        vals = field.grid_values(seg)
-        for t, row in zip(ts, vals):
+        for t, row in zip(field.grids[seg], field.grid_values[seg]):
             rows.append([_fmt(t), seg, sched.sequence[seg]]
                         + [_fmt(v) for v in row])
     _write_csv(path, header, rows)

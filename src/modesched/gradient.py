@@ -10,10 +10,17 @@ the field, ``theta``, is the optimality function: ``theta = 0`` exactly at
 schedules satisfying the minimum principle, and ``theta < 0`` points at the
 mode/time insertion of steepest descent.
 
+An :class:`InsertionGradientField` is built once per iterate and is plain
+data from then on: construction samples each segment on a fixed grid and
+solves the segment's interior minima, and :func:`optimality`, the step
+events of :mod:`.linesearch` and the max rule of :mod:`.projection` read
+those results.  Every query names the segment whose branch it reads, so a
+value at a switching time is never ambiguous.
+
 The field's interior minima, and the max rule's threshold crossings in
 :mod:`.projection`, are found by one mechanism: a bracketed root solve
 (:func:`_bracketed_root`, Brent's method) on the true field, with the
-bracket taken from a fixed sampling grid.  A minimum is the root of the
+bracket taken from the sampling grid.  A minimum is the root of the
 channel's analytic slope, so it is exact to the root tolerance.
 """
 from __future__ import annotations
@@ -57,30 +64,48 @@ class InsertionGradientField:
     Channel ``a`` at time ``t`` is ``rho(t)^T (f_a(x(t)) - f_active(x(t)))``;
     the active channel is identically zero.  Values and slopes are smooth
     inside each segment and may jump at switching times, so every query
-    takes a ``side`` ("left"/"right") that picks the one-sided limit; the
-    default is the right limit, matching the schedule's right-continuity.
+    names the segment whose branch it reads; a minimum carries its own.
+
+    The field is plain data, built once: construction samples every
+    segment's grid and solves its interior minima (:meth:`_scan`), and
+    later queries only read these attributes:
+
+    ``grids[seg]``, ``grid_values[seg]``
+        Segment ``seg``'s sampling grid (endpoints included) and all N
+        channels there, shape (len, N).
+    ``samples[seg]``
+        ``(ts, D)``: the grid and the segment's interior minima, sorted
+        and without repeats, and all N channels there; the max rule's
+        samples.
+    ``minima``
+        Per-channel local minima of the whole field, one list of dicts
+        with keys ``value, time, mode, segment, boundary``; ``boundary``
+        is "left"/"right" for the one-sided value at a segment's end or
+        start and None for an interior minimum.
+    ``norm_inf``
+        Max |d| over all channels on the grids.
+
+    ``values_in_segment(seg, ts, channels=None)`` and
+    ``slopes_in_segment(seg, ts, channels=None)`` evaluate segment
+    ``seg``'s branch at times ``ts``: a (len(ts), N) matrix, or with a
+    sequence of modes ``channels`` only those columns, in that order.
 
     Instances are built by :func:`insertion_gradient` from a trajectory
     and adjoint, or by :meth:`from_callables` from explicit channel
     functions (synthetic fields for studies and tests).
     """
 
-    def __init__(self, schedule, values_fn, slopes_fn):
+    def __init__(self, schedule, values_in_segment, slopes_in_segment):
         self.schedule = schedule
         self.num_modes = schedule.num_modes
         self.horizon = schedule.horizon
-        # (seg, ts, channels=None) -> (len(ts), N), or the listed
-        # channels' (len(ts), len(channels))
-        self._values_fn = values_fn
-        # (seg, ts, channel=None) -> (len(ts), N), or channel a's (len(ts),)
-        self._slopes_fn = slopes_fn
-        self._grids = {}
-        self._grid_vals = {}
-        self._samples = {}
-        self._minima = None
-        self._norm_inf = None
-
-    # -- construction -------------------------------------------------
+        self.values_in_segment = values_in_segment
+        self.slopes_in_segment = slopes_in_segment
+        self.grids, self.grid_values, self.samples = [], [], []
+        self.minima = []
+        for seg in range(schedule.n_segments):
+            self._scan(seg)
+        self.norm_inf = max(float(np.abs(v).max()) for v in self.grid_values)
 
     @classmethod
     def from_callables(cls, schedule, channels, channel_slopes=None):
@@ -111,164 +136,111 @@ class InsertionGradientField:
             return np.column_stack([np.broadcast_to(fns[a - 1](ts), ts.shape)
                                     for a in modes])
 
-        def values_fn(seg, ts, channels=None):
+        def values_in_segment(seg, ts, channels=None):
             return columns(value_fns, seg, ts, channels)
 
         if channel_slopes is not None:
-            def slope_columns(seg, ts, modes):
-                return columns(channel_slopes, seg, ts, modes)
+            def slopes_in_segment(seg, ts, channels=None):
+                return columns(channel_slopes, seg, ts, channels)
         else:
             h = 1e-7 * schedule.horizon
 
-            def slope_columns(seg, ts, modes):
+            def slopes_in_segment(seg, ts, channels=None):
                 a, b = schedule.segment_bounds(seg)
                 hs = min(h, (b - a) / 4.0)  # stencil in [a + hs, b - hs]
                 tc = np.clip(np.atleast_1d(np.asarray(ts, float)),
                              a + 2.0 * hs, b - 2.0 * hs)
-                return (columns(value_fns, seg, tc + hs, modes)
-                        - columns(value_fns, seg, tc - hs, modes)) \
+                return (columns(value_fns, seg, tc + hs, channels)
+                        - columns(value_fns, seg, tc - hs, channels)) \
                     / (2.0 * hs)
 
-        def slopes_fn(seg, ts, channel=None):
-            if channel is None:
-                return slope_columns(seg, ts, None)
-            return slope_columns(seg, ts, (channel,))[:, 0]
-
-        return cls(schedule, values_fn, slopes_fn)
-
-    # -- evaluation ---------------------------------------------------
-
-    def value(self, t, side="right"):
-        """All N channels at scalar time ``t``; shape (N,)."""
-        seg = self.schedule.segment_of(float(t), side)
-        return self._values_fn(seg, np.array([float(t)]))[0]
+        return cls(schedule, values_in_segment, slopes_in_segment)
 
     def value_channel(self, a, t, side="right"):
-        return float(self.value(t, side)[a - 1])
-
-    def slope(self, a, t, side="right"):
-        """One-sided time-derivative of channel ``a`` at ``t``."""
+        """Channel ``a`` at scalar time ``t``, from the segment that
+        ``side`` picks at a switch (the schedule's own rule)."""
         seg = self.schedule.segment_of(float(t), side)
-        return float(self._slopes_fn(seg, np.array([float(t)]), a)[0])
+        return float(self.values_in_segment(seg, np.array([float(t)]),
+                                            (a,))[0, 0])
 
-    def curvature(self, a, t, side="right"):
-        """Second time-derivative of channel ``a`` by differencing slopes.
+    def curvature(self, seg, a, t):
+        """Second time-derivative of channel ``a`` at ``t`` on segment
+        ``seg``'s branch, by differencing slopes.
 
         Central difference with step ``1e-5 *`` (segment length), the
         evaluation stencil clamped inside the segment so boundary queries
         become one-sided automatically.
         """
-        seg = self.schedule.segment_of(float(t), side)
         lo, hi = self.schedule.segment_bounds(seg)
         h = 1e-5 * (hi - lo)
         tc = min(max(float(t), lo + h), hi - h)
-        sl = self._slopes_fn(seg, np.array([tc - h, tc + h]), a)
-        return float((sl[1] - sl[0]) / (2.0 * h))
+        sl = self.slopes_in_segment(seg, np.array([tc - h, tc + h]), (a,))
+        return float((sl[1, 0] - sl[0, 0]) / (2.0 * h))
 
-    def values_in_segment(self, seg, ts, channels=None):
-        """Channel matrix (len(ts), N) using segment ``seg``'s branch;
-        with a sequence of modes ``channels``, only those columns."""
-        return self._values_fn(seg, np.asarray(ts, float), channels)
+    def _scan(self, seg):
+        """Sample segment ``seg`` and append its grid, samples and minima.
 
-    # -- sampling and minima -------------------------------------------
-
-    def grid(self, seg):
-        """Master sample times for segment ``seg`` (endpoints included)."""
-        if seg not in self._grids:
-            a, b = self.schedule.segment_bounds(seg)
-            n = max(GRID_MIN_PTS,
-                    int(np.ceil((b - a) / (self.horizon / GRID_DENOM))))
-            self._grids[seg] = np.linspace(a, b, n)
-        return self._grids[seg]
-
-    def grid_values(self, seg):
-        if seg not in self._grid_vals:
-            self._grid_vals[seg] = self._values_fn(seg, self.grid(seg))
-        return self._grid_vals[seg]
-
-    @property
-    def norm_inf(self):
-        """Max |d| over all channels on the master grids."""
-        if self._norm_inf is None:
-            self._norm_inf = max(
-                float(np.abs(self.grid_values(s)).max())
-                for s in range(self.schedule.n_segments)
-            )
-        return self._norm_inf
-
-    def samples(self, seg):
-        """``(ts, D)``: segment ``seg``'s grid and interior minima, sorted
-        and without repeats, and all N channels there, as :meth:`grid_values`
-        and :meth:`local_minima` computed them; the max rule's samples."""
-        self.local_minima()
-        return self._samples[seg]
-
-    def local_minima(self):
-        """Per-channel local minima, one list for the whole field.
-
-        Returns a list of dicts with keys ``value, time, mode, segment,
-        boundary`` where ``boundary`` is "left"/"right" when the minimum
-        sits on a segment end (one-sided) and None when interior.  An
-        interior minimum is the root of the channel's slope where it turns
-        from negative to nonnegative, solved by :func:`_bracketed_root` to
+        The grid step is ``horizon / GRID_DENOM``, with never fewer than
+        ``GRID_MIN_PTS`` points.  Each non-active channel contributes its
+        two one-sided end values and its interior minima.  An interior
+        minimum is the root of the channel's slope where it turns from
+        negative to nonnegative, solved by :func:`_bracketed_root` to
         ``ROOT_TOL * horizon``.  Brackets are the two cells around each grid
         node no higher than its neighbours, plus the first and last cell,
         where a minimum hides from the node test; one batched slope call at
         the bracket ends keeps those whose slope changes sign.
         """
-        if self._minima is not None:
-            return self._minima
-        sched = self.schedule
-        xtol = ROOT_TOL * self.horizon
-        found = []
-        for seg in range(sched.n_segments):
-            ts = self.grid(seg)
-            vals = self.grid_values(seg)
-            last = len(ts) - 1
-            active = sched.sequence[seg]
-            self._samples[seg] = ts, vals
-            brackets = []
-            for a in range(1, self.num_modes + 1):
-                if a == active:
-                    continue
-                v = vals[:, a - 1]
-                found.append(dict(value=float(v[0]), time=float(ts[0]),
-                                  mode=a, segment=seg, boundary="right"))
-                found.append(dict(value=float(v[-1]), time=float(ts[-1]),
-                                  mode=a, segment=seg, boundary="left"))
-                nodes = np.flatnonzero(
-                    (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
-                brackets.extend((a, j - 1, j + 1) for j in nodes)
-                if 1 not in nodes:
-                    brackets.append((a, 0, 1))
-                if last - 1 not in nodes:
-                    brackets.append((a, last - 1, last))
-            if not brackets:
+        t0, t1 = self.schedule.segment_bounds(seg)
+        n = max(GRID_MIN_PTS,
+                int(np.ceil((t1 - t0) / (self.horizon / GRID_DENOM))))
+        ts = np.linspace(t0, t1, n)
+        vals = self.values_in_segment(seg, ts)
+        self.grids.append(ts)
+        self.grid_values.append(vals)
+        last = len(ts) - 1
+        active = self.schedule.sequence[seg]
+        found = self.minima
+        brackets = []
+        for a in range(1, self.num_modes + 1):
+            if a == active:
                 continue
+            v = vals[:, a - 1]
+            found.append(dict(value=float(v[0]), time=float(ts[0]),
+                              mode=a, segment=seg, boundary="right"))
+            found.append(dict(value=float(v[-1]), time=float(ts[-1]),
+                              mode=a, segment=seg, boundary="left"))
+            nodes = np.flatnonzero(
+                (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
+            brackets.extend((a, j - 1, j + 1) for j in nodes)
+            if 1 not in nodes:
+                brackets.append((a, 0, 1))
+            if last - 1 not in nodes:
+                brackets.append((a, last - 1, last))
+        roots = []
+        if brackets:
             ends = np.unique([i for _, lo, hi in brackets for i in (lo, hi)])
-            S = self._slopes_fn(seg, ts[ends])
+            S = self.slopes_in_segment(seg, ts[ends])
             row = {int(i): k for k, i in enumerate(ends)}
-            roots = []
+            xtol = ROOT_TOL * self.horizon
             for a, lo, hi in brackets:
                 s_lo, s_hi = S[row[lo], a - 1], S[row[hi], a - 1]
                 if not s_lo < 0.0 <= s_hi:
                     continue
-                slope = lambda t, a=a: float(
-                    self._slopes_fn(seg, np.array([t]), a)[0])
+                slope = lambda t, a=a: float(self.slopes_in_segment(
+                    seg, np.array([t]), (a,))[0, 0])
                 roots.append((_bracketed_root(slope, ts[lo], ts[hi],
                                              s_lo, s_hi, xtol), a))
-            if roots:
-                te = np.array([t for t, _ in roots])
-                V = self._values_fn(seg, te)
-                found.extend(dict(value=float(V[k, a - 1]), time=t, mode=a,
-                                  segment=seg, boundary=None)
-                             for k, (t, a) in enumerate(roots))
-                # a minimum on a grid time keeps the grid's row
-                ts, first = np.unique(np.concatenate([ts, te]),
-                                      return_index=True)
-                self._samples[seg] = ts, np.vstack([vals, V])[first]
-        self._minima = found
-        return found
+        if not roots:
+            self.samples.append((ts, vals))
+            return
+        te = np.array([t for t, _ in roots])
+        V = self.values_in_segment(seg, te)
+        found.extend(dict(value=float(V[k, a - 1]), time=t, mode=a,
+                          segment=seg, boundary=None)
+                     for k, (t, a) in enumerate(roots))
+        # a minimum on a grid time keeps the grid's row
+        ts, first = np.unique(np.concatenate([ts, te]), return_index=True)
+        self.samples.append((ts, np.vstack([vals, V])[first]))
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, xtol):
@@ -304,11 +276,13 @@ class OptimalityResult:
     time: float | None
     boundary: str | None
     stationary: bool
-    norm_inf: float
 
 
 def insertion_gradient(sys, schedule, x, rho):
     """Build the insertion-gradient field from trajectory and adjoint.
+
+    The field samples every segment and solves its minima here, so this
+    call does the model evaluations; :func:`optimality` only reads them.
 
     Parameters
     ----------
@@ -323,7 +297,7 @@ def insertion_gradient(sys, schedule, x, rho):
     """
     N = sys.num_modes
 
-    def values_fn(seg, ts, channels=None):
+    def values_in_segment(seg, ts, channels=None):
         ts = np.atleast_1d(np.asarray(ts, float))
         xs = x(ts, seg=seg)
         rs = rho(ts, seg=seg)
@@ -339,16 +313,16 @@ def insertion_gradient(sys, schedule, x, rho):
                     "ij,ij->i", rs, sys.mode_field(a, xs) - fm)
         return out
 
-    def slopes_fn(seg, ts, channel=None):
+    def slopes_in_segment(seg, ts, channels=None):
         ts = np.atleast_1d(np.asarray(ts, float))
         xs = x(ts, seg=seg)
         rs = rho(ts, seg=seg)
         xd = x.derivative(ts, seg=seg)
         rd = rho.derivative(ts, seg=seg)
         active = schedule.sequence[seg]
-        modes = range(1, N + 1) if channel is None else (channel,)
+        modes = range(1, N + 1) if channels is None else channels
         out = np.zeros((len(ts), len(modes)))
-        if channel != active:
+        if any(a != active for a in modes):
             fm = sys.mode_field(active, xs)
             Jm = sys.mode_jacobian(active, xs)
         for col, a in enumerate(modes):
@@ -361,9 +335,10 @@ def insertion_gradient(sys, schedule, x, rho):
             dJxd = (sys.mode_jacobian(a, xs) - Jm) @ xd[:, :, None]
             term2 = (rs[:, None, :] @ dJxd)[:, 0, 0]
             out[:, col] = term1 + term2
-        return out if channel is None else out[:, 0]
+        return out
 
-    return InsertionGradientField(schedule, values_fn, slopes_fn)
+    return InsertionGradientField(schedule, values_in_segment,
+                                  slopes_in_segment)
 
 
 def optimality(field):
@@ -372,20 +347,17 @@ def optimality(field):
     Ties (within ``1e-12`` of the minimum, relatively) resolve to the
     earliest time and then the lowest mode index.  When every channel is
     nonnegative the schedule already satisfies the optimality condition
-    and the result carries ``theta = 0`` with no minimizer.
+    and the result carries ``theta = 0`` with no minimizer.  The
+    candidates are ``field.minima``; no channel is evaluated.
     """
-    cands = field.local_minima()
-    if not cands:
-        return OptimalityResult(0.0, None, None, None, False, field.norm_inf)
-    vmin = min(c["value"] for c in cands)
-    norm_inf = field.norm_inf
+    cands = field.minima
+    vmin = min((c["value"] for c in cands), default=0.0)
     if vmin >= 0.0:
-        return OptimalityResult(0.0, None, None, None, False, norm_inf)
+        return OptimalityResult(0.0, None, None, None, False)
     tie = 1e-12 * (1.0 + abs(vmin))
     best = min((c for c in cands if c["value"] <= vmin + tie),
                key=lambda c: (c["time"], c["mode"]))
     return OptimalityResult(
         theta=float(best["value"]), mode=best["mode"], time=best["time"],
         boundary=best["boundary"], stationary=best["boundary"] is None,
-        norm_inf=norm_inf,
     )

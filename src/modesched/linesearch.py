@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 #: default backtracking contraction and iteration cap
 BETA_DEFAULT = 0.4
 JMAX_DEFAULT = 40
@@ -55,9 +57,17 @@ class SwitchEvent:
     is_new: bool = False
 
 
-def _classify(field, time, omega, channel, side, is_new):
-    slope = field.slope(channel, time, side=side)
-    curv = field.curvature(channel, time, side=side)
+def _classify(field, m, omega, is_new):
+    """The :class:`SwitchEvent` of a switch born or re-typed at minimum ``m``.
+
+    ``m`` is one of ``field.minima``; its ``time``, ``mode`` (the pinning
+    channel) and ``segment`` give where the one-sided slope and curvature
+    are read: on that segment's branch, so a minimum at a segment end is
+    classified from the segment it was found in.
+    """
+    t, a, seg = m["time"], m["mode"], m["segment"]
+    slope = float(field.slopes_in_segment(seg, np.array([t]), (a,))[0, 0])
+    curv = field.curvature(seg, a, t)
     slope_tol = STATIONARY_TOL * (1.0 + field.norm_inf / field.horizon)
     curv_tol = CURVATURE_TOL * (1.0 + field.norm_inf)
     # A first-order event needs the channel rising away from the moving
@@ -71,22 +81,23 @@ def _classify(field, time, omega, channel, side, is_new):
         kind = 2
     else:
         kind = 3
-    return SwitchEvent(time=time, omega=omega, channel=channel,
-                       event_type=kind, slope=slope, curvature=curv,
-                       is_new=is_new)
+    return SwitchEvent(time=t, omega=omega, channel=a, event_type=kind,
+                       slope=slope, curvature=curv, is_new=is_new)
 
 
 def initial_switch_events(field, opt):
     """Switching-time events of the projection just past ``gamma0``.
 
-    Every local minimum of the field within ``1e-9 (1 + |theta|)`` of
+    Every minimum in ``field.minima`` within ``1e-9 (1 + |theta|)`` of
     ``theta`` starts moving.  An interior minimum opens a new interval
     whose edges move apart (``omega = 1`` and ``0``).  A minimum on a
     segment's end moves left (``omega = 1``), one on a segment's start
     moves right (``omega = 0``); it is the existing switch, re-typed,
     when its channel is the mode on the far side of that switch, and a
     new event otherwise (the horizon ends have no far side).  Existing
-    switches that nothing re-types stay put (type 0).
+    switches that nothing re-types stay put (type 0).  Each moving event
+    is typed from its minimum's own segment (:func:`_classify`); the
+    field's samples are read, not re-evaluated.
 
     Parameters
     ----------
@@ -104,24 +115,24 @@ def initial_switch_events(field, opt):
     sched = field.schedule
     match_tol = 1e-9 * (1.0 + abs(theta))
     events, retyped = [], set()
-    for m in field.local_minima():
+    for m in field.minima:
         if m["value"] > theta + match_tol:
             continue
-        t, a, seg = m["time"], m["mode"], m["segment"]
         if m["boundary"] is None:
-            events += [_classify(field, t, 1, a, "right", True),
-                       _classify(field, t, 0, a, "right", True)]
+            events += [_classify(field, m, 1, True),
+                       _classify(field, m, 0, True)]
             continue
-        # index of the switch at t and the segment on its far side
+        # index of the switch at the minimum and the segment on its far side
+        seg = m["segment"]
         if m["boundary"] == "left":
             omega, i, far = 1, seg, seg + 1
         else:
             omega, i, far = 0, seg - 1, seg - 1
         is_new = not (0 <= far < sched.n_segments
-                      and sched.sequence[far] == a)
+                      and sched.sequence[far] == m["mode"])
         if not is_new:
             retyped.add(i)
-        events.append(_classify(field, t, omega, a, m["boundary"], is_new))
+        events.append(_classify(field, m, omega, is_new))
     events += [SwitchEvent(time=t, omega=0, channel=None, event_type=0)
                for i, t in enumerate(sched.times) if i not in retyped]
     return events

@@ -65,7 +65,7 @@ def _winners_from_values(D, inc, gamma, ts, seg):
 def _segment_spans(field, seg, gamma):
     """(start, end, mode) spans for one segment under the max rule.
 
-    Winners are taken on the field's ``samples(seg)``, its grid and
+    Winners are taken on the field's ``samples[seg]``, its grid and
     interior minima; each change of winner between two adjacent samples is
     the root of ``E_new - E_old``, where ``E_a = d_a`` for a challenger and
     the incumbent's ``E`` is ``min(d_inc, -1/gamma)``, so that the max rule
@@ -77,7 +77,7 @@ def _segment_spans(field, seg, gamma):
     a, b = sched.segment_bounds(seg)
     inc = sched.sequence[seg]
     threshold = -1.0 / gamma
-    ts, D = field.samples(seg)
+    ts, D = field.samples[seg]
     w = _winners_from_values(D, inc, gamma, ts, seg)
 
     def gap(d_new, d_old, new, old):

@@ -64,7 +64,8 @@ class OptimizerConfig:
     until no insertion helps at all (or the budget runs out).
 
     ``max_iter`` and ``j_max`` are integers ``>= 0``, ``rtol`` is finite
-    and ``> 0`` and ``atol`` finite and ``>= 0``; no field takes a bool.
+    and ``> 0``, ``atol`` finite and ``>= 0`` and a numeric ``theta_stop``
+    finite; no field takes a bool.
     Invalid values raise ``ValueError`` on construction.
 
     ``knot_spacing`` (default ``horizon/512``) caps the spacing of the
@@ -98,9 +99,10 @@ class OptimizerConfig:
                 and _is_number(self.atol) and 0.0 <= self.atol < math.inf):
             raise ValueError(f"rtol must be finite and > 0, atol finite and "
                              f">= 0, got {self.rtol!r} and {self.atol!r}")
-        if not (_is_number(self.theta_stop) or self.theta_stop == "auto"):
-            raise ValueError(f"theta_stop must be a number or 'auto', "
-                             f"got {self.theta_stop!r}")
+        if not (_is_number(self.theta_stop) and math.isfinite(self.theta_stop)
+                or self.theta_stop == "auto"):
+            raise ValueError(f"theta_stop must be a finite number or "
+                             f"'auto', got {self.theta_stop!r}")
 
 
 def _is_number(v, kind=numbers.Real):

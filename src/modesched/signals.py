@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +29,18 @@ class ModeSchedule:
     Parameters
     ----------
     sequence : tuple of int
-        Active modes in order, each in ``1..num_modes``.
+        Active modes in order, each an integer in ``1..num_modes``
+        (numpy integers included; bools and floats are rejected, not
+        truncated).
     times : tuple of float
         Interior switching times, strictly increasing, inside
         ``(0, horizon)``.  ``len(times) == len(sequence) - 1``.
     horizon : float
-        Final time ``T > 0``; the schedule covers ``[0, T]``.
+        Final time ``T``, finite and ``> 0``; the schedule covers
+        ``[0, T]``.
     num_modes : int
-        Number of modes ``N >= 1`` of the underlying system.
+        Number of modes ``N >= 1`` of the underlying system, an integer
+        as the modes are.
 
     Examples
     --------
@@ -51,12 +57,17 @@ class ModeSchedule:
     num_modes: int
 
     def __post_init__(self):
+        for m in (*self.sequence, self.num_modes):
+            if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+                raise ValueError(f"modes and num_modes must be integers, "
+                                 f"got {m!r}")
         seq = tuple(int(m) for m in self.sequence)
         times = tuple(float(t) for t in self.times)
         horizon = float(self.horizon)
         num_modes = int(self.num_modes)
-        if horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, "
+                             f"got {horizon}")
         if num_modes < 1:
             raise ValueError(f"num_modes must be >= 1, got {num_modes}")
         if len(seq) == 0:

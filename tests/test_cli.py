@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -121,6 +122,20 @@ def test_horizon_rejects_a_window_count_that_is_no_positive_integer(
     cfg = write_cfg(tmp_path, power_cfg(n_windows=n_windows))
     assert main(["horizon", cfg, "--dry-run"]) == 2
     assert "n_windows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"u0": {"sequence": [2.7, 1], "times": [1.0]}}, "integers"),  # not 2
+    ({"horizon": math.inf}, "horizon"),       # a run that never ends
+    ({"horizon": math.nan}, "horizon"),
+    ({"optimizer": {"theta_stop": math.nan}}, "theta_stop"),
+    ({"optimizer": {"theta_stop": -math.inf}}, "theta_stop"),
+])
+def test_dry_run_rejects_values_a_run_would_misread(tmp_path, capsys, extra,
+                                                    named):
+    cfg = write_cfg(tmp_path, {"model": {"type": "vehicle"}, **extra})
+    assert main(["optimize", cfg, "--dry-run"]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_horizon_advance_exceeding_window_exit_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from modesched import (
     InsertionGradientField,
     ModeSchedule,
     constant_schedule,
+    initial_switch_events,
     insertion_gradient,
     integrate_adjoint,
     integrate_state,
@@ -55,7 +56,7 @@ def test_active_channel_is_zero(vehicle, vehicle_x0):
     for t in rng.uniform(0.0, 4.0, 30):
         active = sched.mode_at(t)
         assert field.value_channel(active, t) == 0.0
-        vals = field.value(t)
+        vals = field.values_in_segment(sched.segment_of(t), [t])[0]
         assert vals[active - 1] == 0.0
 
 
@@ -73,7 +74,8 @@ def test_field_slopes_match_fd(vehicle, vehicle_x0):
         a = int(rng.integers(1, 5))
         fd = (field.value_channel(a, t + h)
               - field.value_channel(a, t - h)) / (2 * h)
-        assert field.slope(a, t) == pytest.approx(fd, rel=5e-4, abs=1e-6)
+        slope = field.slopes_in_segment(seg, np.array([t]), (a,))[0, 0]
+        assert slope == pytest.approx(fd, rel=5e-4, abs=1e-6)
 
 
 def test_switching_time_gradient_fd_oracle(vehicle, vehicle_x0):
@@ -120,10 +122,10 @@ def test_optimality_on_synthetic_parabola():
     assert opt.time == pytest.approx(0.75, abs=1e-6)
     assert opt.stationary
     assert opt.boundary is None
-    assert field.curvature(opt.mode, opt.time) == pytest.approx(2.0,
-                                                                rel=1e-3)
+    assert field.curvature(0, opt.mode, opt.time) == pytest.approx(2.0,
+                                                                   rel=1e-3)
     # the sup-norm is a grid-level diagnostic, not a refined quantity
-    assert opt.norm_inf == pytest.approx(2.0, rel=1e-3)
+    assert field.norm_inf == pytest.approx(2.0, rel=1e-3)
 
 
 def test_optimality_boundary_minimum():
@@ -163,7 +165,7 @@ def test_local_minima_catch_subgrid_dip():
         [lambda t: np.zeros_like(t),
          lambda t: (t - (1.0 - eps)) ** 2 - 1.0],
     )
-    minima = [m for m in field.local_minima() if m["mode"] == 2]
+    minima = [m for m in field.minima if m["mode"] == 2]
     best = min(minima, key=lambda m: m["value"])
     assert best["boundary"] is None
     assert best["time"] == pytest.approx(1.0 - eps, abs=1e-7)
@@ -180,8 +182,9 @@ def test_no_phantom_minimum_at_a_jump_across_a_switch():
     jump = lambda t: np.where(t < switch, -t, 10.0)
     field = InsertionGradientField.from_callables(
         sched, masked_channels(sched, [zero, zero, jump]))
-    assert field.slope(3, switch, side="left") == pytest.approx(-1.0)
-    near = [m for m in field.local_minima() if m["boundary"] is None
+    assert field.slopes_in_segment(0, np.array([switch]), (3,))[0, 0] \
+        == pytest.approx(-1.0)
+    near = [m for m in field.minima if m["boundary"] is None
             and abs(m["time"] - switch) <= 1e-6 * horizon]
     assert near == []
     # the well is the first segment's own end, a one-sided minimum
@@ -194,7 +197,7 @@ def test_minima_respect_segment_boundaries(vehicle, vehicle_x0):
     rng = np.random.default_rng(31)
     sched = random_schedule(rng, 5.0, 4, 5)
     _, _, field = field_for(vehicle, vehicle_x0, sched)
-    for m in field.local_minima():
+    for m in field.minima:
         lo, hi = sched.segment_bounds(m["segment"])
         assert lo - 1e-12 <= m["time"] <= hi + 1e-12
         # "right" marks a right-sided minimum at the segment start,
@@ -210,17 +213,17 @@ def test_samples_merge_the_interior_minima_into_the_grid(vehicle, vehicle_x0,
                                                          seed):
     sched = random_schedule(np.random.default_rng(seed), 5.0, 4, 5)
     _, _, field = field_for(vehicle, vehicle_x0, sched)
-    minima = field.local_minima()
+    minima = field.minima
     assert any(m["boundary"] is None for m in minima)
     for seg in range(sched.n_segments):
-        ts, D = field.samples(seg)
+        ts, D = field.samples[seg]
         assert np.all(np.diff(ts) > 0.0)
-        grid = field.grid(seg)
+        grid = field.grids[seg]
         te = np.array([m["time"] for m in minima
                        if m["segment"] == seg and m["boundary"] is None])
         at = np.searchsorted(ts, grid)
         assert np.array_equal(ts[at], grid)
-        assert np.array_equal(D[at], field.grid_values(seg))
+        assert np.array_equal(D[at], field.grid_values[seg])
         if te.size:
             at = np.searchsorted(ts, te)
             assert np.array_equal(ts[at], te)
@@ -229,6 +232,48 @@ def test_samples_merge_the_interior_minima_into_the_grid(vehicle, vehicle_x0,
             assert np.array_equal(D[at][own],
                                   field.values_in_segment(seg, te)[own])
         assert len(ts) == len(np.union1d(grid, te))
+
+
+def test_a_field_samples_each_grid_once_and_then_only_reads():
+    # the field is built once: later queries of theta, the step events
+    # and the max rule's samples read what construction sampled
+    sched = ModeSchedule((1, 2, 1), (0.4, 0.7), 1.0, 3)
+    value_calls, slope_calls = [], []
+
+    def counted(fns, calls):
+        def wrap(fn):
+            def f(t):
+                calls.append(np.array(t, dtype=float))
+                return fn(t)
+            return f
+        return [wrap(fn) for fn in masked_channels(sched, fns)]
+
+    values = [lambda t: (t - 0.55) ** 2 - 0.5, lambda t: (t - 0.21) ** 2 - 2.0,
+              lambda t: np.cos(9.0 * t)]
+    slopes = [lambda t: 2.0 * (t - 0.55), lambda t: 2.0 * (t - 0.21),
+              lambda t: -9.0 * np.sin(9.0 * t)]
+    field = InsertionGradientField.from_callables(
+        sched, counted(values, value_calls),
+        channel_slopes=counted(slopes, slope_calls))
+    for seg, grid in enumerate(field.grids):
+        # a segment ending at a switch reads its end just below it
+        own = grid[:-1] if seg < len(sched.times) else grid
+        hits = [ts for ts in value_calls
+                if len(ts) == len(grid) and np.array_equal(ts[:len(own)], own)]
+        assert len(hits) == sched.num_modes  # one call per channel function
+    value_calls.clear()
+    slope_calls.clear()
+    opt = optimality(field)
+    assert opt.theta == pytest.approx(-2.0, abs=1e-12)
+    for seg in range(sched.n_segments):
+        ts, D = field.samples[seg]
+        assert len(ts) >= len(field.grids[seg])
+    assert value_calls == [] and slope_calls == []
+    events = initial_switch_events(field, opt)
+    assert sorted(e.omega for e in events if e.event_type != 0) == [0, 1]
+    # one-sided slopes and curvature stencils only: one or two points
+    assert value_calls == []
+    assert slope_calls and all(len(ts) <= 2 for ts in slope_calls)
 
 
 def test_theta_nonpositive_and_attained(vehicle, vehicle_x0):
@@ -265,7 +310,7 @@ def test_single_channel_slopes_are_the_full_columns(name):
 
     counted = dataclasses.replace(sys_, mode_jacobian=jacobian)
     _, _, field = field_for(counted, x0, sched)
-    slopes = field._slopes_fn
+    slopes = field.slopes_in_segment
     rng = np.random.default_rng(3)
     for seg in range(sched.n_segments):
         lo, hi = sched.segment_bounds(seg)
@@ -273,11 +318,12 @@ def test_single_channel_slopes_are_the_full_columns(name):
         full = slopes(seg, ts)
         active = sched.sequence[seg]
         for a in range(1, sched.num_modes + 1):
-            assert np.array_equal(slopes(seg, ts, a), full[:, a - 1])
+            assert np.array_equal(slopes(seg, ts, (a,))[:, 0], full[:, a - 1])
             for t in ts:  # one point, as the root solves ask
                 one = slopes(seg, np.array([t]))[:, a - 1]
                 modes.clear()
-                assert np.array_equal(slopes(seg, np.array([t]), a), one)
+                assert np.array_equal(slopes(seg, np.array([t]), (a,))[:, 0],
+                                      one)
                 # the active mode's Jacobian and channel a's, or none
                 assert sorted(modes) == ([] if a == active
                                          else sorted([active, a]))

@@ -47,11 +47,11 @@ def synth_field(sched, seg_channels):
 
     h = 1e-7 * sched.horizon
 
-    def slopes_fn(seg, ts, channel=None):
+    def slopes_fn(seg, ts, channels=None):
         a, b = sched.segment_bounds(seg)
         tc = np.clip(np.atleast_1d(np.asarray(ts, float)), a + h, b - h)
         S = (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
-        return S if channel is None else S[:, channel - 1]
+        return S if channels is None else S[:, [a - 1 for a in channels]]
 
     return InsertionGradientField(sched, values_fn, slopes_fn)
 
@@ -212,7 +212,7 @@ def test_events_count_the_crossings_just_past_gamma0():
         match_tol = 1e-9 * (1.0 + abs(theta))
         if any(m["boundary"] is None and m["value"] <= theta + match_tol
                and any(abs(t - m["time"]) < 1e-2 for t in sched.times)
-               for m in field.local_minima()):
+               for m in field.minima):
             continue
         events = initial_switch_events(field, opt)
         crossings = max_rule_crossings(field, gamma_zero(theta) * (1 + 1e-6))

@@ -72,7 +72,7 @@ def test_threshold_rule_matches_literal_argmax():
             if cuts.size and np.min(np.abs(cuts - t)) < 1e-6:
                 continue
             inc = sched.mode_at(t)
-            d = field.value(t)
+            d = field.values_in_segment(sched.segment_of(t), [t])[0]
             w = -gamma * d
             w[inc - 1] += 1.0
             top = np.sort(w)[-2:]
@@ -174,7 +174,7 @@ def test_last_bit_disagreement_at_a_bracket_end():
     # the last bit; a bracket end sampled exactly at the threshold must
     # keep the sign its sample gave, or the root solve has no sign change
     sched = constant_schedule(1, 1.0, 2)
-    t_j = zero_field(sched).grid(0)[1000]
+    t_j = zero_field(sched).grids[0][1000]
 
     def challenger(t):
         t = np.atleast_1d(np.asarray(t, float))
@@ -183,7 +183,7 @@ def test_last_bit_disagreement_at_a_bracket_end():
 
     field = InsertionGradientField.from_callables(
         sched, [lambda t: np.zeros_like(t), challenger])
-    assert field.grid_values(0)[1000, 1] == -1.0
+    assert field.grid_values[0][1000, 1] == -1.0
     assert field.value_channel(2, t_j) < -1.0
     out = max_map(sched, field, 1.0)
     assert out.sequence == (1, 2)

@@ -234,6 +234,9 @@ def test_stop_threshold_variants():
     ("j_max", True),
     ("j_max", 3.0),
     ("theta_stop", True),
+    ("theta_stop", math.nan),   # never "optimal"
+    ("theta_stop", math.inf),
+    ("theta_stop", -math.inf),  # "optimal" at once
     ("rtol", -1.0),         # scipy would clamp it silently
     ("rtol", 0.0),
     ("rtol", math.nan),
@@ -273,8 +276,8 @@ def assert_same_run(got, ref):
     for a, b in zip(got.trajectory.knots, ref.trajectory.knots):
         assert all(np.array_equal(va, vb) for va, vb in zip(a, b))
     for seg in range(ref.schedule.n_segments):
-        assert np.array_equal(got.field.grid_values(seg),
-                              ref.field.grid_values(seg))
+        assert np.array_equal(got.field.grid_values[seg],
+                              ref.field.grid_values[seg])
 
 
 def test_optimize_reuses_nothing_from_a_curve_solved_for_other_inputs():
@@ -340,8 +343,8 @@ def test_result_field_is_the_final_iterates(cfg, status):
     ref = fresh_field(sys_, res)
     assert res.field.schedule == res.schedule
     for seg in range(res.schedule.n_segments):
-        assert np.array_equal(res.field.grid_values(seg),
-                              ref.grid_values(seg))
+        assert np.array_equal(res.field.grid_values[seg],
+                              ref.grid_values[seg])
 
 
 def test_result_field_after_a_failed_step(monkeypatch):
@@ -354,8 +357,8 @@ def test_result_field_after_a_failed_step(monkeypatch):
                    OptimizerConfig(theta_stop=0.0, max_iter=5),
                    final_field=False)
     assert res.status == "line_search_failure"
-    assert np.array_equal(res.field.grid_values(0),
-                          fresh_field(sys_, res).grid_values(0))
+    assert np.array_equal(res.field.grid_values[0],
+                          fresh_field(sys_, res).grid_values[0])
 
 
 def test_final_field_false_cuts_only_the_last_row():

@@ -1,4 +1,6 @@
 """Schedule container: geometry, editing, dwell, round-trips."""
+import math
+
 import numpy as np
 import pytest
 
@@ -41,10 +43,22 @@ def test_vacuous_switches_merge():
     dict(sequence=(), times=(), horizon=1.0, num_modes=2),
     dict(sequence=(1,), times=(), horizon=-1.0, num_modes=2),
     dict(sequence=(0,), times=(), horizon=1.0, num_modes=2),
+    # not truncated to mode 2, nor to 2 modes
+    dict(sequence=(2.7, 1), times=(1.0,), horizon=3.0, num_modes=4),
+    dict(sequence=(1,), times=(), horizon=1.0, num_modes=2.9),
+    dict(sequence=(True, 2), times=(0.5,), horizon=1.0, num_modes=2),
+    dict(sequence=(1,), times=(), horizon=math.nan, num_modes=2),
+    dict(sequence=(1,), times=(), horizon=math.inf, num_modes=2),
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ValueError):
         ModeSchedule(**bad)
+
+
+def test_numpy_integers_are_modes():
+    s = ModeSchedule(tuple(np.array([2, 1])), (1.0,), 3.0, np.int64(4))
+    assert s.sequence == (2, 1) and s.num_modes == 4
+    assert all(type(m) is int for m in (*s.sequence, s.num_modes))
 
 
 def test_segment_lookup_randomized():
