@@ -186,9 +186,11 @@ class InsertionGradientField:
         minimum is the root of the channel's slope where it turns from
         negative to nonnegative, solved by :func:`_bracketed_root` to
         ``ROOT_TOL * horizon``.  Brackets are the two cells around each grid
-        node no higher than its neighbours, plus the first and last cell,
-        where a minimum hides from the node test; one batched slope call at
-        the bracket ends keeps those whose slope changes sign.
+        node no higher than the node before it and lower than the one after
+        it, plus the first and last cell, where a minimum hides from the
+        node test; one batched slope call at the bracket ends keeps those
+        whose slope changes sign.  Of two equal neighbouring nodes around a
+        minimum only the later one passes, so one well gives one bracket.
         """
         t0, t1 = self.schedule.segment_bounds(seg)
         n = max(GRID_MIN_PTS,
@@ -210,7 +212,7 @@ class InsertionGradientField:
             found.append(dict(value=float(v[-1]), time=float(ts[-1]),
                               mode=a, segment=seg, boundary="left"))
             nodes = np.flatnonzero(
-                (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
+                (v[1:-1] <= v[:-2]) & (v[1:-1] < v[2:])) + 1
             brackets.extend((a, j - 1, j + 1) for j in nodes)
             if 1 not in nodes:
                 brackets.append((a, 0, 1))

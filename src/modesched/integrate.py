@@ -2,8 +2,12 @@
 
 Integration is restarted exactly at each switching time, so no solver step
 ever straddles a vector-field discontinuity.  Each segment of the state is
-solved with an adaptive high-order explicit Runge-Kutta method
-(Dormand-Prince 8) and resampled onto (time, value, derivative) knots.
+solved by the package's own adaptive step loop, :func:`solve_ivp`: the
+explicit Runge-Kutta method DOP853 (Dormand-Prince 8(5,3)) with scipy's
+tableau, step control and operation order, so it takes scipy's steps to
+the bit.  The solution is read on (time, value, derivative) knots, and the
+three extra stages of DOP853's dense output are taken only on steps that
+hold a knot inside them.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through all of
 a curve's knots as one piecewise-cubic table, which makes the curve and
 its time derivative cheaply evaluable anywhere.  Each query reads one
@@ -19,12 +23,16 @@ knots.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import PPoly
+from scipy.optimize import brentq
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-9
@@ -36,6 +44,9 @@ MAGNUS_CHUNK = 64
 #: Gauss-Legendre nodes on ``[0, 1]``, where each Magnus step samples
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
 _UNIT_ROUNDOFF = 2.0 ** -53
+#: knots closer than this times ``max(1, |t1|)`` to the one before them
+#: are dropped
+_KNOT_MERGE = 1e-14
 
 
 @dataclass
@@ -73,14 +84,15 @@ class SwitchedSystem:
     ``running_cost_gradient`` ``(k, n)``.
 
     The forward solver calls ``mode_field`` and ``running_cost`` once per
-    Runge-Kutta stage, on a single ``(n,)`` state: about 21k stages in the
-    50-window power receding-horizon run.  Per-call overhead dominates
-    there, so a model should compute whatever does not depend on the state
-    once, when it builds the callables, rather than inside them.  Every
-    other call is on a stack: all the knots or Gauss nodes of a segment
-    (or a chunk of one) at a time, or the points where the insertion
-    gradient is sampled; ``mode_jacobian`` and ``running_cost_gradient``
-    see only stacks.
+    Runge-Kutta stage, on a single ``(n,)`` state: about 20.7k stages in the
+    50-window power receding-horizon run, where the three dense-output
+    stages of a step are only taken when a knot lies inside it.  Per-call
+    overhead dominates there, so a model should compute whatever does not
+    depend on the state once, when it builds the callables, rather than
+    inside them.  Every other call is on a stack: all the knots or Gauss
+    nodes of a segment (or a chunk of one) at a time, or the points where
+    the insertion gradient is sampled; ``mode_jacobian`` and
+    ``running_cost_gradient`` see only stacks.
     """
 
     num_modes: int
@@ -229,17 +241,6 @@ class Abandoned:
     time: float
 
 
-def _knot_times(a, b, sol_ts, horizon, knot_spacing):
-    """Union of solver steps and a uniform grid, deduplicated."""
-    h = knot_spacing if knot_spacing is not None else horizon / KNOTS_PER_HORIZON
-    n_uni = max(2, int(np.ceil((b - a) / h)) + 1)
-    ts = np.union1d(np.linspace(a, b, n_uni), np.asarray(sol_ts, float))
-    keep = np.concatenate(([True], np.diff(ts) > 1e-14 * max(1.0, abs(b))))
-    ts = ts[keep]
-    ts[0], ts[-1] = a, b
-    return ts
-
-
 def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                     knot_spacing=None, reuse=None, cost_bound=None):
     """Integrate the switched system forward over a schedule.
@@ -252,8 +253,8 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     accumulated cost ``acc(t)`` gives ``acc(t) + f (T - t) > cost_bound``:
     the total cost would then exceed the bound too.  This is tested at
     every segment start (``t = 0``, or the end of a reused prefix,
-    included) and inside each segment by a terminal solver event on the
-    accumulator.  Events are only tested after each accepted step, so an
+    included) and inside each segment by :func:`solve_ivp`'s ``stop`` test
+    on the accumulator.  It is only tested after each accepted step, so an
     integration that is not abandoned takes the same steps, and gives the
     same bits, as one without a bound.
 
@@ -304,13 +305,12 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     if cost_bound is not None and floor is not None:
         def stop(t, zz):
             return zz[n] + floor * (T - t) - cost_bound
-        stop.terminal, stop.direction = True, 1.0
     for i in range(len(x_segs), schedule.n_segments):
         if stop is not None and stop(bnds[i], z) > 0.0:
             return Abandoned(float(bnds[i]))
         rhs, fs_batch = _augmented(sys, schedule.sequence[i])
         seg = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1], z, rtol,
-                             atol, T, knot_spacing, event=stop)
+                             atol, T, knot_spacing, stop=stop)
         if isinstance(seg, Abandoned):
             return seg
         ts, zs, fs, z = seg
@@ -356,8 +356,8 @@ def _shift_curve(x, dt, schedule):
     ``x`` is an :func:`integrate_state` result.  On ``[dt, T]`` it already
     solves the shifted schedule's ODE from ``x(dt)``, so its knots there
     are kept, moved to ``t - dt``, with ``x.cost_at(dt)`` taken off the
-    accumulator.  Knots within ``_knot_times``' dedup distance of ``dt``
-    give way to a new first knot at ``x(dt)``; only the padded tail
+    accumulator.  Knots within :func:`solve_ivp`'s knot merging distance
+    of ``dt`` give way to a new first knot at ``x(dt)``; only the padded tail
     ``[T - dt, T]`` is solved, in the held final mode, from the pinned end
     knot.  The result names ``schedule`` and ``x(dt)`` as its inputs, so it
     stands in for ``integrate_state(sys, x(dt), schedule, ...)`` (to solver
@@ -372,7 +372,7 @@ def _shift_curve(x, dt, schedule):
             for (ts, ys, fs), (_, cs, gs)
             in zip(x.knots[i0:], x.cost_curve.knots[i0:])]
     ts, zs, fs = segs[0]
-    keep = ts > 1e-14 * max(1.0, T)
+    keep = ts > _KNOT_MERGE * max(1.0, T)
     keep[-1] = ts[-1] > 0.0  # a segment end past dt is a boundary
     z0 = np.concatenate([x(dt), [0.0]])
     f0 = _augmented(sys, sched.sequence[i0])[1](z0[None])
@@ -410,31 +410,233 @@ def _augmented(sys, m):
 
 
 def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
-                   knot_spacing, event=None):
+                   knot_spacing, stop=None):
     """One smooth segment, solved forward from ``t0`` to ``t1``.
 
-    Solves, then resamples onto Hermite knots, with the knot derivatives
-    from one ``fs_batch(zs)`` call.  Returns ``(ts, zs, fs, z1)`` where
-    ``z1`` is the solution at ``t1``, or :class:`Abandoned` at the time
-    where the terminal ``event`` stopped the solve.
+    Solves, and reads the solution on the union of the solver's steps and
+    a uniform grid of spacing ``knot_spacing`` (default
+    ``horizon / KNOTS_PER_HORIZON``), with the knot derivatives from one
+    ``fs_batch(zs)`` call.  Returns ``(ts, zs, fs, z1)`` where ``z1`` is
+    the solution at ``t1``, or :class:`Abandoned` at the time where
+    :func:`solve_ivp`'s ``stop`` stopped the solve.
     """
     if t1 - t0 < 1e-13 * horizon:  # degenerate sliver: one explicit step
         z1 = z0 + (t1 - t0) * rhs(t0, z0)
         ts = np.array([t0, t1])
-        zs = np.empty((2, len(z0)))
+        zs = np.array([z0, z1])
     else:
-        sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853",
-                        dense_output=True, rtol=rtol, atol=atol, events=event)
-        if not sol.success:
-            raise RuntimeError(
-                f"integration failed on [{t0}, {t1}]: {sol.message}")
-        if sol.status == 1:
-            return Abandoned(float(sol.t_events[0][0]))
-        z1 = sol.y[:, -1]
-        ts = _knot_times(t0, t1, sol.t, horizon, knot_spacing)
-        zs = sol.sol(ts).T
-    zs[0], zs[-1] = z0, z1
+        h = knot_spacing if knot_spacing is not None \
+            else horizon / KNOTS_PER_HORIZON
+        grid = np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0) / h)) + 1))
+        sol = solve_ivp(rhs, (t0, t1), z0, rtol, atol, stop=stop,
+                        grid=grid)
+        if sol.t_stop is not None:
+            return Abandoned(sol.t_stop)
+        ts, zs, z1 = sol.ts, sol.zs, sol.zs[-1]
     return ts, zs, fs_batch(zs), z1
+
+
+# DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
+# I, II.5) with scipy's coefficients and step-size control
+_S = _dop853.N_STAGES  # 12 stages; the 13th row of K is f at the step end
+_A = _dop853.A
+_C = _dop853.C
+_B = _dop853.B
+_E3, _E5 = _dop853.E3, _dop853.E5
+_D = _dop853.D
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
+_EPS = np.finfo(float).eps
+
+
+class Solution(NamedTuple):
+    """A :func:`solve_ivp` result."""
+
+    #: step times, ``t0`` first
+    t: np.ndarray
+    #: knot times from ``t0`` to ``t1``, and the solution there, ``(k, n)``;
+    #: ``None`` when the solve was stopped
+    ts: np.ndarray | None
+    zs: np.ndarray | None
+    #: where ``stop`` crossed zero, or ``None``
+    t_stop: float | None
+    #: right-hand side evaluations, dense-output stages included
+    nfev: int
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
+    """The package's own DOP853 solve of ``y' = fun(t, y)`` over
+    ``t_span = (t0, t1)``, ``t0 < t1``.
+
+    It takes the steps, and gives the bits, of
+    ``scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
+    rtol=rtol, atol=atol)``: the same first-step selection (one extra
+    ``fun`` call), Runge-Kutta stages, error norm and step-size control, in
+    the same operation order.  ``fun(t, y)`` takes a state ``(n,)`` and
+    returns a float array ``(n,)``.
+
+    The solution is read at the knots: the step times and the points of
+    the sorted ``grid`` (within ``t_span``), with every point that lies
+    within ``1e-14 max(1, |t1|)`` of the one before it dropped, and the
+    last knot moved to ``t1``.  A knot at a step time is the step's end
+    point as scipy's dense output gives it there; a knot inside a step is
+    read from the step's dense output, whose three extra stages are taken
+    only on such steps.  The values are those of scipy's ``sol(ts)``,
+    except that the first and last knots hold ``y0`` and the end state.
+
+    ``stop(t, y)``, if given, is tested after each accepted step; the solve
+    stops in the first step over which it goes from ``<= 0`` to ``>= 0``,
+    at the root found by ``brentq`` on the step's dense output, as a
+    terminal rising scipy event would.
+
+    Raises ``RuntimeError`` naming ``t_span`` when the step size falls
+    below ten spacings of floating-point numbers at ``t``.
+    """
+    t, t1 = map(float, t_span)
+    y = np.asarray(y0, float)
+    n = len(y)
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol {rtol} is too small; using {100 * _EPS}",
+                      stacklevel=2)
+        rtol = 100 * _EPS
+    grid = np.asarray(grid, float).tolist()
+    merge = _KNOT_MERGE * max(1.0, abs(t1))
+    # stage rows; the first 13 hold a step's stages and its end slope, the
+    # last three the dense output's extra stages.  Each stage combines the
+    # rows before it through the transposed view, as scipy does.
+    K = np.empty((_dop853.N_STAGES_EXTENDED, n))
+    stages = [(K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, _S)]
+    extra = [(K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(_S + 1, len(K))]
+    KT_b, KT_e = K[:_S].T, K[:_S + 1].T
+
+    f = fun(t, y)
+    # first step (Hairer, Norsett & Wanner, II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1 - t)
+    f1 = fun(t + h0, y + h0 * f)
+    nfev = 2
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, t1 - t)
+
+    steps, knot_t, knot_z, pending = [t], [t], [y], []
+    g = None if stop is None else stop(t, y)
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    f"integration failed on [{t_span[0]}, {t_span[1]}]: "
+                    "Required step size is less than spacing between "
+                    "numbers.")
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            K[0] = f
+            for row, KT, a, c in stages:
+                row[:] = fun(t + c * h, y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(KT_b, _B)
+            f_new = fun(t + h, y_new)
+            K[_S] = f_new
+            nfev += _S
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(KT_e, _E5) / scale
+            err3 = np.dot(KT_e, _E3) / scale
+            # squared np.linalg.norm, which is sqrt(x @ x)
+            err5_2 = math.sqrt(err5 @ err5) ** 2
+            err3_2 = math.sqrt(err3 @ err3) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h * err5_2 / math.sqrt(
+                    (err5_2 + 0.01 * err3_2) * n)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        steps.append(t)
+        if stop is not None:
+            g_new = stop(t, y)
+            if g <= 0 <= g_new:
+                dense = _dense_output(fun, extra, K, t_old, y_old, y, h)
+                root = brentq(lambda s: stop(s, dense(s)), t_old, t,
+                              xtol=4 * _EPS, rtol=4 * _EPS)
+                return Solution(np.array(steps), None, None, root,
+                                nfev + len(extra))
+            g = g_new
+        # grid points inside the step, each kept if clear of the point
+        # before it; the step end likewise.  Inner knots wait for the end
+        # of the solve, so a stopped solve takes no dense stages for them.
+        inside = grid[bisect.bisect_right(grid, t_old):
+                      bisect.bisect_left(grid, t)]
+        kept = [p for p, q in zip(inside, [t_old] + inside[:-1])
+                if p - q > merge]
+        if kept:
+            pending.append((len(knot_z), K[:_S + 1].copy(), np.array(kept),
+                            (t_old, y_old, y, h)))
+            knot_t += kept
+            knot_z.append(None)
+        if t - (inside[-1] if inside else t_old) > merge:
+            knot_t.append(t)
+            knot_z.append(y_old + (y - y_old))  # the dense output at x = 1
+    for i, rows, kept, step in pending:
+        K[:_S + 1] = rows
+        knot_z[i] = _dense_output(fun, extra, K, *step)(kept)
+    nfev += len(extra) * len(pending)
+    knot_t[-1] = t1
+    zs = np.vstack(knot_z)
+    zs[-1] = y
+    return Solution(np.array(steps), np.array(knot_t), zs, None, nfev)
+
+
+def _rms(x):
+    """Root-mean-square norm, as scipy's solvers take it."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dense_output(fun, extra, K, t_old, y_old, y, h):
+    """scipy's ``Dop853DenseOutput`` of the step from ``(t_old, y_old)``
+    to ``y`` over ``h``, whose stages are the first 13 rows of ``K``: a
+    callable of ``t``.  Fills the three extra stages into ``K``."""
+    for row, KT, a, c in extra:
+        row[:] = fun(t_old + c * h, y_old + np.dot(KT, a) * h)
+    F = np.empty((_dop853.INTERPOLATOR_POWER, len(y)))
+    f_old = K[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (K[_S] + f_old)
+    F[3:] = h * np.dot(_D, K)
+    F = F[::-1]
+
+    def evaluate(t):
+        x = (t - t_old) / h
+        if np.ndim(t):
+            x = x[:, None]
+        out = np.zeros(np.shape(x)[:1] + y.shape)
+        for i, row in enumerate(F):
+            out += row
+            out *= x if i % 2 == 0 else 1 - x
+        return out + y_old
+
+    return evaluate
 
 
 def integrate_adjoint(sys, schedule, x, rtol=None, atol=None):

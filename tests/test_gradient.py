@@ -9,6 +9,7 @@ from modesched import (
     InsertionGradientField,
     ModeSchedule,
     constant_schedule,
+    descent_slope,
     initial_switch_events,
     insertion_gradient,
     integrate_adjoint,
@@ -170,6 +171,28 @@ def test_local_minima_catch_subgrid_dip():
     assert best["boundary"] is None
     assert best["time"] == pytest.approx(1.0 - eps, abs=1e-7)
     assert best["value"] == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_a_well_between_two_equal_grid_nodes_is_one_minimum():
+    # (t - 0.2)^2 is symmetric about 0.2, midway between two grid nodes of
+    # the first segment, so both nodes hold the same value; only one of
+    # them may open a bracket, or the one well is listed twice and opens
+    # two pairs of events
+    sched = ModeSchedule((1, 2, 1), (0.4, 0.7), 1.0, 3)
+    zero = lambda t: np.zeros_like(t)
+    field = InsertionGradientField.from_callables(
+        sched, masked_channels(sched, [zero, lambda t: (t - 0.2) ** 2 - 2.0,
+                                       zero]))
+    interior = [m for m in field.minima if m["boundary"] is None]
+    assert [(m["time"], m["mode"]) for m in interior] == [(0.2, 2)]
+    opt = optimality(field)
+    events = initial_switch_events(field, opt)
+    moving = [e for e in events if e.event_type != 0]
+    assert len(moving) == 2
+    assert sorted(e.omega for e in moving) == [0, 1]
+    # one opposed pair, each edge -sqrt(2) theta^2 / sqrt(2) = -4
+    assert descent_slope(events, opt.theta, 2) == pytest.approx(-8.0,
+                                                                rel=1e-4)
 
 
 def test_no_phantom_minimum_at_a_jump_across_a_switch():

@@ -19,6 +19,7 @@ from modesched import (
     integrate_state,
     shift_schedule,
 )
+from modesched import integrate
 from modesched.integrate import Abandoned, _shift_curve
 from modesched.models import (
     initial_state,
@@ -662,3 +663,141 @@ def test_bound_below_the_reused_prefix_abandons_without_a_solve(
     assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
     assert full.cost_at(out.time) == pytest.approx(bound, rel=1e-7)
     assert calls[0] == (1.9, 2.2) and calls[-1][0] < out.time
+
+
+# -- the package's own DOP853 loop, pinned to scipy's ------------------------
+
+def reference_knots(a, b, steps, spacing):
+    """Knots of a solve over ``[a, b]`` from its step times: the union of
+    the steps and a uniform grid of at most ``spacing``, every point within
+    ``1e-14 max(1, |b|)`` of the one before it dropped, ends pinned."""
+    n_uni = max(2, int(np.ceil((b - a) / spacing)) + 1)
+    ts = np.union1d(np.linspace(a, b, n_uni), steps)
+    keep = np.concatenate(([True], np.diff(ts) > 1e-14 * max(1.0, abs(b))))
+    ts = ts[keep]
+    ts[0], ts[-1] = a, b
+    return ts
+
+
+@st.composite
+def dop853_problems(draw):
+    """A small linear ``A z + b``, the vehicle's mode field (with its cost
+    accumulator) or a system at rest; an interval, tolerances, a knot
+    spacing and a crossing time ``tc`` strictly inside the interval."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t0 = draw(st.floats(0.0, 2.0))
+    t1 = t0 + draw(st.floats(0.05, 2.0))
+    kind = draw(st.sampled_from(["linear", "vehicle", "at rest"]))
+    if kind == "linear":
+        n = draw(st.integers(1, 4))
+        A, b = rng.normal(0.0, 0.3, (n, n)), rng.normal(0.0, 2.0, n)
+        fun = lambda t, z: A @ z + b
+        # most components drift through zero, where a step end as the dense
+        # output reads it, y_old + (y - y_old), may differ from y
+        z0 = -b * (t1 - t0) * rng.uniform(0.2, 0.8, n)
+    elif kind == "vehicle":
+        fun = integrate._augmented(vehicle_system(),
+                                   draw(st.integers(1, 4)))[0]
+        z0 = np.concatenate([vehicle_initial_state(),
+                             [0.0]]) + rng.normal(0.0, 0.3, 5)
+    else:
+        fun = lambda t, z: np.zeros_like(z)
+        z0 = rng.normal(0.0, 1.0, 2)
+    return dict(
+        fun=fun, z0=z0, t0=t0, t1=t1,
+        rtol=10.0 ** draw(st.floats(-10.0, -4.0)),
+        atol=10.0 ** draw(st.floats(-11.0, -5.0)),
+        spacing=draw(st.floats(0.01, 0.5)),
+        tc=t0 + draw(st.floats(0.2, 0.8)) * (t1 - t0))
+
+
+def bits(a):
+    return np.asarray(a, float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=dop853_problems())
+def test_own_dop853_matches_scipy_to_the_bit(p):
+    fun, z0, t0, t1 = p["fun"], p["z0"], p["t0"], p["t1"]
+    tol = dict(rtol=p["rtol"], atol=p["atol"])
+    ref = solve_ivp(fun, (t0, t1), z0, method="DOP853", dense_output=True,
+                    **tol)
+    assert ref.success
+    grid = np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0)
+                                                  / p["spacing"])) + 1))
+    own = integrate.solve_ivp(fun, (t0, t1), z0, p["rtol"], p["atol"],
+                              grid=grid)
+    assert bits(own.t) == bits(ref.t)
+    assert bits(own.zs[-1]) == bits(ref.y[:, -1])
+    ts = reference_knots(t0, t1, ref.t, p["spacing"])
+    assert bits(own.ts) == bits(ts)
+    assert bits(own.zs[0]) == bits(z0)
+    if len(ts) > 2:
+        assert bits(own.zs[1:-1]) == bits(ref.sol(ts[1:-1]).T)
+    # dense stages only on the steps with a knot strictly inside
+    bare = sum(not np.any((ts > lo) & (ts < hi))
+               for lo, hi in zip(ref.t[:-1], ref.t[1:]))
+    assert own.nfev == ref.nfev - 3 * bare
+
+    # a stop that crosses zero mid-interval, through the state as well
+    def stop(t, z):
+        return (t - p["tc"]) / (t1 - t0) + 0.01 * np.tanh(z[0])
+    stop.terminal, stop.direction = True, 1.0
+    ref = solve_ivp(fun, (t0, t1), z0, method="DOP853", events=stop, **tol)
+    own = integrate.solve_ivp(fun, (t0, t1), z0, p["rtol"], p["atol"],
+                              stop=stop, grid=grid)
+    assert ref.status == 1
+    assert own.ts is None and own.zs is None
+    assert float(own.t_stop).hex() == float(ref.t_events[0][0]).hex()
+
+
+def test_a_blow_up_fails_naming_the_interval():
+    # zdot = z^2 from z(0) = 1 blows up at t = 1, inside [0, 2]
+    sys_ = SwitchedSystem(
+        num_modes=1, dim=1,
+        mode_field=lambda i, x: np.asarray(x, float) ** 2,
+        mode_jacobian=lambda i, x: 2.0 * np.asarray(x, float)[..., None],
+        running_cost=lambda x: 0.0 * np.asarray(x, float)[..., 0],
+        running_cost_gradient=lambda x: np.zeros(np.shape(x)))
+    with pytest.raises(RuntimeError,
+                       match=r"integration failed on \[0\.0, 2\.0\]: "
+                             r"Required step size"):
+        integrate_state(sys_, [1.0], constant_schedule(1, 2.0, 1))
+
+
+def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
+                                                         monkeypatch):
+    # the benchmark's tracer (bench/tracing.py) patches the name
+    # modesched.integrate.solve_ivp, times each call and adds up the nfev
+    # of what it returns; count_solves reads args[1] as (t0, t1).  Both
+    # must keep seeing every segment solve and every right-hand side call.
+    real = integrate.solve_ivp
+    seen = []
+
+    def counted(fun, t_span, *args, **kwargs):
+        calls = 0
+
+        def rhs(t, z):
+            nonlocal calls
+            calls += 1
+            return fun(t, z)
+
+        out = real(rhs, t_span, *args, **kwargs)
+        seen.append((t_span, out.nfev, calls))
+        return out
+
+    monkeypatch.setattr(integrate, "solve_ivp", counted)
+    sched = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
+    full = integrate_state(vehicle, vehicle_x0, sched)
+    b = sched.boundaries
+    assert [s for s, _, _ in seen] == list(zip(b[:-1], b[1:]))
+    # a stopped solve counts its crossing step's dense stages too
+    out = integrate_state(vehicle, vehicle_x0, sched,
+                          cost_bound=0.5 * (full.cost_at(1.9) + full.cost))
+    assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
+    assert len(seen) == 6
+    assert all(nfev == calls for _, nfev, calls in seen)
+
+    spans = count_solves(monkeypatch)
+    integrate_state(vehicle, vehicle_x0, sched)
+    assert spans == list(zip(b[:-1], b[1:]))
