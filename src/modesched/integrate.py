@@ -5,9 +5,12 @@ ever straddles a vector-field discontinuity.  Each segment of the state is
 solved by the package's own adaptive step loop, :func:`solve_ivp`: the
 explicit Runge-Kutta method DOP853 (Dormand-Prince 8(5,3)) with scipy's
 tableau, step control and operation order, so it takes scipy's steps to
-the bit.  The solution is read on (time, value, derivative) knots, and the
-three extra stages of DOP853's dense output are taken only on steps that
-hold a knot inside them.
+the bit.  The running cost rides along as a quadrature: the stages call
+the mode field alone, and the accumulator's stage derivatives come from
+one batched ``running_cost`` call per attempted step.  The solution is
+read on (time, value, derivative) knots, and the three extra stages of
+DOP853's dense output are taken only on steps that hold a knot inside
+them.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through all of
 a curve's knots as one piecewise-cubic table, which makes the curve and
 its time derivative cheaply evaluable anywhere.  Each query reads one
@@ -64,7 +67,9 @@ class SwitchedSystem:
     mode_jacobian : callable
         ``mode_jacobian(i, x) -> (n, n)`` Jacobian of mode ``i``.
     running_cost : callable
-        ``running_cost(x) -> float`` integrand of the trajectory cost.
+        ``running_cost(x)`` integrand of the trajectory cost: a float at
+        one state, ``(k,)`` on a stack of ``k``, the only form the solvers
+        call.
     running_cost_gradient : callable
         ``running_cost_gradient(x) -> (n,)`` gradient of the integrand.
     cost_floor : float or None
@@ -83,16 +88,23 @@ class SwitchedSystem:
     ``mode_jacobian`` ``(k, n, n)``, ``running_cost`` ``(k,)`` and
     ``running_cost_gradient`` ``(k, n)``.
 
-    The forward solver calls ``mode_field`` and ``running_cost`` once per
-    Runge-Kutta stage, on a single ``(n,)`` state: about 20.7k stages in the
-    50-window power receding-horizon run, where the three dense-output
-    stages of a step are only taken when a knot lies inside it.  Per-call
-    overhead dominates there, so a model should compute whatever does not
-    depend on the state once, when it builds the callables, rather than
-    inside them.  Every other call is on a stack: all the knots or Gauss
-    nodes of a segment (or a chunk of one) at a time, or the points where
-    the insertion gradient is sampled; ``mode_jacobian`` and
-    ``running_cost_gradient`` see only stacks.
+    The forward solver calls ``mode_field`` once per Runge-Kutta stage, on
+    a single ``(n,)`` state: about 20.7k stages in the 50-window power
+    receding-horizon run, where the three dense-output stages of a step
+    are only taken when a knot lies inside it.  Per-call overhead
+    dominates there, so a model should compute whatever does not depend on
+    the state once, when it builds the callables, rather than inside them.
+    The cost accumulator is a quadrature that no derivative reads, so
+    ``running_cost`` is called once per attempted step, on the stack of
+    its 12 stage inputs (and once on the 3 of a step's dense stages).  The
+    solve is then scipy's DOP853 solve of the full right-hand side
+    ``[mode_field(m, x), running_cost(x)]`` to the bit, provided that each
+    row of a stacked ``running_cost`` call holds the bits of the call on
+    that row alone (as row-wise numpy reductions do).  Every other call is
+    on a stack: all the knots or Gauss nodes of a segment (or a chunk of
+    one) at a time, or the points where the insertion gradient is sampled;
+    ``mode_jacobian``, ``running_cost`` and ``running_cost_gradient`` see
+    only stacks.
     """
 
     num_modes: int
@@ -308,9 +320,9 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     for i in range(len(x_segs), schedule.n_segments):
         if stop is not None and stop(bnds[i], z) > 0.0:
             return Abandoned(float(bnds[i]))
-        rhs, fs_batch = _augmented(sys, schedule.sequence[i])
-        seg = _solve_segment(rhs, fs_batch, bnds[i], bnds[i + 1], z, rtol,
-                             atol, T, knot_spacing, stop=stop)
+        seg = _solve_segment(sys, schedule.sequence[i], bnds[i],
+                             bnds[i + 1], z, rtol, atol, T, knot_spacing,
+                             stop=stop)
         if isinstance(seg, Abandoned):
             return seg
         ts, zs, fs, z = seg
@@ -375,13 +387,13 @@ def _shift_curve(x, dt, schedule):
     keep = ts > _KNOT_MERGE * max(1.0, T)
     keep[-1] = ts[-1] > 0.0  # a segment end past dt is a boundary
     z0 = np.concatenate([x(dt), [0.0]])
-    f0 = _augmented(sys, sched.sequence[i0])[1](z0[None])
+    f0 = _knot_slopes(sys, sched.sequence[i0], z0[None])
     segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
                np.vstack([f0, fs[keep]]))
     ts, zs, fs = segs[-1]
     tts, tzs, tfs, _ = _solve_segment(
-        *_augmented(sys, sched.sequence[-1]), float(ts[-1]), T, zs[-1],
-        rtol, atol, T, knot_spacing)
+        sys, sched.sequence[-1], float(ts[-1]), T, zs[-1], rtol, atol, T,
+        knot_spacing)
     segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
                 np.vstack([fs, tfs[1:]]))
     n = sys.dim
@@ -390,50 +402,45 @@ def _shift_curve(x, dt, schedule):
                         [(t, z[:, n:], f[:, n:]) for t, z, f in segs])
 
 
-def _augmented(sys, m):
-    """Mode ``m``'s right-hand side with the running-cost accumulator
-    appended: ``rhs(t, z)`` at one state, ``fs_batch(zs)`` on a stack."""
-    n = sys.dim
-    field, cost = sys.mode_field, sys.running_cost
-
-    def rhs(t, zz):
-        x = zz[:n]
-        dz = np.empty(n + 1)
-        dz[:n] = field(m, x)
-        dz[n] = cost(x)
-        return dz
-
-    def fs_batch(zs):
-        return np.column_stack([field(m, zs[:, :n]), cost(zs[:, :n])])
-
-    return rhs, fs_batch
+def _knot_slopes(sys, m, zs):
+    """Mode ``m``'s derivative of the state with its running-cost
+    accumulator appended, on a stack ``zs`` of ``(n+1,)`` knots."""
+    xs = zs[:, :sys.dim]
+    return np.column_stack([sys.mode_field(m, xs), sys.running_cost(xs)])
 
 
-def _solve_segment(rhs, fs_batch, t0, t1, z0, rtol, atol, horizon,
-                   knot_spacing, stop=None):
-    """One smooth segment, solved forward from ``t0`` to ``t1``.
+def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
+                   stop=None):
+    """One smooth segment in mode ``m``, solved forward from ``t0`` to
+    ``t1`` with the running-cost accumulator as :func:`solve_ivp`'s
+    quadrature.
 
     Solves, and reads the solution on the union of the solver's steps and
     a uniform grid of spacing ``knot_spacing`` (default
     ``horizon / KNOTS_PER_HORIZON``), with the knot derivatives from one
-    ``fs_batch(zs)`` call.  Returns ``(ts, zs, fs, z1)`` where ``z1`` is
-    the solution at ``t1``, or :class:`Abandoned` at the time where
+    :func:`_knot_slopes` call.  Returns ``(ts, zs, fs, z1)`` where ``z1``
+    is the solution at ``t1``, or :class:`Abandoned` at the time where
     :func:`solve_ivp`'s ``stop`` stopped the solve.
     """
+    mode_field = sys.mode_field
+
+    def field(t, x):
+        return mode_field(m, x)
+
     if t1 - t0 < 1e-13 * horizon:  # degenerate sliver: one explicit step
-        z1 = z0 + (t1 - t0) * rhs(t0, z0)
+        z1 = z0 + (t1 - t0) * _with_quad(field, sys.running_cost)(t0, z0)
         ts = np.array([t0, t1])
         zs = np.array([z0, z1])
     else:
         h = knot_spacing if knot_spacing is not None \
             else horizon / KNOTS_PER_HORIZON
         grid = np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0) / h)) + 1))
-        sol = solve_ivp(rhs, (t0, t1), z0, rtol, atol, stop=stop,
-                        grid=grid)
+        sol = solve_ivp(field, (t0, t1), z0, rtol, atol, stop=stop,
+                        grid=grid, quad=sys.running_cost)
         if sol.t_stop is not None:
             return Abandoned(sol.t_stop)
         ts, zs, z1 = sol.ts, sol.zs, sol.zs[-1]
-    return ts, zs, fs_batch(zs), z1
+    return ts, zs, _knot_slopes(sys, m, zs), z1
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
@@ -460,11 +467,11 @@ class Solution(NamedTuple):
     zs: np.ndarray | None
     #: where ``stop`` crossed zero, or ``None``
     t_stop: float | None
-    #: right-hand side evaluations, dense-output stages included
+    #: ``fun`` calls, dense-output stages included
     nfev: int
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
+def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), quad=None):
     """The package's own DOP853 solve of ``y' = fun(t, y)`` over
     ``t_span = (t0, t1)``, ``t0 < t1``.
 
@@ -474,6 +481,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
     ``fun`` call), Runge-Kutta stages, error norm and step-size control, in
     the same operation order.  ``fun(t, y)`` takes a state ``(n,)`` and
     returns a float array ``(n,)``.
+
+    With ``quad``, the last component of ``y`` is a quadrature ``q`` of the
+    others, ``x``: ``q' = quad(x)``, which no derivative reads.  Then
+    ``fun(t, x)`` gives ``x'`` alone, and ``quad(xs)`` takes a stack
+    ``(k, n-1)`` and returns ``(k,)``.  The stages call ``fun`` only; the
+    quadrature's stage derivatives come from one ``quad`` call on the
+    stacked stage inputs per attempted step (and one per step with dense
+    stages), the first-step selection's from two single-row calls.  When
+    each row of a stacked ``quad`` call holds the bits of a call on that
+    row alone, this takes the steps, and gives the bits, of the solve of
+    the full right-hand side ``[fun(t, x), quad(x)]``.
 
     The solution is read at the knots: the step times and the points of
     the sorted ``grid`` (within ``t_span``), with every point that lies
@@ -487,7 +505,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
     ``stop(t, y)``, if given, is tested after each accepted step; the solve
     stops in the first step over which it goes from ``<= 0`` to ``>= 0``,
     at the root found by ``brentq`` on the step's dense output, as a
-    terminal rising scipy event would.
+    terminal rising scipy event would.  ``nfev`` counts the ``fun`` calls.
 
     Raises ``RuntimeError`` naming ``t_span`` when the step size falls
     below ten spacings of floating-point numbers at ``t``.
@@ -495,6 +513,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
     t, t1 = map(float, t_span)
     y = np.asarray(y0, float)
     n = len(y)
+    m = n if quad is None else n - 1  # the components fun sees
     if rtol < 100 * _EPS:
         warnings.warn(f"rtol {rtol} is too small; using {100 * _EPS}",
                       stacklevel=2)
@@ -502,20 +521,39 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
     grid = np.asarray(grid, float).tolist()
     merge = _KNOT_MERGE * max(1.0, abs(t1))
     # stage rows; the first 13 hold a step's stages and its end slope, the
-    # last three the dense output's extra stages.  Each stage combines the
-    # rows before it through the transposed view, as scipy does.
-    K = np.empty((_dop853.N_STAGES_EXTENDED, n))
-    stages = [(K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(1, _S)]
-    extra = [(K[s], K[:s].T, _A[s, :s], _C[s]) for s in range(_S + 1, len(K))]
+    # last three the dense output's extra stages.  Row Z[s - 1] holds the
+    # input of stage s (Z[11] the step end).  Each stage combines the rows
+    # of K before it through the transposed view, as scipy does; its
+    # first m columns never read K's quadrature column, which is filled
+    # once all the stage inputs are known.
+    K = np.zeros((_dop853.N_STAGES_EXTENDED, n))
+    Z = np.empty((len(K) - 1, n))
+    stages = [(K[s, :m], K[:s].T, _A[s, :s], _C[s], Z[s - 1], Z[s - 1, :m])
+              for s in range(1, len(K))]
+    stages, extra = stages[:_S - 1], stages[_S:]
     KT_b, KT_e = K[:_S].T, K[:_S + 1].T
+    # the quadrature's stage inputs and derivatives (its last column), a
+    # step's and the dense output's
+    xq, kq = Z[:_S, :m], K[1:_S + 1, -1]
+    xq_extra, kq_extra = Z[_S:, :m], K[_S + 1:, -1]
 
-    f = fun(t, y)
+    def dense_output(t_old, y_old, y, h):
+        """The step's dense output, after its three extra stages."""
+        for k, KT, a, c, z, x in extra:
+            np.add(y_old, np.dot(KT, a) * h, z)
+            k[:] = fun(t_old + c * h, x)
+        if quad is not None:
+            kq_extra[:] = quad(xq_extra)
+        return _interpolant(K, t_old, y_old, y, h)
+
+    full = _with_quad(fun, quad)
+    K[_S] = f = full(t, y)
     # first step (Hairer, Norsett & Wanner, II.4)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1 - t)
-    f1 = fun(t + h0, y + h0 * f)
+    f1 = full(t + h0, y + h0 * f)
     nfev = 2
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -530,6 +568,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
+        K[0] = K[_S]  # the slope at the step start
         rejected = False
         while True:
             if h_abs < min_step:
@@ -539,13 +578,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
                     "numbers.")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            K[0] = f
-            for row, KT, a, c in stages:
-                row[:] = fun(t + c * h, y + np.dot(KT, a) * h)
+            for k, KT, a, c, z, x in stages:
+                np.add(y, np.dot(KT, a) * h, z)
+                k[:] = fun(t + c * h, x)
             y_new = y + h * np.dot(KT_b, _B)
-            f_new = fun(t + h, y_new)
-            K[_S] = f_new
+            K[_S, :m] = fun(t + h, y_new[:m])
             nfev += _S
+            if quad is not None:
+                Z[_S - 1] = y_new
+                kq[:] = quad(xq)
+                # the same first m columns; the quadrature's is now right
+                y_new = y + h * np.dot(KT_b, _B)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.dot(KT_e, _E5) / scale
             err3 = np.dot(KT_e, _E3) / scale
@@ -570,12 +613,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_old, y_old, t, y = t, y, t_new, y_new
         steps.append(t)
         if stop is not None:
             g_new = stop(t, y)
             if g <= 0 <= g_new:
-                dense = _dense_output(fun, extra, K, t_old, y_old, y, h)
+                dense = dense_output(t_old, y_old, y, h)
                 root = brentq(lambda s: stop(s, dense(s)), t_old, t,
                               xtol=4 * _EPS, rtol=4 * _EPS)
                 return Solution(np.array(steps), None, None, root,
@@ -598,7 +641,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
             knot_z.append(y_old + (y - y_old))  # the dense output at x = 1
     for i, rows, kept, step in pending:
         K[:_S + 1] = rows
-        knot_z[i] = _dense_output(fun, extra, K, *step)(kept)
+        knot_z[i] = dense_output(*step)(kept)
     nfev += len(extra) * len(pending)
     knot_t[-1] = t1
     zs = np.vstack(knot_z)
@@ -606,17 +649,28 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=()):
     return Solution(np.array(steps), np.array(knot_t), zs, None, nfev)
 
 
+def _with_quad(fun, quad):
+    """The full right-hand side ``(t, y) -> (n,)`` of a :func:`solve_ivp`
+    solve with quadrature ``quad``; ``fun`` itself without one."""
+    if quad is None:
+        return fun
+
+    def full(t, y):
+        x = y[:-1]
+        return np.append(fun(t, x), quad(x[None]))
+
+    return full
+
+
 def _rms(x):
     """Root-mean-square norm, as scipy's solvers take it."""
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dense_output(fun, extra, K, t_old, y_old, y, h):
+def _interpolant(K, t_old, y_old, y, h):
     """scipy's ``Dop853DenseOutput`` of the step from ``(t_old, y_old)``
-    to ``y`` over ``h``, whose stages are the first 13 rows of ``K``: a
-    callable of ``t``.  Fills the three extra stages into ``K``."""
-    for row, KT, a, c in extra:
-        row[:] = fun(t_old + c * h, y_old + np.dot(KT, a) * h)
+    to ``y`` over ``h``, from its 16 stage rows ``K``: a callable of
+    ``t``."""
     F = np.empty((_dop853.INTERPOLATOR_POWER, len(y)))
     f_old = K[0]
     delta_y = y - y_old

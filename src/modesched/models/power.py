@@ -133,9 +133,11 @@ def power_system(net):
 
     The running cost penalizes the spread of phases about their mean and,
     with weight 1/40, speed deviations from synchronous; a sum of squares,
-    so its ``cost_floor`` is 0.  The solvers call
-    these once per Runge-Kutta stage on a single state, so everything that
-    depends on the network alone is computed here, once.
+    so its ``cost_floor`` is 0.  The forward solver calls the mode field
+    once per Runge-Kutta stage on a single state, so everything that
+    depends on the network alone is computed here, once.  The cost's
+    row-wise reductions give each row of a stack the bits of that state
+    alone, which keeps the solver's batched stage costs exact.
     """
     n = net.n_gen
     w_target = net.omega_s

@@ -1,4 +1,5 @@
 """Trajectory/adjoint integration against closed forms and quadrature."""
+import dataclasses
 import math
 
 import numpy as np
@@ -679,32 +680,67 @@ def reference_knots(a, b, steps, spacing):
     return ts
 
 
+#: built-in systems for the solver's quadrature path, each with a state
+#: to start near
+QUAD_MODELS = {
+    "vehicle": lambda: (vehicle_system(), vehicle_initial_state()),
+    "three-machine": lambda: (power_system(load_network(THREE_MACHINE)),
+                              initial_state(load_network(THREE_MACHINE),
+                                            seed=1)),
+    "ring12": lambda: (power_system(ring_network()),
+                       initial_state(ring_network(), seed=1)),
+}
+_QUAD_BUILT = {}
+
+
+def augmented_rhs(sys_, m):
+    """Mode ``m``'s field with the running cost appended, both taken on
+    the single state: the full right-hand side of the cost accumulator."""
+    n = sys_.dim
+
+    def fun(t, z):
+        dz = np.empty(n + 1)
+        dz[:n] = sys_.mode_field(m, z[:n])
+        dz[n] = sys_.running_cost(z[:n])
+        return dz
+
+    return fun
+
+
 @st.composite
 def dop853_problems(draw):
-    """A small linear ``A z + b``, the vehicle's mode field (with its cost
-    accumulator) or a system at rest; an interval, tolerances, a knot
-    spacing and a crossing time ``tc`` strictly inside the interval."""
+    """A small linear ``A z + b``, a built-in system's mode field with its
+    cost accumulator, or a system at rest; an interval, tolerances, a knot
+    spacing and a crossing time ``tc`` strictly inside the interval.
+    ``fun`` is the full right-hand side, which scipy solves; ``own`` the
+    ``(fun, quad)`` the package's loop solves, where a system's cost
+    accumulator is the quadrature."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t0 = draw(st.floats(0.0, 2.0))
     t1 = t0 + draw(st.floats(0.05, 2.0))
-    kind = draw(st.sampled_from(["linear", "vehicle", "at rest"]))
+    kind = draw(st.sampled_from(["linear", "at rest", *QUAD_MODELS]))
     if kind == "linear":
         n = draw(st.integers(1, 4))
         A, b = rng.normal(0.0, 0.3, (n, n)), rng.normal(0.0, 2.0, n)
         fun = lambda t, z: A @ z + b
+        own = (fun, None)
         # most components drift through zero, where a step end as the dense
         # output reads it, y_old + (y - y_old), may differ from y
         z0 = -b * (t1 - t0) * rng.uniform(0.2, 0.8, n)
-    elif kind == "vehicle":
-        fun = integrate._augmented(vehicle_system(),
-                                   draw(st.integers(1, 4)))[0]
-        z0 = np.concatenate([vehicle_initial_state(),
-                             [0.0]]) + rng.normal(0.0, 0.3, 5)
-    else:
+    elif kind == "at rest":
         fun = lambda t, z: np.zeros_like(z)
+        own = (fun, None)
         z0 = rng.normal(0.0, 1.0, 2)
+    else:
+        if kind not in _QUAD_BUILT:
+            _QUAD_BUILT[kind] = QUAD_MODELS[kind]()
+        sys_, x0 = _QUAD_BUILT[kind]
+        m = draw(st.integers(1, sys_.num_modes))
+        fun = augmented_rhs(sys_, m)
+        own = (lambda t, x: sys_.mode_field(m, x), sys_.running_cost)
+        z0 = np.concatenate([x0, [0.0]]) + rng.normal(0.0, 0.3, sys_.dim + 1)
     return dict(
-        fun=fun, z0=z0, t0=t0, t1=t1,
+        fun=fun, own=own, z0=z0, t0=t0, t1=t1,
         rtol=10.0 ** draw(st.floats(-10.0, -4.0)),
         atol=10.0 ** draw(st.floats(-11.0, -5.0)),
         spacing=draw(st.floats(0.01, 0.5)),
@@ -715,18 +751,19 @@ def bits(a):
     return np.asarray(a, float).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(p=dop853_problems())
 def test_own_dop853_matches_scipy_to_the_bit(p):
     fun, z0, t0, t1 = p["fun"], p["z0"], p["t0"], p["t1"]
+    own_fun, quad = p["own"]
     tol = dict(rtol=p["rtol"], atol=p["atol"])
     ref = solve_ivp(fun, (t0, t1), z0, method="DOP853", dense_output=True,
                     **tol)
     assert ref.success
     grid = np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0)
                                                   / p["spacing"])) + 1))
-    own = integrate.solve_ivp(fun, (t0, t1), z0, p["rtol"], p["atol"],
-                              grid=grid)
+    own = integrate.solve_ivp(own_fun, (t0, t1), z0, p["rtol"], p["atol"],
+                              grid=grid, quad=quad)
     assert bits(own.t) == bits(ref.t)
     assert bits(own.zs[-1]) == bits(ref.y[:, -1])
     ts = reference_knots(t0, t1, ref.t, p["spacing"])
@@ -739,16 +776,19 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
                for lo, hi in zip(ref.t[:-1], ref.t[1:]))
     assert own.nfev == ref.nfev - 3 * bare
 
-    # a stop that crosses zero mid-interval, through the state as well
+    # a stop that crosses zero mid-interval, through the state and the
+    # last component (a system's cost accumulator) as well
     def stop(t, z):
-        return (t - p["tc"]) / (t1 - t0) + 0.01 * np.tanh(z[0])
+        return (t - p["tc"]) / (t1 - t0) + 0.01 * np.tanh(z[0] - z[-1])
     stop.terminal, stop.direction = True, 1.0
     ref = solve_ivp(fun, (t0, t1), z0, method="DOP853", events=stop, **tol)
-    own = integrate.solve_ivp(fun, (t0, t1), z0, p["rtol"], p["atol"],
-                              stop=stop, grid=grid)
+    own = integrate.solve_ivp(own_fun, (t0, t1), z0, p["rtol"], p["atol"],
+                              stop=stop, grid=grid, quad=quad)
     assert ref.status == 1
     assert own.ts is None and own.zs is None
     assert float(own.t_stop).hex() == float(ref.t_events[0][0]).hex()
+    # scipy takes the dense stages on the crossing step alone, as well
+    assert own.nfev == ref.nfev
 
 
 def test_a_blow_up_fails_naming_the_interval():
@@ -801,3 +841,44 @@ def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
     spans = count_solves(monkeypatch)
     integrate_state(vehicle, vehicle_x0, sched)
     assert spans == list(zip(b[:-1], b[1:]))
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
+                                                    monkeypatch, bounded):
+    # the stages call the mode field alone; the accumulator's stage
+    # derivatives come from one running_cost call per attempted step on
+    # its 12 stage inputs, one per step with dense stages on their 3, and
+    # two single-row calls in the first-step selection.  The knots' slopes
+    # take one more call, on all the knots at once.
+    rows = []
+
+    def cost(x):
+        rows.append(np.shape(x))
+        return vehicle.running_cost(x)
+
+    sys_ = dataclasses.replace(vehicle, running_cost=cost)
+    sched = constant_schedule(1, 3.0, 4)
+    bound = None
+    if bounded:
+        bound = 0.5 * integrate_state(vehicle, vehicle_x0, sched).cost
+    real = integrate.solve_ivp
+    solves = []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(integrate, "solve_ivp", counted)
+    out = integrate_state(sys_, vehicle_x0, sched, cost_bound=bound)
+    (sol,) = solves
+    n = sys_.dim
+    assert isinstance(out, Abandoned) == bounded
+    # the last call: the knots' slopes, or the stopping step's dense stages
+    assert rows.pop() == ((3, n) if bounded else (len(sol.ts), n))
+    assert rows[:2] == [(1, n), (1, n)]
+    attempts, dense = rows.count((12, n)), rows.count((3, n))
+    assert attempts + dense == len(rows) - 2
+    assert attempts >= len(sol.t) - 1 and (dense > 0) != bounded
+    assert sol.nfev == 2 + 12 * attempts + 3 * (dense + bounded)

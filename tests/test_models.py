@@ -484,3 +484,26 @@ def test_callables_equal_the_reference_expressions_bitwise(name, data):
         assert_same_bits(sys_.mode_jacobian(mode, x), jacobian(mode, x))
         assert_same_bits(sys_.running_cost(x), cost(x))
         assert_same_bits(sys_.running_cost_gradient(x), gradient(x))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_running_cost_rows_hold_their_single_state_bits(name, data):
+    # the forward solver takes the cost of a step's 12 stage inputs (3 for
+    # the dense stages) in one call on a strided view, columns of a wider
+    # buffer; each row must give the bits of a call on that state alone,
+    # so that the solve stays the one of the per-stage cost
+    sys_, center, scale = model_case(name)
+    k = data.draw(st.sampled_from([1, 2, 3, 12, 13]))
+    unit = data.draw(arrays(np.float64, (k, sys_.dim),
+                            elements=st.floats(-1.0, 1.0)))
+    xs = center + scale * unit
+    wide = np.empty((k, sys_.dim + 1))
+    wide[:, :-1] = xs
+    singles = [sys_.running_cost(x) for x in xs]
+    for stack in (xs, wide[:, :-1]):
+        got = sys_.running_cost(stack)
+        assert got.shape == (k,)
+        assert [v.hex() for v in got.tolist()] == \
+            [float(v).hex() for v in singles]

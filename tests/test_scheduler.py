@@ -29,6 +29,7 @@ from modesched.models import vehicle_initial_state, vehicle_system
 from modesched.models.vehicle import HORIZON_DEFAULT
 from modesched.models.power import initial_state, load_network, power_system
 from modesched.projection import DWELL_DEFAULT
+from modesched.scheduler import THETA_ROUNDING
 from conftest import THREE_MACHINE, count_solves
 
 
@@ -226,6 +227,41 @@ def test_stop_threshold_variants():
         optimize(sys_, [2.0], u0, OptimizerConfig(theta_stop="bogus"))
     with pytest.raises(ValueError):
         optimize(sys_, [2.0], u0, OptimizerConfig(alpha=1.5))
+
+
+def random_linear_quadratic(seed):
+    """``x' = A_i x + b_i`` in 2 to 4 modes, ``n`` in 1..4, running cost
+    ``|x|^2 / 2``; with ``x0`` and a constant starting schedule."""
+    rng = np.random.default_rng(seed)
+    n, N = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    A = 0.8 * rng.normal(size=(N, n, n))
+    b = 0.5 * rng.normal(size=(N, n))
+    sys_ = SwitchedSystem(
+        num_modes=N, dim=n,
+        mode_field=lambda i, x: x @ A[i - 1].T + b[i - 1],
+        mode_jacobian=lambda i, x: np.broadcast_to(A[i - 1],
+                                                   np.shape(x) + (n,)),
+        running_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
+        running_cost_gradient=lambda x: np.array(x, float),
+        cost_floor=0.0)
+    x0, T = rng.normal(size=n), rng.uniform(0.5, 3.0)
+    return sys_, x0, constant_schedule(int(rng.integers(1, N + 1)), T, N)
+
+
+@pytest.mark.parametrize("seed", [11, 44, 51, 56, 137, 184, 259, 300, 310,
+                                  356])
+def test_a_theta_within_rounding_of_zero_is_optimal(seed):
+    # on these problems no insertion helps the starting schedule, and its
+    # theta is the field at the horizon, where the adjoint is 0: a value of
+    # about 1e-20 of either sign.  A negative one once went on to a line
+    # search whose every projection equalled the incumbent.
+    sys_, x0, u0 = random_linear_quadratic(seed)
+    res = optimize(sys_, x0, u0, OptimizerConfig(max_iter=8, theta_stop=0.0))
+    assert res.status == "optimal"
+    assert len(res.iterations) == 1 and res.schedule == u0
+    theta = res.iterations[0].theta
+    assert -theta <= THETA_ROUNDING * np.finfo(float).eps \
+        * res.field.norm_inf
 
 
 @pytest.mark.parametrize("field, value", [
