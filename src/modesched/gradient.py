@@ -77,6 +77,12 @@ class InsertionGradientField:
         ``(ts, D)``: the grid and the segment's interior minima, sorted
         and without repeats, and all N channels there; the max rule's
         samples.
+    ``lowest[seg]``
+        ``(dmin, modes, tie_runs)``: at each of those samples the lowest
+        channel value and its mode, and the first index of every three
+        samples in a row whose two lowest values tie (within
+        ``1e-14 * (1 + |dmin|)``).  None depends on the step size, so the
+        max rule's trials only compare ``dmin`` with their threshold.
     ``minima``
         Per-channel local minima of the whole field, one list of dicts
         with keys ``value, time, mode, segment, boundary``; ``boundary``
@@ -105,6 +111,7 @@ class InsertionGradientField:
         self.minima = []
         for seg in range(schedule.n_segments):
             self._scan(seg)
+        self.lowest = [_lowest(D) for _, D in self.samples]
         self.norm_inf = max(float(np.abs(v).max()) for v in self.grid_values)
 
     @classmethod
@@ -243,6 +250,16 @@ class InsertionGradientField:
         # a minimum on a grid time keeps the grid's row
         ts, first = np.unique(np.concatenate([ts, te]), return_index=True)
         self.samples.append((ts, np.vstack([vals, V])[first]))
+
+
+def _lowest(D):
+    """``(dmin, modes, tie_runs)`` of :attr:`InsertionGradientField.lowest`
+    from the channel values ``D`` at a segment's samples."""
+    dmin = D.min(axis=1)
+    D2 = np.partition(D, 1, axis=1)
+    tied = D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))
+    return (dmin, D.argmin(axis=1) + 1,
+            np.flatnonzero(tied[:-2] & tied[1:-1] & tied[2:]))
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, xtol):

@@ -139,6 +139,10 @@ class SampledCurve:
     ``seg`` when given; otherwise the one containing ``t``, where ``side``
     picks the earlier (``"left"``) or later (``"right"``) segment at a
     boundary, and times outside ``[t0, t1]`` go to the first or last.
+    Batched queries evaluate the slice through scipy's ``PPoly``.  A query
+    for one time (a scalar or a length-1 array, as the field's root solves
+    make) builds none: it finds the interval by bisection in the segment's
+    knots and sums the powers in PPoly's order, with the same bits.
 
     Parameters
     ----------
@@ -227,11 +231,12 @@ class SampledCurve:
     def _evaluate(self, c, t, side, seg):
         """Table ``c`` at ``t``, by the segment rule of the class."""
         t = np.asarray(t, float)
+        one = t.ndim == 0 or t.shape == (1,)
         if seg is None:
             segs = np.clip(np.searchsorted(self.boundaries, t, side) - 1,
                            0, self.n_segments - 1)
-            if t.ndim == 0:
-                seg = int(segs)
+            if one:
+                seg = int(segs.item())
             else:
                 out = np.empty(t.shape + (self.dim,))
                 for i in np.unique(segs):
@@ -239,10 +244,32 @@ class SampledCurve:
                     out[sel] = self._evaluate(c, t[sel], side, i)
                 return out
         lo, hi = self._first[seg], self._first[seg + 1]
+        if one:
+            v = self._at(c, t.item(), lo, hi)
+            return v if t.ndim == 0 else v[None]
         piece = PPoly.construct_fast(c[:, lo:hi], self._x[lo:hi + 1])
         # clamped as np.clip would, at a fraction of its call overhead
         return piece(np.minimum(np.maximum(t, self.boundaries[seg]),
                                 self.boundaries[seg + 1]))
+
+    def _at(self, c, t, lo, hi):
+        """Table ``c`` at the single time ``t`` on intervals ``lo .. hi-1``.
+
+        What ``PPoly`` computes, to the bit, without building one: ``t``
+        clamped to the knots ``x[lo] .. x[hi]``, the interval found by
+        bisection (each owns its left knot, the last also its right), and
+        the power sum in PPoly's order, lowest power first.
+        """
+        x = self._x
+        t = min(max(t, x[lo]), x[hi])
+        i = bisect.bisect_right(x, t, lo + 1, hi) - 1
+        s = t - x[i]
+        res = 0.0 + c[-1, i]
+        z = s
+        for k in range(len(c) - 2, -1, -1):
+            res = res + c[k, i] * z
+            z = z * s
+        return res
 
 
 @dataclass(frozen=True)
@@ -811,12 +838,13 @@ def _expm(W):
     s, m = _taylor_plan(theta)
     if s:
         W = W * 2.0 ** -s
-    diag = np.arange(p)
     E = W * (1.0 / math.factorial(m))
-    E[:, diag, diag] += 1.0 / math.factorial(m - 1)
+    # each E is a fresh C-ordered stack: its rows of p*p entries, strided
+    # by p + 1, are views of the diagonals
+    E.reshape(len(E), -1)[:, ::p + 1] += 1.0 / math.factorial(m - 1)
     for k in range(m - 2, -1, -1):
         E = W @ E
-        E[:, diag, diag] += 1.0 / math.factorial(k)
+        E.reshape(len(E), -1)[:, ::p + 1] += 1.0 / math.factorial(k)
     for _ in range(s):
         E = E @ E
     return E

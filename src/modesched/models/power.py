@@ -87,9 +87,16 @@ def electrical_power(Y, E, delta, YT=None):
     ``|E_i|^2 G_ii``.  ``delta`` may be a batch of shape ``(..., n)``.
     ``YT`` is ``Y.T``, for callers that compute it once for many calls.
     """
-    V = np.asarray(E, float) * np.exp(1j * np.asarray(delta, float))
     if YT is None:
         YT = np.asarray(Y, complex).T
+    return _injected_power(np.asarray(E, float), np.asarray(delta, float),
+                           YT)
+
+
+def _injected_power(E, delta, YT):
+    """:func:`electrical_power` on float arrays ``E``, ``delta`` and
+    ``YT = Y.T``."""
+    V = E * np.exp(1j * delta)
     return (V * np.conj(V @ YT)).real
 
 
@@ -117,14 +124,20 @@ def swing_mode_field(net, i, x, YT=None, accel=None):
     ``YT`` (``net.Y[i - 1].T``) and ``accel`` (``omega_s / 2H``) may be
     passed in precomputed.
     """
-    x = np.asarray(x, float)
-    n = net.n_gen
+    if YT is None:
+        YT = net.Y[i - 1].T
     if accel is None:
         accel = net.omega_s / (2.0 * net.H)
+    return _swing_field(np.asarray(x, float), net.n_gen, net.E, net.Pm, YT,
+                        accel)
+
+
+def _swing_field(x, n, E, Pm, YT, accel):
+    """:func:`swing_mode_field` on a float array ``x`` of ``n`` machines,
+    with the network's ``E``, ``Pm``, ``YT`` and ``accel`` given."""
     out = np.empty(x.shape)
     out[..., :n] = x[..., n:]
-    out[..., n:] = (net.Pm - electrical_power(net.Y[i - 1], net.E,
-                                              x[..., :n], YT)) * accel
+    out[..., n:] = (Pm - _injected_power(E, x[..., :n], YT)) * accel
     return out
 
 
@@ -148,8 +161,12 @@ def power_system(net):
     J_rates = np.zeros((2 * n, 2 * n))  # the Jacobian's constant block
     J_rates[:n, n:] = np.eye(n)
 
+    E, Pm = net.E, net.Pm
+
     def mode_field(i, x):
-        return swing_mode_field(net, i, x, YT[i - 1], accel)
+        # the solvers pass float arrays; once per Runge-Kutta stage, so
+        # straight to the kernel
+        return _swing_field(x, n, E, Pm, YT[i - 1], accel)
 
     def mode_jacobian(i, x):
         x = np.asarray(x, float)

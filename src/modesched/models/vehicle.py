@@ -36,13 +36,19 @@ def vehicle_mode_field(sigma, x):
     >>> vehicle_mode_field(1, [0.0, 0.0, 0.0])
     array([4.5       , 0.        , 1.04719755])
     """
-    v, w = MODES[sigma - 1]
     psi = np.asarray(x, float)[..., 2]
     out = np.empty(psi.shape + (3,))
+    _unicycle(out, MODES[sigma - 1], psi)
+    return out
+
+
+def _unicycle(out, mode, psi):
+    """Write the unicycle field of ``mode = (v, w)`` at headings ``psi``
+    into ``out[..., :3]``."""
+    v, w = mode
     out[..., 0] = v * np.cos(psi)
     out[..., 1] = v * np.sin(psi)
     out[..., 2] = w
-    return out
 
 
 def desired_trajectory(t):
@@ -74,9 +80,10 @@ def vehicle_system():
     """
 
     def mode_field(i, z):
-        z = np.asarray(z, float)
+        # the solvers pass float arrays; once per Runge-Kutta stage, so
+        # straight to the kernel, into the one output array
         out = np.empty(z.shape)
-        out[..., :3] = vehicle_mode_field(i, z)
+        _unicycle(out, MODES[i - 1], z[..., 2])
         out[..., 3] = 1.0
         return out
 

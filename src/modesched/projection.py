@@ -42,43 +42,43 @@ def gamma_zero(theta):
     return -1.0 / theta
 
 
-def _winners_from_values(D, inc, gamma, ts, seg):
-    """Active-mode choice of the max rule from channel values ``D`` at the
-    sample times ``ts`` of segment ``seg``."""
-    dmin = D.min(axis=1)
-    amin = D.argmin(axis=1) + 1
-    w = np.where(dmin < -1.0 / gamma, amin, inc)
-    # flag exact ties at the minimum while below threshold: a tie over
-    # three samples in a row breaks the argmax's uniqueness assumption
-    D2 = np.partition(D, 1, axis=1)
-    tied = (D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))) \
-        & (dmin < -1.0 / gamma)
-    runs = np.flatnonzero(tied[:-2] & tied[1:-1] & tied[2:])
-    if runs.size:
-        j = runs[0]
-        raise DegenerateTieError(
-            f"degenerate argmax tie below threshold on "
-            f"[{ts[j]:.6g}, {ts[j + 2]:.6g}] (segment {seg})")
-    return w
+def _winners(lowest, inc, threshold, ts, seg):
+    """Active-mode choice of the max rule at the sample times ``ts`` of
+    segment ``seg``, from the field's ``lowest[seg]``."""
+    dmin, modes, tie_runs = lowest
+    below = dmin < threshold
+    if tie_runs.size:
+        # an exact tie at the minimum over three samples in a row while
+        # below threshold breaks the argmax's uniqueness assumption
+        runs = tie_runs[below[tie_runs] & below[tie_runs + 1]
+                        & below[tie_runs + 2]]
+        if runs.size:
+            j = runs[0]
+            raise DegenerateTieError(
+                f"degenerate argmax tie below threshold on "
+                f"[{ts[j]:.6g}, {ts[j + 2]:.6g}] (segment {seg})")
+    return np.where(below, modes, inc)
 
 
 def _segment_spans(field, seg, gamma):
     """(start, end, mode) spans for one segment under the max rule.
 
     Winners are taken on the field's ``samples[seg]``, its grid and
-    interior minima; each change of winner between two adjacent samples is
-    the root of ``E_new - E_old``, where ``E_a = d_a`` for a challenger and
-    the incumbent's ``E`` is ``min(d_inc, -1/gamma)``, so that the max rule
-    is ``argmin E``.  Every interval where a challenger beats the threshold
-    holds a local minimum of its channel, and the field's minima are
-    samples, so no such interval hides between two samples.
+    interior minima, from the lowest channel there (``lowest[seg]``, kept
+    by the field for every trial); each change of winner between two
+    adjacent samples is the root of ``E_new - E_old``, where ``E_a = d_a``
+    for a challenger and the incumbent's ``E`` is ``min(d_inc, -1/gamma)``,
+    so that the max rule is ``argmin E``.  Every interval where a
+    challenger beats the threshold holds a local minimum of its channel,
+    and the field's minima are samples, so no such interval hides between
+    two samples.
     """
     sched = field.schedule
     a, b = sched.segment_bounds(seg)
     inc = sched.sequence[seg]
     threshold = -1.0 / gamma
     ts, D = field.samples[seg]
-    w = _winners_from_values(D, inc, gamma, ts, seg)
+    w = _winners(field.lowest[seg], inc, threshold, ts, seg)
 
     def gap(d_new, d_old, new, old):
         """``E_new - E_old`` from the two channels' values."""

@@ -71,8 +71,12 @@ def masked_channels(sched, raws):
     return [make(a, raw) for a, raw in enumerate(raws, start=1)]
 
 
-def random_field(rng, sched):
-    """Smooth random channels, incumbent-masked, on the given schedule."""
+def random_field(rng, sched, twins=False):
+    """Smooth random channels, incumbent-masked, on the given schedule.
+
+    With ``twins`` the last channel is a copy of the first, so the two tie
+    exactly wherever neither is active.
+    """
     raws = []
     for _ in range(sched.num_modes):
         c = rng.normal(0.0, 2.0, 3)
@@ -81,6 +85,8 @@ def random_field(rng, sched):
         raws.append(lambda t, c=c, w=w, p=p:
                     c[0] + c[1] * np.sin(w[0] * t + p[0])
                     + c[2] * np.cos(w[1] * t + p[1]))
+    if twins:
+        raws[-1] = raws[0]
     return InsertionGradientField.from_callables(
         sched, masked_channels(sched, raws))
 

@@ -333,10 +333,55 @@ def test_curve_matches_per_segment_hermite_splines(p):
                 assert got.shape == (len(ts), n)
                 np.testing.assert_array_equal(got, want)
                 for t in (*bounds, *random_ts[:3]):
-                    one = evaluate(t, side=side, seg=seg)
-                    assert one.shape == (n,)
-                    np.testing.assert_array_equal(
-                        one, reference(pieces, t, side, seg))
+                    want = reference(pieces, t, side, seg)
+                    assert same_bits(evaluate(t, side=side, seg=seg), want)
+                    assert same_bits(
+                        evaluate(np.array([t]), side=side, seg=seg),
+                        want[None])
+    # one time with ``seg``, at each of the segment's knots, where the
+    # interval changes, and at every boundary and the floats around it
+    around = np.concatenate([np.nextafter(bounds, -np.inf), bounds,
+                             np.nextafter(bounds, np.inf)])
+    for seg in range(M):
+        singles = np.concatenate([segments[seg][0], around])
+        for evaluate, pieces in ((curve, splines), (curve.derivative, derivs)):
+            want = reference(pieces, singles, None, seg)
+            for t, w in zip(singles, want):
+                assert same_bits(evaluate(t, seg=seg), w)
+                assert same_bits(evaluate(np.array([t]), seg=seg), w[None])
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_point_queries_build_no_ppoly(monkeypatch):
+    # a single time, scalar or length-1 array, is read straight from the
+    # table; batched queries still evaluate through scipy's PPoly
+    built = []
+
+    class Counting(integrate.PPoly):
+        @classmethod
+        def construct_fast(cls, *args, **kwargs):
+            built.append(args)
+            return super().construct_fast(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "PPoly", Counting)
+    ts = np.linspace(0.0, 1.0, 5)
+    curve = SampledCurve([0.0, 1.0, 2.0], [
+        (ts, np.sin(ts)[:, None], np.cos(ts)[:, None]),
+        (1.0 + ts, np.sin(1.0 + ts)[:, None], np.cos(1.0 + ts)[:, None])])
+    for evaluate in (curve, curve.derivative):
+        for t in (0.3, 1.0, np.float64(1.7), np.array(1.0),
+                  np.array([0.3]), np.array([2.5])):
+            for kw in ({}, {"side": "left"}, {"seg": 0}, {"seg": 1}):
+                evaluate(t, **kw)
+    assert built == []
+    # two times in segment 0 make a batch there, one in segment 1 does not
+    curve(np.array([0.3, 0.4, 1.7]))
+    assert len(built) == 1
+    curve.derivative(np.array([0.3, 1.7]), seg=1)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("segments", [

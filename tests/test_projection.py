@@ -1,7 +1,9 @@
 """Max-projection: threshold rule, identity region, idempotence, slivers."""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from modesched import (
     DegenerateTieError,
@@ -16,7 +18,9 @@ from modesched import (
     optimality,
     project,
 )
-from modesched.projection import _winners_from_values
+from modesched.gradient import _lowest
+from modesched import projection
+from modesched.projection import _winners
 from conftest import (
     max_rule_crossings,
     quadratic_bottoms,
@@ -240,12 +244,58 @@ def test_degenerate_tie_raises():
         j = first_tie_run(tied)
         if j is None:
             np.testing.assert_array_equal(
-                _winners_from_values(D, 1, 1.0, ts, 5), np.full(n, 2))
+                _winners(_lowest(D), 1, -1.0, ts, 5), np.full(n, 2))
             continue
         with pytest.raises(DegenerateTieError) as err:
-            _winners_from_values(D, 1, 1.0, ts, 5)
+            _winners(_lowest(D), 1, -1.0, ts, 5)
         assert f"[{ts[j]:.6g}, {ts[j + 2]:.6g}] (segment 5)" \
             in str(err.value)
+
+
+def winners_from_samples(D, inc, threshold, ts, seg):
+    """The max rule's winners and tie test recomputed from the channel
+    values ``D`` at a segment's samples."""
+    dmin = D.min(axis=1)
+    below = dmin < threshold
+    w = np.where(below, D.argmin(axis=1) + 1, inc)
+    D2 = np.sort(D, axis=1)
+    tied = (D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))) & below
+    runs = np.flatnonzero(tied[:-2] & tied[1:-1] & tied[2:])
+    if runs.size:
+        j = runs[0]
+        raise DegenerateTieError(
+            f"degenerate argmax tie below threshold on "
+            f"[{ts[j]:.6g}, {ts[j + 2]:.6g}] (segment {seg})")
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), twins=st.booleans(),
+       log_gammas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_max_map_from_lowest_equals_recomputing_from_samples(
+        seed, twins, log_gammas):
+    # the field keeps each sample's lowest value, its mode and the tie runs
+    # once; every trial reads them and must project as if it recomputed
+    # the max rule from ``samples[seg]``, raising the same tie errors
+    rng = np.random.default_rng(seed)
+    sched = random_schedule(rng, 3.0, int(rng.integers(2, 5)),
+                            int(rng.integers(0, 4)))
+    field = random_field(rng, sched, twins=twins)
+
+    def recomputed(lowest, inc, threshold, ts, seg):
+        return winners_from_samples(field.samples[seg][1], inc, threshold,
+                                    ts, seg)
+
+    def outcome(gamma):
+        try:
+            return max_map(sched, field, gamma)
+        except DegenerateTieError as err:
+            return str(err)
+
+    for lg in log_gammas:
+        got = outcome(10.0 ** lg)
+        with mock.patch.object(projection, "_winners", recomputed):
+            assert got == outcome(10.0 ** lg)
 
 
 def test_project_reintegrates_cost(vehicle, vehicle_x0):
