@@ -236,7 +236,7 @@ class SampledCurve:
             segs = np.clip(np.searchsorted(self.boundaries, t, side) - 1,
                            0, self.n_segments - 1)
             if one:
-                seg = int(segs.item())
+                seg = segs.item()
             else:
                 out = np.empty(t.shape + (self.dim,))
                 for i in np.unique(segs):
