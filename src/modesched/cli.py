@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .signals import ModeSchedule, constant_schedule
 from .integrate import integrate_state
-from .scheduler import (OptimizerConfig, check_knot_spacing, optimize,
-                        receding_horizon)
+from .scheduler import (OptimizerConfig, check_knot_spacing, check_windows,
+                        optimize, receding_horizon)
 from .models import (
     HORIZON_DEFAULT,
     initial_state,
@@ -278,18 +278,12 @@ def _cmd_horizon(args, cfg):
     if unknown:
         raise ConfigError(f"unknown horizon_driver keys {sorted(unknown)}")
     try:
-        window = float(drv["window"])
-        n_windows = drv["n_windows"]
-        advance = float(drv.get("advance", 0.1))
-    except (KeyError, TypeError, ValueError) as err:
+        window, n_windows = drv["window"], drv["n_windows"]
+        advance = drv.get("advance", 0.1)
+        # the driver's own checks, on the values as the config gives them
+        check_windows(window, n_windows, advance)
+    except (KeyError, ValueError) as err:
         raise ConfigError(f"bad horizon_driver: {err}") from None
-    if not 0.0 < advance <= window:
-        raise ConfigError(f"advance must lie in (0, window={window:g}], "
-                          f"got {advance:g}")
-    if isinstance(n_windows, bool) or not isinstance(n_windows, int) \
-            or n_windows < 1:
-        raise ConfigError(f"n_windows must be an integer >= 1, "
-                          f"got {n_windows!r}")
     # the window is the model horizon; a top-level one may only repeat it
     problem_cfg = dict(cfg)
     problem_cfg.setdefault("horizon", window)

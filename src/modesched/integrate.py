@@ -11,12 +11,17 @@ one batched ``running_cost`` call per attempted step.  The solution is
 read on (time, value, derivative) knots, and the three extra stages of
 DOP853's dense output are taken only on steps that hold a knot inside
 them.
-A :class:`SampledCurve` keeps the cubic Hermite interpolant through all of
-a curve's knots as one piecewise-cubic table, which makes the curve and
-its time derivative cheaply evaluable anywhere.  Each query reads one
-segment's slice of the table, so a switching time has exact one-sided
+A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
+curve's knots as one piecewise-cubic table per segment, which makes the
+curve and its time derivative cheaply evaluable anywhere.  Each query
+reads one segment's table, so a switching time has exact one-sided
 limits: ``side`` picks the earlier or later segment there, or ``seg``
 names the segment outright.
+
+Two private pieces of scipy are used: the DOP853 tableau,
+``scipy.integrate._ivp.dop853_coefficients``, and PPoly's compiled
+evaluation kernel, ``scipy.interpolate._ppoly.evaluate``, which answers
+every curve query.
 
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
@@ -34,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.interpolate import PPoly
+from scipy.interpolate import _ppoly
 from scipy.optimize import brentq
 
 DEFAULT_RTOL = 1e-8
@@ -126,23 +131,22 @@ class SampledCurve:
     boundaries (each boundary sample is shared), while the derivative may
     jump there.
 
-    The whole curve is one piecewise-cubic table: the knot times of all
-    segments, each interior boundary listed once, and for every interval
-    between two knots of one segment the four coefficients of its Hermite
-    cubic in powers of ``t - t_i`` (``c[k]`` multiplies the power
-    ``3 - k``), with the arithmetic of scipy's cubic Hermite spline, so
-    values agree with it to the bit.  The derivative has a table of its
-    own, the cubic's three differentiated coefficients.  A query is
-    answered by one segment's slice of the table, with ``t`` clamped to
-    that segment's span, and within a segment an interval owns its left
-    knot (the segment's last interval also its right).  The segment is
-    ``seg`` when given; otherwise the one containing ``t``, where ``side``
-    picks the earlier (``"left"``) or later (``"right"``) segment at a
-    boundary, and times outside ``[t0, t1]`` go to the first or last.
-    Batched queries evaluate the slice through scipy's ``PPoly``.  A query
-    for one time (a scalar or a length-1 array, as the field's root solves
-    make) builds none: it finds the interval by bisection in the segment's
-    knots and sums the powers in PPoly's order, with the same bits.
+    The curve is one piecewise-cubic table per segment: for every
+    interval between two of the segment's knots the four coefficients of
+    its Hermite cubic in powers of ``t - t_i`` (``c[k]`` multiplies the
+    power ``3 - k``), with the arithmetic of scipy's cubic Hermite
+    spline, so values agree with it to the bit.  The derivative has tables
+    of its own, the cubic's three differentiated coefficients.  A query is
+    answered by one segment's table, with ``t`` clamped to that segment's
+    span, and within a segment an interval owns its left knot (the
+    segment's last interval also its right).  The segment is ``seg`` when
+    given; otherwise the one containing ``t``, where ``side`` picks the
+    earlier (``"left"``) or later (``"right"``) segment at a boundary, and
+    times outside ``[t0, t1]`` go to the first or last.  Every query, one
+    time or a batch, is one call of scipy's compiled PPoly kernel,
+    ``scipy.interpolate._ppoly.evaluate``, per segment it touches, on the
+    knot times and C-ordered table stored for that segment when the curve
+    is built; ``PPoly`` itself calls this kernel, so the bits are PPoly's.
 
     Parameters
     ----------
@@ -179,23 +183,33 @@ class SampledCurve:
                     f"with values and derivatives of one shape")
             self.knots.append((ts, ys, fs))
         ts, ys, fs = zip(*self.knots)
-        self._x = np.concatenate(ts[:1] + tuple(t[1:] for t in ts[1:]))
+        x = np.concatenate(ts[:1] + tuple(t[1:] for t in ts[1:]))
         # segment i owns the intervals first[i] .. first[i + 1] - 1
-        self._first = np.cumsum([0] + [len(t) - 1 for t in ts])
+        first = np.cumsum([0] + [len(t) - 1 for t in ts])
         # each interval's end data, from its own segment's knots
         y0 = np.concatenate([y[:-1] for y in ys])
         y1 = np.concatenate([y[1:] for y in ys])
         f0 = np.concatenate([f[:-1] for f in fs])
         f1 = np.concatenate([f[1:] for f in fs])
-        h = np.diff(self._x)[:, None]
+        h = np.diff(x)[:, None]
         if not np.all(h > 0.0):
             raise ValueError("knot times must increase")
         slope = (y1 - y0) / h
         d = (f0 + f1 - 2 * slope) / h
-        self._c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
-        if not np.all(np.isfinite(self._c)):
+        c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
+        if not np.all(np.isfinite(c)):
             raise ValueError("knot data must be finite")
-        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        dc = c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        # per segment, what the kernel reads: its knot times (a view of the
+        # contiguous x) and C-ordered tables (a copy of the slice, but for a
+        # one-segment curve)
+        spans = list(zip(first[:-1], first[1:]))
+        self._values = [(x[lo:hi + 1], np.ascontiguousarray(c[:, lo:hi]))
+                        for lo, hi in spans]
+        self._slopes = [(x[lo:hi + 1], np.ascontiguousarray(dc[:, lo:hi]))
+                        for lo, hi in spans]
+        # searchsorted in the inner boundaries is the segment rule
+        self._inner = self.boundaries[1:-1]
         self.dim = y0.shape[1]
         self.t0 = float(self.boundaries[0])
         self.t1 = float(self.boundaries[-1])
@@ -222,54 +236,41 @@ class SampledCurve:
     def __call__(self, t, side="right", seg=None):
         """Curve value(s) at ``t``: shape ``(n,)`` for a scalar ``t``,
         ``(k, n)`` for ``k`` times; segment ``seg``'s piece if given."""
-        return self._evaluate(self._c, t, side, seg)
+        return self._evaluate(self._values, t, side, seg)
 
     def derivative(self, t, side="right", seg=None):
         """Interpolant time-derivative at ``t``; one-sided at boundaries."""
-        return self._evaluate(self._dc, t, side, seg)
+        return self._evaluate(self._slopes, t, side, seg)
 
-    def _evaluate(self, c, t, side, seg):
-        """Table ``c`` at ``t``, by the segment rule of the class."""
+    def _evaluate(self, tables, t, side, seg):
+        """The per-segment ``tables`` at ``t``, by the segment rule of the
+        class: one kernel call per segment that the query touches."""
         t = np.asarray(t, float)
-        one = t.ndim == 0 or t.shape == (1,)
+        flat = t.reshape(-1)
         if seg is None:
-            segs = np.clip(np.searchsorted(self.boundaries, t, side) - 1,
-                           0, self.n_segments - 1)
-            if one:
-                seg = segs.item()
-            else:
-                out = np.empty(t.shape + (self.dim,))
-                for i in np.unique(segs):
-                    sel = segs == i
-                    out[sel] = self._evaluate(c, t[sel], side, i)
-                return out
-        lo, hi = self._first[seg], self._first[seg + 1]
-        if one:
-            v = self._at(c, t.item(), lo, hi)
-            return v if t.ndim == 0 else v[None]
-        piece = PPoly.construct_fast(c[:, lo:hi], self._x[lo:hi + 1])
+            segs = np.searchsorted(self._inner, flat, side)
+            touched = np.unique(segs)
+            if len(touched) == 1:
+                seg = touched[0]
+        if seg is not None:
+            out = self._piece(tables, seg, flat)
+        else:
+            out = np.empty((len(flat), self.dim))
+            for i in touched:
+                sel = segs == i
+                out[sel] = self._piece(tables, i, flat[sel])
+        return out.reshape(t.shape + (self.dim,))
+
+    def _piece(self, tables, seg, t):
+        """Segment ``seg``'s table at the times ``t``, shape ``(k,)``,
+        clamped to its span."""
+        x, c = tables[seg]
+        out = np.empty((len(t), self.dim))
         # clamped as np.clip would, at a fraction of its call overhead
-        return piece(np.minimum(np.maximum(t, self.boundaries[seg]),
-                                self.boundaries[seg + 1]))
-
-    def _at(self, c, t, lo, hi):
-        """Table ``c`` at the single time ``t`` on intervals ``lo .. hi-1``.
-
-        What ``PPoly`` computes, to the bit, without building one: ``t``
-        clamped to the knots ``x[lo] .. x[hi]``, the interval found by
-        bisection (each owns its left knot, the last also its right), and
-        the power sum in PPoly's order, lowest power first.
-        """
-        x = self._x
-        t = min(max(t, x[lo]), x[hi])
-        i = bisect.bisect_right(x, t, lo + 1, hi) - 1
-        s = t - x[i]
-        res = 0.0 + c[-1, i]
-        z = s
-        for k in range(len(c) - 2, -1, -1):
-            res = res + c[k, i] * z
-            z = z * s
-        return res
+        t = np.minimum(np.maximum(t, self.boundaries[seg]),
+                       self.boundaries[seg + 1])
+        _ppoly.evaluate(c, x, t, 0, True, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -498,27 +499,23 @@ class Solution(NamedTuple):
     nfev: int
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), quad=None):
-    """The package's own DOP853 solve of ``y' = fun(t, y)`` over
-    ``t_span = (t0, t1)``, ``t0 < t1``.
+def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
+    """The package's own DOP853 solve of ``y' = [fun(t, x), quad(x)]``
+    over ``t_span = (t0, t1)``, ``t0 < t1``, where ``y = [x, q]``.
 
-    It takes the steps, and gives the bits, of
-    ``scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
-    rtol=rtol, atol=atol)``: the same first-step selection (one extra
-    ``fun`` call), Runge-Kutta stages, error norm and step-size control, in
-    the same operation order.  ``fun(t, y)`` takes a state ``(n,)`` and
-    returns a float array ``(n,)``.
-
-    With ``quad``, the last component of ``y`` is a quadrature ``q`` of the
-    others, ``x``: ``q' = quad(x)``, which no derivative reads.  Then
-    ``fun(t, x)`` gives ``x'`` alone, and ``quad(xs)`` takes a stack
-    ``(k, n-1)`` and returns ``(k,)``.  The stages call ``fun`` only; the
-    quadrature's stage derivatives come from one ``quad`` call on the
+    The last component of ``y`` is a quadrature ``q`` of the others,
+    ``x``, which no derivative reads.  ``fun(t, x)`` takes a state
+    ``(n-1,)`` and returns a float array ``(n-1,)``; ``quad(xs)`` takes a
+    stack ``(k, n-1)`` and returns ``(k,)``.  The stages call ``fun`` only;
+    the quadrature's stage derivatives come from one ``quad`` call on the
     stacked stage inputs per attempted step (and one per step with dense
     stages), the first-step selection's from two single-row calls.  When
     each row of a stacked ``quad`` call holds the bits of a call on that
-    row alone, this takes the steps, and gives the bits, of the solve of
-    the full right-hand side ``[fun(t, x), quad(x)]``.
+    row alone, this takes the steps, and gives the bits, of
+    ``scipy.integrate.solve_ivp`` with ``method="DOP853"``, ``rtol`` and
+    ``atol`` on the full right-hand side: the same first-step selection
+    (one extra call), Runge-Kutta stages, error norm and step-size
+    control, in the same operation order.
 
     The solution is read at the knots: the step times and the points of
     the sorted ``grid`` (within ``t_span``), with every point that lies
@@ -540,7 +537,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), quad=None):
     t, t1 = map(float, t_span)
     y = np.asarray(y0, float)
     n = len(y)
-    m = n if quad is None else n - 1  # the components fun sees
+    m = n - 1  # the components fun sees
     if rtol < 100 * _EPS:
         warnings.warn(f"rtol {rtol} is too small; using {100 * _EPS}",
                       stacklevel=2)
@@ -569,8 +566,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), quad=None):
         for k, KT, a, c, z, x in extra:
             np.add(y_old, np.dot(KT, a) * h, z)
             k[:] = fun(t_old + c * h, x)
-        if quad is not None:
-            kq_extra[:] = quad(xq_extra)
+        kq_extra[:] = quad(xq_extra)
         return _interpolant(K, t_old, y_old, y, h)
 
     full = _with_quad(fun, quad)
@@ -611,11 +607,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), quad=None):
             y_new = y + h * np.dot(KT_b, _B)
             K[_S, :m] = fun(t + h, y_new[:m])
             nfev += _S
-            if quad is not None:
-                Z[_S - 1] = y_new
-                kq[:] = quad(xq)
-                # the same first m columns; the quadrature's is now right
-                y_new = y + h * np.dot(KT_b, _B)
+            Z[_S - 1] = y_new
+            kq[:] = quad(xq)
+            # the same first m columns; the quadrature's is now right
+            y_new = y + h * np.dot(KT_b, _B)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.dot(KT_e, _E5) / scale
             err3 = np.dot(KT_e, _E3) / scale
@@ -678,9 +673,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), quad=None):
 
 def _with_quad(fun, quad):
     """The full right-hand side ``(t, y) -> (n,)`` of a :func:`solve_ivp`
-    solve with quadrature ``quad``; ``fun`` itself without one."""
-    if quad is None:
-        return fun
+    solve with quadrature ``quad``."""
 
     def full(t, y):
         x = y[:-1]

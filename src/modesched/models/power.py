@@ -79,18 +79,15 @@ class PowerNetwork:
         return 2.0 * math.pi * self.f_s
 
 
-def electrical_power(Y, E, delta, YT=None):
+def electrical_power(Y, E, delta):
     """Injected electrical power at every internal node.
 
     ``P_i = sum_j |E_i||E_j||Y_ij| cos(delta_i - delta_j - psi_ij)``
     with ``psi`` the admittance angles; the ``j = i`` term reduces to
     ``|E_i|^2 G_ii``.  ``delta`` may be a batch of shape ``(..., n)``.
-    ``YT`` is ``Y.T``, for callers that compute it once for many calls.
     """
-    if YT is None:
-        YT = np.asarray(Y, complex).T
     return _injected_power(np.asarray(E, float), np.asarray(delta, float),
-                           YT)
+                           np.asarray(Y, complex).T)
 
 
 def _injected_power(E, delta, YT):
@@ -117,19 +114,11 @@ def _power_jacobian(Y, E, delta, conjY=None):
     return K
 
 
-def swing_mode_field(net, i, x, YT=None, accel=None):
+def swing_mode_field(net, i, x):
     """Swing dynamics under configuration ``i``: phases integrate speeds,
-    accelerations are ``(omega_s / 2H) * (Pm - Pe(delta))``.
-
-    ``YT`` (``net.Y[i - 1].T``) and ``accel`` (``omega_s / 2H``) may be
-    passed in precomputed.
-    """
-    if YT is None:
-        YT = net.Y[i - 1].T
-    if accel is None:
-        accel = net.omega_s / (2.0 * net.H)
-    return _swing_field(np.asarray(x, float), net.n_gen, net.E, net.Pm, YT,
-                        accel)
+    accelerations are ``(omega_s / 2H) * (Pm - Pe(delta))``."""
+    return _swing_field(np.asarray(x, float), net.n_gen, net.E, net.Pm,
+                        net.Y[i - 1].T, net.omega_s / (2.0 * net.H))
 
 
 def _swing_field(x, n, E, Pm, YT, accel):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import ModeSchedule
+from .signals import ModeSchedule, _is_number
 from .integrate import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -115,11 +115,6 @@ class OptimizerConfig:
                              f"'auto', got {self.theta_stop!r}")
 
 
-def _is_number(v, kind=numbers.Real):
-    """Whether ``v`` is a ``kind`` of number; ``True``/``False`` are not."""
-    return isinstance(v, kind) and not isinstance(v, bool)
-
-
 @dataclass
 class IterationReport:
     """One row of the optimization trace: what iteration ``k`` did.
@@ -188,6 +183,21 @@ def check_knot_spacing(knot_spacing, horizon):
     if knot_spacing is not None and not 0.0 < knot_spacing <= finest:
         raise ValueError(f"knot_spacing must lie in (0, horizon/512 = "
                          f"{finest:g}], got {knot_spacing!r}")
+
+
+def check_windows(window, n_windows, advance):
+    """Reject a receding-horizon ``window`` that is no finite positive
+    number, an ``n_windows`` that is no integer ``>= 1`` and an
+    ``advance`` that is no number in ``(0, window]``."""
+    if not (_is_number(window) and 0.0 < window < math.inf):
+        raise ValueError(f"window must be a finite positive number, "
+                         f"got {window!r}")
+    if not (_is_number(n_windows, numbers.Integral) and n_windows >= 1):
+        raise ValueError(f"n_windows must be an integer >= 1, "
+                         f"got {n_windows!r}")
+    if not (_is_number(advance) and 0.0 < advance <= window):
+        raise ValueError(f"advance must be a number in (0, {window:g}], "
+                         f"got {advance!r}")
 
 
 def optimize(sys, x0, schedule, config=None, *, final_field=True,
@@ -421,12 +431,7 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     -------
     HorizonResult
     """
-    window = schedule0.horizon
-    if not (_is_number(n_windows, numbers.Integral) and n_windows >= 1):
-        raise ValueError(f"n_windows must be an integer >= 1, "
-                         f"got {n_windows!r}")
-    if not 0.0 < advance <= window:
-        raise ValueError(f"advance must lie in (0, {window}], got {advance}")
+    check_windows(schedule0.horizon, n_windows, advance)
     cfg = replace(config or OptimizerConfig(), max_iter=1)
 
     plan = schedule0

@@ -17,6 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _is_number(v, kind=numbers.Real):
+    """Whether ``v`` is a ``kind`` of number; ``True``/``False`` are not."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModeSchedule:
     """A mode sequence with switching times on a fixed horizon.
@@ -37,7 +42,8 @@ class ModeSchedule:
         ``(0, horizon)``.  ``len(times) == len(sequence) - 1``.
     horizon : float
         Final time ``T``, finite and ``> 0``; the schedule covers
-        ``[0, T]``.
+        ``[0, T]``.  Times and horizon are real numbers (numpy floats
+        included; bools and strings are rejected, not converted).
     num_modes : int
         Number of modes ``N >= 1`` of the underlying system, an integer
         as the modes are.
@@ -58,9 +64,13 @@ class ModeSchedule:
 
     def __post_init__(self):
         for m in (*self.sequence, self.num_modes):
-            if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+            if not _is_number(m, numbers.Integral):
                 raise ValueError(f"modes and num_modes must be integers, "
                                  f"got {m!r}")
+        for t in (*self.times, self.horizon):
+            if not _is_number(t):
+                raise ValueError(f"switching times and horizon must be "
+                                 f"real numbers, got {t!r}")
         seq = tuple(int(m) for m in self.sequence)
         times = tuple(float(t) for t in self.times)
         horizon = float(self.horizon)

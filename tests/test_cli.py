@@ -138,6 +138,18 @@ def test_dry_run_rejects_values_a_run_would_misread(tmp_path, capsys, extra,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("window", True), ("window", "1.0"), ("advance", True),
+    ("advance", "0.4")])
+def test_horizon_driver_takes_numbers_not_strings_or_bools(tmp_path, capsys,
+                                                           key, value):
+    # float() would read each of these as a number; the driver does not
+    cfg = power_cfg()
+    cfg["horizon_driver"][key] = value
+    assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_horizon_advance_exceeding_window_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, power_cfg(advance=1.5))
     assert main(["horizon", cfg, "--dry-run"]) == 2

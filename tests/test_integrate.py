@@ -1,6 +1,7 @@
 """Trajectory/adjoint integration against closed forms and quadrature."""
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -302,11 +303,16 @@ def partitions(draw):
 @settings(max_examples=60, deadline=None)
 @given(p=partitions())
 def test_curve_matches_per_segment_hermite_splines(p):
-    # the one-table curve gives, bit for bit, what one CubicHermiteSpline
-    # per segment gives: pick the segment (``seg``, or the one holding t,
+    # the curve gives, bit for bit, what one CubicHermiteSpline per
+    # segment gives: pick the segment (``seg``, or the one holding t,
     # ``side`` deciding at a boundary), clamp t to it, evaluate its spline
     bounds, segments, random_ts = p
-    curve = SampledCurve(bounds, segments)
+    # knot times as strided views, which the kernel reads only once the
+    # curve has made them contiguous
+    strided = [np.repeat(ts, 2)[::2] for ts, _, _ in segments]
+    assert not strided[0].flags.c_contiguous
+    curve = SampledCurve(bounds, [(t, ys, fs) for t, (_, ys, fs)
+                                  in zip(strided, segments)])
     splines = [CubicHermiteSpline(ts, ys, fs, axis=0)
                for ts, ys, fs in segments]
     derivs = [sp.derivative() for sp in splines]
@@ -355,33 +361,45 @@ def same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_one_point_queries_build_no_ppoly(monkeypatch):
-    # a single time, scalar or length-1 array, is read straight from the
-    # table; batched queries still evaluate through scipy's PPoly
-    built = []
+def test_every_query_is_one_kernel_call_per_segment_it_touches(
+        monkeypatch):
+    # a scalar, a length-1 array or a batch, with ``seg`` or ``side``, is
+    # answered by scipy's compiled PPoly kernel, called once per segment
+    # the query touches on the table the curve stored for that segment:
+    # nothing is built or copied per query
+    calls = []
+    evaluate = integrate._ppoly.evaluate
 
-    class Counting(integrate.PPoly):
-        @classmethod
-        def construct_fast(cls, *args, **kwargs):
-            built.append(args)
-            return super().construct_fast(*args, **kwargs)
+    def counted(c, x, *args):
+        calls.append((c, x))
+        return evaluate(c, x, *args)
 
-    monkeypatch.setattr(integrate, "PPoly", Counting)
+    monkeypatch.setattr(integrate, "_ppoly",
+                        types.SimpleNamespace(evaluate=counted))
     ts = np.linspace(0.0, 1.0, 5)
-    curve = SampledCurve([0.0, 1.0, 2.0], [
-        (ts, np.sin(ts)[:, None], np.cos(ts)[:, None]),
-        (1.0 + ts, np.sin(1.0 + ts)[:, None], np.cos(1.0 + ts)[:, None])])
-    for evaluate in (curve, curve.derivative):
-        for t in (0.3, 1.0, np.float64(1.7), np.array(1.0),
-                  np.array([0.3]), np.array([2.5])):
-            for kw in ({}, {"side": "left"}, {"seg": 0}, {"seg": 1}):
-                evaluate(t, **kw)
-    assert built == []
-    # two times in segment 0 make a batch there, one in segment 1 does not
-    curve(np.array([0.3, 0.4, 1.7]))
-    assert len(built) == 1
-    curve.derivative(np.array([0.3, 1.7]), seg=1)
-    assert len(built) == 2
+    curve = SampledCurve([0.0, 1.0, 2.0, 3.0], [
+        (k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
+        for k in range(3)])
+    queries = [
+        (0.3, {}, [0]),
+        (1.0, {}, [1]),
+        (1.0, {"side": "left"}, [0]),
+        (np.float64(1.7), {"seg": 0}, [0]),
+        (np.array(1.0), {"side": "left"}, [0]),
+        (np.array([0.3]), {"seg": 2}, [2]),
+        (np.array([2.5]), {}, [2]),
+        (np.array([0.3, 0.4, 2.7]), {}, [0, 2]),
+        (np.array([2.7, 0.3, 1.0, 2.1]), {"side": "left"}, [0, 2]),
+        (np.array([0.3, 1.7, 2.5]), {"seg": 1}, [1]),
+    ]
+    for query, tables in ((curve, curve._values),
+                          (curve.derivative, curve._slopes)):
+        for t, kw, segs in queries:
+            calls.clear()
+            query(t, **kw)
+            assert len(calls) == len(segs)
+            for (c, x), i in zip(calls, segs):
+                assert x is tables[i][0] and c is tables[i][1]
 
 
 @pytest.mark.parametrize("segments", [
@@ -738,28 +756,20 @@ QUAD_MODELS = {
 _QUAD_BUILT = {}
 
 
-def augmented_rhs(sys_, m):
-    """Mode ``m``'s field with the running cost appended, both taken on
-    the single state: the full right-hand side of the cost accumulator."""
-    n = sys_.dim
-
-    def fun(t, z):
-        dz = np.empty(n + 1)
-        dz[:n] = sys_.mode_field(m, z[:n])
-        dz[n] = sys_.running_cost(z[:n])
-        return dz
-
-    return fun
+def full_rhs(fun, quad):
+    """The right-hand side ``[fun(t, x), quad(x)]`` of a solve whose last
+    component is the quadrature, both taken on the single state ``x``."""
+    return lambda t, z: np.append(fun(t, z[:-1]), quad(z[:-1]))
 
 
 @st.composite
 def dop853_problems(draw):
-    """A small linear ``A z + b``, a built-in system's mode field with its
-    cost accumulator, or a system at rest; an interval, tolerances, a knot
+    """A small linear ``A x + b`` with the quadrature ``|x|^2 / 2``, a
+    built-in system's mode field with its cost accumulator as the
+    quadrature, or a system at rest; an interval, tolerances, a knot
     spacing and a crossing time ``tc`` strictly inside the interval.
-    ``fun`` is the full right-hand side, which scipy solves; ``own`` the
-    ``(fun, quad)`` the package's loop solves, where a system's cost
-    accumulator is the quadrature."""
+    ``own`` is the ``(fun, quad)`` the package's loop solves, ``fun`` the
+    full right-hand side, which scipy solves."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t0 = draw(st.floats(0.0, 2.0))
     t1 = t0 + draw(st.floats(0.05, 2.0))
@@ -767,25 +777,26 @@ def dop853_problems(draw):
     if kind == "linear":
         n = draw(st.integers(1, 4))
         A, b = rng.normal(0.0, 0.3, (n, n)), rng.normal(0.0, 2.0, n)
-        fun = lambda t, z: A @ z + b
-        own = (fun, None)
+        # row-wise, so each row of a stack has the bits of that row alone
+        own = (lambda t, x: A @ x + b,
+               lambda xs: 0.5 * np.add.reduce(xs * xs, axis=-1))
         # most components drift through zero, where a step end as the dense
         # output reads it, y_old + (y - y_old), may differ from y
-        z0 = -b * (t1 - t0) * rng.uniform(0.2, 0.8, n)
+        z0 = np.append(-b * (t1 - t0) * rng.uniform(0.2, 0.8, n),
+                       rng.normal(0.0, 1.0))
     elif kind == "at rest":
-        fun = lambda t, z: np.zeros_like(z)
-        own = (fun, None)
-        z0 = rng.normal(0.0, 1.0, 2)
+        # a zero field and a zero quadrature
+        own = (lambda t, x: np.zeros_like(x), lambda xs: 0.0 * xs[..., 0])
+        z0 = rng.normal(0.0, 1.0, 3)
     else:
         if kind not in _QUAD_BUILT:
             _QUAD_BUILT[kind] = QUAD_MODELS[kind]()
         sys_, x0 = _QUAD_BUILT[kind]
         m = draw(st.integers(1, sys_.num_modes))
-        fun = augmented_rhs(sys_, m)
         own = (lambda t, x: sys_.mode_field(m, x), sys_.running_cost)
         z0 = np.concatenate([x0, [0.0]]) + rng.normal(0.0, 0.3, sys_.dim + 1)
     return dict(
-        fun=fun, own=own, z0=z0, t0=t0, t1=t1,
+        fun=full_rhs(*own), own=own, z0=z0, t0=t0, t1=t1,
         rtol=10.0 ** draw(st.floats(-10.0, -4.0)),
         atol=10.0 ** draw(st.floats(-11.0, -5.0)),
         spacing=draw(st.floats(0.01, 0.5)),

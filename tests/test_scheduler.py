@@ -653,6 +653,7 @@ def test_receding_horizon_rejects_bad_window_counts(monkeypatch, n_windows):
 def test_receding_horizon_rejects_bad_advance():
     sys_ = two_rate_sq()
     u0 = constant_schedule(1, 1.0, 2)
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
+    # True and "0.4" are no advance, though float() would make one of them
+    for bad in (0.0, -0.5, 1.5, True, "0.4"):
+        with pytest.raises(ValueError, match="advance"):
             receding_horizon(sys_, [2.0], u0, n_windows=2, advance=bad)

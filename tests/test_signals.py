@@ -55,6 +55,19 @@ def test_validation_rejects(bad):
         ModeSchedule(**bad)
 
 
+@pytest.mark.parametrize("bad, named", [
+    (dict(horizon=True), "horizon"),
+    (dict(horizon="5.0"), "horizon"),
+    (dict(sequence=(1, 2), times=("0.5",)), "times"),
+    (dict(sequence=(1, 2), times=(True,), horizon=2.0), "times"),
+])
+def test_times_and_horizon_are_numbers_not_converted(bad, named):
+    # a bool or a string is no time, though float() would make one of it
+    with pytest.raises(ValueError, match=named):
+        ModeSchedule(**{**dict(sequence=(1,), times=(), horizon=1.0,
+                               num_modes=2), **bad})
+
+
 def test_numpy_integers_are_modes():
     s = ModeSchedule(tuple(np.array([2, 1])), (1.0,), 3.0, np.int64(4))
     assert s.sequence == (2, 1) and s.num_modes == 4
