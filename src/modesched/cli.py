@@ -101,17 +101,16 @@ def _build_problem(cfg, seed_override=None, config_dir="."):
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"bad network description: {err}") from None
         dist = model.get("disturbance", {})
-        try:
-            magnitude = float(dist.get("magnitude", 0.0))
-        except (AttributeError, TypeError, ValueError) as err:
-            raise ConfigError(f"bad disturbance: {err}") from None
+        if not isinstance(dist, dict):
+            raise ConfigError('"disturbance" must be an object')
+        magnitude = dist.get("magnitude", 0.0)
         seed = seed_override if seed_override is not None \
             else dist.get("seed")
-        if magnitude != 0.0 and seed is None:
-            raise ConfigError("a power disturbance needs a seed "
-                              "(config or --seed)")
+        try:
+            x0 = initial_state(net, magnitude=magnitude, seed=seed)
+        except ValueError as err:
+            raise ConfigError(f"bad power model: {err}") from None
         sys_ = power_system(net)
-        x0 = initial_state(net, magnitude=magnitude, seed=seed)
         if "horizon" not in cfg:
             raise ConfigError('power runs need an explicit "horizon"')
         horizon = cfg["horizon"]

@@ -12,11 +12,12 @@ read on (time, value, derivative) knots, and the three extra stages of
 DOP853's dense output are taken only on steps that hold a knot inside
 them.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
-curve's knots as one piecewise-cubic table per segment, which makes the
-curve and its time derivative cheaply evaluable anywhere.  Each query
-reads one segment's table, so a switching time has exact one-sided
-limits: ``side`` picks the earlier or later segment there, or ``seg``
-names the segment outright.
+curve's knots as one piecewise-cubic table per segment, in which every
+knot starts a piece and a segment's last knot starts one that runs to
+``inf``, so a query at a knot returns that knot's value and derivative
+exactly; derivatives are the kernel's ``dx = 1`` on the same table.  Each
+query reads one segment's table, so a switching time has exact one-sided
+limits: ``side`` picks the earlier or later segment, or ``seg`` names it.
 
 Two private pieces of scipy are used: the DOP853 tableau,
 ``scipy.integrate._ivp.dop853_coefficients``, and PPoly's compiled
@@ -131,22 +132,24 @@ class SampledCurve:
     boundaries (each boundary sample is shared), while the derivative may
     jump there.
 
-    The curve is one piecewise-cubic table per segment: for every
-    interval between two of the segment's knots the four coefficients of
-    its Hermite cubic in powers of ``t - t_i`` (``c[k]`` multiplies the
-    power ``3 - k``), with the arithmetic of scipy's cubic Hermite
-    spline, so values agree with it to the bit.  The derivative has tables
-    of its own, the cubic's three differentiated coefficients.  A query is
-    answered by one segment's table, with ``t`` clamped to that segment's
-    span, and within a segment an interval owns its left knot (the
-    segment's last interval also its right).  The segment is ``seg`` when
-    given; otherwise the one containing ``t``, where ``side`` picks the
-    earlier (``"left"``) or later (``"right"``) segment at a boundary, and
-    times outside ``[t0, t1]`` go to the first or last.  Every query, one
-    time or a batch, is one call of scipy's compiled PPoly kernel,
-    ``scipy.interpolate._ppoly.evaluate``, per segment it touches, on the
-    knot times and C-ordered table stored for that segment when the curve
-    is built; ``PPoly`` itself calls this kernel, so the bits are PPoly's.
+    The curve is one piecewise-cubic table per segment, in which every
+    knot starts a piece.  Each piece but the last is the Hermite cubic to
+    the next knot, in powers of ``t - t_i`` (``c[k]`` multiplies the power
+    ``3 - k``), with the arithmetic of scipy's cubic Hermite spline, so
+    between knots values agree with it to the bit.  The segment's last
+    knot starts a piece that runs to ``inf``, the same formula with ``h =
+    inf``, which no query reads past the knot.  So every knot, a segment's
+    ends included, reads back its own value and derivative exactly; the
+    derivative is the kernel's ``dx = 1`` on the same table.  A query is
+    answered by one segment's table, with ``t`` clamped to its span: the
+    segment ``seg`` when given, else the one containing ``t``, where
+    ``side`` picks the earlier (``"left"``) or later (``"right"``) segment
+    at a boundary, and times outside ``[t0, t1]`` go to the first or last.
+    Every query, one time or a batch, is one call of scipy's compiled
+    PPoly kernel, ``scipy.interpolate._ppoly.evaluate``, per segment it
+    touches, on the knot times and C-ordered table stored for that segment
+    when the curve is built; ``PPoly`` calls this kernel too, so the bits
+    are PPoly's.
 
     Parameters
     ----------
@@ -183,31 +186,27 @@ class SampledCurve:
                     f"with values and derivatives of one shape")
             self.knots.append((ts, ys, fs))
         ts, ys, fs = zip(*self.knots)
-        x = np.concatenate(ts[:1] + tuple(t[1:] for t in ts[1:]))
-        # segment i owns the intervals first[i] .. first[i + 1] - 1
-        first = np.cumsum([0] + [len(t) - 1 for t in ts])
-        # each interval's end data, from its own segment's knots
-        y0 = np.concatenate([y[:-1] for y in ys])
-        y1 = np.concatenate([y[1:] for y in ys])
-        f0 = np.concatenate([f[:-1] for f in fs])
-        f1 = np.concatenate([f[1:] for f in fs])
-        h = np.diff(x)[:, None]
+        # per segment, the kernel's breakpoints: every knot, then inf
+        xs = [np.append(t, np.inf) for t in ts]
+        h = np.concatenate([np.diff(x) for x in xs])[:, None]
         if not np.all(h > 0.0):
             raise ValueError("knot times must increase")
+        # segment i owns the pieces first[i] .. first[i + 1] - 1; each runs
+        # to the next knot, the last from the segment's last knot to itself
+        first = np.cumsum([0] + [len(t) for t in ts])
+        nxt = np.arange(1, first[-1] + 1)
+        nxt[first[1:] - 1] -= 1
+        y0, f0 = np.concatenate(ys), np.concatenate(fs)
+        y1, f1 = y0[nxt], f0[nxt]
         slope = (y1 - y0) / h
         d = (f0 + f1 - 2 * slope) / h
         c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
         if not np.all(np.isfinite(c)):
             raise ValueError("knot data must be finite")
-        dc = c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
-        # per segment, what the kernel reads: its knot times (a view of the
-        # contiguous x) and C-ordered tables (a copy of the slice, but for a
-        # one-segment curve)
-        spans = list(zip(first[:-1], first[1:]))
-        self._values = [(x[lo:hi + 1], np.ascontiguousarray(c[:, lo:hi]))
-                        for lo, hi in spans]
-        self._slopes = [(x[lo:hi + 1], np.ascontiguousarray(dc[:, lo:hi]))
-                        for lo, hi in spans]
+        # what the kernel reads: C-ordered tables (a copy of the slice, but
+        # for a one-segment curve)
+        self._tables = [(x, np.ascontiguousarray(c[:, lo:hi]))
+                        for x, lo, hi in zip(xs, first[:-1], first[1:])]
         # searchsorted in the inner boundaries is the segment rule
         self._inner = self.boundaries[1:-1]
         self.dim = y0.shape[1]
@@ -236,15 +235,15 @@ class SampledCurve:
     def __call__(self, t, side="right", seg=None):
         """Curve value(s) at ``t``: shape ``(n,)`` for a scalar ``t``,
         ``(k, n)`` for ``k`` times; segment ``seg``'s piece if given."""
-        return self._evaluate(self._values, t, side, seg)
+        return self._evaluate(t, side, seg, 0)
 
     def derivative(self, t, side="right", seg=None):
         """Interpolant time-derivative at ``t``; one-sided at boundaries."""
-        return self._evaluate(self._slopes, t, side, seg)
+        return self._evaluate(t, side, seg, 1)
 
-    def _evaluate(self, tables, t, side, seg):
-        """The per-segment ``tables`` at ``t``, by the segment rule of the
-        class: one kernel call per segment that the query touches."""
+    def _evaluate(self, t, side, seg, dx):
+        """Derivative ``dx`` of the curve at ``t``, by the segment rule of
+        the class: one kernel call per segment that the query touches."""
         t = np.asarray(t, float)
         flat = t.reshape(-1)
         if seg is None:
@@ -253,23 +252,23 @@ class SampledCurve:
             if len(touched) == 1:
                 seg = touched[0]
         if seg is not None:
-            out = self._piece(tables, seg, flat)
+            out = self._piece(seg, flat, dx)
         else:
             out = np.empty((len(flat), self.dim))
             for i in touched:
                 sel = segs == i
-                out[sel] = self._piece(tables, i, flat[sel])
+                out[sel] = self._piece(i, flat[sel], dx)
         return out.reshape(t.shape + (self.dim,))
 
-    def _piece(self, tables, seg, t):
-        """Segment ``seg``'s table at the times ``t``, shape ``(k,)``,
-        clamped to its span."""
-        x, c = tables[seg]
+    def _piece(self, seg, t, dx):
+        """Derivative ``dx`` of segment ``seg``'s table at the times ``t``,
+        shape ``(k,)``, clamped to its span."""
+        x, c = self._tables[seg]
         out = np.empty((len(t), self.dim))
         # clamped as np.clip would, at a fraction of its call overhead
         t = np.minimum(np.maximum(t, self.boundaries[seg]),
                        self.boundaries[seg + 1])
-        _ppoly.evaluate(c, x, t, 0, True, out)
+        _ppoly.evaluate(c, x, t, dx, True, out)
         return out
 
 
@@ -713,7 +712,7 @@ def _interpolant(K, t_old, y_old, y, h):
     return evaluate
 
 
-def integrate_adjoint(sys, schedule, x, rtol=None, atol=None):
+def integrate_adjoint(sys, schedule, x):
     """Integrate the first-order adjoint backward from rho(T) = 0.
 
     The adjoint ``rhodot = -Df_sigma(x(t))^T rho - Dl(x(t))^T`` is linear in
@@ -730,10 +729,8 @@ def integrate_adjoint(sys, schedule, x, rtol=None, atol=None):
     sys : SwitchedSystem
     schedule : ModeSchedule
     x : SampledCurve
-        State trajectory from :func:`integrate_state` over ``schedule``.
-    rtol, atol : ignored
-        Accepted so that callers may pass the state solve's tolerances
-        along; the knots and the accuracy come from ``x``.
+        State trajectory from :func:`integrate_state` over ``schedule``;
+        the adjoint's knots and accuracy come from it.
 
     Returns
     -------

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..integrate import SwitchedSystem
+from ..signals import _is_number
 
 F_S_DEFAULT = 60.0
 
@@ -357,11 +359,18 @@ def initial_state(net, magnitude=0.3, seed=None, config=1):
     """Synchronous equilibrium state with a seeded phase disturbance.
 
     Phases are offset by independent uniform draws on ``[-magnitude,
-    magnitude]``; speeds start exactly synchronous.
+    magnitude]``; speeds start exactly synchronous.  ``magnitude`` is a
+    finite real number, ``seed`` an integer or ``None``, neither a bool.
     """
-    delta_ss = solve_equilibrium(net, config=config)
+    if not (_is_number(magnitude) and math.isfinite(magnitude)):
+        raise ValueError(f"disturbance magnitude must be a finite real "
+                         f"number, got {magnitude!r}")
+    if not (seed is None or _is_number(seed, numbers.Integral)):
+        raise ValueError(f"disturbance seed must be an integer or None, "
+                         f"got {seed!r}")
     if seed is None and magnitude != 0.0:
         raise ValueError("a disturbance needs an explicit seed")
+    delta_ss = solve_equilibrium(net, config=config)
     if magnitude != 0.0:
         rng = np.random.default_rng(seed)
         delta_ss = delta_ss + rng.uniform(-magnitude, magnitude, net.n_gen)

@@ -44,8 +44,6 @@ from .linesearch import (
 
 log = logging.getLogger(__name__)
 
-_EPS = np.finfo(float).eps
-
 #: slack, in solver tolerances ``atol + rtol |J|``, between the
 #: sufficient-descent bound and the cost at which a trial integration is
 #: abandoned: DOP853's quadrature weights include negative ones, so the
@@ -53,13 +51,6 @@ _EPS = np.finfo(float).eps
 #: up to solver error, and the slack keeps that error from abandoning a
 #: trial that would pass
 ABANDON_SLACK = 10.0
-
-#: a theta within this many roundings of the field's largest value,
-#: ``-theta <= THETA_ROUNDING * eps * norm_inf``, counts as 0: the
-#: adjoint vanishes at the horizon, where the field's channels all read 0
-#: up to rounding of either sign, and a rounding-level minimum there is no
-#: descent direction (its projections all equal the incumbent)
-THETA_ROUNDING = 16
 
 
 @dataclass
@@ -70,8 +61,7 @@ class OptimizerConfig:
     ``theta >= theta_stop``.  The default ``"auto"`` resolves to
     ``-1e-2 * |theta|`` of the initial schedule, i.e. stop after the
     achievable descent rate has shrunk a hundredfold.  Set ``0.0`` to run
-    until no insertion helps at all (or the budget runs out).  A theta
-    within rounding of 0 (:data:`THETA_ROUNDING`) meets every threshold.
+    until no insertion helps at all (or the budget runs out).
 
     ``max_iter`` and ``j_max`` are integers ``>= 0``, ``rtol`` is finite
     and ``> 0``, ``atol`` finite and ``>= 0`` and a numeric ``theta_stop``
@@ -258,12 +248,11 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True,
 
         row = IterationReport(k=k, cost=J, theta=theta, gamma0=g0,
                               n_segments=u.n_segments)
-        stop_at = min(theta_stop, -THETA_ROUNDING * _EPS * d.norm_inf)
-        if theta >= stop_at:
+        if theta >= theta_stop:
             rows.append(row)
             status = "optimal"
             log.info("iterate %d: J=%.6g theta=%.3g >= %.3g, stopping",
-                     k, J, theta, stop_at)
+                     k, J, theta, theta_stop)
             break
         if k == cfg.max_iter:
             rows.append(row)

@@ -34,7 +34,7 @@ TIGHT = dict(rtol=1e-12, atol=1e-13)
 
 def _tight_run(sys_, x0, sched):
     x = integrate_state(sys_, x0, sched, **TIGHT)
-    rho = integrate_adjoint(sys_, sched, x, **TIGHT)
+    rho = integrate_adjoint(sys_, sched, x)
     return x, rho
 
 

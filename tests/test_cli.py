@@ -138,6 +138,33 @@ def test_dry_run_rejects_values_a_run_would_misread(tmp_path, capsys, extra,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0", [["1", "2", "3"], [True, False, True],
+                                [0, 0, "nan"], [0, 0, math.inf]])
+def test_dry_run_rejects_a_vehicle_pose_it_would_coerce(tmp_path, capsys,
+                                                        x0):
+    cfg = write_cfg(tmp_path, {"model": {"type": "vehicle", "x0": x0}})
+    assert main(["optimize", cfg, "--dry-run"]) == 2
+    assert "x0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("disturbance, named", [
+    ({"magnitude": True, "seed": 0}, "magnitude"),
+    ({"magnitude": "0.3", "seed": 0}, "magnitude"),
+    ({"magnitude": "nan", "seed": 0}, "magnitude"),
+    ({"magnitude": math.inf, "seed": 0}, "magnitude"),   # JSON 1e400
+    ({"magnitude": 0.3, "seed": True}, "seed"),
+    ({"magnitude": 0.3, "seed": "0"}, "seed"),
+    ({"magnitude": 0.3, "seed": 1.5}, "seed"),
+    (0.3, "disturbance"),
+])
+def test_dry_run_rejects_a_disturbance_it_would_coerce(tmp_path, capsys,
+                                                        disturbance, named):
+    cfg = power_cfg()
+    cfg["model"]["disturbance"] = disturbance
+    assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("window", True), ("window", "1.0"), ("advance", True),
     ("advance", "0.4")])

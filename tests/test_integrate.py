@@ -303,9 +303,11 @@ def partitions(draw):
 @settings(max_examples=60, deadline=None)
 @given(p=partitions())
 def test_curve_matches_per_segment_hermite_splines(p):
-    # the curve gives, bit for bit, what one CubicHermiteSpline per
-    # segment gives: pick the segment (``seg``, or the one holding t,
-    # ``side`` deciding at a boundary), clamp t to it, evaluate its spline
+    # between knots the curve gives, bit for bit, what one
+    # CubicHermiteSpline per segment gives, values as sp(t) and derivatives
+    # as sp(t, 1): pick the segment (``seg``, or the one holding t,
+    # ``side`` deciding at a boundary) and clamp t to it.  A time clamped
+    # to the segment's end reads that end knot's own data.
     bounds, segments, random_ts = p
     # knot times as strided views, which the kernel reads only once the
     # curve has made them contiguous
@@ -315,7 +317,6 @@ def test_curve_matches_per_segment_hermite_splines(p):
                                   in zip(strided, segments)])
     splines = [CubicHermiteSpline(ts, ys, fs, axis=0)
                for ts, ys, fs in segments]
-    derivs = [sp.derivative() for sp in splines]
     M, n = len(segments), segments[0][1].shape[1]
     inner = bounds[1:-1]
     ts = np.concatenate([
@@ -323,23 +324,24 @@ def test_curve_matches_per_segment_hermite_splines(p):
         np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
         [bounds[0] - 0.5, bounds[-1] + 0.5]])
 
-    def reference(pieces, t, side, seg):
+    def reference(nu, t, side, seg):
         if seg is None:
             seg = min(max(int(np.searchsorted(bounds, t, side)) - 1, 0),
                       M - 1)
-        return pieces[seg](np.clip(t, bounds[seg], bounds[seg + 1]))
+        t = np.clip(t, bounds[seg], bounds[seg + 1])
+        end = segments[seg][1 + nu][-1]
+        return np.where((t == bounds[seg + 1])[..., None], end,
+                        splines[seg](t, nu))
 
     for side in ("left", "right"):
         for seg in [None, *range(M)]:
-            for evaluate, pieces in ((curve, splines),
-                                     (curve.derivative, derivs)):
-                want = np.array([reference(pieces, t, side, seg)
-                                 for t in ts])
+            for evaluate, nu in ((curve, 0), (curve.derivative, 1)):
+                want = np.array([reference(nu, t, side, seg) for t in ts])
                 got = evaluate(ts, side=side, seg=seg)
                 assert got.shape == (len(ts), n)
                 np.testing.assert_array_equal(got, want)
                 for t in (*bounds, *random_ts[:3]):
-                    want = reference(pieces, t, side, seg)
+                    want = reference(nu, t, side, seg)
                     assert same_bits(evaluate(t, side=side, seg=seg), want)
                     assert same_bits(
                         evaluate(np.array([t]), side=side, seg=seg),
@@ -350,11 +352,46 @@ def test_curve_matches_per_segment_hermite_splines(p):
                              np.nextafter(bounds, np.inf)])
     for seg in range(M):
         singles = np.concatenate([segments[seg][0], around])
-        for evaluate, pieces in ((curve, splines), (curve.derivative, derivs)):
-            want = reference(pieces, singles, None, seg)
+        for evaluate, nu in ((curve, 0), (curve.derivative, 1)):
+            want = reference(nu, singles, None, seg)
             for t, w in zip(singles, want):
                 assert same_bits(evaluate(t, seg=seg), w)
                 assert same_bits(evaluate(np.array([t]), seg=seg), w[None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=partitions())
+def test_curve_returns_each_knot_exactly(p):
+    # at every knot of every segment, its ends included, the curve and its
+    # derivative are that knot's value and derivative to the bit: for a
+    # scalar, a length-1 array and the segment's knots as one batch, and
+    # for a boundary, on the side of the segment it ends or starts
+    bounds, segments, _ = p
+    curve = SampledCurve(bounds, segments)
+    for i, (ts, ys, fs) in enumerate(segments):
+        for evaluate, want in ((curve, ys), (curve.derivative, fs)):
+            assert same_bits(evaluate(ts, seg=i), want)
+            for t, w in zip(ts, want):
+                assert same_bits(evaluate(t, seg=i), w)
+                assert same_bits(evaluate(np.array([t]), seg=i), w[None])
+            assert same_bits(evaluate(ts[0], side="right"), want[0])
+            assert same_bits(evaluate(ts[-1], side="left"), want[-1])
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
+                         ids=["vehicle", "three-machine"])
+def test_state_and_adjoint_are_exact_at_switches_and_ends(problem):
+    # both sides of a switch read the same knot, the adjoint's terminal
+    # condition reads back as exactly 0 and the cost is the accumulator's
+    # last knot
+    sys_, x0, sched = problem()
+    x = integrate_state(sys_, x0, sched)
+    rho = integrate_adjoint(sys_, sched, x)
+    for curve in (x, rho):
+        for b in sched.times:
+            assert same_bits(curve(b, side="left"), curve(b, side="right"))
+    assert same_bits(rho(sched.horizon), np.zeros(sys_.dim))
+    assert x.cost == x.cost_curve.knots[-1][1][-1, 0]
 
 
 def same_bits(got, want):
@@ -370,9 +407,9 @@ def test_every_query_is_one_kernel_call_per_segment_it_touches(
     calls = []
     evaluate = integrate._ppoly.evaluate
 
-    def counted(c, x, *args):
-        calls.append((c, x))
-        return evaluate(c, x, *args)
+    def counted(c, x, t, dx, *args):
+        calls.append((c, x, dx))
+        return evaluate(c, x, t, dx, *args)
 
     monkeypatch.setattr(integrate, "_ppoly",
                         types.SimpleNamespace(evaluate=counted))
@@ -392,14 +429,15 @@ def test_every_query_is_one_kernel_call_per_segment_it_touches(
         (np.array([2.7, 0.3, 1.0, 2.1]), {"side": "left"}, [0, 2]),
         (np.array([0.3, 1.7, 2.5]), {"seg": 1}, [1]),
     ]
-    for query, tables in ((curve, curve._values),
-                          (curve.derivative, curve._slopes)):
+    # values and derivatives read the same table, with dx 0 and 1
+    for query, order in ((curve, 0), (curve.derivative, 1)):
         for t, kw, segs in queries:
             calls.clear()
             query(t, **kw)
             assert len(calls) == len(segs)
-            for (c, x), i in zip(calls, segs):
-                assert x is tables[i][0] and c is tables[i][1]
+            for (c, x, dx), i in zip(calls, segs):
+                assert x is curve._tables[i][0] and c is curve._tables[i][1]
+                assert dx == order
 
 
 @pytest.mark.parametrize("segments", [

@@ -116,6 +116,16 @@ def test_vehicle_initial_state_appends_clock():
         vehicle_initial_state([1.0, 2.0])
 
 
+@pytest.mark.parametrize("x0", [
+    ["1", "2", "3"], [True, False, True], np.array([True, False, True]),
+    [0, 0, "nan"], [0, 0, math.inf], [0, 0, math.nan], [[1], [2], [3]],
+    "abc", 3.0,
+])
+def test_vehicle_initial_state_rejects_a_pose_it_would_coerce(x0):
+    with pytest.raises(ValueError, match="x0"):
+        vehicle_initial_state(x0)
+
+
 # -- power network -----------------------------------------------------------
 
 def two_machine(b=1.0, Pm=(0.0, 0.0)):
@@ -255,6 +265,24 @@ def test_initial_state_disturbance():
     assert np.abs(a - c).max() > 1e-3
     assert np.abs(a[:3]).max() <= 0.3
     np.testing.assert_allclose(a[3:], net.omega_s)   # speeds untouched
+
+
+@pytest.mark.parametrize("kw, named", [
+    ({"magnitude": True, "seed": 0}, "magnitude"),
+    ({"magnitude": "0.3", "seed": 0}, "magnitude"),
+    ({"magnitude": math.nan, "seed": 0}, "magnitude"),
+    ({"magnitude": math.inf, "seed": 0}, "magnitude"),
+    ({"magnitude": 0.3, "seed": True}, "seed"),
+    ({"magnitude": 0.3, "seed": "0"}, "seed"),
+    ({"magnitude": 0.3, "seed": 1.5}, "seed"),
+])
+def test_initial_state_rejects_a_disturbance_it_would_coerce(kw, named):
+    net = load_network(THREE_MACHINE)
+    with pytest.raises(ValueError, match=named):
+        initial_state(net, **kw)
+    # integral numbers of numpy's own types are numbers too
+    assert np.array_equal(initial_state(net, np.float64(0.3), np.int64(11)),
+                          initial_state(net, 0.3, 11))
 
 
 def test_lossless_energy_conserved_along_swing():

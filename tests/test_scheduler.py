@@ -29,7 +29,6 @@ from modesched.models import vehicle_initial_state, vehicle_system
 from modesched.models.vehicle import HORIZON_DEFAULT
 from modesched.models.power import initial_state, load_network, power_system
 from modesched.projection import DWELL_DEFAULT
-from modesched.scheduler import THETA_ROUNDING
 from conftest import THREE_MACHINE, count_solves
 
 
@@ -252,16 +251,15 @@ def random_linear_quadratic(seed):
                                   356])
 def test_a_theta_within_rounding_of_zero_is_optimal(seed):
     # on these problems no insertion helps the starting schedule, and its
-    # theta is the field at the horizon, where the adjoint is 0: a value of
-    # about 1e-20 of either sign.  A negative one once went on to a line
-    # search whose every projection equalled the incumbent.
+    # theta is the field at the horizon, where the adjoint is exactly 0.
+    # Read off the last cubic at its right end, it was about 1e-20 of
+    # either sign, and a negative one once went on to a line search whose
+    # every projection equalled the incumbent.
     sys_, x0, u0 = random_linear_quadratic(seed)
     res = optimize(sys_, x0, u0, OptimizerConfig(max_iter=8, theta_stop=0.0))
     assert res.status == "optimal"
     assert len(res.iterations) == 1 and res.schedule == u0
-    theta = res.iterations[0].theta
-    assert -theta <= THETA_ROUNDING * np.finfo(float).eps \
-        * res.field.norm_inf
+    assert res.iterations[0].theta == 0.0
 
 
 @pytest.mark.parametrize("field, value", [
