@@ -11,16 +11,18 @@ schedules satisfying the minimum principle, and ``theta < 0`` points at the
 mode/time insertion of steepest descent.
 
 An :class:`InsertionGradientField` is built once per iterate and is plain
-data from then on: construction samples each segment on a fixed grid and
-solves the segment's interior minima, and :func:`optimality`, the step
-events of :mod:`.linesearch` and the max rule of :mod:`.projection` read
-those results.  Every query names the segment whose branch it reads, so a
-value at a switching time is never ambiguous.
+data from then on: construction samples each segment at the times its
+builder gives, which for the field of a trajectory are the state curve's
+own knots (the adjoint's knots too), and solves the segment's interior
+minima; :func:`optimality`, the step events of :mod:`.linesearch` and the
+max rule of :mod:`.projection` read those results.  Every query names the
+segment whose branch it reads, so a value at a switching time is never
+ambiguous.
 
 The field's interior minima, and the max rule's threshold crossings in
 :mod:`.projection`, are found by one mechanism: a bracketed root solve
 (:func:`_bracketed_root`, Brent's method) on the true field, with the
-bracket taken from the sampling grid.  A minimum is the root of the
+bracket taken from those samples.  A minimum is the root of the
 channel's analytic slope, so it is exact to the root tolerance.
 """
 from __future__ import annotations
@@ -30,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-#: default minimum-search sampling: grid step = horizon / GRID_DENOM,
-#: never fewer than GRID_MIN_PTS points per segment
-GRID_DENOM = 2048
-GRID_MIN_PTS = 64
+from .integrate import knot_grid
+
 #: root tolerance of minima and threshold crossings, relative to the horizon
 ROOT_TOL = 1e-12
 
@@ -67,12 +67,13 @@ class InsertionGradientField:
     names the segment whose branch it reads; a minimum carries its own.
 
     The field is plain data, built once: construction samples every
-    segment's grid and solves its interior minima (:meth:`_scan`), and
-    later queries only read these attributes:
+    segment at the times ``grids[seg]`` that its builder gives and solves
+    its interior minima (:meth:`_scan`), and later queries only read these
+    attributes:
 
     ``grids[seg]``, ``grid_values[seg]``
-        Segment ``seg``'s sampling grid (endpoints included) and all N
-        channels there, shape (len, N).
+        Segment ``seg``'s sample times, increasing from its start to its
+        end, and all N channels there, shape (len, N).
     ``samples[seg]``
         ``(ts, D)``: the grid and the segment's interior minima, sorted
         and without repeats, and all N channels there; the max rule's
@@ -97,18 +98,20 @@ class InsertionGradientField:
     sequence of modes ``channels`` only those columns, in that order.
 
     Instances are built by :func:`insertion_gradient` from a trajectory
-    and adjoint, or by :meth:`from_callables` from explicit channel
-    functions (synthetic fields for studies and tests).
+    and adjoint, sampled on the state curve's knots, or by
+    :meth:`from_callables` from explicit channel functions (synthetic
+    fields for studies and tests), sampled on the uniform part of the
+    knots a state curve would have (:func:`.integrate.knot_grid`).
     """
 
-    def __init__(self, schedule, values_in_segment, slopes_in_segment):
+    def __init__(self, schedule, values_in_segment, slopes_in_segment, grids):
         self.schedule = schedule
         self.num_modes = schedule.num_modes
         self.horizon = schedule.horizon
         self.values_in_segment = values_in_segment
         self.slopes_in_segment = slopes_in_segment
-        self.grids, self.grid_values, self.samples = [], [], []
-        self.minima = []
+        self.grids = grids
+        self.grid_values, self.samples, self.minima = [], [], []
         for seg in range(schedule.n_segments):
             self._scan(seg)
         self.lowest = [_lowest(D) for _, D in self.samples]
@@ -119,7 +122,8 @@ class InsertionGradientField:
         """Build a synthetic field from N scalar functions of time.
 
         ``channels[a-1](t)`` gives channel ``a``; functions must be smooth
-        inside each schedule segment.  At a switch a function of absolute
+        inside each schedule segment, which is sampled on
+        :func:`.integrate.knot_grid`.  At a switch a function of absolute
         time already gives the next segment's branch, so a segment ending
         there reads its own end at the float just below the switch.  Slopes
         default to a central finite difference with step up to
@@ -161,7 +165,9 @@ class InsertionGradientField:
                         - columns(value_fns, seg, tc - hs, channels)) \
                     / (2.0 * hs)
 
-        return cls(schedule, values_in_segment, slopes_in_segment)
+        grids = [knot_grid(*schedule.segment_bounds(seg), schedule.horizon)
+                 for seg in range(schedule.n_segments)]
+        return cls(schedule, values_in_segment, slopes_in_segment, grids)
 
     def value_channel(self, a, t, side="right"):
         """Channel ``a`` at scalar time ``t``, from the segment that
@@ -185,26 +191,22 @@ class InsertionGradientField:
         return float((sl[1, 0] - sl[0, 0]) / (2.0 * h))
 
     def _scan(self, seg):
-        """Sample segment ``seg`` and append its grid, samples and minima.
+        """Sample segment ``seg`` at ``grids[seg]`` and append its values,
+        samples and minima.
 
-        The grid step is ``horizon / GRID_DENOM``, with never fewer than
-        ``GRID_MIN_PTS`` points.  Each non-active channel contributes its
-        two one-sided end values and its interior minima.  An interior
-        minimum is the root of the channel's slope where it turns from
-        negative to nonnegative, solved by :func:`_bracketed_root` to
-        ``ROOT_TOL * horizon``.  Brackets are the two cells around each grid
-        node no higher than the node before it and lower than the one after
-        it, plus the first and last cell, where a minimum hides from the
-        node test; one batched slope call at the bracket ends keeps those
-        whose slope changes sign.  Of two equal neighbouring nodes around a
-        minimum only the later one passes, so one well gives one bracket.
+        Each non-active channel contributes its two one-sided end values
+        and its interior minima.  An interior minimum is the root of the
+        channel's slope where it turns from negative to nonnegative, solved
+        by :func:`_bracketed_root` to ``ROOT_TOL * horizon``.  Brackets are
+        the two cells around each grid node no higher than the node before
+        it and lower than the one after it, plus the first and last cell,
+        where a minimum hides from the node test; one batched slope call at
+        the bracket ends keeps those whose slope changes sign.  Of two equal
+        neighbouring nodes around a minimum only the later one passes, so
+        one well gives one bracket; a segment of one cell brackets it once.
         """
-        t0, t1 = self.schedule.segment_bounds(seg)
-        n = max(GRID_MIN_PTS,
-                int(np.ceil((t1 - t0) / (self.horizon / GRID_DENOM))))
-        ts = np.linspace(t0, t1, n)
+        ts = self.grids[seg]
         vals = self.values_in_segment(seg, ts)
-        self.grids.append(ts)
         self.grid_values.append(vals)
         last = len(ts) - 1
         active = self.schedule.sequence[seg]
@@ -223,7 +225,7 @@ class InsertionGradientField:
             brackets.extend((a, j - 1, j + 1) for j in nodes)
             if 1 not in nodes:
                 brackets.append((a, 0, 1))
-            if last - 1 not in nodes:
+            if last > 1 and last - 1 not in nodes:
                 brackets.append((a, last - 1, last))
         roots = []
         if brackets:
@@ -300,8 +302,10 @@ class OptimalityResult:
 def insertion_gradient(sys, schedule, x, rho):
     """Build the insertion-gradient field from trajectory and adjoint.
 
-    The field samples every segment and solves its minima here, so this
-    call does the model evaluations; :func:`optimality` only reads them.
+    The field samples every segment at the state curve's knots, where
+    ``x`` and ``rho`` (which shares them) return their exact knot values,
+    and solves its minima here, so this call does the model evaluations;
+    :func:`optimality` only reads them.
 
     Parameters
     ----------
@@ -357,7 +361,8 @@ def insertion_gradient(sys, schedule, x, rho):
         return out
 
     return InsertionGradientField(schedule, values_in_segment,
-                                  slopes_in_segment)
+                                  slopes_in_segment,
+                                  [ts for ts, _, _ in x.knots])
 
 
 def optimality(field):

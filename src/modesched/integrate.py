@@ -8,7 +8,9 @@ tableau, step control and operation order, so it takes scipy's steps to
 the bit.  The running cost rides along as a quadrature: the stages call
 the mode field alone, and the accumulator's stage derivatives come from
 one batched ``running_cost`` call per attempted step.  The solution is
-read on (time, value, derivative) knots, and the three extra stages of
+read on (time, value, derivative) knots, the solver's steps merged with a
+uniform grid of spacing ``horizon / KNOTS_PER_HORIZON`` or a finer
+``knot_spacing`` (:func:`knot_grid`), and the three extra stages of
 DOP853's dense output are taken only on steps that hold a knot inside
 them.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
@@ -28,7 +30,9 @@ The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
 Magnus step per knot interval, with every interval's matrix exponential
 taken in one batched Taylor series.  Its accuracy follows the state's
-knots.
+knots.  The insertion-gradient field (:mod:`.gradient`) is sampled on the
+same knots, so they are the one time discretization of state, adjoint and
+field.
 """
 from __future__ import annotations
 
@@ -436,6 +440,14 @@ def _knot_slopes(sys, m, zs):
     return np.column_stack([sys.mode_field(m, xs), sys.running_cost(xs)])
 
 
+def knot_grid(t0, t1, horizon, knot_spacing=None):
+    """Evenly spaced times from ``t0`` to ``t1``, both included, at most
+    ``knot_spacing`` (default ``horizon / KNOTS_PER_HORIZON``) apart and
+    never fewer than two: the uniform part of every segment's knots."""
+    h = horizon / KNOTS_PER_HORIZON if knot_spacing is None else knot_spacing
+    return np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0) / h)) + 1))
+
+
 def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
                    stop=None):
     """One smooth segment in mode ``m``, solved forward from ``t0`` to
@@ -443,8 +455,7 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
     quadrature.
 
     Solves, and reads the solution on the union of the solver's steps and
-    a uniform grid of spacing ``knot_spacing`` (default
-    ``horizon / KNOTS_PER_HORIZON``), with the knot derivatives from one
+    :func:`knot_grid`, with the knot derivatives from one
     :func:`_knot_slopes` call.  Returns ``(ts, zs, fs, z1)`` where ``z1``
     is the solution at ``t1``, or :class:`Abandoned` at the time where
     :func:`solve_ivp`'s ``stop`` stopped the solve.
@@ -459,11 +470,9 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
         ts = np.array([t0, t1])
         zs = np.array([z0, z1])
     else:
-        h = knot_spacing if knot_spacing is not None \
-            else horizon / KNOTS_PER_HORIZON
-        grid = np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0) / h)) + 1))
         sol = solve_ivp(field, (t0, t1), z0, rtol, atol, stop=stop,
-                        grid=grid, quad=sys.running_cost)
+                        grid=knot_grid(t0, t1, horizon, knot_spacing),
+                        quad=sys.running_cost)
         if sol.t_stop is not None:
             return Abandoned(sol.t_stop)
         ts, zs, z1 = sol.ts, sol.zs, sol.zs[-1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..integrate import SwitchedSystem
-from ..signals import _is_number
+from ..signals import _is_finite, _is_number
 
 F_S_DEFAULT = 60.0
 
@@ -360,11 +360,13 @@ def initial_state(net, magnitude=0.3, seed=None, config=1):
 
     Phases are offset by independent uniform draws on ``[-magnitude,
     magnitude]``; speeds start exactly synchronous.  ``magnitude`` is a
-    finite real number, ``seed`` an integer or ``None``, neither a bool.
+    real number whose range ``2 |magnitude|`` is a finite float, ``seed``
+    an integer or ``None``, neither a bool.
     """
-    if not (_is_number(magnitude) and math.isfinite(magnitude)):
-        raise ValueError(f"disturbance magnitude must be a finite real "
-                         f"number, got {magnitude!r}")
+    if not (_is_finite(magnitude) and _is_finite(2.0 * float(magnitude))):
+        raise ValueError(f"disturbance magnitude must be a real number of "
+                         f"at most {np.finfo(float).max / 2:g} in size, "
+                         f"got {magnitude!r}")
     if not (seed is None or _is_number(seed, numbers.Integral)):
         raise ValueError(f"disturbance seed must be an integer or None, "
                          f"got {seed!r}")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..integrate import SwitchedSystem
-from ..signals import _is_number
+from ..signals import _is_finite
 
 #: (forward speed, turn rate) of each mode
 MODES = (
@@ -124,8 +124,7 @@ def vehicle_initial_state(x0=None):
     """Optimizer-facing initial state: pose ``x0``, three finite real
     numbers (no bools), plus zeroed clock."""
     pose = np.asarray(X0_DEFAULT if x0 is None else x0, object)
-    if pose.shape != (3,) \
-            or not all(_is_number(v) and math.isfinite(v) for v in pose):
+    if pose.shape != (3,) or not all(_is_finite(v) for v in pose):
         raise ValueError(f"vehicle x0 must be 3 finite real numbers, "
                          f"got {x0!r}")
     return np.concatenate([pose.astype(float), [0.0]])

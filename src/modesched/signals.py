@@ -22,6 +22,15 @@ def _is_number(v, kind=numbers.Real):
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def _is_finite(v):
+    """Whether ``v`` is a real number (no bool) with a finite float value;
+    an integer too large for a float is not."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ModeSchedule:
     """A mode sequence with switching times on a fixed horizon.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from modesched import (InsertionGradientField, ModeSchedule,
                        constant_schedule, max_map)
-from modesched.gradient import GRID_DENOM
+from modesched.integrate import knot_grid
 from modesched.models import (PowerNetwork, vehicle_initial_state,
                               vehicle_system)
 
@@ -103,13 +103,13 @@ def quadratic_bottoms(draw):
     """A channel ``k (t - c)^2 + v0`` on one segment ``[0, T]``, with ``eps``.
 
     The centre ``c`` lies anywhere in the segment, inside the first or last
-    grid cell included, and the curvature ``k`` spans 1e-2 to 1e4.  The
-    depth ``v0`` is set so that at ``gamma = (1 + eps) / |v0|`` the channel
-    beats the threshold on ``(c - r, c + r)`` with ``r`` a share of the
-    room to the nearer end.
+    cell of the field's sampling grid (:func:`knot_grid`) included, and the
+    curvature ``k`` spans 1e-2 to 1e4.  The depth ``v0`` is set so that at
+    ``gamma = (1 + eps) / |v0|`` the channel beats the threshold on
+    ``(c - r, c + r)`` with ``r`` a share of the room to the nearer end.
     """
     horizon = draw(st.floats(1.0, 10.0))
-    cell = horizon / GRID_DENOM
+    cell = knot_grid(0.0, horizon, horizon)[1]
     region = draw(st.sampled_from(["first cell", "last cell", "anywhere"]))
     if region == "anywhere":
         c = draw(st.floats(0.1 * cell, horizon - 0.1 * cell))

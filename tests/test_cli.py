@@ -130,6 +130,7 @@ def test_horizon_rejects_a_window_count_that_is_no_positive_integer(
     ({"horizon": math.nan}, "horizon"),
     ({"optimizer": {"theta_stop": math.nan}}, "theta_stop"),
     ({"optimizer": {"theta_stop": -math.inf}}, "theta_stop"),
+    ({"optimizer": {"theta_stop": 10**400}}, "theta_stop"),  # no float
 ])
 def test_dry_run_rejects_values_a_run_would_misread(tmp_path, capsys, extra,
                                                     named):
@@ -139,7 +140,8 @@ def test_dry_run_rejects_values_a_run_would_misread(tmp_path, capsys, extra,
 
 
 @pytest.mark.parametrize("x0", [["1", "2", "3"], [True, False, True],
-                                [0, 0, "nan"], [0, 0, math.inf]])
+                                [0, 0, "nan"], [0, 0, math.inf],
+                                [10**400, 0, 0]])  # finite, but no float
 def test_dry_run_rejects_a_vehicle_pose_it_would_coerce(tmp_path, capsys,
                                                         x0):
     cfg = write_cfg(tmp_path, {"model": {"type": "vehicle", "x0": x0}})
@@ -156,6 +158,7 @@ def test_dry_run_rejects_a_vehicle_pose_it_would_coerce(tmp_path, capsys,
     ({"magnitude": 0.3, "seed": "0"}, "seed"),
     ({"magnitude": 0.3, "seed": 1.5}, "seed"),
     (0.3, "disturbance"),
+    ({"magnitude": 1e308, "seed": 0}, "magnitude"),  # its range overflows
 ])
 def test_dry_run_rejects_a_disturbance_it_would_coerce(tmp_path, capsys,
                                                         disturbance, named):

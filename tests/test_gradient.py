@@ -174,17 +174,25 @@ def test_local_minima_catch_subgrid_dip():
 
 
 def test_a_well_between_two_equal_grid_nodes_is_one_minimum():
-    # (t - 0.2)^2 is symmetric about 0.2, midway between two grid nodes of
-    # the first segment, so both nodes hold the same value; only one of
-    # them may open a bracket, or the one well is listed twice and opens
-    # two pairs of events
+    # (t - t_j)(t - t_k) - 2 holds exactly -2 at the two neighbouring grid
+    # nodes t_j < t_k of the first segment nearest 0.2, and its well lies
+    # midway between them; only one of the nodes may open a bracket, or
+    # the one well is listed twice and opens two pairs of events
     sched = ModeSchedule((1, 2, 1), (0.4, 0.7), 1.0, 3)
     zero = lambda t: np.zeros_like(t)
+    grid = InsertionGradientField.from_callables(sched, [zero] * 3).grids[0]
+    j = int(np.searchsorted(grid, 0.2))
+    t_j, t_k = grid[j], grid[j + 1]
     field = InsertionGradientField.from_callables(
-        sched, masked_channels(sched, [zero, lambda t: (t - 0.2) ** 2 - 2.0,
-                                       zero]))
+        sched, masked_channels(sched, [
+            zero, lambda t: (t - t_j) * (t - t_k) - 2.0, zero]))
+    assert np.array_equal(field.grids[0], grid)
+    assert field.grid_values[0][j, 1] == field.grid_values[0][j + 1, 1] \
+        == -2.0
     interior = [m for m in field.minima if m["boundary"] is None]
-    assert [(m["time"], m["mode"]) for m in interior] == [(0.2, 2)]
+    assert [m["mode"] for m in interior] == [2]
+    assert interior[0]["time"] == pytest.approx(0.5 * (t_j + t_k),
+                                                abs=1e-12)
     opt = optimality(field)
     events = initial_switch_events(field, opt)
     moving = [e for e in events if e.event_type != 0]
@@ -193,6 +201,28 @@ def test_a_well_between_two_equal_grid_nodes_is_one_minimum():
     # one opposed pair, each edge -sqrt(2) theta^2 / sqrt(2) = -4
     assert descent_slope(events, opt.theta, 2) == pytest.approx(-8.0,
                                                                 rel=1e-4)
+
+
+def test_a_well_in_a_segment_of_one_grid_cell_is_one_minimum():
+    # a segment shorter than one grid cell is sampled at its two ends only,
+    # so its first and last cell are one cell; bracketed twice, its well
+    # would be listed twice and open two pairs of events
+    lo, hi = 0.5, 0.501
+    sched = ModeSchedule((1, 2, 1), (lo, hi), 1.0, 3)
+    c = 0.5 * (lo + hi)
+    zero = lambda t: np.zeros_like(t)
+    field = InsertionGradientField.from_callables(
+        sched, masked_channels(sched, [
+            zero, zero, lambda t: 4e6 * (t - c) ** 2 - 2.0]))
+    assert np.array_equal(field.grids[1], [lo, hi])
+    interior = [m for m in field.minima if m["boundary"] is None]
+    assert [(m["segment"], m["mode"]) for m in interior] == [(1, 3)]
+    assert interior[0]["time"] == pytest.approx(c, abs=1e-12)
+    opt = optimality(field)
+    assert (opt.mode, opt.stationary) == (3, True)
+    moving = [e for e in initial_switch_events(field, opt)
+              if e.event_type != 0]
+    assert sorted(e.omega for e in moving) == [0, 1]
 
 
 def test_no_phantom_minimum_at_a_jump_across_a_switch():
@@ -320,6 +350,24 @@ SLOPE_CASES = {
         initial_state(load_network(THREE_MACHINE), magnitude=0.3, seed=0),
         ModeSchedule((1, 2, 1), (0.3, 0.65), 1.0, 2)),
 }
+
+
+@pytest.mark.parametrize("name", SLOPE_CASES)
+def test_a_trajectory_field_samples_the_state_knots(name):
+    # one time discretization per iterate: the field is sampled on the
+    # knots that the state and the adjoint share, where both are knot data
+    sys_, x0, sched = SLOPE_CASES[name]()
+    x, rho, field = field_for(sys_, x0, sched)
+    for seg in range(sched.n_segments):
+        ts, xs, _ = x.knots[seg]
+        assert np.array_equal(field.grids[seg], ts)
+        assert np.array_equal(field.grids[seg], rho.knots[seg][0])
+        rs, m = rho.knots[seg][1], sched.sequence[seg]
+        for a in range(1, sched.num_modes + 1):
+            d = np.einsum("ij,ij->i", rs,
+                          sys_.mode_field(a, xs) - sys_.mode_field(m, xs))
+            assert np.array_equal(field.grid_values[seg][:, a - 1],
+                                  np.zeros_like(d) if a == m else d)
 
 
 @pytest.mark.parametrize("name", SLOPE_CASES)

@@ -26,7 +26,8 @@ from modesched import (
     max_type,
     optimality,
 )
-from modesched.integrate import DEFAULT_ATOL, DEFAULT_RTOL, Abandoned
+from modesched.integrate import (DEFAULT_ATOL, DEFAULT_RTOL, Abandoned,
+                                  knot_grid)
 from modesched.linesearch import sufficient_descent
 from conftest import max_rule_crossings, random_field, random_schedule
 
@@ -36,7 +37,9 @@ def synth_field(sched, seg_channels):
 
     ``seg_channels[seg][a-1]`` is channel ``a`` on segment ``seg``; this
     keeps one-sided limits at switching times honest, which a single
-    global callable per channel cannot.
+    global callable per channel cannot.  Each segment is sampled on
+    :func:`knot_grid`, as :meth:`InsertionGradientField.from_callables`
+    samples it.
     """
     def values_fn(seg, ts, channels=None):
         ts = np.atleast_1d(np.asarray(ts, float))
@@ -53,7 +56,9 @@ def synth_field(sched, seg_channels):
         S = (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
         return S if channels is None else S[:, [a - 1 for a in channels]]
 
-    return InsertionGradientField(sched, values_fn, slopes_fn)
+    grids = [knot_grid(*sched.segment_bounds(seg), sched.horizon)
+             for seg in range(sched.n_segments)]
+    return InsertionGradientField(sched, values_fn, slopes_fn, grids)
 
 
 zero = lambda t: 0.0 * t

@@ -120,6 +120,8 @@ def test_vehicle_initial_state_appends_clock():
     ["1", "2", "3"], [True, False, True], np.array([True, False, True]),
     [0, 0, "nan"], [0, 0, math.inf], [0, 0, math.nan], [[1], [2], [3]],
     "abc", 3.0,
+    # finite integers that no float holds
+    [10**400, 0, 0], [2**1024 - 1, 0, 0],
 ])
 def test_vehicle_initial_state_rejects_a_pose_it_would_coerce(x0):
     with pytest.raises(ValueError, match="x0"):
@@ -275,6 +277,10 @@ def test_initial_state_disturbance():
     ({"magnitude": 0.3, "seed": True}, "seed"),
     ({"magnitude": 0.3, "seed": "0"}, "seed"),
     ({"magnitude": 0.3, "seed": 1.5}, "seed"),
+    # finite, but the draws' range 2 |magnitude| is no float
+    ({"magnitude": 1e308, "seed": 0}, "magnitude"),
+    ({"magnitude": -1e308, "seed": 0}, "magnitude"),
+    ({"magnitude": 10**400, "seed": 0}, "magnitude"),
 ])
 def test_initial_state_rejects_a_disturbance_it_would_coerce(kw, named):
     net = load_network(THREE_MACHINE)

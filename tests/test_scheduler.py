@@ -276,6 +276,7 @@ def test_a_theta_within_rounding_of_zero_is_optimal(seed):
     ("rtol", math.nan),
     ("atol", -1e-9),
     ("atol", math.inf),
+    pytest.param("theta_stop", 10**400, id="theta_stop-10**400"),  # no float
 ])
 def test_config_rejects_values_it_would_coerce(field, value):
     with pytest.raises(ValueError, match=field):
