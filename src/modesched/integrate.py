@@ -49,8 +49,14 @@ from scipy.optimize import brentq
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-9
-#: default number of Hermite knots per unit horizon (spacing = horizon/512)
-KNOTS_PER_HORIZON = 512
+#: default number of Hermite knots per horizon (spacing horizon / 256):
+#: the one time grid of state, adjoint and field.  It is the coarsest power
+#: of two at which three descent steps on the built-in systems stay within
+#: 100 ``rtol`` of a reference at tolerances 1e-12 / 1e-13 on a grid 16
+#: times finer, in every iterate's theta and cost and in the final
+#: switching times (``tests/test_accuracy.py``); at 128 theta and cost
+#: leave that budget by up to fourfold
+KNOTS_PER_HORIZON = 256
 #: knot intervals per batched Magnus step of the adjoint; bounds the
 #: ``(chunk, n+1, n+1)`` stacks it builds
 MAGNUS_CHUNK = 64
@@ -99,7 +105,7 @@ class SwitchedSystem:
     ``running_cost_gradient`` ``(k, n)``.
 
     The forward solver calls ``mode_field`` once per Runge-Kutta stage, on
-    a single ``(n,)`` state: about 20.7k stages in the 50-window power
+    a single ``(n,)`` state: about 20.6k stages in the 50-window power
     receding-horizon run, where the three dense-output stages of a step
     are only taken when a knot lies inside it.  Per-call overhead
     dominates there, so a model should compute whatever does not depend on
@@ -310,7 +316,8 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     rtol, atol : float
         Solver tolerances (applied to state and accumulator alike).
     knot_spacing : float, optional
-        Maximum spacing of interpolation knots; default ``horizon/512``.
+        Maximum spacing of interpolation knots; default
+        ``horizon / KNOTS_PER_HORIZON``.
     reuse : SampledCurve, optional
         An earlier result of this function, or a warm start built from
         one.  The leading segments it shares with ``schedule`` (same mode,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 from modesched import (InsertionGradientField, ModeSchedule,
-                       constant_schedule, max_map)
+                       OptimizerConfig, constant_schedule, max_map)
+from modesched import integrate
 from modesched.integrate import knot_grid
 from modesched.models import (PowerNetwork, vehicle_initial_state,
                               vehicle_system)
@@ -23,6 +24,15 @@ def vehicle():
 @pytest.fixture(scope="session")
 def vehicle_x0():
     return vehicle_initial_state()
+
+
+def tight_config(horizon, **knobs):
+    """An :class:`OptimizerConfig` for a reference run: tolerances 1e-12
+    (relative) and 1e-13 (absolute), knots 16 times finer than the default
+    grid of ``horizon / KNOTS_PER_HORIZON``; ``knobs`` set the rest."""
+    return OptimizerConfig(
+        rtol=1e-12, atol=1e-13,
+        knot_spacing=horizon / (16 * integrate.KNOTS_PER_HORIZON), **knobs)
 
 
 def ring_network(n=12):

@@ -90,7 +90,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
                    "disturbance": {"magnitude": "big", "seed": 0}},
          "horizon": 1.0},
         {"model": {"type": "vehicle"},
-         "optimizer": {"knot_spacing": 1.0}},         # coarser than T/512
+         "optimizer": {"knot_spacing": 1.0}},         # coarser than default
         {"model": {"type": "vehicle"}, "u0": 2,
          "optimiser": {"max_iter": 3}},               # misspelt key
         {"model": {"type": "vehicle"}, "optimizer": {"max_iter": 2.5}},

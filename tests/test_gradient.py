@@ -177,15 +177,20 @@ def test_a_well_between_two_equal_grid_nodes_is_one_minimum():
     # (t - t_j)(t - t_k) - 2 holds exactly -2 at the two neighbouring grid
     # nodes t_j < t_k of the first segment nearest 0.2, and its well lies
     # midway between them; only one of the nodes may open a bracket, or
-    # the one well is listed twice and opens two pairs of events
+    # the one well is listed twice and opens two pairs of events; the
+    # analytic slope makes the minimum's location a test of the root solve
+    # (a difference slope is only good to about eps / 1e-7)
     sched = ModeSchedule((1, 2, 1), (0.4, 0.7), 1.0, 3)
     zero = lambda t: np.zeros_like(t)
     grid = InsertionGradientField.from_callables(sched, [zero] * 3).grids[0]
     j = int(np.searchsorted(grid, 0.2))
     t_j, t_k = grid[j], grid[j + 1]
     field = InsertionGradientField.from_callables(
-        sched, masked_channels(sched, [
-            zero, lambda t: (t - t_j) * (t - t_k) - 2.0, zero]))
+        sched,
+        masked_channels(sched, [
+            zero, lambda t: (t - t_j) * (t - t_k) - 2.0, zero]),
+        channel_slopes=masked_channels(sched, [
+            zero, lambda t: 2.0 * t - t_j - t_k, zero]))
     assert np.array_equal(field.grids[0], grid)
     assert field.grid_values[0][j, 1] == field.grid_values[0][j + 1, 1] \
         == -2.0

@@ -230,8 +230,9 @@ def test_linear_quadratic_adjoint_matches_the_closed_form(lq):
 @pytest.mark.parametrize("seed", range(10))
 def test_default_knot_spacing_keeps_the_adjoint_on_the_closed_form(seed):
     # the adjoint runs on the state's knots, so the optimizer's default
-    # spacing (horizon/512) sets every gradient's accuracy; on the same
-    # kind of problem knot_spacing = T was off by up to 2.3e-6 relative
+    # spacing (horizon / KNOTS_PER_HORIZON) sets every gradient's accuracy;
+    # on the same kind of problem knot_spacing = T was off by up to 2.9e-6
+    # relative
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     A = rng.uniform(-1.0, 1.0, (n, n))
@@ -674,7 +675,8 @@ def test_shifted_curve_matches_a_fresh_solve(case):
     J = fresh.cost
     assert abs(warm.cost - J) <= 100 * (1e-9 + 1e-8 * abs(J))
     for ts, _, _ in warm.knots:
-        assert np.diff(ts).max() <= sched.horizon / 512 * (1.0 + 1e-12)
+        assert np.diff(ts).max() <= sched.horizon \
+            / integrate.KNOTS_PER_HORIZON * (1.0 + 1e-12)
 
 
 def test_warm_curve_keeps_the_trials_prefix_reuse(monkeypatch):

@@ -291,7 +291,7 @@ def test_config_accepts_integral_and_boundary_values():
 
 def test_knot_spacing_may_only_refine_the_knots():
     # the adjoint runs on the state's knots, so a spacing coarser than the
-    # default horizon/512 would coarsen every gradient
+    # default horizon / KNOTS_PER_HORIZON would coarsen every gradient
     sys_ = two_rate_sq()
     u0 = constant_schedule(1, 1.0, 2)
     with pytest.raises(ValueError, match="knot_spacing"):
