@@ -20,13 +20,25 @@ segment whose branch it reads, so a value at a switching time is never
 ambiguous.
 
 The field's interior minima, and the max rule's threshold crossings in
-:mod:`.projection`, are found by one mechanism: a bracketed root solve
-(:func:`_bracketed_root`, Brent's method) on the true field, with the
-bracket taken from those samples.  A minimum is the root of the
-channel's analytic slope, so it is exact to the root tolerance.
+:mod:`.projection`, are found by one mechanism (:func:`_solve_roots`):
+all of a segment's roots at once, each in a bracket taken from those
+samples, on the true field (the channel's analytic slope for a minimum,
+the difference of two modes for a crossing).  Each root is first
+estimated from data at hand, a cubic model through its bracket's known
+values, then refined in rounds of one batched field call for every root
+still open.  A round evaluates each root's function at ``e +- ROOT_TOL *
+horizon`` around its estimate ``e``; a sign change there settles the
+root as Brent's method would stop, and so does a value within the field's
+rounding bound, at which the sign is noise.  Otherwise the bracket
+narrows and a Newton step gives the next estimate, with the model's
+slope first and then the secant through the last two estimates.  A root
+still open after :data:`ROOT_ROUNDS` rounds, or whose step leaves its
+bracket, falls back to Brent's method (:func:`_bracketed_root`) on the
+narrowed bracket.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +46,22 @@ from scipy.optimize import brentq
 
 from .integrate import knot_grid
 
-#: root tolerance of minima and threshold crossings, relative to the horizon
+#: root tolerance of minima and threshold crossings, relative to the horizon.
+#: On the power models it lies below the field's resolution for about a
+#: quarter of the roots (24% on the published receding-horizon run: 14% of
+#: the minima, 33% of the crossings): there the field's rounding noise is
+#: larger than its change over +- ROOT_TOL * horizon, so a sign test at that
+#: width reads noise, and :func:`_solve_roots` settles such a root by its
+#: rounding bound instead
 ROOT_TOL = 1e-12
+#: batched refinement rounds of a segment's roots before the ones still
+#: open fall back to Brent's method.  Most roots settle in the second or
+#: third; flat crossings with a poor first estimate need a fourth (on the
+#: published receding-horizon run 3 rounds left 17 of 369 roots open, 4
+#: leave 4)
+ROOT_ROUNDS = 4
+#: unit roundoff of the field's arithmetic
+_EPS = float(np.finfo(float).eps)
 
 
 def switching_time_gradient(sys, schedule, x, rho):
@@ -96,6 +122,11 @@ class InsertionGradientField:
     ``slopes_in_segment(seg, ts, channels=None)`` evaluate segment
     ``seg``'s branch at times ``ts``: a (len(ts), N) matrix, or with a
     sequence of modes ``channels`` only those columns, in that order.
+    ``rounding(seg, ts, channels, dx)``, when the builder gives it, returns
+    the values (``dx = 0``) or slopes (``dx = 1``) of the listed channels
+    exactly as those two do, and a bound on their rounding error of the
+    same shape; the root solves settle a root whose value is within it.
+    Without it the field's values count as exact.
 
     Instances are built by :func:`insertion_gradient` from a trajectory
     and adjoint, sampled on the state curve's knots, or by
@@ -104,12 +135,14 @@ class InsertionGradientField:
     knots a state curve would have (:func:`.integrate.knot_grid`).
     """
 
-    def __init__(self, schedule, values_in_segment, slopes_in_segment, grids):
+    def __init__(self, schedule, values_in_segment, slopes_in_segment, grids,
+                 rounding=None):
         self.schedule = schedule
         self.num_modes = schedule.num_modes
         self.horizon = schedule.horizon
         self.values_in_segment = values_in_segment
         self.slopes_in_segment = slopes_in_segment
+        self.rounding = rounding
         self.grids = grids
         self.grid_values, self.samples, self.minima = [], [], []
         for seg in range(schedule.n_segments):
@@ -190,20 +223,33 @@ class InsertionGradientField:
         sl = self.slopes_in_segment(seg, np.array([tc - h, tc + h]), (a,))
         return float((sl[1, 0] - sl[0, 0]) / (2.0 * h))
 
+    def _rounded(self, seg, ts, channels, dx):
+        """Values (``dx = 0``) or slopes (``dx = 1``) of ``channels`` at
+        ``ts`` on segment ``seg`` with their rounding bound (see
+        :attr:`rounding`), in one batched call."""
+        if self.rounding is not None:
+            return self.rounding(seg, ts, channels, dx)
+        f = (self.slopes_in_segment if dx else self.values_in_segment)(
+            seg, ts, channels)
+        return f, np.zeros_like(f)
+
     def _scan(self, seg):
         """Sample segment ``seg`` at ``grids[seg]`` and append its values,
         samples and minima.
 
         Each non-active channel contributes its two one-sided end values
         and its interior minima.  An interior minimum is the root of the
-        channel's slope where it turns from negative to nonnegative, solved
-        by :func:`_bracketed_root` to ``ROOT_TOL * horizon``.  Brackets are
-        the two cells around each grid node no higher than the node before
-        it and lower than the one after it, plus the first and last cell,
-        where a minimum hides from the node test; one batched slope call at
-        the bracket ends keeps those whose slope changes sign.  Of two equal
-        neighbouring nodes around a minimum only the later one passes, so
-        one well gives one bracket; a segment of one cell brackets it once.
+        channel's slope where it turns from negative to nonnegative.
+        Brackets are the two cells around each grid node no higher than the
+        node before it and lower than the one after it, plus the first and
+        last cell, where a minimum hides from the node test; one batched
+        slope call at the bracket ends keeps those whose slope changes sign.
+        Of two equal neighbouring nodes around a minimum only the later one
+        passes, so one well gives one bracket; a segment of one cell
+        brackets it once.  The segment's minima are solved together by
+        :func:`_solve_roots` to ``ROOT_TOL * horizon``, each estimated from
+        the slope of the cubic Hermite through its bracket ends' values and
+        slopes, and refined by batched slope calls.
         """
         ts = self.grids[seg]
         vals = self.values_in_segment(seg, ts)
@@ -232,15 +278,30 @@ class InsertionGradientField:
             ends = np.unique([i for _, lo, hi in brackets for i in (lo, hi)])
             S = self.slopes_in_segment(seg, ts[ends])
             row = {int(i): k for k, i in enumerate(ends)}
-            xtol = ROOT_TOL * self.horizon
+            wells, modes = [], []
             for a, lo, hi in brackets:
-                s_lo, s_hi = S[row[lo], a - 1], S[row[hi], a - 1]
+                s_lo = float(S[row[lo], a - 1])
+                s_hi = float(S[row[hi], a - 1])
                 if not s_lo < 0.0 <= s_hi:
                     continue
-                slope = lambda t, a=a: float(self.slopes_in_segment(
-                    seg, np.array([t]), (a,))[0, 0])
-                roots.append((_bracketed_root(slope, ts[lo], ts[hi],
-                                             s_lo, s_hi, xtol), a))
+                t_lo, t_hi = float(ts[lo]), float(ts[hi])
+                wells.append((t_lo, t_hi, s_lo, s_hi, _slope_model(
+                    t_lo, t_hi, float(vals[lo, a - 1]),
+                    float(vals[hi, a - 1]), s_lo, s_hi)))
+                modes.append(a)
+
+            def evaluate(ks, pts):
+                cols = sorted({modes[k] for k in ks})
+                F, E = self._rounded(seg, np.array(pts), cols, 1)
+                at = (np.arange(len(ks)), [cols.index(modes[k]) for k in ks])
+                return F[at].tolist(), E[at].tolist()
+
+            def single(k, t):
+                return float(self.slopes_in_segment(
+                    seg, np.array([t]), (modes[k],))[0, 0])
+
+            roots = list(zip(_solve_roots(wells, evaluate, single,
+                                          ROOT_TOL * self.horizon), modes))
         if not roots:
             self.samples.append((ts, vals))
             return
@@ -278,6 +339,145 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, xtol):
         return float(hi)
     return brentq(lambda t: f_lo if t == lo else f_hi if t == hi else f(t),
                   lo, hi, xtol=xtol)
+
+
+def _solve_roots(brackets, evaluate, single, tol):
+    """Roots of a segment's functions, each in its own bracket, to ``tol``.
+
+    ``brackets[k]`` is ``(lo, hi, f_lo, f_hi, model)``: function ``k``'s
+    known values at its bracket ends, of opposite signs (a zero end is the
+    root), and ``model(t) -> (value, slope)``, a model of the function on
+    the bracket that takes those end values.  ``evaluate(ks, ts)`` gives,
+    from one batched field call, function ``ks[i]`` at time ``ts[i]`` and
+    a bound on its rounding error, as two lists of floats;
+    ``single(k, t)`` gives function ``k`` at one time.
+
+    Each root starts at the model's root and is refined in at most
+    :data:`ROOT_ROUNDS` rounds, one ``evaluate`` call for all roots still
+    open.  A round evaluates each at ``e - tol`` and ``e + tol`` (clamped
+    to the bracket, where the known end values stand in) around its
+    estimate ``e``.  The root is ``e`` when the two values differ in sign
+    (or one is zero), as Brent's method would stop, or when either is
+    within its rounding bound, where the sign is noise.  Otherwise the two
+    values lie on one side of the root: the bracket narrows to the other,
+    and ``e`` takes a Newton step from their mean.  Its slope is the
+    model's in the first round and then the secant through the last two
+    estimates, which lie far apart next to ``tol``; the secant over ``2
+    tol`` would be noise.  A root still open after the rounds, or whose
+    slope points away from the root or whose step leaves the bracket, is
+    solved by :func:`_bracketed_root` on its narrowed bracket.  All
+    bookkeeping is in Python floats; only the field calls are batched.
+    """
+    roots = [None] * len(brackets)
+    live = []
+    for k, (lo, hi, f_lo, f_hi, model) in enumerate(brackets):
+        if f_lo == 0.0:
+            roots[k] = lo
+        elif f_hi == 0.0:
+            roots[k] = hi
+        else:
+            live.append((k, lo, hi, f_lo, f_hi,
+                         _model_root(model, lo, hi, f_lo, tol), None))
+    falls = []
+    for _ in range(ROOT_ROUNDS):
+        todo = []
+        for r in live:
+            if r[2] - r[1] <= 2.0 * tol:
+                roots[r[0]] = 0.5 * (r[1] + r[2])
+            else:
+                todo.append(r)
+        if not todo:
+            live = []
+            break
+        pts = []
+        for _, lo, hi, _, _, e, _ in todo:
+            pts += (max(e - tol, lo), min(e + tol, hi))
+        f, err = evaluate([r[0] for r in todo for _ in (0, 1)], pts)
+        live = []
+        for i, (k, lo, hi, f_lo, f_hi, e, last) in enumerate(todo):
+            t1, t2 = pts[2 * i], pts[2 * i + 1]
+            f1, e1 = (f_lo, 0.0) if t1 == lo else (f[2 * i], err[2 * i])
+            f2, e2 = (f_hi, 0.0) if t2 == hi else (f[2 * i + 1],
+                                                  err[2 * i + 1])
+            if f1 == 0.0 or f2 == 0.0 or (f1 < 0.0) != (f2 < 0.0) \
+                    or abs(f1) <= e1 or abs(f2) <= e2:
+                roots[k] = e
+                continue
+            neg = f_lo < 0.0
+            if (f2 < 0.0) == neg:
+                lo, f_lo = t2, f2
+            else:
+                hi, f_hi = t1, f1
+            fe = 0.5 * (f1 + f2)
+            slope = brackets[k][4](e)[1] if last is None \
+                else (fe - last[1]) / (e - last[0])
+            if slope != 0.0 and (slope > 0.0) == neg:
+                nxt = e - fe / slope
+                if lo < nxt < hi:
+                    live.append((k, lo, hi, f_lo, f_hi, nxt, (e, fe)))
+                    continue
+            falls.append((k, lo, hi, f_lo, f_hi))
+    falls += [r[:5] for r in live]
+    for k, lo, hi, f_lo, f_hi in falls:
+        roots[k] = _bracketed_root(lambda t, k=k: single(k, t), lo, hi,
+                                   f_lo, f_hi, tol)
+    return roots
+
+
+def _model_root(model, lo, hi, f_lo, tol):
+    """Root of ``model`` in ``[lo, hi]``, where it takes the sign of
+    ``f_lo`` at ``lo`` and the other at ``hi``: Newton steps on the model,
+    bisecting where one leaves the shrinking bracket, until a step is
+    below ``tol``."""
+    neg = f_lo < 0.0
+    t = 0.5 * (lo + hi)
+    for _ in range(60):
+        p, dp = model(t)
+        if p == 0.0:
+            return t
+        if (p < 0.0) == neg:
+            lo = t
+        else:
+            hi = t
+        step = p / dp if dp != 0.0 else math.inf
+        nxt = t - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= tol:
+            return nxt
+        t = nxt
+    return t
+
+
+def _slope_model(t0, t1, v0, v1, s0, s1):
+    """``model(t) -> (slope, its derivative)`` of the cubic Hermite
+    through the values ``v0, v1`` and slopes ``s0, s1`` at ``t0 < t1``."""
+    h = t1 - t0
+    c = 6.0 * ((v1 - v0) / h - 0.5 * (s0 + s1))
+
+    def model(t):
+        u = (t - t0) / h
+        return (s0 + (s1 - s0 + c) * u - c * u * u,
+                (s1 - s0 + c * (1.0 - 2.0 * u)) / h)
+    return model
+
+
+def _interpolant(xs, ys):
+    """``model(t) -> (value, slope)`` of the polynomial through the
+    points ``(xs[i], ys[i])``, distinct ``xs``, in Newton's form."""
+    c = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+
+    def model(t):
+        p, dp = c[-1], 0.0
+        for i in range(n - 2, -1, -1):
+            dp = dp * (t - xs[i]) + p
+            p = p * (t - xs[i]) + c[i]
+        return p, dp
+    return model
 
 
 @dataclass
@@ -320,49 +520,72 @@ def insertion_gradient(sys, schedule, x, rho):
     """
     N = sys.num_modes
 
-    def values_in_segment(seg, ts, channels=None):
+    def channels_at(seg, ts, channels, dx, rounding):
+        """Values (``dx = 0``) or slopes (``dx = 1``) of the listed
+        channels, and with ``rounding`` their rounding bound: ``n eps``,
+        ``n`` the state dimension, times the sum of each product's factor
+        sizes, ``|rho_i| (|f_a,i| + |f_active,i|)`` for a value, and for a
+        slope the same with ``rhodot`` plus ``|rho|^T (|J_a| + |J_active|)
+        |xdot|``.  The sizes of the factors, not of the products, bound
+        it: on the power models the mode fields cancel to differences far
+        below their terms, and bounds built from the products fell up to
+        4e6-fold short of the measured noise."""
         ts = np.atleast_1d(np.asarray(ts, float))
         xs = x(ts, seg=seg)
         rs = rho(ts, seg=seg)
-        active = schedule.sequence[seg]
-        modes = range(1, N + 1) if channels is None else channels
-        fm = sys.mode_field(active, xs)
-        out = np.empty((len(ts), len(modes)))
-        for col, a in enumerate(modes):
-            if a == active:
-                out[:, col] = 0.0
-            else:
-                out[:, col] = np.einsum(
-                    "ij,ij->i", rs, sys.mode_field(a, xs) - fm)
-        return out
-
-    def slopes_in_segment(seg, ts, channels=None):
-        ts = np.atleast_1d(np.asarray(ts, float))
-        xs = x(ts, seg=seg)
-        rs = rho(ts, seg=seg)
-        xd = x.derivative(ts, seg=seg)
-        rd = rho.derivative(ts, seg=seg)
+        if dx:
+            xd = x.derivative(ts, seg=seg)
+            rd = rho.derivative(ts, seg=seg)
         active = schedule.sequence[seg]
         modes = range(1, N + 1) if channels is None else channels
         out = np.zeros((len(ts), len(modes)))
+        err = np.zeros_like(out) if rounding else None
         if any(a != active for a in modes):
             fm = sys.mode_field(active, xs)
-            Jm = sys.mode_jacobian(active, xs)
+            if dx:
+                Jm = sys.mode_jacobian(active, xs)
+            if rounding:
+                # the active mode's share of every channel's bound
+                ar = np.abs(rd if dx else rs)
+                base = np.einsum("ij,ij->i", ar, np.abs(fm))
+                if dx:
+                    ars = np.abs(rs)[:, None, :]
+                    axd = np.abs(xd)[:, :, None]
+                    base += (ars @ (np.abs(Jm) @ axd))[:, 0, 0]
         for col, a in enumerate(modes):
             if a == active:
                 continue
             fa = sys.mode_field(a, xs)
-            term1 = np.einsum("ij,ij->i", rd, fa - fm)
-            # rho^T (J_a - J_active) xdot per point, as stacked matmuls:
-            # each point keeps the BLAS arithmetic of the unbatched product
-            dJxd = (sys.mode_jacobian(a, xs) - Jm) @ xd[:, :, None]
-            term2 = (rs[:, None, :] @ dJxd)[:, 0, 0]
-            out[:, col] = term1 + term2
-        return out
+            if dx:
+                Ja = sys.mode_jacobian(a, xs)
+                term1 = np.einsum("ij,ij->i", rd, fa - fm)
+                # rho^T (J_a - J_active) xdot per point, as stacked
+                # matmuls: each point keeps the BLAS arithmetic of the
+                # unbatched product
+                dJxd = (Ja - Jm) @ xd[:, :, None]
+                term2 = (rs[:, None, :] @ dJxd)[:, 0, 0]
+                out[:, col] = term1 + term2
+            else:
+                out[:, col] = np.einsum("ij,ij->i", rs, fa - fm)
+            if rounding:
+                size = base + np.einsum("ij,ij->i", ar, np.abs(fa))
+                if dx:
+                    size += (ars @ (np.abs(Ja) @ axd))[:, 0, 0]
+                err[:, col] = (xs.shape[1] * _EPS) * size
+        return out, err
+
+    def values_in_segment(seg, ts, channels=None):
+        return channels_at(seg, ts, channels, 0, False)[0]
+
+    def slopes_in_segment(seg, ts, channels=None):
+        return channels_at(seg, ts, channels, 1, False)[0]
+
+    def rounding(seg, ts, channels, dx):
+        return channels_at(seg, ts, channels, dx, True)
 
     return InsertionGradientField(schedule, values_in_segment,
                                   slopes_in_segment,
-                                  [ts for ts, _, _ in x.knots])
+                                  [ts for ts, _, _ in x.knots], rounding)
 
 
 def optimality(field):

@@ -157,9 +157,12 @@ class SampledCurve:
     at a boundary, and times outside ``[t0, t1]`` go to the first or last.
     Every query, one time or a batch, is one call of scipy's compiled
     PPoly kernel, ``scipy.interpolate._ppoly.evaluate``, per segment it
-    touches, on the knot times and C-ordered table stored for that segment
-    when the curve is built; ``PPoly`` calls this kernel too, so the bits
-    are PPoly's.
+    touches, on the knot times and C-ordered table stored for that segment;
+    ``PPoly`` calls this kernel too, so the bits are PPoly's.  The tables
+    of all segments are built together, on the curve's first query: many
+    curves are never queried (a trial's cost accumulator is read only at
+    its last knot), and one vectorized build costs less than one build per
+    queried segment.  The knots are checked when the curve is made.
 
     Parameters
     ----------
@@ -196,30 +199,19 @@ class SampledCurve:
                     f"with values and derivatives of one shape")
             self.knots.append((ts, ys, fs))
         ts, ys, fs = zip(*self.knots)
-        # per segment, the kernel's breakpoints: every knot, then inf
-        xs = [np.append(t, np.inf) for t in ts]
-        h = np.concatenate([np.diff(x) for x in xs])[:, None]
-        if not np.all(h > 0.0):
+        # all segments at once: a segment's last knot is the next one's
+        # first, so the step across each join is 0 and not checked
+        steps = np.diff(np.concatenate(ts))
+        steps[np.cumsum([len(t) for t in ts[:-1]], dtype=int) - 1] = 1.0
+        if not np.all(steps > 0.0):
             raise ValueError("knot times must increase")
-        # segment i owns the pieces first[i] .. first[i + 1] - 1; each runs
-        # to the next knot, the last from the segment's last knot to itself
-        first = np.cumsum([0] + [len(t) for t in ts])
-        nxt = np.arange(1, first[-1] + 1)
-        nxt[first[1:] - 1] -= 1
-        y0, f0 = np.concatenate(ys), np.concatenate(fs)
-        y1, f1 = y0[nxt], f0[nxt]
-        slope = (y1 - y0) / h
-        d = (f0 + f1 - 2 * slope) / h
-        c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
-        if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(np.concatenate(ys + fs))):
             raise ValueError("knot data must be finite")
-        # what the kernel reads: C-ordered tables (a copy of the slice, but
-        # for a one-segment curve)
-        self._tables = [(x, np.ascontiguousarray(c[:, lo:hi]))
-                        for x, lo, hi in zip(xs, first[:-1], first[1:])]
+        # what the kernel reads, per segment: built on the first query
+        self._tables = None
         # searchsorted in the inner boundaries is the segment rule
         self._inner = self.boundaries[1:-1]
-        self.dim = y0.shape[1]
+        self.dim = ys[0].shape[1]
         self.t0 = float(self.boundaries[0])
         self.t1 = float(self.boundaries[-1])
         self.cost_curve = cost_curve
@@ -235,7 +227,8 @@ class SampledCurve:
         """Total accumulated running cost (requires a cost accumulator)."""
         if self.cost_curve is None:
             raise AttributeError("curve was built without a cost accumulator")
-        return float(self.cost_curve(self.t1)[0])
+        # the accumulator's last knot, which the curve returns at t1
+        return float(self.cost_curve.knots[-1][1][-1, 0])
 
     def cost_at(self, t):
         if self.cost_curve is None:
@@ -273,6 +266,8 @@ class SampledCurve:
     def _piece(self, seg, t, dx):
         """Derivative ``dx`` of segment ``seg``'s table at the times ``t``,
         shape ``(k,)``, clamped to its span."""
+        if self._tables is None:
+            self._tables = self._build_tables()
         x, c = self._tables[seg]
         out = np.empty((len(t), self.dim))
         # clamped as np.clip would, at a fraction of its call overhead
@@ -280,6 +275,29 @@ class SampledCurve:
                        self.boundaries[seg + 1])
         _ppoly.evaluate(c, x, t, dx, True, out)
         return out
+
+    def _build_tables(self):
+        """Per segment, ``(x, c)``: the kernel's breakpoints, every knot
+        and then ``inf``, and the C-ordered coefficients of the pieces that
+        start at them, each to the next knot, the last from the segment's
+        last knot to itself."""
+        ts, ys, fs = zip(*self.knots)
+        xs = [np.append(t, np.inf) for t in ts]
+        h = np.concatenate([np.diff(x) for x in xs])[:, None]
+        # segment i owns the pieces first[i] .. first[i + 1] - 1
+        first = np.cumsum([0] + [len(t) for t in ts])
+        nxt = np.arange(1, first[-1] + 1)
+        nxt[first[1:] - 1] -= 1
+        y0, f0 = np.concatenate(ys), np.concatenate(fs)
+        y1, f1 = y0[nxt], f0[nxt]
+        slope = (y1 - y0) / h
+        d = (f0 + f1 - 2 * slope) / h
+        c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
+        if not np.all(np.isfinite(c)):
+            raise ValueError("knot data must be finite")
+        # C-ordered tables (a copy of the slice, but for a one-segment curve)
+        return [(x, np.ascontiguousarray(c[:, lo:hi]))
+                for x, lo, hi in zip(xs, first[:-1], first[1:])]
 
 
 @dataclass(frozen=True)

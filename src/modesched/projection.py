@@ -7,10 +7,13 @@ component, which reduces to a simple threshold rule: the active mode
 changes to ``argmin_a d_a(t)`` wherever ``min_a d_a(t) < -1/gamma`` and
 stays with the incumbent elsewhere.  Projecting is therefore a matter of
 locating the threshold crossings, assembling the new schedule, and
-re-integrating.  Each crossing is a bracketed root of the field, solved
-as the field's minima are (see :mod:`.gradient`).  Applied to an
-already-feasible pair (``gamma = 0`` or a one-hot signal) the map is the
-identity, which makes it a projection.
+re-integrating.  Each crossing is a bracketed root of the field; a
+segment's crossings are solved together, as the field's minima are
+(:func:`.gradient._solve_roots`): estimated from the cubic through the
+neighbouring samples, then refined by batched field calls.  A segment
+with no sample below the threshold keeps its mode without that work.
+Applied to an already-feasible pair (``gamma = 0`` or a one-hot signal)
+the map is the identity, which makes it a projection.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import ROOT_TOL, _bracketed_root
+from .gradient import ROOT_TOL, _interpolant, _solve_roots
 from .integrate import Abandoned, integrate_state, DEFAULT_RTOL, DEFAULT_ATOL
 from .signals import ModeSchedule, enforce_dwell
 
@@ -71,7 +74,11 @@ def _segment_spans(field, seg, gamma):
     so that the max rule is ``argmin E``.  Every interval where a
     challenger beats the threshold holds a local minimum of its channel,
     and the field's minima are samples, so no such interval hides between
-    two samples.
+    two samples.  The segment's crossings are solved together by
+    :func:`.gradient._solve_roots` to ``ROOT_TOL * horizon``, each
+    estimated from the cubic through ``E_new - E_old`` at the four
+    samples around its bracket (fewer at the segment's ends) and refined
+    by batched ``values_in_segment`` calls.
     """
     sched = field.schedule
     a, b = sched.segment_bounds(seg)
@@ -86,17 +93,34 @@ def _segment_spans(field, seg, gamma):
         return e(d_new, new) - e(d_old, old)
 
     tol = ROOT_TOL * sched.horizon
-    cuts, modes = [a], [int(w[0])]
-    for j in np.flatnonzero(w[1:] != w[:-1]):
-        new, old = int(w[j + 1]), int(w[j])
-        f = lambda t, new=new, old=old: gap(
-            *field.values_in_segment(seg, np.array([t]), (new, old))[0],
-            new, old)
-        cuts.append(_bracketed_root(
-            f, ts[j], ts[j + 1], gap(D[j, new - 1], D[j, old - 1], new, old),
-            gap(D[j + 1, new - 1], D[j + 1, old - 1], new, old), tol))
-        modes.append(new)
-    cuts.append(b)
+    changes = np.flatnonzero(w[1:] != w[:-1]).tolist()
+    pairs = [(int(w[j + 1]), int(w[j])) for j in changes]
+    brackets = []
+    for j, (new, old) in zip(changes, pairs):
+        near = range(max(j - 1, 0), min(j + 3, len(ts)))
+        g = [gap(float(D[i, new - 1]), float(D[i, old - 1]), new, old)
+             for i in near]
+        at = j - near.start
+        brackets.append((float(ts[j]), float(ts[j + 1]), g[at], g[at + 1],
+                         _interpolant([float(ts[i]) for i in near], g)))
+
+    def evaluate(ks, pts):
+        cols = sorted({m for k in ks for m in pairs[k]})
+        V, E = field._rounded(seg, np.array(pts), cols, 0)
+        V, E = V.tolist(), E.tolist()
+        f, err = [], []
+        for i, k in enumerate(ks):
+            new, old = (cols.index(m) for m in pairs[k])
+            f.append(gap(V[i][new], V[i][old], *pairs[k]))
+            err.append(E[i][new] + E[i][old])
+        return f, err
+
+    def single(k, t):
+        return gap(*field.values_in_segment(seg, np.array([t]), pairs[k])[0],
+                   *pairs[k])
+
+    cuts = [a, *_solve_roots(brackets, evaluate, single, tol), b]
+    modes = [int(w[0])] + [new for new, _ in pairs]
     return [(lo, hi, m) for lo, hi, m in zip(cuts[:-1], cuts[1:], modes)
             if hi - lo > tol]
 
@@ -106,8 +130,12 @@ def max_map(u, field, gamma, dwell=None):
 
     In each segment of ``u`` the max rule is evaluated on the field's
     sampling grid and its interior minima; every change of winner between
-    two samples is cut at the root of the two modes' difference, found by
-    a bracketed root solve on the field to ``ROOT_TOL * horizon``.
+    two samples is cut at the root of the two modes' difference, solved
+    with the segment's other crossings on the field to ``ROOT_TOL *
+    horizon`` (:func:`_segment_spans`).  A segment whose lowest sample
+    value (``field.lowest[seg]``) is at or above ``-1/gamma`` has no
+    winner but its incumbent, so it is kept whole without that work, as
+    the span :func:`_segment_spans` would give it.
 
     Parameters
     ----------
@@ -131,9 +159,17 @@ def max_map(u, field, gamma, dwell=None):
         return u
     if dwell is None:
         dwell = DWELL_DEFAULT * u.horizon
+    sched = field.schedule
+    threshold = -1.0 / gamma
+    tol = ROOT_TOL * sched.horizon
     spans = []
     for seg in range(u.n_segments):
-        spans.extend(_segment_spans(field, seg, gamma))
+        if field.lowest[seg][0].min() < threshold:
+            spans.extend(_segment_spans(field, seg, gamma))
+            continue
+        a, b = sched.segment_bounds(seg)
+        if b - a > tol:
+            spans.append((a, b, sched.sequence[seg]))
     seq = tuple(m for _, _, m in spans)
     times = tuple(lo for lo, _, _ in spans[1:])
     out = ModeSchedule(seq, times, u.horizon, u.num_modes)

@@ -978,3 +978,18 @@ def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
     assert attempts + dense == len(rows) - 2
     assert attempts >= len(sol.t) - 1 and (dense > 0) != bounded
     assert sol.nfev == 2 + 12 * attempts + 3 * (dense + bounded)
+
+
+def test_a_curve_builds_its_tables_on_its_first_query():
+    # a curve that is never queried builds no table, and its cost is its
+    # accumulator's last knot, read without one
+    ts = np.linspace(0.0, 1.0, 5)
+    segs = [(k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
+            for k in range(3)]
+    cost = SampledCurve([0.0, 1.0, 2.0, 3.0], segs)
+    curve = SampledCurve([0.0, 1.0, 2.0, 3.0], segs, cost_curve=cost)
+    assert curve._tables is None and cost._tables is None
+    assert curve.cost == np.sin(3.0)
+    assert cost._tables is None
+    curve(2.5)
+    assert len(curve._tables) == 3
