@@ -12,7 +12,9 @@ read on (time, value, derivative) knots, the solver's steps merged with a
 uniform grid of spacing ``horizon / KNOTS_PER_HORIZON`` or a finer
 ``knot_spacing`` (:func:`knot_grid`), and the three extra stages of
 DOP853's dense output are taken only on steps that hold a knot inside
-them.
+them.  An integration with a cost bound, which may be abandoned, reads
+its knots (those dense stages and the knot slopes) only once its last
+segment is solved.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
 curve's knots as one piecewise-cubic table per segment, in which every
 knot starts a piece and a segment's last knot starts one that runs to
@@ -94,9 +96,9 @@ class SwitchedSystem:
         accumulated cost at time ``t`` plus ``f (T - t)`` bounds a
         trajectory's total cost from below, which lets a bounded
         :func:`integrate_state` abandon a trial that can no longer come in
-        under its bound.  A sum of squares has the floor ``0.0``; a model
-        with a signed running cost leaves it ``None`` and never has a trial
-        abandoned.
+        under its bound, before it has read any knot.  A sum of squares
+        has the floor ``0.0``; a model with a signed running cost leaves it
+        ``None`` and never has a trial abandoned.
 
     Each of the four callables takes either a single state ``x`` of shape
     ``(n,)``, giving the shapes above, or a stack of ``k`` states of shape
@@ -105,9 +107,10 @@ class SwitchedSystem:
     ``running_cost_gradient`` ``(k, n)``.
 
     The forward solver calls ``mode_field`` once per Runge-Kutta stage, on
-    a single ``(n,)`` state: about 20.6k stages in the 50-window power
+    a single ``(n,)`` state: about 20.0k stages in the 50-window power
     receding-horizon run, where the three dense-output stages of a step
-    are only taken when a knot lies inside it.  Per-call overhead
+    are only taken when a knot lies inside it, and by a bounded
+    integration only once it has solved every segment.  Per-call overhead
     dominates there, so a model should compute whatever does not depend on
     the state once, when it builds the callables, rather than inside them.
     The cost accumulator is a quadrature that no derivative reads, so
@@ -323,7 +326,11 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     included) and inside each segment by :func:`solve_ivp`'s ``stop`` test
     on the accumulator.  It is only tested after each accepted step, so an
     integration that is not abandoned takes the same steps, and gives the
-    same bits, as one without a bound.
+    same bits, as one without a bound.  A bounded integration reads its
+    knots only once every segment is solved: each segment keeps the
+    stage rows of its steps that hold an inner knot, and their dense
+    stages and the knot slopes are taken at the end, so an abandoned one
+    takes neither for the segments it completed.
 
     Parameters
     ----------
@@ -373,6 +380,7 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     if cost_bound is not None and floor is not None:
         def stop(t, zz):
             return zz[n] + floor * (T - t) - cost_bound
+    reads = []
     for i in range(len(x_segs), schedule.n_segments):
         if stop is not None and stop(bnds[i], z) > 0.0:
             return Abandoned(float(bnds[i]))
@@ -381,7 +389,11 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                              stop=stop)
         if isinstance(seg, Abandoned):
             return seg
-        ts, zs, fs, z = seg
+        z, read = seg
+        reads.append(read)
+    # every segment is solved: only now are the knots read
+    for read in reads:
+        ts, zs, fs = read()
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
     return _state_curve(inputs, x_segs, c_segs)
@@ -447,9 +459,9 @@ def _shift_curve(x, dt, schedule):
     segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
                np.vstack([f0, fs[keep]]))
     ts, zs, fs = segs[-1]
-    tts, tzs, tfs, _ = _solve_segment(
-        sys, sched.sequence[-1], float(ts[-1]), T, zs[-1], rtol, atol, T,
-        knot_spacing)
+    _, read = _solve_segment(sys, sched.sequence[-1], float(ts[-1]), T,
+                             zs[-1], rtol, atol, T, knot_spacing)
+    tts, tzs, tfs = read()
     segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
                 np.vstack([fs, tfs[1:]]))
     n = sys.dim
@@ -481,15 +493,19 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
 
     Solves, and reads the solution on the union of the solver's steps and
     :func:`knot_grid`, with the knot derivatives from one
-    :func:`_knot_slopes` call.  Returns ``(ts, zs, fs, z1)`` where ``z1``
-    is the solution at ``t1``, or :class:`Abandoned` at the time where
-    :func:`solve_ivp`'s ``stop`` stopped the solve.
+    :func:`_knot_slopes` call.  Returns ``(z1, read)``, where ``z1`` is
+    the solution at ``t1`` and ``read()`` returns the knots ``(ts, zs,
+    fs)``: with a ``stop`` it first takes the dense stages of the inner
+    knots, which :func:`solve_ivp` defers, and it takes the slopes, so
+    neither is paid for by a solve that is then abandoned.  A ``stop``
+    that stops the solve gives :class:`Abandoned` at its time instead.
     """
     mode_field = sys.mode_field
 
     def field(t, x):
         return mode_field(m, x)
 
+    read_inner = None
     if t1 - t0 < 1e-13 * horizon:  # degenerate sliver: one explicit step
         z1 = z0 + (t1 - t0) * _with_quad(field, sys.running_cost)(t0, z0)
         ts = np.array([t0, t1])
@@ -500,8 +516,14 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
                         quad=sys.running_cost)
         if sol.t_stop is not None:
             return Abandoned(sol.t_stop)
-        ts, zs, z1 = sol.ts, sol.zs, sol.zs[-1]
-    return ts, zs, _knot_slopes(sys, m, zs), z1
+        ts, zs, read_inner = sol.ts, sol.zs, sol.read_inner
+
+    def read():
+        if read_inner is not None:
+            read_inner()
+        return ts, zs, _knot_slopes(sys, m, zs)
+
+    return zs[-1], read
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
@@ -528,8 +550,14 @@ class Solution(NamedTuple):
     zs: np.ndarray | None
     #: where ``stop`` crossed zero, or ``None``
     t_stop: float | None
-    #: ``fun`` calls, dense-output stages included
+    #: ``fun`` calls made inside the call, dense-output stages included
+    #: but for those that ``read_inner`` defers
     nfev: int
+    #: for a solve with ``stop`` that ran to ``t1``, the deferred read of
+    #: its inner knots: a call takes the dense stages of the steps that
+    #: hold them, fills their rows of ``zs`` (NaN until then) and returns
+    #: the ``fun`` calls it made; ``None`` for every other solve
+    read_inner: callable | None = None
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
@@ -562,7 +590,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
     ``stop(t, y)``, if given, is tested after each accepted step; the solve
     stops in the first step over which it goes from ``<= 0`` to ``>= 0``,
     at the root found by ``brentq`` on the step's dense output, as a
-    terminal rising scipy event would.  ``nfev`` counts the ``fun`` calls.
+    terminal rising scipy event would.  A solve with ``stop`` that runs to
+    ``t1`` may still be abandoned by its caller, so it defers its inner
+    knots: their rows of ``zs`` are NaN until ``read_inner()`` takes the
+    dense stages and fills them, with the bits an eager read gives.
+    ``nfev`` counts the ``fun`` calls made inside the call.
 
     Raises ``RuntimeError`` naming ``t_span`` when the step size falls
     below ten spacings of floating-point numbers at ``t``.
@@ -618,7 +650,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t1 - t)
 
-    steps, knot_t, knot_z, pending = [t], [t], [y], []
+    # the knots' times, and the rows and values of those at step ends;
+    # the steps that hold inner knots wait in pending for dense output
+    steps, knot_t, end_rows, end_z, pending = [t], [t], [0], [y], []
     g = None if stop is None else stop(t, y)
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -687,20 +721,33 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
         kept = [p for p, q in zip(inside, [t_old] + inside[:-1])
                 if p - q > merge]
         if kept:
-            pending.append((len(knot_z), K[:_S + 1].copy(), np.array(kept),
+            pending.append((len(knot_t), K[:_S + 1].copy(), np.array(kept),
                             (t_old, y_old, y, h)))
             knot_t += kept
-            knot_z.append(None)
         if t - (inside[-1] if inside else t_old) > merge:
+            end_rows.append(len(knot_t))
             knot_t.append(t)
-            knot_z.append(y_old + (y - y_old))  # the dense output at x = 1
-    for i, rows, kept, step in pending:
-        K[:_S + 1] = rows
-        knot_z[i] = dense_output(*step)(kept)
-    nfev += len(extra) * len(pending)
+            end_z.append(y_old + (y - y_old))  # the dense output at x = 1
     knot_t[-1] = t1
-    zs = np.vstack(knot_z)
+    zs = np.full((len(knot_t), n), np.nan)
+    zs[end_rows] = end_z
     zs[-1] = y
+
+    def read_inner():
+        """Fill the inner knots' rows of ``zs`` from their steps' dense
+        output; the ``fun`` calls it made."""
+        for i, rows, kept, step in pending:
+            K[:_S + 1] = rows
+            zs[i:i + len(kept)] = dense_output(*step)(kept)
+        zs[-1] = y  # the last knot, moved to t1, may be an inner one
+        return len(extra) * len(pending)
+
+    # a bounded solve's caller may yet abandon it, and reads the inner
+    # knots once it can no longer do so
+    if stop is not None:
+        return Solution(np.array(steps), np.array(knot_t), zs, None, nfev,
+                        read_inner)
+    nfev += read_inner()
     return Solution(np.array(steps), np.array(knot_t), zs, None, nfev)
 
 

@@ -104,9 +104,13 @@ def _segment_spans(field, seg, gamma):
         brackets.append((float(ts[j]), float(ts[j + 1]), g[at], g[at + 1],
                          _interpolant([float(ts[i]) for i in near], g)))
 
+    bound = False  # round 1, the first call, skips the bound
+
     def evaluate(ks, pts):
+        nonlocal bound
         cols = sorted({m for k in ks for m in pairs[k]})
-        V, E = field._rounded(seg, np.array(pts), cols, 0)
+        V, E = field._rounded(seg, np.array(pts), cols, 0, bound)
+        bound = True
         V, E = V.tolist(), E.tolist()
         f, err = [], []
         for i, k in enumerate(ks):

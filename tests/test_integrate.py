@@ -906,7 +906,11 @@ def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
     # the benchmark's tracer (bench/tracing.py) patches the name
     # modesched.integrate.solve_ivp, times each call and adds up the nfev
     # of what it returns; count_solves reads args[1] as (t0, t1).  Both
-    # must keep seeing every segment solve and every right-hand side call.
+    # must keep seeing every segment solve and every right-hand side call
+    # a solve makes.  A bounded solve that runs to its end leaves the
+    # dense stages of its inner knots to integrate_state, which takes them
+    # after the call, once no segment can be abandoned: they are in
+    # neither count.
     real = integrate.solve_ivp
     seen = []
 
@@ -978,6 +982,68 @@ def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
     assert attempts + dense == len(rows) - 2
     assert attempts >= len(sol.t) - 1 and (dense > 0) != bounded
     assert sol.nfev == 2 + 12 * attempts + 3 * (dense + bounded)
+
+
+def recording_system(sys_, log):
+    """``sys_`` with each model callable logging ``(name, shape of its
+    state argument)`` to ``log``."""
+    def logged(name, fn):
+        def call(*args):
+            log.append((name, np.shape(args[-1])))
+            return fn(*args)
+        return call
+    names = ("mode_field", "mode_jacobian", "running_cost",
+             "running_cost_gradient")
+    return dataclasses.replace(
+        sys_, **{name: logged(name, getattr(sys_, name)) for name in names})
+
+
+def test_an_abandoned_integration_reads_no_knots(vehicle, vehicle_x0):
+    # segments that a bounded integration completes keep their inner
+    # knots' dense stages and knot slopes until the last segment is
+    # solved; abandoned in its last segment, it takes neither for them,
+    # only the dense stages of the step that crosses the bound
+    sched = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
+    n = vehicle.dim
+    log = []
+    sys_ = recording_system(vehicle, log)
+    full = integrate_state(sys_, vehicle_x0, sched)
+    # unbounded, each segment takes dense stages and one slope stack
+    assert log.count(("running_cost", (3, n))) > sched.n_segments
+    stacks = [s for name, s in log if name == "mode_field" and len(s) == 2]
+    assert [k for k, _ in stacks] == [len(ts) for ts, _, _ in full.knots]
+    log.clear()
+    out = integrate_state(sys_, vehicle_x0, sched,
+                          cost_bound=0.5 * (full.cost_at(1.9) + full.cost))
+    assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
+    assert {name for name, _ in log} == {"mode_field", "running_cost"}
+    assert all(s == (n,) for name, s in log if name == "mode_field")
+    rows = [s for name, s in log if name == "running_cost"]
+    assert set(rows) == {(1, n), (12, n), (3, n)}
+    assert rows.count((3, n)) == 1 and rows[-1] == (3, n)
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
+                         ids=["vehicle", "three-machine"])
+def test_a_met_bound_reads_the_same_knots_with_the_same_calls(problem):
+    # with a bound it meets, a bounded integration reads its knots after
+    # its last segment: the unbounded curve to the bit, knots, slopes and
+    # cost curve, from the same model calls in another order
+    base, x0, sched = problem()
+    assert sched.n_segments >= 3
+    log = []
+    sys_ = recording_system(base, log)
+    x = integrate_state(sys_, x0, sched)
+    eager = sorted(log)
+    log.clear()
+    bounded = integrate_state(sys_, x0, sched, cost_bound=1.001 * x.cost)
+    assert sorted(log) == eager
+    assert not isinstance(bounded, Abandoned)
+    for a, b in ((bounded, x), (bounded.cost_curve, x.cost_curve)):
+        assert a.n_segments == b.n_segments
+        for ka, kb in zip(a.knots, b.knots):
+            assert [bits(v) for v in ka] == [bits(v) for v in kb]
+    assert bits(bounded.cost) == bits(x.cost)
 
 
 def test_a_curve_builds_its_tables_on_its_first_query():
