@@ -32,9 +32,12 @@ root as Brent's method would stop, and so does a value within the field's
 rounding bound, at which the sign is noise.  Otherwise the bracket
 narrows and a Newton step gives the next estimate, with the model's
 slope first and then the secant through the last two estimates.  A root
-still open after :data:`ROOT_ROUNDS` rounds, or whose step leaves its
-bracket, falls back to Brent's method (:func:`_bracketed_root`) on the
-narrowed bracket.
+whose step leaves its bracket or points away from the root, or that is
+still open after :data:`ROOT_ROUNDS` rounds, takes the midpoint of its
+narrowed bracket instead: it bisects, in the same batched rounds, until
+a test settles it or its bracket is ``2 ROOT_TOL * horizon`` wide.
+Every read of the field, for its samples and for every root, is one call
+of its ``channels_at``.
 """
 from __future__ import annotations
 
@@ -42,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .integrate import knot_grid
 
@@ -54,11 +56,10 @@ from .integrate import knot_grid
 #: width reads noise, and :func:`_solve_roots` settles such a root by its
 #: rounding bound instead
 ROOT_TOL = 1e-12
-#: batched refinement rounds of a segment's roots before the ones still
-#: open fall back to Brent's method.  Most roots settle in the second or
-#: third; flat crossings with a poor first estimate need a fourth (on the
-#: published receding-horizon run 3 rounds left 17 of 369 roots open, 4
-#: leave 4)
+#: batched Newton/secant rounds of a segment's roots before the ones
+#: still open bisect.  Most roots settle in the second or third; flat
+#: crossings with a poor first estimate need a fourth (on the published
+#: receding-horizon run 3 rounds left 17 of 369 roots open, 4 leave 4)
 ROOT_ROUNDS = 4
 #: unit roundoff of the field's arithmetic
 _EPS = float(np.finfo(float).eps)
@@ -118,15 +119,17 @@ class InsertionGradientField:
     ``norm_inf``
         Max |d| over all channels on the grids.
 
+    ``channels_at(seg, ts, modes=None, dx=0, bound=False)``, the one
+    callable the field is built from, evaluates segment ``seg``'s branch
+    at times ``ts``: the values (``dx = 0``) or slopes (``dx = 1``) of
+    all N channels, or with a sequence of ``modes`` only those columns, in
+    that order, as a (len(ts), N) or (len(ts), len(modes)) matrix ``F``,
+    and a bound ``E`` on their rounding error of the same shape.  ``E`` is
+    zero unless ``bound`` is true, and zero too where the builder counts
+    its values exact; ``F`` does not depend on ``bound``.  The root solves
+    settle a root whose value is within ``E``.
     ``values_in_segment(seg, ts, channels=None)`` and
-    ``slopes_in_segment(seg, ts, channels=None)`` evaluate segment
-    ``seg``'s branch at times ``ts``: a (len(ts), N) matrix, or with a
-    sequence of modes ``channels`` only those columns, in that order.
-    ``rounding(seg, ts, channels, dx)``, when the builder gives it, returns
-    the values (``dx = 0``) or slopes (``dx = 1``) of the listed channels
-    exactly as those two do, and a bound on their rounding error of the
-    same shape; the root solves settle a root whose value is within it.
-    Without it the field's values count as exact.
+    ``slopes_in_segment(seg, ts, channels=None)`` return ``F`` alone.
 
     Instances are built by :func:`insertion_gradient` from a trajectory
     and adjoint, sampled on the state curve's knots, or by
@@ -135,14 +138,11 @@ class InsertionGradientField:
     knots a state curve would have (:func:`.integrate.knot_grid`).
     """
 
-    def __init__(self, schedule, values_in_segment, slopes_in_segment, grids,
-                 rounding=None):
+    def __init__(self, schedule, channels_at, grids):
         self.schedule = schedule
         self.num_modes = schedule.num_modes
         self.horizon = schedule.horizon
-        self.values_in_segment = values_in_segment
-        self.slopes_in_segment = slopes_in_segment
-        self.rounding = rounding
+        self.channels_at = channels_at
         self.grids = grids
         self.grid_values, self.samples, self.minima = [], [], []
         for seg in range(schedule.n_segments):
@@ -161,7 +161,7 @@ class InsertionGradientField:
         there reads its own end at the float just below the switch.  Slopes
         default to a central finite difference with step up to
         ``h = 1e-7 * horizon`` whose stencil stays strictly inside the
-        segment.
+        segment.  The values count as exact: the rounding bound is zero.
         """
         if len(channels) != schedule.num_modes:
             raise ValueError(
@@ -169,10 +169,9 @@ class InsertionGradientField:
                 f"{schedule.num_modes} modes"
             )
         switches = schedule.times
-        value_fns = channels
+        h = 1e-7 * schedule.horizon
 
         def columns(fns, seg, ts, modes):
-            ts = np.atleast_1d(np.asarray(ts, float))
             if seg < len(switches):  # own branch, below the switch
                 ts = np.minimum(ts, np.nextafter(switches[seg], -np.inf))
             if modes is None:
@@ -180,27 +179,29 @@ class InsertionGradientField:
             return np.column_stack([np.broadcast_to(fns[a - 1](ts), ts.shape)
                                     for a in modes])
 
-        def values_in_segment(seg, ts, channels=None):
-            return columns(value_fns, seg, ts, channels)
-
-        if channel_slopes is not None:
-            def slopes_in_segment(seg, ts, channels=None):
-                return columns(channel_slopes, seg, ts, channels)
-        else:
-            h = 1e-7 * schedule.horizon
-
-            def slopes_in_segment(seg, ts, channels=None):
+        def channels_at(seg, ts, modes=None, dx=0, bound=False):
+            ts = np.atleast_1d(np.asarray(ts, float))
+            if not dx or channel_slopes is not None:
+                F = columns(channel_slopes if dx else channels, seg, ts, modes)
+            else:
                 a, b = schedule.segment_bounds(seg)
                 hs = min(h, (b - a) / 4.0)  # stencil in [a + hs, b - hs]
-                tc = np.clip(np.atleast_1d(np.asarray(ts, float)),
-                             a + 2.0 * hs, b - 2.0 * hs)
-                return (columns(value_fns, seg, tc + hs, channels)
-                        - columns(value_fns, seg, tc - hs, channels)) \
-                    / (2.0 * hs)
+                tc = np.clip(ts, a + 2.0 * hs, b - 2.0 * hs)
+                F = (columns(channels, seg, tc + hs, modes)
+                     - columns(channels, seg, tc - hs, modes)) / (2.0 * hs)
+            return F, np.zeros_like(F)
 
         grids = [knot_grid(*schedule.segment_bounds(seg), schedule.horizon)
                  for seg in range(schedule.n_segments)]
-        return cls(schedule, values_in_segment, slopes_in_segment, grids)
+        return cls(schedule, channels_at, grids)
+
+    def values_in_segment(self, seg, ts, channels=None):
+        """Segment ``seg``'s channel values at ``ts`` (``channels_at``)."""
+        return self.channels_at(seg, ts, channels)[0]
+
+    def slopes_in_segment(self, seg, ts, channels=None):
+        """Segment ``seg``'s channel slopes at ``ts`` (``channels_at``)."""
+        return self.channels_at(seg, ts, channels, 1)[0]
 
     def value_channel(self, a, t, side="right"):
         """Channel ``a`` at scalar time ``t``, from the segment that
@@ -222,17 +223,6 @@ class InsertionGradientField:
         tc = min(max(float(t), lo + h), hi - h)
         sl = self.slopes_in_segment(seg, np.array([tc - h, tc + h]), (a,))
         return float((sl[1, 0] - sl[0, 0]) / (2.0 * h))
-
-    def _rounded(self, seg, ts, channels, dx, bound=True):
-        """Values (``dx = 0``) or slopes (``dx = 1``) of ``channels`` at
-        ``ts`` on segment ``seg`` with their rounding bound (see
-        :attr:`rounding`), in one batched call; with ``bound`` false the
-        same values, counted exact: the bound is not computed."""
-        if bound and self.rounding is not None:
-            return self.rounding(seg, ts, channels, dx)
-        f = (self.slopes_in_segment if dx else self.values_in_segment)(
-            seg, ts, channels)
-        return f, np.zeros_like(f)
 
     def _scan(self, seg):
         """Sample segment ``seg`` at ``grids[seg]`` and append its values,
@@ -291,21 +281,13 @@ class InsertionGradientField:
                     float(vals[hi, a - 1]), s_lo, s_hi)))
                 modes.append(a)
 
-            bound = False  # round 1, the first call, skips the bound
-
-            def evaluate(ks, pts):
-                nonlocal bound
+            def evaluate(ks, pts, bound):
                 cols = sorted({modes[k] for k in ks})
-                F, E = self._rounded(seg, np.array(pts), cols, 1, bound)
-                bound = True
+                F, E = self.channels_at(seg, np.array(pts), cols, 1, bound)
                 at = (np.arange(len(ks)), [cols.index(modes[k]) for k in ks])
                 return F[at].tolist(), E[at].tolist()
 
-            def single(k, t):
-                return float(self.slopes_in_segment(
-                    seg, np.array([t]), (modes[k],))[0, 0])
-
-            roots = list(zip(_solve_roots(wells, evaluate, single,
+            roots = list(zip(_solve_roots(wells, evaluate,
                                           ROOT_TOL * self.horizon), modes))
         if not roots:
             self.samples.append((ts, vals))
@@ -322,60 +304,50 @@ class InsertionGradientField:
 
 def _lowest(D):
     """``(dmin, modes, tie_runs)`` of :attr:`InsertionGradientField.lowest`
-    from the channel values ``D`` at a segment's samples."""
+    from the channel values ``D`` at a segment's samples; a single
+    channel has no ties."""
     dmin = D.min(axis=1)
+    if D.shape[1] < 2:
+        return dmin, D.argmin(axis=1) + 1, np.array([], int)
     D2 = np.partition(D, 1, axis=1)
     tied = D2[:, 1] - D2[:, 0] <= 1e-14 * (1.0 + np.abs(dmin))
     return (dmin, D.argmin(axis=1) + 1,
             np.flatnonzero(tied[:-2] & tied[1:-1] & tied[2:]))
 
 
-def _bracketed_root(f, lo, hi, f_lo, f_hi, xtol):
-    """Root of ``f`` in ``[lo, hi]`` from end values of opposite signs.
-
-    The known end values stand in for ``f(lo)``/``f(hi)``: a batched and a
-    single-point evaluation of the field may differ in the last bit, and a
-    re-evaluated end could then lose the sign change that chose the
-    bracket.  A zero end value is the root.
-    """
-    if f_lo == 0.0:
-        return float(lo)
-    if f_hi == 0.0:
-        return float(hi)
-    return brentq(lambda t: f_lo if t == lo else f_hi if t == hi else f(t),
-                  lo, hi, xtol=xtol)
-
-
-def _solve_roots(brackets, evaluate, single, tol):
+def _solve_roots(brackets, evaluate, tol):
     """Roots of a segment's functions, each in its own bracket, to ``tol``.
 
     ``brackets[k]`` is ``(lo, hi, f_lo, f_hi, model)``: function ``k``'s
     known values at its bracket ends, of opposite signs (a zero end is the
     root), and ``model(t) -> (value, slope)``, a model of the function on
-    the bracket that takes those end values.  ``evaluate(ks, ts)`` gives,
-    from one batched field call, function ``ks[i]`` at time ``ts[i]`` and
-    a bound on its rounding error, as two lists of floats; its first
-    call, round 1's, may count the values exact (a zero bound): no root
-    on the benchmark's three workloads lies within the field's resolution
-    at its model root (0 of 182 / 369 / 137 per solve), so round 1 would
-    settle none by the bound.  ``single(k, t)`` gives function ``k`` at
-    one time.
+    the bracket that takes those end values.  ``evaluate(ks, ts, bound)``
+    gives, from one batched field call, function ``ks[i]`` at time
+    ``ts[i]`` and a bound on its rounding error, as two lists of floats;
+    the bound may be zero when ``bound`` is false, which it is only in
+    round 1: no root on the benchmark's three workloads lies within the
+    field's resolution at its model root (0 of 182 / 369 / 137 per
+    solve), so round 1 would settle none by the bound.  ``evaluate`` is
+    the only field access.
 
-    Each root starts at the model's root and is refined in at most
-    :data:`ROOT_ROUNDS` rounds, one ``evaluate`` call for all roots still
-    open.  A round evaluates each at ``e - tol`` and ``e + tol`` (clamped
-    to the bracket, where the known end values stand in) around its
-    estimate ``e``.  The root is ``e`` when the two values differ in sign
-    (or one is zero), as Brent's method would stop, or when either is
-    within its rounding bound, where the sign is noise.  Otherwise the two
-    values lie on one side of the root: the bracket narrows to the other,
-    and ``e`` takes a Newton step from their mean.  Its slope is the
-    model's in the first round and then the secant through the last two
-    estimates, which lie far apart next to ``tol``; the secant over ``2
-    tol`` would be noise.  A root still open after the rounds, or whose
-    slope points away from the root or whose step leaves the bracket, is
-    solved by :func:`_bracketed_root` on its narrowed bracket.  All
-    bookkeeping is in Python floats; only the field calls are batched.
+    Each root starts at the model's root and is refined in rounds, one
+    ``evaluate`` call for all roots still open.  A round evaluates each at
+    ``e - tol`` and ``e + tol`` (clamped to the bracket, where the known
+    end values stand in) around its estimate ``e``.  The root is ``e``
+    when the two values differ in sign (or one is zero), as Brent's method
+    would stop, or when either is within its rounding bound, where the
+    sign is noise.  Otherwise the two values lie on one side of the root:
+    the bracket narrows to the other, and in the first
+    :data:`ROOT_ROUNDS` rounds ``e`` takes a Newton step from their mean.
+    Its slope is the model's in the first round and then the secant
+    through the last two estimates, which lie far apart next to ``tol``;
+    the secant over ``2 tol`` would be noise.  After those rounds, or when
+    the slope points away from the root or the step leaves the bracket,
+    ``e`` is the narrowed bracket's midpoint: bisection, which at least
+    halves the bracket each round.  A root whose bracket is at most ``2
+    tol`` wide is its midpoint, so a bracket of width ``w`` takes at most
+    ``ROOT_ROUNDS + ceil(log2(w / (2 tol)))`` rounds.  All bookkeeping is
+    in Python floats; only the field calls are batched.
     """
     roots = [None] * len(brackets)
     live = []
@@ -387,8 +359,8 @@ def _solve_roots(brackets, evaluate, single, tol):
         else:
             live.append((k, lo, hi, f_lo, f_hi,
                          _model_root(model, lo, hi, f_lo, tol), None))
-    falls = []
-    for _ in range(ROOT_ROUNDS):
+    rounds = 0
+    while True:
         todo = []
         for r in live:
             if r[2] - r[1] <= 2.0 * tol:
@@ -396,12 +368,13 @@ def _solve_roots(brackets, evaluate, single, tol):
             else:
                 todo.append(r)
         if not todo:
-            live = []
-            break
+            return roots
         pts = []
         for _, lo, hi, _, _, e, _ in todo:
             pts += (max(e - tol, lo), min(e + tol, hi))
-        f, err = evaluate([r[0] for r in todo for _ in (0, 1)], pts)
+        f, err = evaluate([r[0] for r in todo for _ in (0, 1)], pts,
+                          rounds > 0)
+        rounds += 1
         live = []
         for i, (k, lo, hi, f_lo, f_hi, e, last) in enumerate(todo):
             t1, t2 = pts[2 * i], pts[2 * i + 1]
@@ -418,19 +391,15 @@ def _solve_roots(brackets, evaluate, single, tol):
             else:
                 hi, f_hi = t1, f1
             fe = 0.5 * (f1 + f2)
-            slope = brackets[k][4](e)[1] if last is None \
-                else (fe - last[1]) / (e - last[0])
-            if slope != 0.0 and (slope > 0.0) == neg:
-                nxt = e - fe / slope
-                if lo < nxt < hi:
-                    live.append((k, lo, hi, f_lo, f_hi, nxt, (e, fe)))
-                    continue
-            falls.append((k, lo, hi, f_lo, f_hi))
-    falls += [r[:5] for r in live]
-    for k, lo, hi, f_lo, f_hi in falls:
-        roots[k] = _bracketed_root(lambda t, k=k: single(k, t), lo, hi,
-                                   f_lo, f_hi, tol)
-    return roots
+            nxt = 0.5 * (lo + hi)
+            if rounds < ROOT_ROUNDS:
+                slope = brackets[k][4](e)[1] if last is None \
+                    else (fe - last[1]) / (e - last[0])
+                if slope != 0.0 and (slope > 0.0) == neg:
+                    step = e - fe / slope
+                    if lo < step < hi:
+                        nxt = step
+            live.append((k, lo, hi, f_lo, f_hi, nxt, (e, fe)))
 
 
 def _model_root(model, lo, hi, f_lo, tol):
@@ -529,16 +498,17 @@ def insertion_gradient(sys, schedule, x, rho):
     """
     N = sys.num_modes
 
-    def channels_at(seg, ts, channels, dx, rounding):
-        """Values (``dx = 0``) or slopes (``dx = 1``) of the listed
-        channels, and with ``rounding`` their rounding bound: ``n eps``,
-        ``n`` the state dimension, times the sum of each product's factor
-        sizes, ``|rho_i| (|f_a,i| + |f_active,i|)`` for a value, and for a
-        slope the same with ``rhodot`` plus ``|rho|^T (|J_a| + |J_active|)
-        |xdot|``.  The sizes of the factors, not of the products, bound
-        it: on the power models the mode fields cancel to differences far
-        below their terms, and bounds built from the products fell up to
-        4e6-fold short of the measured noise."""
+    def channels_at(seg, ts, modes=None, dx=0, bound=False):
+        """Values (``dx = 0``) or slopes (``dx = 1``) of the channels of
+        ``modes`` (all N by default), and their rounding bound, zero
+        unless ``bound``: ``n eps``, ``n`` the state dimension, times the
+        sum of each product's factor sizes, ``|rho_i| (|f_a,i| +
+        |f_active,i|)`` for a value, and for a slope the same with
+        ``rhodot`` plus ``|rho|^T (|J_a| + |J_active|) |xdot|``.  The
+        sizes of the factors, not of the products, bound it: on the power
+        models the mode fields cancel to differences far below their
+        terms, and bounds built from the products fell up to 4e6-fold
+        short of the measured noise."""
         ts = np.atleast_1d(np.asarray(ts, float))
         xs = x(ts, seg=seg)
         rs = rho(ts, seg=seg)
@@ -546,14 +516,15 @@ def insertion_gradient(sys, schedule, x, rho):
             xd = x.derivative(ts, seg=seg)
             rd = rho.derivative(ts, seg=seg)
         active = schedule.sequence[seg]
-        modes = range(1, N + 1) if channels is None else channels
+        if modes is None:
+            modes = range(1, N + 1)
         out = np.zeros((len(ts), len(modes)))
-        err = np.zeros_like(out) if rounding else None
+        err = np.zeros_like(out)
         if any(a != active for a in modes):
             fm = sys.mode_field(active, xs)
             if dx:
                 Jm = sys.mode_jacobian(active, xs)
-            if rounding:
+            if bound:
                 # the active mode's share of every channel's bound
                 ar = np.abs(rd if dx else rs)
                 base = np.einsum("ij,ij->i", ar, np.abs(fm))
@@ -576,25 +547,15 @@ def insertion_gradient(sys, schedule, x, rho):
                 out[:, col] = term1 + term2
             else:
                 out[:, col] = np.einsum("ij,ij->i", rs, fa - fm)
-            if rounding:
+            if bound:
                 size = base + np.einsum("ij,ij->i", ar, np.abs(fa))
                 if dx:
                     size += (ars @ (np.abs(Ja) @ axd))[:, 0, 0]
                 err[:, col] = (xs.shape[1] * _EPS) * size
         return out, err
 
-    def values_in_segment(seg, ts, channels=None):
-        return channels_at(seg, ts, channels, 0, False)[0]
-
-    def slopes_in_segment(seg, ts, channels=None):
-        return channels_at(seg, ts, channels, 1, False)[0]
-
-    def rounding(seg, ts, channels, dx):
-        return channels_at(seg, ts, channels, dx, True)
-
-    return InsertionGradientField(schedule, values_in_segment,
-                                  slopes_in_segment,
-                                  [ts for ts, _, _ in x.knots], rounding)
+    return InsertionGradientField(schedule, channels_at,
+                                  [ts for ts, _, _ in x.knots])
 
 
 def optimality(field):

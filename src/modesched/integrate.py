@@ -581,10 +581,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
     The solution is read at the knots: the step times and the points of
     the sorted ``grid`` (within ``t_span``), with every point that lies
     within ``1e-14 max(1, |t1|)`` of the one before it dropped, and the
-    last knot moved to ``t1``.  A knot at a step time is the step's end
-    point as scipy's dense output gives it there; a knot inside a step is
-    read from the step's dense output, whose three extra stages are taken
-    only on such steps.  The values are those of scipy's ``sol(ts)``,
+    last knot moved to ``t1``; ``t1`` itself is kept when every knot after
+    ``t0`` was dropped, so a solve has at least its two ends.  A knot at
+    a step time is the step's end point as scipy's dense output gives it
+    there; a knot inside a step is read from the step's dense output,
+    whose three extra stages are taken only on such steps.  The values are those of scipy's ``sol(ts)``,
     except that the first and last knots hold ``y0`` and the end state.
 
     ``stop(t, y)``, if given, is tested after each accepted step; the solve
@@ -728,6 +729,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
             end_rows.append(len(knot_t))
             knot_t.append(t)
             end_z.append(y_old + (y - y_old))  # the dense output at x = 1
+    if len(knot_t) == 1:  # every knot after t0 merged: keep the end
+        knot_t.append(t1)
     knot_t[-1] = t1
     zs = np.full((len(knot_t), n), np.nan)
     zs[end_rows] = end_z

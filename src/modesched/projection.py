@@ -10,8 +10,10 @@ locating the threshold crossings, assembling the new schedule, and
 re-integrating.  Each crossing is a bracketed root of the field; a
 segment's crossings are solved together, as the field's minima are
 (:func:`.gradient._solve_roots`): estimated from the cubic through the
-neighbouring samples, then refined by batched field calls.  A segment
-with no sample below the threshold keeps its mode without that work.
+neighbouring samples, then refined by batched reads of the field's
+values (its ``channels_at``), in Newton/secant rounds and then by
+bisection.  A segment with no sample below the threshold keeps its mode
+without that work.
 Applied to an already-feasible pair (``gamma = 0`` or a one-hot signal)
 the map is the identity, which makes it a projection.
 """
@@ -78,7 +80,8 @@ def _segment_spans(field, seg, gamma):
     :func:`.gradient._solve_roots` to ``ROOT_TOL * horizon``, each
     estimated from the cubic through ``E_new - E_old`` at the four
     samples around its bracket (fewer at the segment's ends) and refined
-    by batched ``values_in_segment`` calls.
+    by batched ``channels_at`` value calls, each with the rounding bounds
+    of its two channels summed.
     """
     sched = field.schedule
     a, b = sched.segment_bounds(seg)
@@ -104,13 +107,9 @@ def _segment_spans(field, seg, gamma):
         brackets.append((float(ts[j]), float(ts[j + 1]), g[at], g[at + 1],
                          _interpolant([float(ts[i]) for i in near], g)))
 
-    bound = False  # round 1, the first call, skips the bound
-
-    def evaluate(ks, pts):
-        nonlocal bound
+    def evaluate(ks, pts, bound):
         cols = sorted({m for k in ks for m in pairs[k]})
-        V, E = field._rounded(seg, np.array(pts), cols, 0, bound)
-        bound = True
+        V, E = field.channels_at(seg, np.array(pts), cols, 0, bound)
         V, E = V.tolist(), E.tolist()
         f, err = [], []
         for i, k in enumerate(ks):
@@ -119,11 +118,7 @@ def _segment_spans(field, seg, gamma):
             err.append(E[i][new] + E[i][old])
         return f, err
 
-    def single(k, t):
-        return gap(*field.values_in_segment(seg, np.array([t]), pairs[k])[0],
-                   *pairs[k])
-
-    cuts = [a, *_solve_roots(brackets, evaluate, single, tol), b]
+    cuts = [a, *_solve_roots(brackets, evaluate, tol), b]
     modes = [int(w[0])] + [new for new, _ in pairs]
     return [(lo, hi, m) for lo, hi, m in zip(cuts[:-1], cuts[1:], modes)
             if hi - lo > tol]

@@ -315,6 +315,23 @@ def test_degraded_window_recorded(tmp_path, capsys, monkeypatch):
     assert all(r[-1] == "1" for r in rows)            # fell_back column
 
 
+def test_one_mode_network_is_optimal(tmp_path, capsys):
+    # a direct-layout network with only Y1 is a one-mode system: nothing
+    # can be inserted, so the run ends optimal with theta 0 and exits 0
+    net = json.loads(THREE_MACHINE.read_text())
+    del net["Y2"]
+    cfg = power_cfg()
+    cfg["model"]["network"] = write_cfg(tmp_path, net, "net.json")
+    cfg["horizon"] = 1.0
+    out = tmp_path / "run"
+    assert main(["optimize", write_cfg(tmp_path, cfg), "--out",
+                 str(out)]) == 0
+    assert "optimal:" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "optimal"
+    assert manifest["theta_start"] == manifest["theta_final"] == 0.0
+
+
 def test_failed_descent_exit_1(tmp_path, capsys, monkeypatch):
     from modesched import LineSearchError
 

@@ -442,3 +442,15 @@ def test_listed_channel_values_of_a_synthetic_field():
         full = field.values_in_segment(seg, ts)
         assert np.array_equal(field.values_in_segment(seg, ts, (3, 1)),
                               full[:, [2, 0]])
+
+
+def test_a_one_mode_field_has_no_minima_and_no_ties():
+    # a single channel is the active one and has no second channel to tie
+    # with: the field builds, has no minima, and theta is 0
+    from modesched import max_map
+    sched = constant_schedule(1, 2.0, 1)
+    field = InsertionGradientField.from_callables(sched, [lambda t: 0.0 * t])
+    assert field.minima == []
+    assert all(runs.size == 0 for _, _, runs in field.lowest)
+    assert optimality(field).theta == 0.0
+    assert max_map(sched, field, 1.0) == sched

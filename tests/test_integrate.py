@@ -1059,3 +1059,19 @@ def test_a_curve_builds_its_tables_on_its_first_query():
     assert cost._tables is None
     curve(2.5)
     assert len(curve._tables) == 3
+
+
+@pytest.mark.parametrize("T, L", [(0.01, 5e-15), (1.0, 5e-15),
+                                  (100.0, 5e-13), (1e-3, 1e-16)])
+def test_a_short_segment_keeps_its_two_end_knots(vehicle, vehicle_x0, T, L):
+    # a segment shorter than the knot merge, 1e-14 max(1, |t1|), but not
+    # below the sliver bound, 1e-13 T (a horizon under 1), used to lose
+    # its end knot; every segment now has at least its two ends, and a
+    # segment that short changes the trajectory at solver accuracy only
+    sched = ModeSchedule((1, 2, 1), (T / 2, T / 2 + L), T, 4)
+    x = integrate_state(vehicle, vehicle_x0, sched)
+    ts = x.knots[1][0]
+    assert len(ts) == 2 and tuple(ts) == sched.segment_bounds(1)
+    y = integrate_state(vehicle, vehicle_x0, constant_schedule(1, T, 4))
+    assert x.cost == pytest.approx(y.cost, rel=1e-8)
+    assert np.allclose(x(T), y(T), rtol=1e-8, atol=1e-12)

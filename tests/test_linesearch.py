@@ -41,24 +41,28 @@ def synth_field(sched, seg_channels):
     :func:`knot_grid`, as :meth:`InsertionGradientField.from_callables`
     samples it.
     """
-    def values_fn(seg, ts, channels=None):
-        ts = np.atleast_1d(np.asarray(ts, float))
+    def values_fn(seg, ts):
         fns = seg_channels[seg]
-        modes = range(1, len(fns) + 1) if channels is None else channels
-        return np.column_stack([np.broadcast_to(fns[a - 1](ts), ts.shape)
-                                for a in modes])
+        return np.column_stack([np.broadcast_to(f(ts), ts.shape)
+                                for f in fns])
 
     h = 1e-7 * sched.horizon
 
-    def slopes_fn(seg, ts, channels=None):
-        a, b = sched.segment_bounds(seg)
-        tc = np.clip(np.atleast_1d(np.asarray(ts, float)), a + h, b - h)
-        S = (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
-        return S if channels is None else S[:, [a - 1 for a in channels]]
+    def channels_at(seg, ts, modes=None, dx=0, bound=False):
+        ts = np.atleast_1d(np.asarray(ts, float))
+        if dx:
+            a, b = sched.segment_bounds(seg)
+            tc = np.clip(ts, a + h, b - h)
+            F = (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
+        else:
+            F = values_fn(seg, ts)
+        if modes is not None:
+            F = F[:, [m - 1 for m in modes]]
+        return F, np.zeros_like(F)
 
     grids = [knot_grid(*sched.segment_bounds(seg), sched.horizon)
              for seg in range(sched.n_segments)]
-    return InsertionGradientField(sched, values_fn, slopes_fn, grids)
+    return InsertionGradientField(sched, channels_at, grids)
 
 
 zero = lambda t: 0.0 * t

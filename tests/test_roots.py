@@ -1,9 +1,11 @@
 """Batched root solves: the field's minima and the max rule's crossings."""
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from modesched import (
     InsertionGradientField,
@@ -20,24 +22,32 @@ from modesched import (
     optimize,
 )
 from modesched import gradient, projection
-from modesched.gradient import ROOT_ROUNDS, ROOT_TOL, _bracketed_root
+from modesched.gradient import ROOT_ROUNDS, ROOT_TOL
 from modesched.models.vehicle import HORIZON_DEFAULT
 from modesched.projection import DWELL_DEFAULT
 from conftest import masked_channels, max_rule_crossings, random_schedule
 
 
-def scalar_roots(brackets, evaluate, single, tol):
+def scalar_roots(brackets, evaluate, tol):
     """The reference: one scalar Brent solve per root, far tighter than
-    ``tol``, on the same single-point field evaluations."""
-    return [_bracketed_root(lambda t, k=k: single(k, t), lo, hi, f_lo, f_hi,
-                            1e-3 * tol)
-            for k, (lo, hi, f_lo, f_hi, _) in enumerate(brackets)]
+    ``tol``, on single-point field evaluations.  The known end values
+    stand in for ``f(lo)``/``f(hi)``, so the sign change that chose the
+    bracket holds; a zero end value is the root."""
+    def root(k, lo, hi, f_lo, f_hi):
+        if f_lo == 0.0:
+            return lo
+        if f_hi == 0.0:
+            return hi
+        return brentq(lambda t: f_lo if t == lo else f_hi if t == hi
+                      else evaluate([k], [t], False)[0][0],
+                      lo, hi, xtol=1e-3 * tol)
+    return [root(k, *b[:4]) for k, b in enumerate(brackets)]
 
 
 def recorded(log, solve=gradient._solve_roots):
     """``solve`` that also logs each ``(lo, hi, root)``."""
-    def run(brackets, evaluate, single, tol):
-        roots = solve(brackets, evaluate, single, tol)
+    def run(brackets, evaluate, tol):
+        roots = solve(brackets, evaluate, tol)
         log.extend((b[0], b[1], r) for b, r in zip(brackets, roots))
         return roots
     return run
@@ -107,39 +117,35 @@ def test_batched_roots_match_scalar_brent_and_stay_in_their_brackets(
 def test_each_root_group_makes_at_most_its_rounds_of_field_calls(
         vehicle, vehicle_x0, monkeypatch):
     # on the published vehicle start each segment's roots, minima or
-    # crossings, are settled together by at most ROOT_ROUNDS batched field
-    # calls (one ``rounding`` call each) and no root falls back to Brent
-    groups, fallbacks, field_calls = [], [], []
+    # crossings, are settled together by at most ROOT_ROUNDS batched
+    # rounds, each one ``channels_at`` call, so none bisects
+    groups, field_calls = [], []
     solve = gradient._solve_roots
 
-    def counted(brackets, evaluate, single, tol):
-        group = dict(roots=len(brackets), rounds=0, singles=0)
+    def counted(brackets, evaluate, tol):
+        group = dict(roots=len(brackets), rounds=0, calls=[])
         groups.append(group)
 
-        def batched(ks, ts):
+        def batched(ks, ts, bound):
             group["rounds"] += 1
-            return evaluate(ks, ts)
+            before = len(field_calls)
+            out = evaluate(ks, ts, bound)
+            group["calls"].append(len(field_calls) - before)
+            return out
+        return solve(brackets, batched, tol)
 
-        def one(k, t):
-            group["singles"] += 1
-            return single(k, t)
-        return solve(brackets, batched, one, tol)
+    init = gradient.InsertionGradientField.__init__
 
-    rounded = gradient.InsertionGradientField._rounded
-
-    def rounded_counted(self, *args):
-        field_calls.append(args)
-        return rounded(self, *args)
-
-    def fallback(*args):
-        fallbacks.append(args)
-        return _bracketed_root(*args)
+    def init_counted(self, schedule, channels_at, grids):
+        def channels_at_counted(*args, **kwargs):
+            field_calls.append(args)
+            return channels_at(*args, **kwargs)
+        init(self, schedule, channels_at_counted, grids)
 
     monkeypatch.setattr(gradient, "_solve_roots", counted)
     monkeypatch.setattr(projection, "_solve_roots", counted)
-    monkeypatch.setattr(gradient, "_bracketed_root", fallback)
-    monkeypatch.setattr(gradient.InsertionGradientField, "_rounded",
-                        rounded_counted)
+    monkeypatch.setattr(gradient.InsertionGradientField, "__init__",
+                        init_counted)
     res = optimize(vehicle, vehicle_x0,
                    constant_schedule(2, HORIZON_DEFAULT, 4),
                    OptimizerConfig(alpha=0.4, beta=0.4, max_iter=3,
@@ -148,8 +154,41 @@ def test_each_root_group_makes_at_most_its_rounds_of_field_calls(
     solved = [g for g in groups if g["roots"]]
     assert len(solved) >= 10 and sum(g["roots"] for g in solved) >= 20
     assert all(1 <= g["rounds"] <= ROOT_ROUNDS for g in solved)
-    assert fallbacks == [] and all(g["singles"] == 0 for g in groups)
-    assert len(field_calls) == sum(g["rounds"] for g in groups)
+    assert all(c == 1 for g in groups for c in g["calls"])
+
+
+def test_a_rejected_newton_step_bisects_in_batched_rounds():
+    # a model whose slope points away from the root rejects round 1's
+    # Newton step, and the cube root's infinite slope at its root throws
+    # the secant steps after it about, so the roots bisect their
+    # brackets: still within ``tol`` of the true roots and inside their
+    # brackets, in rounds of one batched call each, at most ROOT_ROUNDS
+    # + ceil(log2(width / (2 tol))) of them, and only round 1 reads
+    # without the rounding bound
+    roots = [0.3 + 1e-4 * math.pi, 0.71234567891]
+    spans = [(0.25, 0.5), (0.6, 0.9)]
+    tol = 1e-12
+    fns = [lambda t, r=r: float(np.cbrt(t - r)) for r in roots]
+    brackets = [(lo, hi, fns[k](lo), fns[k](hi),
+                 lambda t, lo=lo, hi=hi: (0.5 * (lo + hi) - t, -1.0))
+                for k, (lo, hi) in enumerate(spans)]
+    calls = []
+
+    def evaluate(ks, ts, bound):
+        calls.append((list(ks), list(ts), bound))
+        return [fns[k](t) for k, t in zip(ks, ts)], [0.0] * len(ks)
+
+    got = gradient._solve_roots(brackets, evaluate, tol)
+    width = max(hi - lo for lo, hi in spans)
+    assert ROOT_ROUNDS < len(calls) \
+        <= ROOT_ROUNDS + math.ceil(math.log2(width / (2 * tol)))
+    assert [b for _, _, b in calls] == [False] + [True] * (len(calls) - 1)
+    assert calls[0][0] == [0, 0, 1, 1]
+    assert all(len(ks) == len(ts) and ks[::2] == ks[1::2]
+               for ks, ts, _ in calls)
+    for r, g, (lo, hi) in zip(roots, got, spans):
+        assert lo <= g <= hi
+        assert abs(g - r) <= tol
 
 
 def test_max_map_skips_segments_that_keep_their_mode(vehicle, vehicle_x0):
@@ -183,9 +222,10 @@ def test_max_map_skips_segments_that_keep_their_mode(vehicle, vehicle_x0):
 
 @pytest.mark.parametrize("dx", [0, 1])
 def test_rounded_values_are_the_fields_own_bits(vehicle, vehicle_x0, dx):
-    # the root solves read a trajectory field through ``rounding``, which
-    # must give what ``values_in_segment`` / ``slopes_in_segment`` give, bit
-    # for bit, and a bound that is nonnegative and zero on the active mode
+    # the root solves read a trajectory field through ``channels_at`` with
+    # the rounding bound, which must give what ``values_in_segment`` /
+    # ``slopes_in_segment`` give, bit for bit, and a bound that is
+    # nonnegative and zero on the active mode; without it the bound is zero
     sched = ModeSchedule((2, 1, 3), (2.0, 3.5), HORIZON_DEFAULT, 4)
     x = integrate_state(vehicle, vehicle_x0, sched)
     field = insertion_gradient(vehicle, sched, x,
@@ -195,10 +235,12 @@ def test_rounded_values_are_the_fields_own_bits(vehicle, vehicle_x0, dx):
         lo, hi = sched.segment_bounds(seg)
         ts = np.linspace(lo, hi, 7)
         for channels in ([1, 2, 3, 4], [3, 1], [sched.sequence[seg]]):
-            f, err = field.rounding(seg, ts, channels, dx)
+            f, err = field.channels_at(seg, ts, channels, dx, True)
             assert f.tobytes() == plain(seg, ts, channels).tobytes()
             assert err.shape == f.shape and np.all(err >= 0.0)
             active = channels.index(sched.sequence[seg]) \
                 if sched.sequence[seg] in channels else None
             if active is not None:
                 assert np.all(err[:, active] == 0.0)
+            f0, err0 = field.channels_at(seg, ts, channels, dx)
+            assert f0.tobytes() == f.tobytes() and not err0.any()

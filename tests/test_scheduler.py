@@ -262,6 +262,24 @@ def test_a_theta_within_rounding_of_zero_is_optimal(seed):
     assert res.iterations[0].theta == 0.0
 
 
+def test_a_one_mode_system_is_optimal_at_once():
+    # the only channel is the active one, zero everywhere, and a single
+    # channel has no tie: no insertion exists, so the run ends "optimal"
+    sys_ = SwitchedSystem(
+        num_modes=1, dim=1,
+        mode_field=lambda i, x: -np.asarray(x, float),
+        mode_jacobian=lambda i, x: np.full(np.shape(x) + (1,), -1.0),
+        running_cost=lambda x: np.asarray(x, float)[..., 0] ** 2,
+        running_cost_gradient=lambda x: 2.0 * np.asarray(x, float))
+    u0 = constant_schedule(1, 2.0, 1)
+    res = optimize(sys_, np.array([1.0]), u0, OptimizerConfig(max_iter=5))
+    assert res.status == "optimal"
+    assert len(res.iterations) == 1 and res.schedule == u0
+    assert res.iterations[0].theta == 0.0
+    assert res.cost == pytest.approx(0.5 * (1.0 - math.exp(-4.0)),
+                                     rel=1e-7)
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_iter", 2.5),      # a budget of 2.5 iterations
     ("max_iter", -1),
