@@ -483,7 +483,11 @@ def insertion_gradient(sys, schedule, x, rho):
     The field samples every segment at the state curve's knots, where
     ``x`` and ``rho`` (which shares them) return their exact knot values,
     and solves its minima here, so this call does the model evaluations;
-    :func:`optimality` only reads them.
+    :func:`optimality` only reads them.  ``x`` and ``rho`` are read as one
+    curve of their columns (:meth:`.integrate.SampledCurve.joined`): each
+    field read is one pass of the curve's kernel for both, slopes
+    included, and a read at knots, as the samples are, reads their knot
+    arrays.
 
     Parameters
     ----------
@@ -496,7 +500,8 @@ def insertion_gradient(sys, schedule, x, rho):
     -------
     InsertionGradientField
     """
-    N = sys.num_modes
+    N, n = sys.num_modes, sys.dim
+    xr = x.joined(rho)
 
     def channels_at(seg, ts, modes=None, dx=0, bound=False):
         """Values (``dx = 0``) or slopes (``dx = 1``) of the channels of
@@ -510,11 +515,12 @@ def insertion_gradient(sys, schedule, x, rho):
         terms, and bounds built from the products fell up to 4e6-fold
         short of the measured noise."""
         ts = np.atleast_1d(np.asarray(ts, float))
-        xs = x(ts, seg=seg)
-        rs = rho(ts, seg=seg)
         if dx:
-            xd = x.derivative(ts, seg=seg)
-            rd = rho.derivative(ts, seg=seg)
+            v, vd = xr.value_and_derivative(ts, seg)
+            xd, rd = vd[:, :n], vd[:, n:]
+        else:
+            v = xr(ts, seg=seg)
+        xs, rs = v[:, :n], v[:, n:]
         active = schedule.sequence[seg]
         if modes is None:
             modes = range(1, N + 1)

@@ -16,17 +16,17 @@ them.  An integration with a cost bound, which may be abandoned, reads
 its knots (those dense stages and the knot slopes) only once its last
 segment is solved.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
-curve's knots as one piecewise-cubic table per segment, in which every
-knot starts a piece and a segment's last knot starts one that runs to
-``inf``, so a query at a knot returns that knot's value and derivative
-exactly; derivatives are the kernel's ``dx = 1`` on the same table.  Each
-query reads one segment's table, so a switching time has exact one-sided
+curve's knots as one piecewise-cubic table per segment, built on the
+segment's first read between knots, in which every knot starts a piece,
+so a query at a knot returns that knot's value and derivative exactly.
+Each query reads one segment, so a switching time has exact one-sided
 limits: ``side`` picks the earlier or later segment, or ``seg`` names it.
 
-Two private pieces of scipy are used: the DOP853 tableau,
-``scipy.integrate._ivp.dop853_coefficients``, and PPoly's compiled
-evaluation kernel, ``scipy.interpolate._ppoly.evaluate``, which answers
-every curve query.
+No scipy module is imported.  The package owns the three pieces of scipy
+whose bits it keeps: DOP853's tableau (:mod:`._dop853`), the power sums of
+``PPoly``'s evaluation kernel (:func:`_power_sums`), and the Brent variant
+of ``scipy.optimize.brentq`` that finds a bounded solve's stop
+(:func:`_brentq`).
 
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
@@ -45,9 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.interpolate import _ppoly
-from scipy.optimize import brentq
+from . import _dop853
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-9
@@ -147,25 +145,28 @@ class SampledCurve:
 
     The curve is one piecewise-cubic table per segment, in which every
     knot starts a piece.  Each piece but the last is the Hermite cubic to
-    the next knot, in powers of ``t - t_i`` (``c[k]`` multiplies the power
-    ``3 - k``), with the arithmetic of scipy's cubic Hermite spline, so
-    between knots values agree with it to the bit.  The segment's last
-    knot starts a piece that runs to ``inf``, the same formula with ``h =
-    inf``, which no query reads past the knot.  So every knot, a segment's
-    ends included, reads back its own value and derivative exactly; the
-    derivative is the kernel's ``dx = 1`` on the same table.  A query is
+    the next knot, in powers of ``s = t - t_i`` (``c[k]`` multiplies the
+    power ``3 - k``), with the arithmetic of scipy's cubic Hermite spline,
+    so between knots values agree with it to the bit.  The segment's last
+    knot starts a piece that no query reads past the knot.  A query is
     answered by one segment's table, with ``t`` clamped to its span: the
     segment ``seg`` when given, else the one containing ``t``, where
     ``side`` picks the earlier (``"left"``) or later (``"right"``) segment
     at a boundary, and times outside ``[t0, t1]`` go to the first or last.
-    Every query, one time or a batch, is one call of scipy's compiled
-    PPoly kernel, ``scipy.interpolate._ppoly.evaluate``, per segment it
-    touches, on the knot times and C-ordered table stored for that segment;
-    ``PPoly`` calls this kernel too, so the bits are PPoly's.  The tables
-    of all segments are built together, on the curve's first query: many
-    curves are never queried (a trial's cost accumulator is read only at
-    its last knot), and one vectorized build costs less than one build per
-    queried segment.  The knots are checked when the curve is made.
+    The value is the power sum ``((c3 + c2 s) + c1 s^2) + c0 s^3`` and the
+    derivative ``(c2 + 2 c1 s) + 3 c0 s^2``, in the operation order of
+    scipy's ``PPoly`` kernel, so the bits are PPoly's; every query, one
+    time or a batch, is one numpy pass per segment it touches, which gives
+    values and derivatives together when both are asked for
+    (:meth:`value_and_derivative`).  A query whose times are all knots is
+    read from the knot arrays, as the table would give them, and builds
+    no table: every knot, a segment's ends included, reads back its own
+    value and derivative exactly.  A segment's table is built on its first
+    read elsewhere: many curves are never read between knots (a trial's
+    cost accumulator is read only at its last knot), and many are read in
+    one segment only.  The knots are checked when the curve is made, but
+    for the solvers' own curves, whose knots pass the checks by
+    construction.
 
     Parameters
     ----------
@@ -180,12 +181,12 @@ class SampledCurve:
     """
 
     def __init__(self, boundaries, segments, cost_curve=None):
-        self.boundaries = np.asarray(boundaries, float)
-        if len(segments) != len(self.boundaries) - 1:
+        boundaries = np.asarray(boundaries, float)
+        if len(segments) != len(boundaries) - 1:
             raise ValueError(
-                f"{len(segments)} segments for {len(self.boundaries)} boundaries"
+                f"{len(segments)} segments for {len(boundaries)} boundaries"
             )
-        self.knots = []
+        knots = []
         for i, (ts, ys, fs) in enumerate(segments):
             ts = np.asarray(ts, float)
             ys = np.asarray(ys, float)
@@ -194,14 +195,14 @@ class SampledCurve:
                 ys = ys[:, None]
             if fs.ndim == 1:
                 fs = fs[:, None]
-            a, b = self.boundaries[i], self.boundaries[i + 1]
+            a, b = boundaries[i], boundaries[i + 1]
             if len(ts) < 2 or ts[0] != a or ts[-1] != b \
                     or ys.shape != fs.shape or len(ys) != len(ts):
                 raise ValueError(
                     f"segment {i}: need at least two knots from {a} to {b} "
                     f"with values and derivatives of one shape")
-            self.knots.append((ts, ys, fs))
-        ts, ys, fs = zip(*self.knots)
+            knots.append((ts, ys, fs))
+        ts, ys, fs = zip(*knots)
         # all segments at once: a segment's last knot is the next one's
         # first, so the step across each join is 0 and not checked
         steps = np.diff(np.concatenate(ts))
@@ -210,13 +211,27 @@ class SampledCurve:
             raise ValueError("knot times must increase")
         if not np.all(np.isfinite(np.concatenate(ys + fs))):
             raise ValueError("knot data must be finite")
-        # what the kernel reads, per segment: built on the first query
-        self._tables = None
+        self._init(boundaries, knots, cost_curve)
+
+    @classmethod
+    def _trusted(cls, boundaries, knots, cost_curve=None):
+        """A curve of the solvers' own knots, ``(ts, ys, fs)`` float
+        arrays with 2-D ``ys`` and ``fs``, which pass the constructor's
+        checks by construction: none is made again."""
+        curve = cls.__new__(cls)
+        curve._init(np.asarray(boundaries, float), knots, cost_curve)
+        return curve
+
+    def _init(self, boundaries, knots, cost_curve):
+        self.boundaries = boundaries
+        self.knots = knots
+        # what the kernel reads, per segment: each built on its first read
+        self._tables = [None] * len(knots)
         # searchsorted in the inner boundaries is the segment rule
-        self._inner = self.boundaries[1:-1]
-        self.dim = ys[0].shape[1]
-        self.t0 = float(self.boundaries[0])
-        self.t1 = float(self.boundaries[-1])
+        self._inner = boundaries[1:-1]
+        self.dim = knots[0][1].shape[1]
+        self.t0 = float(boundaries[0])
+        self.t1 = float(boundaries[-1])
         self.cost_curve = cost_curve
         # what integrate_state solved this curve from, for prefix reuse
         self._inputs = None
@@ -241,66 +256,136 @@ class SampledCurve:
     def __call__(self, t, side="right", seg=None):
         """Curve value(s) at ``t``: shape ``(n,)`` for a scalar ``t``,
         ``(k, n)`` for ``k`` times; segment ``seg``'s piece if given."""
-        return self._evaluate(t, side, seg, 0)
+        return self._evaluate(t, side, seg, (0,))[0]
 
     def derivative(self, t, side="right", seg=None):
         """Interpolant time-derivative at ``t``; one-sided at boundaries."""
-        return self._evaluate(t, side, seg, 1)
+        return self._evaluate(t, side, seg, (1,))[0]
 
-    def _evaluate(self, t, side, seg, dx):
-        """Derivative ``dx`` of the curve at ``t``, by the segment rule of
-        the class: one kernel call per segment that the query touches."""
+    def value_and_derivative(self, t, seg):
+        """``(curve(t, seg=seg), derivative(t, seg=seg))`` from one pass
+        of the kernel."""
+        return self._evaluate(t, None, seg, (0, 1))
+
+    def joined(self, other):
+        """The curve of this curve's columns and then ``other``'s, two
+        curves on the same knot times (a state and its adjoint).  Each
+        column keeps its own curve's bits, and one table per segment
+        answers both."""
+        if other.n_segments != self.n_segments:
+            raise ValueError("the curves have different segments")
+        knots = []
+        for (ts, ys, fs), (ts2, ys2, fs2) in zip(self.knots, other.knots):
+            if ts2 is not ts and not np.array_equal(ts, ts2):
+                raise ValueError("the curves have different knot times")
+            knots.append((ts, np.concatenate((ys, ys2), axis=1),
+                          np.concatenate((fs, fs2), axis=1)))
+        return SampledCurve._trusted(self.boundaries, knots)
+
+    def _evaluate(self, t, side, seg, dxs):
+        """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
+        curve at ``t``, by the segment rule of the class: one kernel pass
+        per segment that the query touches."""
         t = np.asarray(t, float)
         flat = t.reshape(-1)
-        if seg is None:
+        if seg is not None:
+            if not 0 <= seg < len(self.knots):
+                raise ValueError(f"seg {seg} is not a segment of the curve: "
+                                 f"0 .. {len(self.knots) - 1}")
+            outs = self._piece(seg, flat, dxs)
+        else:
             segs = np.searchsorted(self._inner, flat, side)
             touched = np.unique(segs)
             if len(touched) == 1:
-                seg = touched[0]
-        if seg is not None:
-            out = self._piece(seg, flat, dx)
-        else:
-            out = np.empty((len(flat), self.dim))
-            for i in touched:
-                sel = segs == i
-                out[sel] = self._piece(i, flat[sel], dx)
-        return out.reshape(t.shape + (self.dim,))
+                outs = self._piece(touched[0], flat, dxs)
+            else:
+                outs = [np.empty((len(flat), self.dim)) for _ in dxs]
+                for i in touched:
+                    sel = segs == i
+                    for out, part in zip(outs, self._piece(i, flat[sel], dxs)):
+                        out[sel] = part
+        shape = t.shape + (self.dim,)
+        return [out.reshape(shape) for out in outs]
 
-    def _piece(self, seg, t, dx):
-        """Derivative ``dx`` of segment ``seg``'s table at the times ``t``,
-        shape ``(k,)``, clamped to its span."""
-        if self._tables is None:
-            self._tables = self._build_tables()
-        x, c = self._tables[seg]
-        out = np.empty((len(t), self.dim))
+    def _piece(self, seg, t, dxs):
+        """Derivatives ``dxs`` of segment ``seg``'s branch at the times
+        ``t``, shape ``(k,)``, clamped to its span."""
+        ts, ys, fs = self.knots[seg]
         # clamped as np.clip would, at a fraction of its call overhead
-        t = np.minimum(np.maximum(t, self.boundaries[seg]),
-                       self.boundaries[seg + 1])
-        _ppoly.evaluate(c, x, t, dx, True, out)
-        return out
+        t = np.minimum(np.maximum(t, ts[0]), ts[-1])
+        # the piece of each time starts at the last knot at or before it
+        i = ts[1:].searchsorted(t, "right")
+        s = t - ts[i]
+        if not np.count_nonzero(s):
+            # all at knots, where the power sums reduce to 0.0 + c3 and
+            # 0.0 + c2: the knot data, with a zero's sign as PPoly gives it
+            return [(fs if dx else ys).take(i, 0) + 0.0 for dx in dxs]
+        table = self._tables[seg]
+        if table is None:
+            table = self._tables[seg] = self._table(seg)
+        return _power_sums(table, i, s, dxs)
 
-    def _build_tables(self):
-        """Per segment, ``(x, c)``: the kernel's breakpoints, every knot
-        and then ``inf``, and the C-ordered coefficients of the pieces that
-        start at them, each to the next knot, the last from the segment's
-        last knot to itself."""
-        ts, ys, fs = zip(*self.knots)
-        xs = [np.append(t, np.inf) for t in ts]
-        h = np.concatenate([np.diff(x) for x in xs])[:, None]
-        # segment i owns the pieces first[i] .. first[i + 1] - 1
-        first = np.cumsum([0] + [len(t) for t in ts])
-        nxt = np.arange(1, first[-1] + 1)
-        nxt[first[1:] - 1] -= 1
-        y0, f0 = np.concatenate(ys), np.concatenate(fs)
-        y1, f1 = y0[nxt], f0[nxt]
-        slope = (y1 - y0) / h
-        d = (f0 + f1 - 2 * slope) / h
-        c = np.stack((d / h, (slope - f0) / h - d, f0, y0))
-        if not np.all(np.isfinite(c)):
+    def _table(self, seg):
+        """Segment ``seg``'s table, ``(k, 5, n)``: for the piece that
+        starts at each knot, ``c3, c2, c1, c0, 0`` in the notation of the
+        class, where the first four are the value's coefficients of ``s^0
+        .. s^3`` and the last four the derivative's.  Each piece runs to
+        the next knot; the last one is read at its knot alone, so its
+        ``c1`` and ``c0`` are 0.  ``c3`` and ``c2`` hold the knot data
+        plus ``0.0``, the start of PPoly's sums."""
+        ts, ys, fs = self.knots[seg]
+        h = (ts[1:] - ts[:-1])[:, None]
+        slope = (ys[1:] - ys[:-1]) / h
+        f0 = fs[:-1]
+        d = (f0 + fs[1:] - 2 * slope) / h
+        table = np.zeros((len(ts), 5, ys.shape[1]))
+        np.add(ys, 0.0, out=table[:, 0])
+        np.add(fs, 0.0, out=table[:, 1])
+        np.subtract((slope - f0) / h, d, out=table[:-1, 2])
+        np.divide(d, h, out=table[:-1, 3])
+        if not np.isfinite(table).all():
             raise ValueError("knot data must be finite")
-        # C-ordered tables (a copy of the slice, but for a one-segment curve)
-        return [(x, np.ascontiguousarray(c[:, lo:hi]))
-                for x, lo, hi in zip(xs, first[:-1], first[1:])]
+        return table
+
+
+#: the factors PPoly's kernel multiplies the ``s`` and ``s^2`` terms of a
+#: derivative by, ``2 c1 s`` and ``3 c0 s^2``: for a derivative alone, and
+#: for a value and a derivative together
+_SLOPE_FACTORS = (2.0, 3.0)
+_PAIR_FACTORS = (np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
+
+
+def _power_sums(table, i, s, dxs):
+    """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
+    pieces ``i`` of a :meth:`SampledCurve._table` at their offsets ``s``,
+    shape ``(k,)``: the curve's kernel, one pass for all of them.
+
+    A piece's value and slope are the power sums ``((c[0] + c[1] s) +
+    c[2] s^2) + c[3] s^3`` of its row's entries 0-3 and 1-4, the slope's
+    ``s`` and ``s^2`` terms times 2 and 3.  These are the operations of
+    scipy's ``PPoly`` kernel in its order: ``s^2 = s s`` and ``s^3 = s^2
+    s``, each term a coefficient times its power and then times the
+    power's derivative factor (1 in a value, which is exact), summed from
+    the lowest power up, starting from the ``0.0`` that the table's first
+    two entries hold already.  A slope's last term is ``0 s^3 = 0``,
+    which leaves its sum unchanged.  Both sums are taken together, on
+    entries ``p`` and ``p + 1`` for the term in ``s^p``."""
+    rows = table.take(i, 0)
+    if len(dxs) == 2:
+        width, factors = 2, _PAIR_FACTORS
+    elif dxs[0]:
+        rows, width, factors = rows[:, 1:], 1, _SLOPE_FACTORS
+    else:
+        width, factors = 1, None
+    s = s[:, None, None]
+    s2 = s * s
+    t1 = rows[:, 1:1 + width] * s
+    t2 = rows[:, 2:2 + width] * s2
+    if factors is not None:
+        t1 *= factors[0]
+        t2 *= factors[1]
+    out = ((rows[:, :width] + t1) + t2) + rows[:, 3:3 + width] * (s2 * s)
+    return [out[:, j] for j in range(width)]
 
 
 @dataclass(frozen=True)
@@ -403,7 +488,8 @@ def _state_curve(inputs, x_segs, c_segs):
     """:func:`integrate_state`'s curve for ``inputs``, ``(sys, schedule,
     rtol, atol, knot_spacing)``, from per-segment state and cost knots."""
     bnds = inputs[1].boundaries
-    x = SampledCurve(bnds, x_segs, cost_curve=SampledCurve(bnds, c_segs))
+    x = SampledCurve._trusted(bnds, x_segs,
+                              SampledCurve._trusted(bnds, c_segs))
     x._inputs = inputs
     return x
 
@@ -585,12 +671,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
     ``t0`` was dropped, so a solve has at least its two ends.  A knot at
     a step time is the step's end point as scipy's dense output gives it
     there; a knot inside a step is read from the step's dense output,
-    whose three extra stages are taken only on such steps.  The values are those of scipy's ``sol(ts)``,
-    except that the first and last knots hold ``y0`` and the end state.
+    whose three extra stages are taken only on such steps.  The values
+    are those of scipy's ``sol(ts)``, except that the first and last knots
+    hold ``y0`` and the end state.
 
     ``stop(t, y)``, if given, is tested after each accepted step; the solve
     stops in the first step over which it goes from ``<= 0`` to ``>= 0``,
-    at the root found by ``brentq`` on the step's dense output, as a
+    at the root found by :func:`_brentq` on the step's dense output, as a
     terminal rising scipy event would.  A solve with ``stop`` that runs to
     ``t1`` may still be abandoned by its caller, so it defers its inner
     knots: their rows of ``zs`` are NaN until ``read_inner()`` takes the
@@ -709,8 +796,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
             g_new = stop(t, y)
             if g <= 0 <= g_new:
                 dense = dense_output(t_old, y_old, y, h)
-                root = brentq(lambda s: stop(s, dense(s)), t_old, t,
-                              xtol=4 * _EPS, rtol=4 * _EPS)
+                root = _brentq(lambda s: stop(s, dense(s)), t_old, t,
+                               4 * _EPS, 4 * _EPS)
                 return Solution(np.array(steps), None, None, root,
                                 nfev + len(extra))
             g = g_new
@@ -763,6 +850,70 @@ def _with_quad(fun, quad):
         return np.append(fun(t, x), quad(x[None]))
 
     return full
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """The root of ``f`` in ``[xa, xb]``, where it changes sign, as
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)`` finds it:
+    a port of its Brent variant (inverse quadratic extrapolation, secant
+    and bisection steps), operation for operation, so the root has its
+    bits.  Raises ``ValueError`` when ``f`` is NaN or keeps its sign at
+    the ends, and ``RuntimeError`` when ``maxiter`` steps do not
+    converge."""
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division gives an inf or a NaN, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}.")
 
 
 def _rms(x):
@@ -851,7 +1002,7 @@ def integrate_adjoint(sys, schedule, x):
         fs = -(rs[:, None, :] @ sys.mode_jacobian(m, xs))[:, 0] \
             - sys.running_cost_gradient(xs)
         segs[i] = (ts, rs, fs)
-    return SampledCurve(schedule.boundaries, segs)
+    return SampledCurve._trusted(schedule.boundaries, segs)
 
 
 def _magnus_maps(sys, m, xg, h):

@@ -1,15 +1,19 @@
 """Trajectory/adjoint integration against closed forms and quadrature."""
 import dataclasses
 import math
-import types
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.interpolate import CubicHermiteSpline, PPoly
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from modesched import (
     ModeSchedule,
@@ -22,6 +26,7 @@ from modesched import (
     shift_schedule,
 )
 from modesched import integrate
+from modesched import _dop853
 from modesched.integrate import Abandoned, _shift_curve
 from modesched.models import (
     initial_state,
@@ -30,7 +35,7 @@ from modesched.models import (
     vehicle_initial_state,
     vehicle_system,
 )
-from conftest import (THREE_MACHINE, count_solves, random_schedule,
+from conftest import (REPO, THREE_MACHINE, count_solves, random_schedule,
                       ring_network)
 
 
@@ -310,8 +315,7 @@ def test_curve_matches_per_segment_hermite_splines(p):
     # ``side`` deciding at a boundary) and clamp t to it.  A time clamped
     # to the segment's end reads that end knot's own data.
     bounds, segments, random_ts = p
-    # knot times as strided views, which the kernel reads only once the
-    # curve has made them contiguous
+    # knot times as strided views, which the curve reads as they are
     strided = [np.repeat(ts, 2)[::2] for ts, _, _ in segments]
     assert not strided[0].flags.c_contiguous
     curve = SampledCurve(bounds, [(t, ys, fs) for t, (_, ys, fs)
@@ -402,43 +406,59 @@ def same_bits(got, want):
 def test_every_query_is_one_kernel_call_per_segment_it_touches(
         monkeypatch):
     # a scalar, a length-1 array or a batch, with ``seg`` or ``side``, is
-    # answered by scipy's compiled PPoly kernel, called once per segment
-    # the query touches on the table the curve stored for that segment:
-    # nothing is built or copied per query
-    calls = []
-    evaluate = integrate._ppoly.evaluate
+    # answered by one pass of the numpy kernel per segment the query
+    # touches, on the table the curve stored for that segment: nothing is
+    # built per query.  Values and derivatives read the same table, with
+    # dx 0 and 1, and value_and_derivative both in one pass.  A query at
+    # knots alone (a time clamped to a segment's end included) reads the
+    # knot arrays and makes no pass
+    calls, builds = [], []
+    power_sums, build = integrate._power_sums, SampledCurve._table
 
-    def counted(c, x, t, dx, *args):
-        calls.append((c, x, dx))
-        return evaluate(c, x, t, dx, *args)
+    def counted_build(self, seg):
+        builds.append(seg)
+        return build(self, seg)
 
-    monkeypatch.setattr(integrate, "_ppoly",
-                        types.SimpleNamespace(evaluate=counted))
+    def counted(table, i, s, dxs):
+        calls.append((table, tuple(dxs)))
+        return power_sums(table, i, s, dxs)
+
+    monkeypatch.setattr(integrate, "_power_sums", counted)
+    monkeypatch.setattr(SampledCurve, "_table", counted_build)
     ts = np.linspace(0.0, 1.0, 5)
     curve = SampledCurve([0.0, 1.0, 2.0, 3.0], [
         (k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
         for k in range(3)])
     queries = [
         (0.3, {}, [0]),
-        (1.0, {}, [1]),
-        (1.0, {"side": "left"}, [0]),
-        (np.float64(1.7), {"seg": 0}, [0]),
-        (np.array(1.0), {"side": "left"}, [0]),
-        (np.array([0.3]), {"seg": 2}, [2]),
-        (np.array([2.5]), {}, [2]),
+        (1.0, {}, []),
+        (1.0, {"side": "left"}, []),
+        (1.1, {}, [1]),
+        (np.float64(1.7), {"seg": 0}, []),
+        (np.array(0.9), {"side": "left"}, [0]),
+        (np.array([0.3]), {"seg": 2}, []),
+        (np.array([2.6]), {}, [2]),
         (np.array([0.3, 0.4, 2.7]), {}, [0, 2]),
         (np.array([2.7, 0.3, 1.0, 2.1]), {"side": "left"}, [0, 2]),
         (np.array([0.3, 1.7, 2.5]), {"seg": 1}, [1]),
     ]
-    # values and derivatives read the same table, with dx 0 and 1
-    for query, order in ((curve, 0), (curve.derivative, 1)):
+
+    def read(query, t, kw, segs, dxs):
+        calls.clear()
+        query(t, **kw)
+        assert len(calls) == len(segs)
+        for (table, parts), i in zip(calls, segs):
+            assert table is curve._tables[i] and parts == dxs
+
+    for query, dxs in ((curve, (0,)), (curve.derivative, (1,))):
         for t, kw, segs in queries:
-            calls.clear()
-            query(t, **kw)
-            assert len(calls) == len(segs)
-            for (c, x, dx), i in zip(calls, segs):
-                assert x is curve._tables[i][0] and c is curve._tables[i][1]
-                assert dx == order
+            read(query, t, kw, segs, dxs)
+    for t, kw, segs in queries:
+        if "seg" in kw:
+            read(lambda t, seg: curve.value_and_derivative(t, seg), t, kw,
+                 segs, (0, 1))
+    # each table was built once, on its segment's first read
+    assert builds == [0, 1, 2]
 
 
 @pytest.mark.parametrize("segments", [
@@ -1048,17 +1068,22 @@ def test_a_met_bound_reads_the_same_knots_with_the_same_calls(problem):
 
 def test_a_curve_builds_its_tables_on_its_first_query():
     # a curve that is never queried builds no table, and its cost is its
-    # accumulator's last knot, read without one
+    # accumulator's last knot, read without one; each segment's table is
+    # built on its own first read
     ts = np.linspace(0.0, 1.0, 5)
     segs = [(k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
             for k in range(3)]
     cost = SampledCurve([0.0, 1.0, 2.0, 3.0], segs)
     curve = SampledCurve([0.0, 1.0, 2.0, 3.0], segs, cost_curve=cost)
-    assert curve._tables is None and cost._tables is None
+    assert curve._tables == [None] * 3 and cost._tables == [None] * 3
     assert curve.cost == np.sin(3.0)
-    assert cost._tables is None
-    curve(2.5)
-    assert len(curve._tables) == 3
+    assert cost._tables == [None] * 3
+    # a read at knots builds none either; a read between them builds the
+    # table of its segment alone
+    curve(np.array([2.0, 2.25, 2.5]))
+    assert curve._tables == [None] * 3
+    curve(2.6)
+    assert [c is not None for c in curve._tables] == [False, False, True]
 
 
 @pytest.mark.parametrize("T, L", [(0.01, 5e-15), (1.0, 5e-15),
@@ -1075,3 +1100,172 @@ def test_a_short_segment_keeps_its_two_end_knots(vehicle, vehicle_x0, T, L):
     y = integrate_state(vehicle, vehicle_x0, constant_schedule(1, T, 4))
     assert x.cost == pytest.approx(y.cost, rel=1e-8)
     assert np.allclose(x(T), y(T), rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("seg", [-1, 3])
+def test_a_query_of_a_segment_the_curve_lacks_is_refused(seg):
+    # seg -1 used to read the last segment's table from the wrong side,
+    # and seg 3 ended in a bare IndexError
+    sys_, x0, sched = vehicle_problem()
+    x = integrate_state(sys_, x0, sched)
+    for query in (x, x.derivative,
+                  lambda t, seg: x.value_and_derivative(t, seg)):
+        with pytest.raises(ValueError, match=r"0 \.\. 2"):
+            query(0.5, seg=seg)
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
+                         ids=["vehicle", "three-machine"])
+def test_a_joined_curve_reads_both_curves_to_the_bit(problem):
+    # the field reads x and rho as one curve of their columns: each column
+    # has its own curve's bits, values and derivatives, at the knots and
+    # between them; curves on other knots are refused
+    sys_, x0, sched = problem()
+    x = integrate_state(sys_, x0, sched)
+    rho = integrate_adjoint(sys_, sched, x)
+    xr = x.joined(rho)
+    for seg, (ts, _, _) in enumerate(x.knots):
+        for t in (ts, 0.5 * (ts[1:] + ts[:-1]), ts[[0, -1]]):
+            v, d = xr.value_and_derivative(t, seg)
+            assert same_bits(v, np.hstack([x(t, seg=seg), rho(t, seg=seg)]))
+            assert same_bits(d, np.hstack([x.derivative(t, seg=seg),
+                                           rho.derivative(t, seg=seg)]))
+            assert same_bits(xr(t, seg=seg), v)
+            assert same_bits(xr.derivative(t, seg=seg), d)
+    finer = integrate_state(sys_, x0, sched, knot_spacing=1e-3)
+    other = integrate_state(sys_, x0, constant_schedule(1, sched.horizon,
+                                                         sys_.num_modes))
+    for curve in (finer, other):
+        with pytest.raises(ValueError, match="different"):
+            x.joined(curve)
+
+
+# -- the pieces of scipy the package owns, pinned to scipy's bits ----------
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a dependency of the tests and the benchmark only
+    code = ("import sys, modesched, modesched.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_dop853_tableau_is_scipys_to_the_bit():
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(_dop853, name) == getattr(dop853_coefficients, name)
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        got, want = getattr(_dop853, name), getattr(dop853_coefficients, name)
+        assert got.shape == want.shape and bits(got) == bits(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+       n=st.integers(1, 3), zeros=st.floats(0.0, 0.5))
+def test_power_sums_are_ppolys_kernel_to_the_bit(seed, k, n, zeros):
+    # random tables, a share of their entries signed zeros, stored as
+    # SampledCurve stores them (c3, c2, c1, c0, 0 per piece, the first two
+    # plus 0.0) and read as it reads them: the piece of each time clamped
+    # to the span, and its offset.  PPoly reads the same pieces.  Values
+    # and slopes, alone or together, at random times, at every breakpoint
+    # and at the two clamped ends, agree to the bit
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(np.append(rng.uniform(-2.0, 2.0),
+                            10.0 ** rng.uniform(-3.0, 1.0, k)))
+    c = rng.standard_normal((4, k, n)) * 10.0 ** rng.uniform(-3.0, 3.0,
+                                                               (4, 1, n))
+    c[rng.uniform(size=c.shape) < zeros] = 0.0
+    c[rng.uniform(size=c.shape) < zeros] = -0.0
+    table = np.zeros((k, 5, n))
+    table[:, :4] = np.moveaxis(c[::-1], 0, 1)
+    table[:, :2] += 0.0
+    t = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 30), x])
+    t = np.minimum(np.maximum(t, x[0]), x[-1])
+    i = np.minimum(np.searchsorted(x, t, "right") - 1, k - 1)
+    s = t - x[i]
+    pp = PPoly(c, x)
+    want = [bits(pp(t, 0)), bits(pp(t, 1))]
+    read = integrate._power_sums
+    assert [bits(v) for v in read(table, i, s, (0, 1))] == want
+    assert [bits(read(table, i, s, (dx,))[0]) for dx in (0, 1)] == want
+
+
+@st.composite
+def brackets(draw):
+    """A function of one variable with a sign change on a bracket, its
+    root at ``r``: a cubic, an exponential, a sine or a flat-topped step;
+    the bracket's ends on either side of ``r`` and its direction."""
+    r = draw(st.floats(-1e3, 1e3))
+    lo = r - draw(st.floats(1e-9, 10.0))
+    hi = r + draw(st.floats(1e-9, 10.0))
+    p = draw(st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(["cubic", "exp", "sin", "step"]))
+    f = {"cubic": lambda t: (t - r) ** 3 + p * (t - r),
+         "exp": lambda t: math.exp(min(p * (t - r), 700.0)) - 1.0,
+         "sin": lambda t: math.sin((t - r) / (1.0 + abs(hi - lo))),
+         "step": lambda t: math.tanh(p * (t - r)) * 1e-3}[kind]
+    if draw(st.booleans()):
+        return (lambda t: -f(t)), lo, hi
+    return f, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=brackets(), tight=st.booleans())
+def test_brent_port_is_brentqs_to_the_bit(case, tight):
+    # the same sequence of function calls and the same root, at the
+    # tolerances a bounded solve passes (4 eps) and at brentq's defaults
+    f, lo, hi = case
+    tol = (4 * np.finfo(float).eps,) * 2 if tight else (2e-12, 4 * 2.0**-52)
+    want_calls, got_calls = [], []
+
+    def logged(calls):
+        return lambda t: calls.append(t) or f(t)
+
+    want = brentq(logged(want_calls), lo, hi, xtol=tol[0], rtol=tol[1])
+    got = integrate._brentq(logged(got_calls), lo, hi, *tol)
+    assert bits(got) == bits(want) and bits(got_calls) == bits(want_calls)
+
+
+def test_brent_port_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        integrate._brentq(lambda t: t * t + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+    with pytest.raises(ValueError, match="NaN"):
+        integrate._brentq(lambda t: math.nan, -1.0, 1.0, 1e-12, 1e-15)
+
+
+@st.composite
+def exponent_stacks(draw):
+    """A stack of square matrices: small (infinity-norm below 1), large
+    (up to 8, so the series scales and squares) or power-like (a Magnus
+    exponent's shape, last column zero, with some rows scaled 50-fold)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["small", "large", "power"]))
+    W = rng.standard_normal((k, p, p))
+    norm = np.abs(W).sum(axis=-1).max()
+    if kind == "small":
+        W *= rng.uniform(0.0, 1.0) / norm
+    elif kind == "large":
+        W *= rng.uniform(1.0, 8.0) / norm
+    else:
+        W *= 0.02
+        W[:, :, -1] = 0.0
+        W[:, rng.uniform(size=p) < 0.5] *= 50.0
+    return W
+
+
+@settings(max_examples=100, deadline=None)
+@given(W=exponent_stacks())
+def test_expm_matches_scipy_on_every_matrix_of_a_stack(W):
+    # one batched series for the whole stack, its degree and scaling set
+    # by the stack's largest norm, agrees with scipy's Pade expm on each
+    # matrix to 1e-11 of its largest entry
+    E = integrate._expm(W)
+    assert E.shape == W.shape
+    for w, e in zip(W, E):
+        want = expm(w)
+        assert np.abs(e - want).max() <= 1e-11 * np.abs(want).max()
