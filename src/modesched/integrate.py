@@ -15,6 +15,12 @@ DOP853's dense output are taken only on steps that hold a knot inside
 them.  An integration with a cost bound, which may be abandoned, reads
 its knots (those dense stages and the knot slopes) only once its last
 segment is solved.
+A curve keeps each segment's solver steps, stage rows included.  An
+integration that reuses an earlier curve copies the whole leading
+segments the two schedules share; the next segment, when it starts in the
+same mode but ends elsewhere, replays the earlier solve's steps until an
+end would clip one, and is solved live from there.  Both give the bits of
+a solve from scratch.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
 curve's knots as one piecewise-cubic table per segment, built on the
 segment's first read between knots, in which every knot starts a piece,
@@ -233,8 +239,10 @@ class SampledCurve:
         self.t0 = float(boundaries[0])
         self.t1 = float(boundaries[-1])
         self.cost_curve = cost_curve
-        # what integrate_state solved this curve from, for prefix reuse
+        # what integrate_state solved this curve from, and each segment's
+        # solver steps (or None), for prefix reuse
         self._inputs = None
+        self._steps = None
 
     @property
     def n_segments(self):
@@ -434,8 +442,13 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         same end times) are copied rather than solved again, which gives
         the same bits, since each segment restarts from the previous one's
         pinned end knot; a curve sharing every segment is returned itself.
-        Nothing is copied from a curve solved from another system, ``x0``,
-        horizon or settings.
+        When the next segment has ``reuse``'s mode there but another end
+        time, it starts from the same state at the same time, and its
+        solve replays the solver steps that ``reuse``'s solve of that
+        segment took before either end clipped a step (:func:`solve_ivp`'s
+        ``replay``), with the same bits again; a warm start keeps no steps
+        to replay.  Nothing is copied or replayed from a curve solved from
+        another system, ``x0``, horizon or settings.
     cost_bound : float, optional
         Cost above which the trajectory is of no use to the caller; ignored
         when ``sys.cost_floor`` is ``None``.
@@ -452,7 +465,7 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.dim},)")
     n = sys.dim
     inputs = (sys, schedule, rtol, atol, knot_spacing)
-    x_segs, c_segs = _shared_prefix(inputs, x0, reuse)
+    x_segs, c_segs, steps, replay = _shared_prefix(inputs, x0, reuse)
     if len(x_segs) == schedule.n_segments:
         return reuse
     if x_segs:
@@ -471,48 +484,60 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             return Abandoned(float(bnds[i]))
         seg = _solve_segment(sys, schedule.sequence[i], bnds[i],
                              bnds[i + 1], z, rtol, atol, T, knot_spacing,
-                             stop=stop)
+                             stop=stop, replay=replay)
         if isinstance(seg, Abandoned):
             return seg
-        z, read = seg
+        z, read, record = seg
         reads.append(read)
+        steps.append(record)
+        replay = None
     # every segment is solved: only now are the knots read
     for read in reads:
         ts, zs, fs = read()
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
-    return _state_curve(inputs, x_segs, c_segs)
+    return _state_curve(inputs, x_segs, c_segs, steps)
 
 
-def _state_curve(inputs, x_segs, c_segs):
+def _state_curve(inputs, x_segs, c_segs, steps):
     """:func:`integrate_state`'s curve for ``inputs``, ``(sys, schedule,
-    rtol, atol, knot_spacing)``, from per-segment state and cost knots."""
+    rtol, atol, knot_spacing)``, from per-segment state and cost knots and
+    the :class:`Steps` each segment was solved in (``None`` where it is
+    not known)."""
     bnds = inputs[1].boundaries
     x = SampledCurve._trusted(bnds, x_segs,
                               SampledCurve._trusted(bnds, c_segs))
     x._inputs = inputs
+    x._steps = steps
     return x
 
 
 def _shared_prefix(inputs, x0, curve):
-    """State and cost knots of the leading segments that a solve of
-    ``inputs`` from ``x0`` would repeat from ``curve``; two empty lists if
-    none.  The curve's first knot is its pinned initial state."""
+    """What a solve of ``inputs`` from ``x0`` would repeat from ``curve``:
+    the state knots, cost knots and :class:`Steps` of the leading segments
+    it shares (same mode, same end), and the steps of the next segment if
+    the solve starts it as ``curve`` did (same mode, same start, so the
+    same start state) but ends it elsewhere, for :func:`solve_ivp` to
+    replay; three empty lists and ``None`` if nothing is shared.  The
+    curve's first knot is its pinned initial state."""
     if curve is None or curve._inputs is None:
-        return [], []
+        return [], [], [], None
     sys, sched, *settings = inputs
     sys1, sched1, *settings1 = curve._inputs
     if sys1 is not sys or settings1 != settings \
             or sched1.horizon != sched.horizon \
             or not np.array_equal(curve.knots[0][1][0], x0):
-        return [], []
+        return [], [], [], None
     b, b1 = sched.boundaries, sched1.boundaries
-    k = 0
-    while k < min(sched.n_segments, sched1.n_segments) \
-            and sched.sequence[k] == sched1.sequence[k] \
+    k, shared = 0, min(sched.n_segments, sched1.n_segments)
+    while k < shared and sched.sequence[k] == sched1.sequence[k] \
             and b[k + 1] == b1[k + 1]:
         k += 1
-    return curve.knots[:k], curve.cost_curve.knots[:k]
+    replay = None
+    if k < shared and sched.sequence[k] == sched1.sequence[k]:
+        replay = curve._steps[k]
+    return (curve.knots[:k], curve.cost_curve.knots[:k], curve._steps[:k],
+            replay)
 
 
 def _shift_curve(x, dt, schedule):
@@ -545,15 +570,17 @@ def _shift_curve(x, dt, schedule):
     segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
                np.vstack([f0, fs[keep]]))
     ts, zs, fs = segs[-1]
-    _, read = _solve_segment(sys, sched.sequence[-1], float(ts[-1]), T,
-                             zs[-1], rtol, atol, T, knot_spacing)
+    _, read, _ = _solve_segment(sys, sched.sequence[-1], float(ts[-1]), T,
+                                zs[-1], rtol, atol, T, knot_spacing)
     tts, tzs, tfs = read()
     segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
                 np.vstack([fs, tfs[1:]]))
     n = sys.dim
+    # the moved knots no longer lie on the steps a solve would take
     return _state_curve((sys, schedule, rtol, atol, knot_spacing),
                         [(t, z[:, :n], f[:, :n]) for t, z, f in segs],
-                        [(t, z[:, n:], f[:, n:]) for t, z, f in segs])
+                        [(t, z[:, n:], f[:, n:]) for t, z, f in segs],
+                        [None] * len(segs))
 
 
 def _knot_slopes(sys, m, zs):
@@ -572,26 +599,30 @@ def knot_grid(t0, t1, horizon, knot_spacing=None):
 
 
 def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
-                   stop=None):
+                   stop=None, replay=None):
     """One smooth segment in mode ``m``, solved forward from ``t0`` to
     ``t1`` with the running-cost accumulator as :func:`solve_ivp`'s
     quadrature.
 
     Solves, and reads the solution on the union of the solver's steps and
     :func:`knot_grid`, with the knot derivatives from one
-    :func:`_knot_slopes` call.  Returns ``(z1, read)``, where ``z1`` is
-    the solution at ``t1`` and ``read()`` returns the knots ``(ts, zs,
-    fs)``: with a ``stop`` it first takes the dense stages of the inner
-    knots, which :func:`solve_ivp` defers, and it takes the slopes, so
-    neither is paid for by a solve that is then abandoned.  A ``stop``
-    that stops the solve gives :class:`Abandoned` at its time instead.
+    :func:`_knot_slopes` call.  Returns ``(z1, read, steps)``, where ``z1``
+    is the solution at ``t1``, ``steps`` the solve's :class:`Steps`
+    (``None`` for a sliver, which takes no solver step) and ``read()``
+    returns the knots ``(ts, zs, fs)``: with a ``stop`` it first takes the
+    dense stages of the inner knots, which :func:`solve_ivp` defers, and
+    it takes the slopes, so neither is paid for by a solve that is then
+    abandoned.  A ``stop`` that stops the solve gives :class:`Abandoned`
+    at its time instead.  ``replay`` is passed on to :func:`solve_ivp`:
+    the steps of this segment's solve in mode ``m`` from ``(t0, z0)`` to
+    another end.
     """
     mode_field = sys.mode_field
 
     def field(t, x):
         return mode_field(m, x)
 
-    read_inner = None
+    read_inner = steps = None
     if t1 - t0 < 1e-13 * horizon:  # degenerate sliver: one explicit step
         z1 = z0 + (t1 - t0) * _with_quad(field, sys.running_cost)(t0, z0)
         ts = np.array([t0, t1])
@@ -599,17 +630,17 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
     else:
         sol = solve_ivp(field, (t0, t1), z0, rtol, atol, stop=stop,
                         grid=knot_grid(t0, t1, horizon, knot_spacing),
-                        quad=sys.running_cost)
+                        quad=sys.running_cost, replay=replay)
         if sol.t_stop is not None:
             return Abandoned(sol.t_stop)
-        ts, zs, read_inner = sol.ts, sol.zs, sol.read_inner
+        ts, zs, read_inner, steps = sol.ts, sol.zs, sol.read_inner, sol.steps
 
     def read():
         if read_inner is not None:
             read_inner()
         return ts, zs, _knot_slopes(sys, m, zs)
 
-    return zs[-1], read
+    return zs[-1], read, steps
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
@@ -623,6 +654,27 @@ _D = _dop853.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _EPS = np.finfo(float).eps
+
+
+class Steps(NamedTuple):
+    """The accepted steps of a :func:`solve_ivp` solve that ran to its
+    end: what another solve of the same problem from the same start
+    replays (its ``replay``).  ``t``, ``y`` and ``K`` are shared with
+    the solves that replay them, and never written."""
+
+    #: the first-step selection's ``h0`` before it is clipped to the end,
+    #: and ``h1``
+    h0: float
+    h1: float
+    #: step times from ``t0`` to ``t1``, and the solution there
+    t: list
+    y: list
+    #: per step: its first attempted ``h_abs``, the ``h_abs`` it proposes
+    #: for the next step, and its stage rows ``K[:_S + 1]`` (the stages
+    #: and the end slope), which its dense output is built from
+    h_first: list
+    h_next: list
+    K: list
 
 
 class Solution(NamedTuple):
@@ -644,9 +696,12 @@ class Solution(NamedTuple):
     #: hold them, fills their rows of ``zs`` (NaN until then) and returns
     #: the ``fun`` calls it made; ``None`` for every other solve
     read_inner: callable | None = None
+    #: the accepted steps of a solve that ran to ``t1``, else ``None``
+    steps: Steps | None = None
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
+def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
+              replay=None):
     """The package's own DOP853 solve of ``y' = [fun(t, x), quad(x)]``
     over ``t_span = (t0, t1)``, ``t0 < t1``, where ``y = [x, q]``.
 
@@ -683,6 +738,18 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
     knots: their rows of ``zs`` are NaN until ``read_inner()`` takes the
     dense stages and fills them, with the bits an eager read gives.
     ``nfev`` counts the ``fun`` calls made inside the call.
+
+    ``replay`` is the :class:`Steps` of a solve of the same ``fun``,
+    ``quad``, tolerances and ``y0`` from the same ``t0`` to another end.
+    The two solves take the same steps for as long as neither end clips
+    one, so they are not taken again: the recorded first-step selection
+    when its ``h0`` fits before both ends, and then each recorded step
+    whose first attempt ends before both, are copied, stage rows
+    included, and the solve goes on live from the last of them.  Every
+    other part of the loop (the ``stop`` test at each step end, the knots
+    and their deferred dense output) runs on the copied steps as on its
+    own, so the result holds the bits of a solve without ``replay``, and
+    only ``nfev`` is lower.
 
     Raises ``RuntimeError`` naming ``t_span`` when the step size falls
     below ten spacings of floating-point numbers at ``t``.
@@ -722,76 +789,103 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
         kq_extra[:] = quad(xq_extra)
         return _interpolant(K, t_old, y_old, y, h)
 
-    full = _with_quad(fun, quad)
-    K[_S] = f = full(t, y)
-    # first step (Hairer, Norsett & Wanner, II.4)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t1 - t)
-    f1 = full(t + h0, y + h0 * f)
-    nfev = 2
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+    # a replayed step ends before both ends, so neither clipped it
+    end = t1 if replay is None else min(t1, replay.t[-1])
+    if replay is not None and replay.h0 <= end - t:
+        h0, h1 = replay.h0, replay.h1
+        h = h0
+        K[_S] = replay.K[0][0]  # the slope at t0
+        nfev = 0
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t1 - t)
+        replay = None
+        full = _with_quad(fun, quad)
+        K[_S] = f = full(t, y)
+        # first step (Hairer, Norsett & Wanner, II.4); h is h0 clipped to
+        # the end
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h = min(h0, t1 - t)
+        f1 = full(t + h, y + h * f)
+        nfev = 2
+        d2 = _rms((f1 - f) / scale) / h
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h, h1, t1 - t)
+    record = Steps(h0, h1, [t], [y], [], [], [])
 
     # the knots' times, and the rows and values of those at step ends;
     # the steps that hold inner knots wait in pending for dense output
-    steps, knot_t, end_rows, end_z, pending = [t], [t], [0], [y], []
+    steps, knot_t, end_rows, end_z, pending = record.t, [t], [0], [y], []
     g = None if stop is None else stop(t, y)
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
-        K[0] = K[_S]  # the slope at the step start
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise RuntimeError(
-                    f"integration failed on [{t_span[0]}, {t_span[1]}]: "
-                    "Required step size is less than spacing between "
-                    "numbers.")
-            t_new = min(t + h_abs, t1)
-            h = h_abs = t_new - t
-            for k, KT, a, c, z, x in stages:
-                np.add(y, np.dot(KT, a) * h, z)
-                k[:] = fun(t + c * h, x)
-            y_new = y + h * np.dot(KT_b, _B)
-            K[_S, :m] = fun(t + h, y_new[:m])
-            nfev += _S
-            Z[_S - 1] = y_new
-            kq[:] = quad(xq)
-            # the same first m columns; the quadrature's is now right
-            y_new = y + h * np.dot(KT_b, _B)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(KT_e, _E5) / scale
-            err3 = np.dot(KT_e, _E3) / scale
-            # squared np.linalg.norm, which is sqrt(x @ x)
-            err5_2 = math.sqrt(err5 @ err5) ** 2
-            err3_2 = math.sqrt(err3 @ err3) ** 2
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h * err5_2 / math.sqrt(
-                    (err5_2 + 0.01 * err3_2) * n)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
+        record.h_first.append(h_abs)
+        j = len(record.h_next)
+        if replay is not None and t + h_abs < end \
+                and h_abs == replay.h_first[j]:
+            # the recorded step, stage rows included; any attempts it
+            # rejected were as short and were not clipped either
+            K[:_S + 1] = rows = replay.K[j]
+            t_new, y_new = replay.t[j + 1], replay.y[j + 1]
+            h, h_abs = t_new - t, replay.h_next[j]
+        else:
+            replay = None
+            K[0] = K[_S]  # the slope at the step start
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise RuntimeError(
+                        f"integration failed on [{t_span[0]}, {t_span[1]}]: "
+                        "Required step size is less than spacing between "
+                        "numbers.")
+                t_new = min(t + h_abs, t1)
+                h = h_abs = t_new - t
+                for k, KT, a, c, z, x in stages:
+                    np.add(y, np.dot(KT, a) * h, z)
+                    k[:] = fun(t + c * h, x)
+                y_new = y + h * np.dot(KT_b, _B)
+                K[_S, :m] = fun(t + h, y_new[:m])
+                nfev += _S
+                Z[_S - 1] = y_new
+                kq[:] = quad(xq)
+                # the same first m columns; the quadrature's is now right
+                y_new = y + h * np.dot(KT_b, _B)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err5 = np.dot(KT_e, _E5) / scale
+                err3 = np.dot(KT_e, _E3) / scale
+                # squared np.linalg.norm, which is sqrt(x @ x)
+                err5_2 = math.sqrt(err5 @ err5) ** 2
+                err3_2 = math.sqrt(err3 @ err3) ** 2
+                if err5_2 == 0 and err3_2 == 0:
+                    error_norm = 0.0
                 else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
+                    error_norm = h * err5_2 / math.sqrt(
+                        (err5_2 + 0.01 * err3_2) * n)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR,
+                                     _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR,
+                             _SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected = True
+            rows = K[:_S + 1].copy()
 
         t_old, y_old, t, y = t, y, t_new, y_new
         steps.append(t)
+        record.y.append(y)
+        record.h_next.append(h_abs)
+        record.K.append(rows)
         if stop is not None:
             g_new = stop(t, y)
             if g <= 0 <= g_new:
@@ -809,7 +903,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
         kept = [p for p, q in zip(inside, [t_old] + inside[:-1])
                 if p - q > merge]
         if kept:
-            pending.append((len(knot_t), K[:_S + 1].copy(), np.array(kept),
+            pending.append((len(knot_t), rows, np.array(kept),
                             (t_old, y_old, y, h)))
             knot_t += kept
         if t - (inside[-1] if inside else t_old) > merge:
@@ -836,9 +930,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad):
     # knots once it can no longer do so
     if stop is not None:
         return Solution(np.array(steps), np.array(knot_t), zs, None, nfev,
-                        read_inner)
+                        read_inner, record)
     nfev += read_inner()
-    return Solution(np.array(steps), np.array(knot_t), zs, None, nfev)
+    return Solution(np.array(steps), np.array(knot_t), zs, None, nfev, None,
+                    record)
 
 
 def _with_quad(fun, quad):

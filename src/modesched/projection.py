@@ -197,7 +197,9 @@ def project(sys, x0, u, field, gamma, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     returned cost comes from the integrator's running-cost accumulator.
     ``reuse`` is the incumbent's trajectory: the projected schedule agrees
     with ``u`` up to its first crossing, and :func:`integrate_state`
-    copies that prefix from it instead of solving it again.
+    copies the whole segments before it from ``reuse`` and replays the
+    solver steps that the segment ending at the crossing shares with its
+    incumbent solve, instead of solving them again.
     ``cost_bound`` is passed to :func:`integrate_state`: once the
     projected schedule's cost is sure to exceed it (which needs a
     ``cost_floor`` on ``sys``), the integration stops early and the result

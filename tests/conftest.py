@@ -1,12 +1,14 @@
 """Shared fixtures and schedule randomization helpers."""
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from modesched import (InsertionGradientField, ModeSchedule,
-                       OptimizerConfig, constant_schedule, max_map)
+                       OptimizerConfig, SwitchedSystem, constant_schedule,
+                       max_map)
 from modesched import integrate
 from modesched.integrate import knot_grid
 from modesched.models import (PowerNetwork, vehicle_initial_state,
@@ -14,6 +16,15 @@ from modesched.models import (PowerNetwork, vehicle_initial_state,
 
 REPO = Path(__file__).resolve().parent.parent
 THREE_MACHINE = REPO / "demos" / "networks" / "three_machine.json"
+
+# a property test that fails on CI prints the @reproduce_failure blob that
+# replays its failing example anywhere.  Recent hypothesis releases load a
+# "ci" profile of their own that prints it; this one keeps that profile's
+# settings, which are the default by now, and adds the blob on releases
+# that have none
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +60,25 @@ def ring_network(n=12):
             B[b, b] -= w
     return PowerNetwork(Y=[1j * B1, 1j * B2], E=np.ones(n),
                         H=rng.uniform(2.5, 4.5, n), Pm=np.zeros(n))
+
+
+def random_linear_quadratic(seed):
+    """``x' = A_i x + b_i`` in 2 to 4 modes, ``n`` in 1..4, running cost
+    ``|x|^2 / 2``; with ``x0`` and a constant starting schedule."""
+    rng = np.random.default_rng(seed)
+    n, N = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    A = 0.8 * rng.normal(size=(N, n, n))
+    b = 0.5 * rng.normal(size=(N, n))
+    sys_ = SwitchedSystem(
+        num_modes=N, dim=n,
+        mode_field=lambda i, x: x @ A[i - 1].T + b[i - 1],
+        mode_jacobian=lambda i, x: np.broadcast_to(A[i - 1],
+                                                   np.shape(x) + (n,)),
+        running_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
+        running_cost_gradient=lambda x: np.array(x, float),
+        cost_floor=0.0)
+    x0, T = rng.normal(size=n), rng.uniform(0.5, 3.0)
+    return sys_, x0, constant_schedule(int(rng.integers(1, N + 1)), T, N)
 
 
 def random_schedule(rng, horizon, num_modes, n_switches):

@@ -35,8 +35,8 @@ from modesched.models import (
     vehicle_initial_state,
     vehicle_system,
 )
-from conftest import (REPO, THREE_MACHINE, count_solves, random_schedule,
-                      ring_network)
+from conftest import (REPO, THREE_MACHINE, count_solves,
+                      random_linear_quadratic, random_schedule, ring_network)
 
 
 def decay_system():
@@ -655,6 +655,142 @@ def test_nothing_reused_from_other_inputs(vehicle, vehicle_x0):
     assert shared_segments(reused, x_u) == 0
 
 
+# -- replaying the incumbent's steps in a segment that ends elsewhere --------
+
+@st.composite
+def replays(draw):
+    """The vehicle or a random linear-quadratic system, an incumbent
+    schedule, and a trial that keeps the incumbent's first ``k``
+    segments, runs segment ``k`` to another end (earlier, or past the
+    incumbent's next switch), mostly in the incumbent's mode, and then
+    other modes to the horizon; where a cost bound should stop the trial:
+    nowhere (no bound, or one it meets), inside segment ``k``'s replayed
+    steps, or after segment ``k``; and where, as a share."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        sys_, x0, T = vehicle_system(), vehicle_initial_state(), 3.0
+    else:
+        sys_, x0, u0 = random_linear_quadratic(seed)
+        T = u0.horizon
+    N = sys_.num_modes
+    rng = np.random.default_rng(seed)
+    inc = random_schedule(rng, T, N, draw(st.integers(0, 3)))
+    k = draw(st.integers(0, inc.n_segments - 1))
+    lo = inc.boundaries[k]
+    end = lo + draw(st.floats(0.02, 0.98)) * (T - lo)
+    assume(end != inc.boundaries[k + 1])
+    seq, times = list(inc.sequence[:k + 1]), list(inc.times[:k]) + [end]
+    if draw(st.integers(0, 3)) == 0:
+        # another mode, which may be segment k - 1's and extend it
+        seq[k] = seq[k] % N + 1
+    # the modes after it, each unlike the one before
+    for _ in range(draw(st.integers(1, 2))):
+        seq.append((seq[-1] - 1 + int(rng.integers(1, N))) % N + 1)
+    if len(seq) - k == 3:
+        times.append(end + draw(st.floats(0.1, 0.9)) * (T - end))
+    trial = ModeSchedule(tuple(seq), tuple(times), T, N)
+    where = draw(st.sampled_from([None, "met", "replayed", "after"]))
+    return sys_, x0, inc, trial, where, draw(st.floats(0.05, 0.95))
+
+
+def logged_solves(monkeypatch):
+    """Route the integrator's ``solve_ivp`` through a logger: per call,
+    ``(t_span, result, fun calls made inside the call, every fun call)``,
+    each fun call logged as the bits of its ``(t, x)``."""
+    real = integrate.solve_ivp
+    solves = []
+
+    def logged(fun, t_span, *args, **kwargs):
+        calls = []
+
+        def rhs(t, x):
+            calls.append(bits([t, *x]))
+            return fun(t, x)
+
+        out = real(rhs, t_span, *args, **kwargs)
+        solves.append((t_span, out, len(calls), calls))
+        return out
+
+    monkeypatch.setattr(integrate, "solve_ivp", logged)
+    return solves
+
+
+def replayed_steps(record, t0, t1):
+    """How many of ``record``'s steps a solve from ``t0`` to ``t1`` takes
+    as they are: each before both ends, after a first-step selection whose
+    ``h0`` fits before both; ``None`` when the selection does not fit."""
+    end = min(t1, record.t[-1])
+    if record.h0 > end - t0:
+        return None
+    r = 0
+    while record.t[r] + record.h_first[r] < end:
+        r += 1
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=replays())
+def test_a_replayed_segment_is_a_fresh_solve_to_the_bit(case):
+    sys_, x0, inc, trial, where, share = case
+    x_inc = integrate_state(sys_, x0, inc)
+    # the segments shared whole, and the steps segment k replays
+    k = 0
+    while trial.sequence[k] == inc.sequence[k] \
+            and trial.boundaries[k + 1] == inc.boundaries[k + 1]:
+        k += 1
+    lo, end = trial.segment_bounds(k)
+    record = r = None
+    if trial.sequence[k] == inc.sequence[k]:
+        record = x_inc._steps[k]
+        r = replayed_steps(record, lo, end)
+    fresh = integrate_state(sys_, x0, trial)
+    bound = None
+    if where == "met":
+        bound = 2.0 * fresh.cost + 1.0
+    elif where == "replayed":
+        upto = end if r is None else record.t[r or 1]
+        bound = fresh.cost_at(lo + share * (upto - lo))
+    elif where == "after":
+        bound = fresh.cost_at(end + share * (trial.horizon - end))
+    with pytest.MonkeyPatch.context() as mp:
+        solves = logged_solves(mp)
+        fresh = integrate_state(sys_, x0, trial, cost_bound=bound)
+        fresh_solves = solves[:]
+        solves.clear()
+        reused = integrate_state(sys_, x0, trial, reuse=x_inc,
+                                 cost_bound=bound)
+    if isinstance(fresh, Abandoned):
+        assert isinstance(reused, Abandoned)
+        assert bits(reused.time) == bits(fresh.time)
+    else:
+        assert reused.n_segments == fresh.n_segments
+        for a, b in ((reused, fresh), (reused.cost_curve, fresh.cost_curve)):
+            for ka, kb in zip(a.knots, b.knots):
+                assert [bits(v) for v in ka] == [bits(v) for v in kb]
+        assert bits(reused.cost) == bits(fresh.cost)
+        assert shared_segments(reused, x_inc) == k
+    # segment k's solve skips what it replays, its other calls the same
+    # and in the same order; every later segment is solved alike
+    assert [s[0] for s in solves] == [s[0] for s in fresh_solves[k:]]
+    saved = []
+    for (_, out, made, calls), (_, out0, made0, calls0) in zip(
+            solves, fresh_solves[k:]):
+        assert out.nfev == made and out0.nfev == made0
+        saved.append(out0.nfev - out.nfev)
+        assert calls == calls0[saved[-1]:]
+    assert not any(saved[1:])
+    if r is None:
+        assert saved[0] == 0
+        return
+    # the selection's two calls, and 12 for each step replayed before the
+    # solve ended or stopped, more for one that rejected an attempt
+    took = min(r, len(solves[0][1].t) - 1)
+    assert saved[0] >= 2 + 12 * took and (saved[0] - 2) % 12 == 0
+    if all(record.t[j] + record.h_first[j] == record.t[j + 1]
+           for j in range(took)):
+        assert saved[0] == 2 + 12 * took
+
+
 # -- warm start of the next planning window ---------------------------------------
 
 @st.composite
@@ -870,41 +1006,60 @@ def bits(a):
 @settings(max_examples=80, deadline=None)
 @given(p=dop853_problems())
 def test_own_dop853_matches_scipy_to_the_bit(p):
-    fun, z0, t0, t1 = p["fun"], p["z0"], p["t0"], p["t1"]
+    fun, z0, t0, t1, tc = p["fun"], p["z0"], p["t0"], p["t1"], p["tc"]
     own_fun, quad = p["own"]
     tol = dict(rtol=p["rtol"], atol=p["atol"])
-    ref = solve_ivp(fun, (t0, t1), z0, method="DOP853", dense_output=True,
-                    **tol)
-    assert ref.success
-    grid = np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0)
-                                                  / p["spacing"])) + 1))
-    own = integrate.solve_ivp(own_fun, (t0, t1), z0, p["rtol"], p["atol"],
-                              grid=grid, quad=quad)
-    assert bits(own.t) == bits(ref.t)
-    assert bits(own.zs[-1]) == bits(ref.y[:, -1])
-    ts = reference_knots(t0, t1, ref.t, p["spacing"])
-    assert bits(own.ts) == bits(ts)
-    assert bits(own.zs[0]) == bits(z0)
-    if len(ts) > 2:
-        assert bits(own.zs[1:-1]) == bits(ref.sol(ts[1:-1]).T)
-    # dense stages only on the steps with a knot strictly inside
-    bare = sum(not np.any((ts > lo) & (ts < hi))
-               for lo, hi in zip(ref.t[:-1], ref.t[1:]))
-    assert own.nfev == ref.nfev - 3 * bare
+
+    def own_solve(end, **kwargs):
+        grid = np.linspace(t0, end, max(2, int(np.ceil((end - t0)
+                                                       / p["spacing"])) + 1))
+        return integrate.solve_ivp(own_fun, (t0, end), z0, p["rtol"],
+                                   p["atol"], grid=grid, quad=quad, **kwargs)
+
+    whole = own_solve(t1)
+    # the solve to t1; then solves that replay the steps of another solve
+    # from t0: to an earlier end, to a later one, and to a later one from
+    # a solve too short for the first-step selection's h0, which replays
+    # nothing
+    for end, replay in ((t1, None), (tc, whole.steps),
+                        (t1, own_solve(tc).steps),
+                        (t1, own_solve(t0 + 0.5 * whole.steps.h0).steps)):
+        ref = solve_ivp(fun, (t0, end), z0, method="DOP853",
+                        dense_output=True, **tol)
+        assert ref.success
+        own = own_solve(end, replay=replay)
+        assert bits(own.t) == bits(ref.t)
+        assert bits(own.zs[-1]) == bits(ref.y[:, -1])
+        ts = reference_knots(t0, end, ref.t, p["spacing"])
+        assert bits(own.ts) == bits(ts)
+        assert bits(own.zs[0]) == bits(z0)
+        if len(ts) > 2:
+            assert bits(own.zs[1:-1]) == bits(ref.sol(ts[1:-1]).T)
+        # dense stages only on the steps with a knot strictly inside
+        bare = sum(not np.any((ts > lo) & (ts < hi))
+                   for lo, hi in zip(ref.t[:-1], ref.t[1:]))
+        if replay is None or min(end, replay.t[-1]) - t0 < replay.h0:
+            assert own.nfev == ref.nfev - 3 * bare
+        else:
+            assert own.nfev < ref.nfev - 3 * bare
 
     # a stop that crosses zero mid-interval, through the state and the
-    # last component (a system's cost accumulator) as well
+    # last component (a system's cost accumulator) as well, in a solve of
+    # its own and in one that replays the steps of the solve to t1
     def stop(t, z):
-        return (t - p["tc"]) / (t1 - t0) + 0.01 * np.tanh(z[0] - z[-1])
+        return (t - tc) / (t1 - t0) + 0.01 * np.tanh(z[0] - z[-1])
     stop.terminal, stop.direction = True, 1.0
     ref = solve_ivp(fun, (t0, t1), z0, method="DOP853", events=stop, **tol)
-    own = integrate.solve_ivp(own_fun, (t0, t1), z0, p["rtol"], p["atol"],
-                              stop=stop, grid=grid, quad=quad)
     assert ref.status == 1
-    assert own.ts is None and own.zs is None
-    assert float(own.t_stop).hex() == float(ref.t_events[0][0]).hex()
-    # scipy takes the dense stages on the crossing step alone, as well
-    assert own.nfev == ref.nfev
+    for replay in (None, whole.steps):
+        own = own_solve(t1, stop=stop, replay=replay)
+        assert own.ts is None and own.zs is None and own.steps is None
+        assert float(own.t_stop).hex() == float(ref.t_events[0][0]).hex()
+        # scipy takes the dense stages on the crossing step alone, as well
+        if replay is None:
+            assert own.nfev == ref.nfev
+        else:
+            assert own.nfev < ref.nfev
 
 
 def test_a_blow_up_fails_naming_the_interval():
@@ -957,6 +1112,21 @@ def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
     assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
     assert len(seen) == 6
     assert all(nfev == calls for _, nfev, calls in seen)
+    # a trial that ends segment 1 sooner replays its first steps from the
+    # incumbent's: the hook still sees that solve once, with its span, and
+    # its nfev is the calls it made, fewer than a solve from scratch makes
+    trial = ModeSchedule((1, 3, 4), (0.8, 1.5), 3.0, 4)
+    seen.clear()
+    integrate_state(vehicle, vehicle_x0, trial)
+    [(_, from_scratch, _)] = [s for s in seen if s[0] == (0.8, 1.5)]
+    seen.clear()
+    integrate_state(vehicle, vehicle_x0, trial, reuse=full)
+    out = integrate_state(vehicle, vehicle_x0, trial, reuse=full,
+                          cost_bound=full.cost_at(1.0))
+    assert isinstance(out, Abandoned) and 0.8 < out.time < 1.5
+    assert [s for s, _, _ in seen] == [(0.8, 1.5), (1.5, 3.0), (0.8, 1.5)]
+    assert all(nfev == calls for _, nfev, calls in seen)
+    assert seen[0][1] < from_scratch
 
     spans = count_solves(monkeypatch)
     integrate_state(vehicle, vehicle_x0, sched)

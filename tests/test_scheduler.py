@@ -29,7 +29,7 @@ from modesched.models import vehicle_initial_state, vehicle_system
 from modesched.models.vehicle import HORIZON_DEFAULT
 from modesched.models.power import initial_state, load_network, power_system
 from modesched.projection import DWELL_DEFAULT
-from conftest import THREE_MACHINE, count_solves
+from conftest import THREE_MACHINE, count_solves, random_linear_quadratic
 
 
 def two_rate_sq():
@@ -226,25 +226,6 @@ def test_stop_threshold_variants():
         optimize(sys_, [2.0], u0, OptimizerConfig(theta_stop="bogus"))
     with pytest.raises(ValueError):
         optimize(sys_, [2.0], u0, OptimizerConfig(alpha=1.5))
-
-
-def random_linear_quadratic(seed):
-    """``x' = A_i x + b_i`` in 2 to 4 modes, ``n`` in 1..4, running cost
-    ``|x|^2 / 2``; with ``x0`` and a constant starting schedule."""
-    rng = np.random.default_rng(seed)
-    n, N = int(rng.integers(1, 5)), int(rng.integers(2, 5))
-    A = 0.8 * rng.normal(size=(N, n, n))
-    b = 0.5 * rng.normal(size=(N, n))
-    sys_ = SwitchedSystem(
-        num_modes=N, dim=n,
-        mode_field=lambda i, x: x @ A[i - 1].T + b[i - 1],
-        mode_jacobian=lambda i, x: np.broadcast_to(A[i - 1],
-                                                   np.shape(x) + (n,)),
-        running_cost=lambda x: 0.5 * np.sum(x * x, axis=-1),
-        running_cost_gradient=lambda x: np.array(x, float),
-        cost_floor=0.0)
-    x0, T = rng.normal(size=n), rng.uniform(0.5, 3.0)
-    return sys_, x0, constant_schedule(int(rng.integers(1, N + 1)), T, N)
 
 
 @pytest.mark.parametrize("seed", [11, 44, 51, 56, 137, 184, 259, 300, 310,
