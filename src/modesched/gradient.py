@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import knot_grid
+from .integrate import _check_partition, knot_grid
 
 #: root tolerance of minima and threshold crossings, relative to the horizon.
 #: On the power models it lies below the field's resolution for about a
@@ -494,12 +494,15 @@ def insertion_gradient(sys, schedule, x, rho):
     sys : SwitchedSystem
     schedule : ModeSchedule
     x, rho : SampledCurve
-        Forward trajectory and backward adjoint on the same partition.
+        Forward trajectory and backward adjoint on ``schedule``'s
+        partition; ``ValueError`` when ``x``'s segment boundaries are not
+        the schedule's (within ``1e-12`` of the horizon).
 
     Returns
     -------
     InsertionGradientField
     """
+    _check_partition(x, schedule)
     N, n = sys.num_modes, sys.dim
     xr = x.joined(rho)
 

@@ -12,8 +12,10 @@ read on (time, value, derivative) knots, the solver's steps merged with a
 uniform grid of spacing ``horizon / KNOTS_PER_HORIZON`` or a finer
 ``knot_spacing`` (:func:`knot_grid`), and the three extra stages of
 DOP853's dense output are taken only on steps that hold a knot inside
-them.  An integration with a cost bound, which may be abandoned, reads
-its knots (those dense stages and the knot slopes) only once its last
+them.  An integration with a cost bound is abandoned at the first point
+it solves (a segment start or an accepted step end) where its cost can
+no longer come in under the bound, and it stops there; it reads its
+knots (those dense stages and the knot slopes) only once its last
 segment is solved.
 A curve keeps each segment's solver steps, stage rows included.  An
 integration that reuses an earlier curve copies the whole leading
@@ -28,11 +30,9 @@ so a query at a knot returns that knot's value and derivative exactly.
 Each query reads one segment, so a switching time has exact one-sided
 limits: ``side`` picks the earlier or later segment, or ``seg`` names it.
 
-No scipy module is imported.  The package owns the three pieces of scipy
-whose bits it keeps: DOP853's tableau (:mod:`._dop853`), the power sums of
-``PPoly``'s evaluation kernel (:func:`_power_sums`), and the Brent variant
-of ``scipy.optimize.brentq`` that finds a bounded solve's stop
-(:func:`_brentq`).
+No scipy module is imported.  The package owns the two pieces of scipy
+whose bits it keeps: DOP853's tableau (:mod:`._dop853`) and the power sums
+of ``PPoly``'s evaluation kernel (:func:`_power_sums`).
 
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
@@ -398,8 +398,9 @@ def _power_sums(table, i, s, dxs):
 
 @dataclass(frozen=True)
 class Abandoned:
-    """A bounded :func:`integrate_state` that stopped at ``time``, where
-    the trajectory's cost could no longer come in under the bound."""
+    """A bounded :func:`integrate_state` that stopped at ``time``: the
+    first segment start or accepted solver step end where the trajectory's
+    cost could no longer come in under the bound."""
 
     time: float
 
@@ -412,18 +413,19 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     returned curve exposes ``.cost`` and ``.cost_at`` with solver accuracy.
 
     With a ``cost_bound`` and a system whose ``cost_floor`` ``f`` is known,
-    the integration is abandoned at the first time ``t`` where the
-    accumulated cost ``acc(t)`` gives ``acc(t) + f (T - t) > cost_bound``:
-    the total cost would then exceed the bound too.  This is tested at
-    every segment start (``t = 0``, or the end of a reused prefix,
-    included) and inside each segment by :func:`solve_ivp`'s ``stop`` test
-    on the accumulator.  It is only tested after each accepted step, so an
-    integration that is not abandoned takes the same steps, and gives the
-    same bits, as one without a bound.  A bounded integration reads its
-    knots only once every segment is solved: each segment keeps the
-    stage rows of its steps that hold an inner knot, and their dense
-    stages and the knot slopes are taken at the end, so an abandoned one
-    takes neither for the segments it completed.
+    the integration is abandoned at the first point ``t`` it solves where
+    the accumulated cost ``acc(t)`` gives ``acc(t) + f (T - t) >
+    cost_bound``: the total cost would then exceed the bound too.  The
+    points are every segment start (``t = 0``, or the end of a reused
+    prefix, included) and every accepted solver step end, where
+    :func:`solve_ivp`'s ``stop`` runs the same test, so the result's
+    ``time`` is where the integration really stopped.  Nothing is tested
+    between accepted steps, so an integration that is not abandoned takes
+    the same steps, and gives the same bits, as one without a bound.  A
+    bounded integration reads its knots only once every segment is
+    solved: each segment keeps the stage rows of its steps that hold an
+    inner knot, and their dense stages and the knot slopes are taken at
+    the end, so an abandoned one takes none of them.
 
     Parameters
     ----------
@@ -613,7 +615,8 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
     dense stages of the inner knots, which :func:`solve_ivp` defers, and
     it takes the slopes, so neither is paid for by a solve that is then
     abandoned.  A ``stop`` that stops the solve gives :class:`Abandoned`
-    at its time instead.  ``replay`` is passed on to :func:`solve_ivp`:
+    at the step end where it stopped instead; a sliver is not tested.
+    ``replay`` is passed on to :func:`solve_ivp`:
     the steps of this segment's solve in mode ``m`` from ``(t0, z0)`` to
     another end.
     """
@@ -632,7 +635,7 @@ def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
                         grid=knot_grid(t0, t1, horizon, knot_spacing),
                         quad=sys.running_cost, replay=replay)
         if sol.t_stop is not None:
-            return Abandoned(sol.t_stop)
+            return Abandoned(float(sol.t_stop))
         ts, zs, read_inner, steps = sol.ts, sol.zs, sol.read_inner, sol.steps
 
     def read():
@@ -686,7 +689,7 @@ class Solution(NamedTuple):
     #: ``None`` when the solve was stopped
     ts: np.ndarray | None
     zs: np.ndarray | None
-    #: where ``stop`` crossed zero, or ``None``
+    #: the step end where ``stop`` first passed zero, or ``None``
     t_stop: float | None
     #: ``fun`` calls made inside the call, dense-output stages included
     #: but for those that ``read_inner`` defers
@@ -730,14 +733,16 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
     are those of scipy's ``sol(ts)``, except that the first and last knots
     hold ``y0`` and the end state.
 
-    ``stop(t, y)``, if given, is tested after each accepted step; the solve
-    stops in the first step over which it goes from ``<= 0`` to ``>= 0``,
-    at the root found by :func:`_brentq` on the step's dense output, as a
-    terminal rising scipy event would.  A solve with ``stop`` that runs to
-    ``t1`` may still be abandoned by its caller, so it defers its inner
-    knots: their rows of ``zs`` are NaN until ``read_inner()`` takes the
-    dense stages and fills them, with the bits an eager read gives.
-    ``nfev`` counts the ``fun`` calls made inside the call.
+    ``stop(t, y)``, if given, is tested at each accepted step end, ``t1``
+    included, and the solve stops at the first end where it is positive:
+    ``t_stop`` is that end, and no dense stage is taken.  Where ``stop``
+    is negative at the ends before it, a terminal rising scipy event
+    would find its root inside the step that ends there.  A solve with
+    ``stop`` that runs to ``t1`` may still be abandoned by its caller, so
+    it defers its inner knots: their rows of ``zs`` are NaN until
+    ``read_inner()`` takes the dense stages and fills them, with the bits
+    an eager read gives.  ``nfev`` counts the ``fun`` calls made inside
+    the call.
 
     ``replay`` is the :class:`Steps` of a solve of the same ``fun``,
     ``quad``, tolerances and ``y0`` from the same ``t0`` to another end.
@@ -781,14 +786,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
     xq, kq = Z[:_S, :m], K[1:_S + 1, -1]
     xq_extra, kq_extra = Z[_S:, :m], K[_S + 1:, -1]
 
-    def dense_output(t_old, y_old, y, h):
-        """The step's dense output, after its three extra stages."""
-        for k, KT, a, c, z, x in extra:
-            np.add(y_old, np.dot(KT, a) * h, z)
-            k[:] = fun(t_old + c * h, x)
-        kq_extra[:] = quad(xq_extra)
-        return _interpolant(K, t_old, y_old, y, h)
-
     # a replayed step ends before both ends, so neither clipped it
     end = t1 if replay is None else min(t1, replay.t[-1])
     if replay is not None and replay.h0 <= end - t:
@@ -819,7 +816,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
     # the knots' times, and the rows and values of those at step ends;
     # the steps that hold inner knots wait in pending for dense output
     steps, knot_t, end_rows, end_z, pending = record.t, [t], [0], [y], []
-    g = None if stop is None else stop(t, y)
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -886,18 +882,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
         record.y.append(y)
         record.h_next.append(h_abs)
         record.K.append(rows)
-        if stop is not None:
-            g_new = stop(t, y)
-            if g <= 0 <= g_new:
-                dense = dense_output(t_old, y_old, y, h)
-                root = _brentq(lambda s: stop(s, dense(s)), t_old, t,
-                               4 * _EPS, 4 * _EPS)
-                return Solution(np.array(steps), None, None, root,
-                                nfev + len(extra))
-            g = g_new
+        if stop is not None and stop(t, y) > 0.0:
+            return Solution(np.array(steps), None, None, t, nfev)
         # grid points inside the step, each kept if clear of the point
         # before it; the step end likewise.  Inner knots wait for the end
-        # of the solve, so a stopped solve takes no dense stages for them.
+        # of the solve, so a stopped solve takes no dense stages.
         inside = grid[bisect.bisect_right(grid, t_old):
                       bisect.bisect_left(grid, t)]
         kept = [p for p, q in zip(inside, [t_old] + inside[:-1])
@@ -919,10 +908,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
 
     def read_inner():
         """Fill the inner knots' rows of ``zs`` from their steps' dense
-        output; the ``fun`` calls it made."""
-        for i, rows, kept, step in pending:
+        output, after its three extra stages; the ``fun`` calls it made."""
+        for i, rows, kept, (t_old, y_old, y_end, h) in pending:
             K[:_S + 1] = rows
-            zs[i:i + len(kept)] = dense_output(*step)(kept)
+            for k, KT, a, c, z, x in extra:
+                np.add(y_old, np.dot(KT, a) * h, z)
+                k[:] = fun(t_old + c * h, x)
+            kq_extra[:] = quad(xq_extra)
+            dense = _interpolant(K, t_old, y_old, y_end, h)
+            zs[i:i + len(kept)] = dense(kept)
         zs[-1] = y  # the last knot, moved to t1, may be an inner one
         return len(extra) * len(pending)
 
@@ -945,70 +939,6 @@ def _with_quad(fun, quad):
         return np.append(fun(t, x), quad(x[None]))
 
     return full
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """The root of ``f`` in ``[xa, xb]``, where it changes sign, as
-    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)`` finds it:
-    a port of its Brent variant (inverse quadratic extrapolation, secant
-    and bisection steps), operation for operation, so the root has its
-    bits.  Raises ``ValueError`` when ``f`` is NaN or keeps its sign at
-    the ends, and ``RuntimeError`` when ``maxiter`` steps do not
-    converge."""
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) \
-                        / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C's division gives an inf or a NaN, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}.")
 
 
 def _rms(x):
@@ -1042,6 +972,16 @@ def _interpolant(K, t_old, y_old, y, h):
     return evaluate
 
 
+def _check_partition(x, schedule):
+    """Raise ``ValueError`` unless the curve ``x`` has the segment
+    boundaries of ``schedule``, each within ``1e-12`` of its horizon."""
+    b = schedule.boundaries
+    if len(x.boundaries) != len(b) or np.abs(
+            x.boundaries - b).max() > 1e-12 * schedule.horizon:
+        raise ValueError("state curve and schedule have different segment "
+                         "boundaries")
+
+
 def integrate_adjoint(sys, schedule, x):
     """Integrate the first-order adjoint backward from rho(T) = 0.
 
@@ -1060,7 +1000,9 @@ def integrate_adjoint(sys, schedule, x):
     schedule : ModeSchedule
     x : SampledCurve
         State trajectory from :func:`integrate_state` over ``schedule``;
-        the adjoint's knots and accuracy come from it.
+        the adjoint's knots and accuracy come from it.  ``ValueError``
+        when its segment boundaries are not the schedule's (within
+        ``1e-12`` of the horizon).
 
     Returns
     -------
@@ -1068,8 +1010,7 @@ def integrate_adjoint(sys, schedule, x):
         Adjoint on the same partition and knots as ``x``; continuous, with
         derivative jumps at switching times.
     """
-    if abs(x.t1 - schedule.horizon) > 1e-12 * schedule.horizon:
-        raise ValueError("state curve and schedule cover different horizons")
+    _check_partition(x, schedule)
     n = sys.dim
     w = np.zeros(n + 1)
     w[n] = 1.0  # [rho(T)^T, 1]

@@ -180,7 +180,9 @@ class ProjectionResult:
     """A projected schedule with its re-integrated trajectory and cost.
 
     An abandoned integration (see :func:`project`) has ``trajectory=None``,
-    ``cost=inf`` and the time where it stopped in ``abandoned_at``.
+    ``cost=inf`` and the time where it stopped in ``abandoned_at``: the
+    first segment start or accepted solver step end where its cost was
+    sure to exceed the bound.
     """
 
     schedule: ModeSchedule
@@ -203,7 +205,8 @@ def project(sys, x0, u, field, gamma, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     ``cost_bound`` is passed to :func:`integrate_state`: once the
     projected schedule's cost is sure to exceed it (which needs a
     ``cost_floor`` on ``sys``), the integration stops early and the result
-    is marked abandoned, with an infinite cost.
+    is marked abandoned, with an infinite cost, at the segment start or
+    solver step end where it stopped.
     """
     sched = max_map(u, field, gamma)
     x = integrate_state(sys, x0, sched, rtol=rtol, atol=atol,

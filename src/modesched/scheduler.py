@@ -65,7 +65,8 @@ class OptimizerConfig:
 
     ``max_iter`` and ``j_max`` are integers ``>= 0``, ``rtol`` is finite
     and ``> 0``, ``atol`` finite and ``>= 0`` and a numeric ``theta_stop``
-    finite; no field takes a bool.
+    finite and ``<= 0``, since ``theta`` is never positive and a positive
+    stop could never be met; no field takes a bool.
     Invalid values raise ``ValueError`` on construction.
 
     ``knot_spacing`` (default ``horizon / KNOTS_PER_HORIZON``) caps the
@@ -101,8 +102,9 @@ class OptimizerConfig:
                 and _is_number(self.atol) and 0.0 <= self.atol < math.inf):
             raise ValueError(f"rtol must be finite and > 0, atol finite and "
                              f">= 0, got {self.rtol!r} and {self.atol!r}")
-        if not (_is_finite(self.theta_stop) or self.theta_stop == "auto"):
-            raise ValueError(f"theta_stop must be a finite number or "
+        if not (_is_finite(self.theta_stop) and self.theta_stop <= 0.0
+                or self.theta_stop == "auto"):
+            raise ValueError(f"theta_stop must be a finite number <= 0 or "
                              f"'auto', got {self.theta_stop!r}")
 
 
@@ -122,10 +124,12 @@ class IterationReport:
     ``(gamma, cost, abandoned_at, n_segments)`` tuple per distinct
     projection, in the order the line search tried them; an abandoned
     trial has cost ``inf`` and the time its integration stopped in
-    ``abandoned_at`` (``None`` otherwise).  On an accepted row the last
-    trial is the accepted step.  ``reason`` says why a failed row stopped
-    the descent (the line-search or type-failure message); ``None``
-    otherwise.
+    ``abandoned_at`` (``None`` otherwise): the first segment start or
+    accepted solver step end where its cost was sure to fail the
+    sufficient-descent test, at most the horizon.  On an accepted row the
+    last trial is the accepted step.  ``reason`` says why a failed row
+    stopped the descent (the line-search or type-failure message);
+    ``None`` otherwise.
     """
 
     k: int
@@ -151,7 +155,10 @@ class RunResult:
     or ``"line_search_failure"``.  ``schedule``/``trajectory``/``cost``
     always describe the best (last accepted) iterate, and ``field`` is
     its :class:`InsertionGradientField` (``None`` when ``optimize`` ran
-    with ``final_field=False`` and took its last step).
+    with ``final_field=False`` and took its last step).  A ``trajectory``
+    that ``optimize`` solved keeps no solver steps for a later
+    integration to replay; a caller's ``reuse`` curve returned as the
+    ``trajectory`` is left as it was.
     """
 
     schedule: ModeSchedule
@@ -315,6 +322,9 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True,
                  accepted.cost, accepted.schedule.n_segments)
         u, x, J = accepted.schedule, accepted.trajectory, accepted.cost
 
+    if x is not reuse:
+        # only the line search replays a curve's solver steps
+        x._steps = [None] * x.n_segments
     return RunResult(schedule=u, trajectory=x, cost=J, status=status,
                      iterations=rows, theta_final=theta, field=d)
 

@@ -189,3 +189,17 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(integrate_module, "solve_ivp", counted)
     return calls
+
+
+def first_passing_point(curve, floor, bound):
+    """The time where a bounded integration of ``curve``'s schedule stops:
+    the first point it solves, a segment start or an accepted solver step
+    end (from ``curve``'s recorded steps, which every segment needs), where
+    the accumulated cost ``acc`` gives ``acc + floor (T - t) > bound``, in
+    the integrator's own arithmetic; ``None`` where there is none."""
+    T = curve.t1
+    for record in curve._steps:
+        for t, z in zip(record.t, record.y):
+            if z[-1] + floor * (T - t) - bound > 0.0:
+                return t
+    return None

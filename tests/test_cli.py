@@ -130,6 +130,7 @@ def test_horizon_rejects_a_window_count_that_is_no_positive_integer(
     ({"horizon": math.nan}, "horizon"),
     ({"optimizer": {"theta_stop": math.nan}}, "theta_stop"),
     ({"optimizer": {"theta_stop": -math.inf}}, "theta_stop"),
+    ({"optimizer": {"theta_stop": 1e-3}}, "theta_stop"),  # never met
     ({"optimizer": {"theta_stop": 10**400}}, "theta_stop"),  # no float
 ])
 def test_dry_run_rejects_values_a_run_would_misread(tmp_path, capsys, extra,

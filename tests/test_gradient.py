@@ -50,6 +50,26 @@ def test_insertion_gradient_fd_oracle(vehicle, vehicle_x0):
         assert abs(fd - d) <= 1e-3 * (1.0 + abs(d))
 
 
+@pytest.mark.parametrize("other", [
+    ModeSchedule((1, 3), (0.8,), 3.0, 4),           # a segment fewer
+    ModeSchedule((1, 3, 2), (0.8, 2.0), 3.0, 4),    # a switch moved
+    ModeSchedule((1, 3, 2), (0.8, 1.9), 5.5, 4),    # another horizon
+], ids=["fewer", "moved", "horizon"])
+def test_adjoint_and_field_refuse_a_curve_of_another_schedule(
+        vehicle, vehicle_x0, other):
+    sched = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
+    x = integrate_state(vehicle, vehicle_x0, sched)
+    rho = integrate_adjoint(vehicle, sched, x)
+    with pytest.raises(ValueError, match="boundaries"):
+        integrate_adjoint(vehicle, other, x)
+    with pytest.raises(ValueError, match="boundaries"):
+        insertion_gradient(vehicle, other, x, rho)
+    # boundaries within 1e-12 of the horizon agree
+    near = ModeSchedule((1, 3, 2), (0.8, 1.9 + 1e-13), 3.0, 4)
+    integrate_adjoint(vehicle, near, x)
+    insertion_gradient(vehicle, near, x, rho)
+
+
 def test_active_channel_is_zero(vehicle, vehicle_x0):
     rng = np.random.default_rng(5)
     sched = random_schedule(rng, 4.0, 4, 3)

@@ -13,7 +13,6 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicHermiteSpline, PPoly
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from modesched import (
     ModeSchedule,
@@ -35,7 +34,7 @@ from modesched.models import (
     vehicle_initial_state,
     vehicle_system,
 )
-from conftest import (REPO, THREE_MACHINE, count_solves,
+from conftest import (REPO, THREE_MACHINE, count_solves, first_passing_point,
                       random_linear_quadratic, random_schedule, ring_network)
 
 
@@ -883,7 +882,8 @@ def test_no_cost_floor_never_abandons():
 def test_abandoned_where_the_floored_cost_crosses_the_bound():
     # xdot = -x with running cost x^2 / 2 + 1, floor 1: acc(t) + (T - t)
     # = (1 - e^{-2t}) / 4 + T reaches the bound T + b at
-    # t = -log(1 - 4 b) / 2
+    # tc = -log(1 - 4 b) / 2, and the integration stops at the end of the
+    # solver step that holds tc
     base = decay_system()
     sys_ = SwitchedSystem(
         num_modes=1, dim=1, mode_field=base.mode_field,
@@ -894,12 +894,44 @@ def test_abandoned_where_the_floored_cost_crosses_the_bound():
     T, b = 3.0, 0.2
     sched = constant_schedule(1, T, 1)
     out = integrate_state(sys_, [1.0], sched, cost_bound=T + b)
-    assert isinstance(out, Abandoned)
-    assert out.time == pytest.approx(-0.5 * math.log(1.0 - 4.0 * b),
-                                     abs=1e-7)
+    assert isinstance(out, Abandoned) and type(out.time) is float
+    steps = integrate_state(sys_, [1.0], sched)._steps[0].t
+    k = steps.index(out.time)
+    tc = -0.5 * math.log(1.0 - 4.0 * b)
+    assert steps[k - 1] + 1e-7 < tc < steps[k] - 1e-7
     # below T the bound fails before anything is integrated
     assert integrate_state(sys_, [1.0], sched, cost_bound=T - 0.1) \
         == Abandoned(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_switches=st.integers(0, 3),
+       kind=st.sampled_from(["share", "at a point"]),
+       share=st.floats(-0.1, 1.2), point=st.integers(0, 10**6))
+def test_a_bounded_integration_stops_at_the_first_solved_point_past_it(
+        seed, n_switches, kind, share, point):
+    # random linear-quadratic systems (cost floor 0) and bounds: a share of
+    # the cost, negative ones and ones above it included, or the
+    # accumulator at one of the solved points, which it does not pass.
+    # The solved points are the segment starts and accepted step ends of
+    # the unbounded solve; the bounded one is abandoned at the first where
+    # the accumulator passes the bound, and otherwise is that solve
+    sys_, x0, u = random_linear_quadratic(seed)
+    sched = random_schedule(np.random.default_rng(seed), u.horizon,
+                            sys_.num_modes, n_switches)
+    full = integrate_state(sys_, x0, sched)
+    if kind == "share":
+        bound = share * full.cost
+    else:
+        accs = [float(z[-1]) for r in full._steps for z in r.y]
+        bound = accs[point % len(accs)]
+    out = integrate_state(sys_, x0, sched, cost_bound=bound)
+    want = first_passing_point(full, 0.0, bound)
+    if want is None:
+        assert not isinstance(out, Abandoned)
+        assert_same_curve(out, full)
+    else:
+        assert isinstance(out, Abandoned) and bits(out.time) == bits(want)
 
 
 def test_bound_below_the_reused_prefix_abandons_without_a_solve(
@@ -914,14 +946,17 @@ def test_bound_below_the_reused_prefix_abandons_without_a_solve(
     assert integrate_state(vehicle, vehicle_x0, trial,
                            cost_bound=-1e-3) == Abandoned(0.0)
     assert calls == []
-    # past the prefix, the solve stops where the accumulator crosses
+    # past the prefix, the solve stops at the first step end where the
+    # accumulator has passed the bound, a step end of the solve from
+    # scratch
     full = integrate_state(vehicle, vehicle_x0, trial)
     bound = 0.5 * (full.cost_at(1.9) + full.cost)
     calls.clear()
     out = integrate_state(vehicle, vehicle_x0, trial, reuse=x_u,
                           cost_bound=bound)
-    assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
-    assert full.cost_at(out.time) == pytest.approx(bound, rel=1e-7)
+    assert isinstance(out, Abandoned) and 1.9 < out.time <= 3.0
+    assert out.time == first_passing_point(full, 0.0, bound)
+    assert full.cost_at(out.time) > bound
     assert calls[0] == (1.9, 2.2) and calls[-1][0] < out.time
 
 
@@ -1045,7 +1080,9 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
 
     # a stop that crosses zero mid-interval, through the state and the
     # last component (a system's cost accumulator) as well, in a solve of
-    # its own and in one that replays the steps of the solve to t1
+    # its own and in one that replays the steps of the solve to t1: the
+    # solve takes scipy's steps up to the end of the step where scipy
+    # finds the crossing, and stops there
     def stop(t, z):
         return (t - tc) / (t1 - t0) + 0.01 * np.tanh(z[0] - z[-1])
     stop.terminal, stop.direction = True, 1.0
@@ -1054,12 +1091,16 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
     for replay in (None, whole.steps):
         own = own_solve(t1, stop=stop, replay=replay)
         assert own.ts is None and own.zs is None and own.steps is None
-        assert float(own.t_stop).hex() == float(ref.t_events[0][0]).hex()
-        # scipy takes the dense stages on the crossing step alone, as well
+        # scipy's last time is the root it found inside the crossing step
+        assert bits(own.t[:-1]) == bits(ref.t[:-1])
+        assert own.t_stop == own.t[-1]
+        assert own.t[-2] < ref.t_events[0][0] <= own.t_stop
+        assert own.t_stop == whole.t[len(own.t) - 1]
+        # scipy takes the crossing step's dense stages, which this skips
         if replay is None:
-            assert own.nfev == ref.nfev
+            assert own.nfev == ref.nfev - 3
         else:
-            assert own.nfev < ref.nfev
+            assert own.nfev < ref.nfev - 3
 
 
 def test_a_blow_up_fails_naming_the_interval():
@@ -1106,10 +1147,10 @@ def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
     full = integrate_state(vehicle, vehicle_x0, sched)
     b = sched.boundaries
     assert [s for s, _, _ in seen] == list(zip(b[:-1], b[1:]))
-    # a stopped solve counts its crossing step's dense stages too
+    # a stopped solve takes no dense stages and counts every call it made
     out = integrate_state(vehicle, vehicle_x0, sched,
                           cost_bound=0.5 * (full.cost_at(1.9) + full.cost))
-    assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
+    assert isinstance(out, Abandoned) and 1.9 < out.time <= 3.0
     assert len(seen) == 6
     assert all(nfev == calls for _, nfev, calls in seen)
     # a trial that ends segment 1 sooner replays its first steps from the
@@ -1140,7 +1181,8 @@ def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
     # derivatives come from one running_cost call per attempted step on
     # its 12 stage inputs, one per step with dense stages on their 3, and
     # two single-row calls in the first-step selection.  The knots' slopes
-    # take one more call, on all the knots at once.
+    # take one more call, on all the knots at once; a stopped solve takes
+    # neither dense stages nor slopes.
     rows = []
 
     def cost(x):
@@ -1165,13 +1207,16 @@ def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
     (sol,) = solves
     n = sys_.dim
     assert isinstance(out, Abandoned) == bounded
-    # the last call: the knots' slopes, or the stopping step's dense stages
-    assert rows.pop() == ((3, n) if bounded else (len(sol.ts), n))
+    # the last call: the stopping step's stages, or the knots' slopes
+    if bounded:
+        assert rows[-1] == (12, n)
+    else:
+        assert rows.pop() == (len(sol.ts), n)
     assert rows[:2] == [(1, n), (1, n)]
     attempts, dense = rows.count((12, n)), rows.count((3, n))
     assert attempts + dense == len(rows) - 2
     assert attempts >= len(sol.t) - 1 and (dense > 0) != bounded
-    assert sol.nfev == 2 + 12 * attempts + 3 * (dense + bounded)
+    assert sol.nfev == 2 + 12 * attempts + 3 * dense
 
 
 def recording_system(sys_, log):
@@ -1192,7 +1237,7 @@ def test_an_abandoned_integration_reads_no_knots(vehicle, vehicle_x0):
     # segments that a bounded integration completes keep their inner
     # knots' dense stages and knot slopes until the last segment is
     # solved; abandoned in its last segment, it takes neither for them,
-    # only the dense stages of the step that crosses the bound
+    # and none for the step that passes the bound either
     sched = ModeSchedule((1, 3, 2), (0.8, 1.9), 3.0, 4)
     n = vehicle.dim
     log = []
@@ -1205,12 +1250,11 @@ def test_an_abandoned_integration_reads_no_knots(vehicle, vehicle_x0):
     log.clear()
     out = integrate_state(sys_, vehicle_x0, sched,
                           cost_bound=0.5 * (full.cost_at(1.9) + full.cost))
-    assert isinstance(out, Abandoned) and 1.9 < out.time < 3.0
+    assert isinstance(out, Abandoned) and 1.9 < out.time <= 3.0
     assert {name for name, _ in log} == {"mode_field", "running_cost"}
     assert all(s == (n,) for name, s in log if name == "mode_field")
     rows = [s for name, s in log if name == "running_cost"]
-    assert set(rows) == {(1, n), (12, n), (3, n)}
-    assert rows.count((3, n)) == 1 and rows[-1] == (3, n)
+    assert set(rows) == {(1, n), (12, n)} and rows[-1] == (12, n)
 
 
 @pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
@@ -1362,49 +1406,6 @@ def test_power_sums_are_ppolys_kernel_to_the_bit(seed, k, n, zeros):
     read = integrate._power_sums
     assert [bits(v) for v in read(table, i, s, (0, 1))] == want
     assert [bits(read(table, i, s, (dx,))[0]) for dx in (0, 1)] == want
-
-
-@st.composite
-def brackets(draw):
-    """A function of one variable with a sign change on a bracket, its
-    root at ``r``: a cubic, an exponential, a sine or a flat-topped step;
-    the bracket's ends on either side of ``r`` and its direction."""
-    r = draw(st.floats(-1e3, 1e3))
-    lo = r - draw(st.floats(1e-9, 10.0))
-    hi = r + draw(st.floats(1e-9, 10.0))
-    p = draw(st.floats(0.01, 100.0))
-    kind = draw(st.sampled_from(["cubic", "exp", "sin", "step"]))
-    f = {"cubic": lambda t: (t - r) ** 3 + p * (t - r),
-         "exp": lambda t: math.exp(min(p * (t - r), 700.0)) - 1.0,
-         "sin": lambda t: math.sin((t - r) / (1.0 + abs(hi - lo))),
-         "step": lambda t: math.tanh(p * (t - r)) * 1e-3}[kind]
-    if draw(st.booleans()):
-        return (lambda t: -f(t)), lo, hi
-    return f, lo, hi
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=brackets(), tight=st.booleans())
-def test_brent_port_is_brentqs_to_the_bit(case, tight):
-    # the same sequence of function calls and the same root, at the
-    # tolerances a bounded solve passes (4 eps) and at brentq's defaults
-    f, lo, hi = case
-    tol = (4 * np.finfo(float).eps,) * 2 if tight else (2e-12, 4 * 2.0**-52)
-    want_calls, got_calls = [], []
-
-    def logged(calls):
-        return lambda t: calls.append(t) or f(t)
-
-    want = brentq(logged(want_calls), lo, hi, xtol=tol[0], rtol=tol[1])
-    got = integrate._brentq(logged(got_calls), lo, hi, *tol)
-    assert bits(got) == bits(want) and bits(got_calls) == bits(want_calls)
-
-
-def test_brent_port_refuses_a_bracket_without_a_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        integrate._brentq(lambda t: t * t + 1.0, -1.0, 1.0, 1e-12, 1e-15)
-    with pytest.raises(ValueError, match="NaN"):
-        integrate._brentq(lambda t: math.nan, -1.0, 1.0, 1e-12, 1e-15)
 
 
 @st.composite

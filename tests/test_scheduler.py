@@ -203,7 +203,9 @@ def test_reports_record_the_published_descent(monkeypatch, caplog):
             else:
                 abandoned += 1
                 assert cost == math.inf
-                assert 0.0 <= stop < HORIZON_DEFAULT
+                # a trial that passes its bound in the last solver step
+                # stops at the horizon
+                assert 0.0 <= stop <= HORIZON_DEFAULT
     assert abandoned
     assert rows[-1].trials == () and rows[-1].reason is None
     assert [g for r in rows for g, _, _, _ in r.trials] == calls
@@ -270,6 +272,7 @@ def test_a_one_mode_system_is_optimal_at_once():
     ("theta_stop", math.nan),   # never "optimal"
     ("theta_stop", math.inf),
     ("theta_stop", -math.inf),  # "optimal" at once
+    ("theta_stop", 1e-3),       # theta <= 0 never meets it
     ("rtol", -1.0),         # scipy would clamp it silently
     ("rtol", 0.0),
     ("rtol", math.nan),
@@ -341,6 +344,27 @@ def test_optimize_from_a_fresh_trajectory_is_bitwise_unchanged():
     got = optimize(sys_, x0, u0, cfg, reuse=x)
     assert got.iterations[0].cost == x.cost
     assert_same_run(got, optimize(sys_, x0, u0, cfg))
+
+
+def test_a_run_keeps_no_solver_steps_but_on_the_callers_curve():
+    # the line search replays the incumbent's solver steps; once the run
+    # is over nothing does, so the trajectory it solved holds none, while
+    # the caller's reuse curve keeps its own
+    sys_, x0 = vehicle_system(), vehicle_initial_state()
+    u0 = constant_schedule(2, HORIZON_DEFAULT, 4)
+    x = integrate_state(sys_, x0, u0)
+    kept = list(x._steps)
+    assert all(s is not None for s in kept)
+    for cfg in (OptimizerConfig(max_iter=0), OptimizerConfig(max_iter=2)):
+        res = optimize(sys_, x0, u0, cfg)
+        assert res.trajectory._steps == [None] * res.schedule.n_segments
+    stepped = optimize(sys_, x0, u0, OptimizerConfig(max_iter=2), reuse=x)
+    assert stepped.trajectory is not x
+    assert stepped.trajectory._steps == [None] * stepped.schedule.n_segments
+    # a run that takes no step returns the caller's curve as it was
+    unstepped = optimize(sys_, x0, u0, OptimizerConfig(max_iter=0), reuse=x)
+    assert unstepped.trajectory is x
+    assert x._steps == kept
 
 
 def test_line_search_failure_keeps_last_iterate(monkeypatch):
