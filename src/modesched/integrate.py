@@ -7,16 +7,19 @@ explicit Runge-Kutta method DOP853 (Dormand-Prince 8(5,3)) with scipy's
 tableau, step control and operation order, so it takes scipy's steps to
 the bit.  The running cost rides along as a quadrature: the stages call
 the mode field alone, and the accumulator's stage derivatives come from
-one batched ``running_cost`` call per attempted step.  The solution is
-read on (time, value, derivative) knots, the solver's steps merged with a
-uniform grid of spacing ``horizon / KNOTS_PER_HORIZON`` or a finer
-``knot_spacing`` (:func:`knot_grid`), and the three extra stages of
-DOP853's dense output are taken only on steps that hold a knot inside
-them.  An integration with a cost bound is abandoned at the first point
-it solves (a segment start or an accepted step end) where its cost can
-no longer come in under the bound, and it stops there; it reads its
-knots (those dense stages and the knot slopes) only once its last
-segment is solved.
+one batched ``running_cost`` call per attempted step.  The loop only
+steps: it keeps its accepted steps, stage rows included, as a
+:class:`Steps` record, and chooses no knot.  Once every segment of an
+integration is solved, each segment's solution is read from its record
+(:func:`read_knots`) on (time, value, derivative) knots, the solver's
+steps merged with a uniform grid of spacing ``horizon /
+KNOTS_PER_HORIZON`` or a finer ``knot_spacing`` (:func:`knot_grid`); the
+three extra stages of DOP853's dense output are taken only on steps that
+hold a knot inside them.  A segment of any length, one float spacing
+included, is solved and read the same way.  An integration with a cost
+bound is abandoned at the first point it solves (a segment start or an
+accepted step end) where its cost can no longer come in under the bound,
+and it stops there, having read no knot.
 A curve keeps each segment's solver steps, stage rows included.  An
 integration that reuses an earlier curve copies the whole leading
 segments the two schedules share; the next segment, when it starts in the
@@ -113,8 +116,8 @@ class SwitchedSystem:
     The forward solver calls ``mode_field`` once per Runge-Kutta stage, on
     a single ``(n,)`` state: about 20.0k stages in the 50-window power
     receding-horizon run, where the three dense-output stages of a step
-    are only taken when a knot lies inside it, and by a bounded
-    integration only once it has solved every segment.  Per-call overhead
+    are only taken when a knot lies inside it, and only once the
+    integration has solved every segment.  Per-call overhead
     dominates there, so a model should compute whatever does not depend on
     the state once, when it builds the callables, rather than inside them.
     The cost accumulator is a quadrature that no derivative reads, so
@@ -421,17 +424,16 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     :func:`solve_ivp`'s ``stop`` runs the same test, so the result's
     ``time`` is where the integration really stopped.  Nothing is tested
     between accepted steps, so an integration that is not abandoned takes
-    the same steps, and gives the same bits, as one without a bound.  A
-    bounded integration reads its knots only once every segment is
-    solved: each segment keeps the stage rows of its steps that hold an
-    inner knot, and their dense stages and the knot slopes are taken at
-    the end, so an abandoned one takes none of them.
+    the same steps, and gives the same bits, as one without a bound.  An
+    integration reads its knots only once every segment is solved, from
+    each segment's recorded steps (:func:`read_knots`, then the knot
+    slopes), so an abandoned one takes no dense stage and no slope.
 
     Parameters
     ----------
     sys : SwitchedSystem
     x0 : array_like, shape (n,)
-        Initial state.
+        Initial state; ``ValueError`` unless it is finite.
     schedule : ModeSchedule
     rtol, atol : float
         Solver tolerances (applied to state and accumulator alike).
@@ -465,10 +467,13 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     x0 = np.asarray(x0, float)
     if x0.shape != (sys.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.dim},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0}")
     n = sys.dim
     inputs = (sys, schedule, rtol, atol, knot_spacing)
     x_segs, c_segs, steps, replay = _shared_prefix(inputs, x0, reuse)
-    if len(x_segs) == schedule.n_segments:
+    k = len(x_segs)
+    if k == schedule.n_segments:
         return reuse
     if x_segs:
         z = np.concatenate([x_segs[-1][1][-1], c_segs[-1][1][-1]])
@@ -480,22 +485,21 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     if cost_bound is not None and floor is not None:
         def stop(t, zz):
             return zz[n] + floor * (T - t) - cost_bound
-    reads = []
-    for i in range(len(x_segs), schedule.n_segments):
+    for i in range(k, schedule.n_segments):
         if stop is not None and stop(bnds[i], z) > 0.0:
             return Abandoned(float(bnds[i]))
-        seg = _solve_segment(sys, schedule.sequence[i], bnds[i],
-                             bnds[i + 1], z, rtol, atol, T, knot_spacing,
-                             stop=stop, replay=replay)
-        if isinstance(seg, Abandoned):
-            return seg
-        z, read, record = seg
-        reads.append(read)
-        steps.append(record)
+        sol = solve_ivp(_mode_fun(sys, schedule.sequence[i]),
+                        (bnds[i], bnds[i + 1]), z, rtol, atol, stop,
+                        quad=sys.running_cost, replay=replay)
+        if sol.t_stop is not None:
+            return Abandoned(float(sol.t_stop))
+        steps.append(sol.steps)
+        z = sol.steps.y[-1]
         replay = None
     # every segment is solved: only now are the knots read
-    for read in reads:
-        ts, zs, fs = read()
+    for i in range(k, schedule.n_segments):
+        ts, zs, fs = _read_segment(sys, schedule.sequence[i], steps[i], T,
+                                   knot_spacing)
         x_segs.append((ts, zs[:, :n], fs[:, :n]))
         c_segs.append((ts, zs[:, n:], fs[:, n:]))
     return _state_curve(inputs, x_segs, c_segs, steps)
@@ -549,7 +553,7 @@ def _shift_curve(x, dt, schedule):
     ``x`` is an :func:`integrate_state` result.  On ``[dt, T]`` it already
     solves the shifted schedule's ODE from ``x(dt)``, so its knots there
     are kept, moved to ``t - dt``, with ``x.cost_at(dt)`` taken off the
-    accumulator.  Knots within :func:`solve_ivp`'s knot merging distance
+    accumulator.  Knots within :func:`read_knots`'s knot merging distance
     of ``dt`` give way to a new first knot at ``x(dt)``; only the padded tail
     ``[T - dt, T]`` is solved, in the held final mode, from the pinned end
     knot.  The result names ``schedule`` and ``x(dt)`` as its inputs, so it
@@ -572,9 +576,10 @@ def _shift_curve(x, dt, schedule):
     segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
                np.vstack([f0, fs[keep]]))
     ts, zs, fs = segs[-1]
-    _, read, _ = _solve_segment(sys, sched.sequence[-1], float(ts[-1]), T,
-                                zs[-1], rtol, atol, T, knot_spacing)
-    tts, tzs, tfs = read()
+    m = sched.sequence[-1]
+    sol = solve_ivp(_mode_fun(sys, m), (float(ts[-1]), T), zs[-1], rtol,
+                    atol, quad=sys.running_cost)
+    tts, tzs, tfs = _read_segment(sys, m, sol.steps, T, knot_spacing)
     segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
                 np.vstack([fs, tfs[1:]]))
     n = sys.dim
@@ -600,50 +605,25 @@ def knot_grid(t0, t1, horizon, knot_spacing=None):
     return np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0) / h)) + 1))
 
 
-def _solve_segment(sys, m, t0, t1, z0, rtol, atol, horizon, knot_spacing,
-                   stop=None, replay=None):
-    """One smooth segment in mode ``m``, solved forward from ``t0`` to
-    ``t1`` with the running-cost accumulator as :func:`solve_ivp`'s
-    quadrature.
-
-    Solves, and reads the solution on the union of the solver's steps and
-    :func:`knot_grid`, with the knot derivatives from one
-    :func:`_knot_slopes` call.  Returns ``(z1, read, steps)``, where ``z1``
-    is the solution at ``t1``, ``steps`` the solve's :class:`Steps`
-    (``None`` for a sliver, which takes no solver step) and ``read()``
-    returns the knots ``(ts, zs, fs)``: with a ``stop`` it first takes the
-    dense stages of the inner knots, which :func:`solve_ivp` defers, and
-    it takes the slopes, so neither is paid for by a solve that is then
-    abandoned.  A ``stop`` that stops the solve gives :class:`Abandoned`
-    at the step end where it stopped instead; a sliver is not tested.
-    ``replay`` is passed on to :func:`solve_ivp`:
-    the steps of this segment's solve in mode ``m`` from ``(t0, z0)`` to
-    another end.
-    """
+def _mode_fun(sys, m):
+    """Mode ``m``'s field as :func:`solve_ivp`'s ``fun(t, x)``."""
     mode_field = sys.mode_field
 
-    def field(t, x):
+    def fun(t, x):
         return mode_field(m, x)
 
-    read_inner = steps = None
-    if t1 - t0 < 1e-13 * horizon:  # degenerate sliver: one explicit step
-        z1 = z0 + (t1 - t0) * _with_quad(field, sys.running_cost)(t0, z0)
-        ts = np.array([t0, t1])
-        zs = np.array([z0, z1])
-    else:
-        sol = solve_ivp(field, (t0, t1), z0, rtol, atol, stop=stop,
-                        grid=knot_grid(t0, t1, horizon, knot_spacing),
-                        quad=sys.running_cost, replay=replay)
-        if sol.t_stop is not None:
-            return Abandoned(float(sol.t_stop))
-        ts, zs, read_inner, steps = sol.ts, sol.zs, sol.read_inner, sol.steps
+    return fun
 
-    def read():
-        if read_inner is not None:
-            read_inner()
-        return ts, zs, _knot_slopes(sys, m, zs)
 
-    return zs[-1], read, steps
+def _read_segment(sys, m, steps, horizon, knot_spacing):
+    """The knots ``(ts, zs, fs)`` of a segment solved in mode ``m`` with
+    the running-cost accumulator as its quadrature, from its
+    :class:`Steps`: :func:`read_knots` on :func:`knot_grid`, and the knot
+    slopes from one :func:`_knot_slopes` call."""
+    ts, zs = read_knots(_mode_fun(sys, m), sys.running_cost, steps,
+                        knot_grid(steps.t[0], steps.t[-1], horizon,
+                                  knot_spacing))
+    return ts, zs, _knot_slopes(sys, m, zs)
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations
@@ -660,16 +640,18 @@ _EPS = np.finfo(float).eps
 
 
 class Steps(NamedTuple):
-    """The accepted steps of a :func:`solve_ivp` solve that ran to its
-    end: what another solve of the same problem from the same start
-    replays (its ``replay``).  ``t``, ``y`` and ``K`` are shared with
-    the solves that replay them, and never written."""
+    """The accepted steps of a :func:`solve_ivp` solve.  Those of a solve
+    that ran to its end are what its knots are read from
+    (:func:`read_knots`) and what another solve of the same problem from
+    the same start replays (its ``replay``).  ``t``, ``y`` and ``K`` are
+    shared with the solves that replay them, and never written."""
 
     #: the first-step selection's ``h0`` before it is clipped to the end,
     #: and ``h1``
     h0: float
     h1: float
-    #: step times from ``t0`` to ``t1``, and the solution there
+    #: step times from ``t0`` to ``t1`` (or to the step end where the
+    #: solve stopped), and the solution there
     t: list
     y: list
     #: per step: its first attempted ``h_abs``, the ``h_abs`` it proposes
@@ -683,28 +665,16 @@ class Steps(NamedTuple):
 class Solution(NamedTuple):
     """A :func:`solve_ivp` result."""
 
-    #: step times, ``t0`` first
-    t: np.ndarray
-    #: knot times from ``t0`` to ``t1``, and the solution there, ``(k, n)``;
-    #: ``None`` when the solve was stopped
-    ts: np.ndarray | None
-    zs: np.ndarray | None
+    #: the accepted steps, up to ``t_stop`` for a stopped solve
+    steps: Steps
     #: the step end where ``stop`` first passed zero, or ``None``
     t_stop: float | None
-    #: ``fun`` calls made inside the call, dense-output stages included
-    #: but for those that ``read_inner`` defers
+    #: ``fun`` calls made inside the call: the first-step selection's and
+    #: the stages of every attempted step
     nfev: int
-    #: for a solve with ``stop`` that ran to ``t1``, the deferred read of
-    #: its inner knots: a call takes the dense stages of the steps that
-    #: hold them, fills their rows of ``zs`` (NaN until then) and returns
-    #: the ``fun`` calls it made; ``None`` for every other solve
-    read_inner: callable | None = None
-    #: the accepted steps of a solve that ran to ``t1``, else ``None``
-    steps: Steps | None = None
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
-              replay=None):
+def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
     """The package's own DOP853 solve of ``y' = [fun(t, x), quad(x)]``
     over ``t_span = (t0, t1)``, ``t0 < t1``, where ``y = [x, q]``.
 
@@ -713,36 +683,23 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
     ``(n-1,)`` and returns a float array ``(n-1,)``; ``quad(xs)`` takes a
     stack ``(k, n-1)`` and returns ``(k,)``.  The stages call ``fun`` only;
     the quadrature's stage derivatives come from one ``quad`` call on the
-    stacked stage inputs per attempted step (and one per step with dense
-    stages), the first-step selection's from two single-row calls.  When
-    each row of a stacked ``quad`` call holds the bits of a call on that
-    row alone, this takes the steps, and gives the bits, of
-    ``scipy.integrate.solve_ivp`` with ``method="DOP853"``, ``rtol`` and
-    ``atol`` on the full right-hand side: the same first-step selection
-    (one extra call), Runge-Kutta stages, error norm and step-size
-    control, in the same operation order.
-
-    The solution is read at the knots: the step times and the points of
-    the sorted ``grid`` (within ``t_span``), with every point that lies
-    within ``1e-14 max(1, |t1|)`` of the one before it dropped, and the
-    last knot moved to ``t1``; ``t1`` itself is kept when every knot after
-    ``t0`` was dropped, so a solve has at least its two ends.  A knot at
-    a step time is the step's end point as scipy's dense output gives it
-    there; a knot inside a step is read from the step's dense output,
-    whose three extra stages are taken only on such steps.  The values
-    are those of scipy's ``sol(ts)``, except that the first and last knots
-    hold ``y0`` and the end state.
+    stacked stage inputs per attempted step, the first-step selection's
+    from two single-row calls.  When each row of a stacked ``quad`` call
+    holds the bits of a call on that row alone, this takes the steps, and
+    gives the bits, of ``scipy.integrate.solve_ivp`` with
+    ``method="DOP853"``, ``rtol`` and ``atol`` on the full right-hand
+    side: the same first-step selection (one extra call), Runge-Kutta
+    stages, error norm and step-size control, in the same operation
+    order.  The solve only steps: its accepted steps, stage rows
+    included, are its :class:`Steps`, from which :func:`read_knots` reads
+    the solution anywhere in ``t_span`` once it has ended.
 
     ``stop(t, y)``, if given, is tested at each accepted step end, ``t1``
     included, and the solve stops at the first end where it is positive:
-    ``t_stop`` is that end, and no dense stage is taken.  Where ``stop``
-    is negative at the ends before it, a terminal rising scipy event
-    would find its root inside the step that ends there.  A solve with
-    ``stop`` that runs to ``t1`` may still be abandoned by its caller, so
-    it defers its inner knots: their rows of ``zs`` are NaN until
-    ``read_inner()`` takes the dense stages and fills them, with the bits
-    an eager read gives.  ``nfev`` counts the ``fun`` calls made inside
-    the call.
+    ``t_stop`` is that end.  Where ``stop`` is negative at the ends before
+    it, a terminal rising scipy event would find its root inside the step
+    that ends there.  ``nfev`` counts the ``fun`` calls made inside the
+    call.
 
     ``replay`` is the :class:`Steps` of a solve of the same ``fun``,
     ``quad``, tolerances and ``y0`` from the same ``t0`` to another end.
@@ -750,14 +707,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
     one, so they are not taken again: the recorded first-step selection
     when its ``h0`` fits before both ends, and then each recorded step
     whose first attempt ends before both, are copied, stage rows
-    included, and the solve goes on live from the last of them.  Every
-    other part of the loop (the ``stop`` test at each step end, the knots
-    and their deferred dense output) runs on the copied steps as on its
-    own, so the result holds the bits of a solve without ``replay``, and
-    only ``nfev`` is lower.
+    included, and the solve goes on live from the last of them.  The
+    ``stop`` test runs on the copied steps as on its own, so the result
+    holds the bits of a solve without ``replay``, and only ``nfev`` is
+    lower.
 
     Raises ``RuntimeError`` naming ``t_span`` when the step size falls
-    below ten spacings of floating-point numbers at ``t``.
+    below ten spacings of floating-point numbers at ``t``, or is not a
+    number (a state or field that is not finite).
     """
     t, t1 = map(float, t_span)
     y = np.asarray(y0, float)
@@ -767,24 +724,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
         warnings.warn(f"rtol {rtol} is too small; using {100 * _EPS}",
                       stacklevel=2)
         rtol = 100 * _EPS
-    grid = np.asarray(grid, float).tolist()
-    merge = _KNOT_MERGE * max(1.0, abs(t1))
-    # stage rows; the first 13 hold a step's stages and its end slope, the
-    # last three the dense output's extra stages.  Row Z[s - 1] holds the
-    # input of stage s (Z[11] the step end).  Each stage combines the rows
-    # of K before it through the transposed view, as scipy does; its
-    # first m columns never read K's quadrature column, which is filled
-    # once all the stage inputs are known.
-    K = np.zeros((_dop853.N_STAGES_EXTENDED, n))
-    Z = np.empty((len(K) - 1, n))
-    stages = [(K[s, :m], K[:s].T, _A[s, :s], _C[s], Z[s - 1], Z[s - 1, :m])
-              for s in range(1, len(K))]
-    stages, extra = stages[:_S - 1], stages[_S:]
-    KT_b, KT_e = K[:_S].T, K[:_S + 1].T
-    # the quadrature's stage inputs and derivatives (its last column), a
-    # step's and the dense output's
-    xq, kq = Z[:_S, :m], K[1:_S + 1, -1]
-    xq_extra, kq_extra = Z[_S:, :m], K[_S + 1:, -1]
+    # a step's stage rows: its stages and its end slope, K[_S]
+    K = np.zeros((_S + 1, n))
+    Z = np.empty((_S, n))
+    stages = _stages(K, Z, range(1, _S))
+    KT_b, KT_e = K[:_S].T, K.T
+    # the quadrature's stage inputs and derivatives (its last column)
+    xq, kq = Z[:, :m], K[1:, -1]
 
     # a replayed step ends before both ends, so neither clipped it
     end = t1 if replay is None else min(t1, replay.t[-1])
@@ -813,9 +759,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
     h_abs = min(100 * h, h1, t1 - t)
     record = Steps(h0, h1, [t], [y], [], [], [])
 
-    # the knots' times, and the rows and values of those at step ends;
-    # the steps that hold inner knots wait in pending for dense output
-    steps, knot_t, end_rows, end_z, pending = record.t, [t], [0], [y], []
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -826,15 +769,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
                 and h_abs == replay.h_first[j]:
             # the recorded step, stage rows included; any attempts it
             # rejected were as short and were not clipped either
-            K[:_S + 1] = rows = replay.K[j]
-            t_new, y_new = replay.t[j + 1], replay.y[j + 1]
-            h, h_abs = t_new - t, replay.h_next[j]
+            K[:] = rows = replay.K[j]
+            t, y, h_abs = replay.t[j + 1], replay.y[j + 1], replay.h_next[j]
         else:
             replay = None
             K[0] = K[_S]  # the slope at the step start
             rejected = False
             while True:
-                if h_abs < min_step:
+                if not h_abs >= min_step:  # a NaN step size too
                     raise RuntimeError(
                         f"integration failed on [{t_span[0]}, {t_span[1]}]: "
                         "Required step size is less than spacing between "
@@ -875,59 +817,80 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, grid=(), *, quad,
                 h_abs *= max(_MIN_FACTOR,
                              _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
-            rows = K[:_S + 1].copy()
-
-        t_old, y_old, t, y = t, y, t_new, y_new
-        steps.append(t)
+            rows = K.copy()
+            t, y = t_new, y_new
+        record.t.append(t)
         record.y.append(y)
         record.h_next.append(h_abs)
         record.K.append(rows)
         if stop is not None and stop(t, y) > 0.0:
-            return Solution(np.array(steps), None, None, t, nfev)
+            return Solution(record, t, nfev)
+    return Solution(record, None, nfev)
+
+
+def read_knots(fun, quad, steps, grid):
+    """The knots ``(ts, zs)`` of a :func:`solve_ivp` solve of ``fun`` and
+    ``quad`` that ran to its end, read from its :class:`Steps` ``steps``.
+
+    The knots are the step times and the points of the sorted ``grid``
+    strictly inside a step, with every point that lies within ``1e-14
+    max(1, |t1|)`` of the one before it dropped, and the last knot moved
+    to ``t1``; ``t1`` itself is kept when every knot after ``t0`` was
+    dropped, so a solve has at least its two ends.  A knot at a step time
+    is the step's end point as scipy's dense output gives it there,
+    ``y_old + (y - y_old)``; a knot inside a step is read from the step's
+    dense output, whose three extra stages are taken only on such steps,
+    with one ``fun`` call each and one ``quad`` call on the three.  The
+    values are those of scipy's ``sol(ts)``, except that the first and
+    last knots hold ``y0`` and the end state.
+    """
+    t, y = steps.t, steps.y
+    merge = _KNOT_MERGE * max(1.0, abs(t[-1]))
+    grid = np.asarray(grid, float).tolist()
+    # the dense output's stage rows: a step's 13, then its 3 extra stages
+    K = np.zeros((_dop853.N_STAGES_EXTENDED, len(y[0])))
+    Z = np.empty((len(K) - 1, len(y[0])))
+    extra = _stages(K, Z, range(_S + 1, len(K)))
+    xq, kq = Z[_S:, :-1], K[_S + 1:, -1]
+    ts, zs = [t[0]], [y[0]]
+    for j in range(len(t) - 1):
+        t_old, t_end, y_old, y_end = t[j], t[j + 1], y[j], y[j + 1]
         # grid points inside the step, each kept if clear of the point
-        # before it; the step end likewise.  Inner knots wait for the end
-        # of the solve, so a stopped solve takes no dense stages.
+        # before it; the step end likewise
         inside = grid[bisect.bisect_right(grid, t_old):
-                      bisect.bisect_left(grid, t)]
+                      bisect.bisect_left(grid, t_end)]
         kept = [p for p, q in zip(inside, [t_old] + inside[:-1])
                 if p - q > merge]
         if kept:
-            pending.append((len(knot_t), rows, np.array(kept),
-                            (t_old, y_old, y, h)))
-            knot_t += kept
-        if t - (inside[-1] if inside else t_old) > merge:
-            end_rows.append(len(knot_t))
-            knot_t.append(t)
-            end_z.append(y_old + (y - y_old))  # the dense output at x = 1
-    if len(knot_t) == 1:  # every knot after t0 merged: keep the end
-        knot_t.append(t1)
-    knot_t[-1] = t1
-    zs = np.full((len(knot_t), n), np.nan)
-    zs[end_rows] = end_z
-    zs[-1] = y
-
-    def read_inner():
-        """Fill the inner knots' rows of ``zs`` from their steps' dense
-        output, after its three extra stages; the ``fun`` calls it made."""
-        for i, rows, kept, (t_old, y_old, y_end, h) in pending:
-            K[:_S + 1] = rows
+            h = t_end - t_old
+            K[:_S + 1] = steps.K[j]
             for k, KT, a, c, z, x in extra:
                 np.add(y_old, np.dot(KT, a) * h, z)
                 k[:] = fun(t_old + c * h, x)
-            kq_extra[:] = quad(xq_extra)
-            dense = _interpolant(K, t_old, y_old, y_end, h)
-            zs[i:i + len(kept)] = dense(kept)
-        zs[-1] = y  # the last knot, moved to t1, may be an inner one
-        return len(extra) * len(pending)
+            kq[:] = quad(xq)
+            ts += kept
+            zs.extend(_interpolant(K, t_old, y_old, y_end, h)(np.array(kept)))
+        if t_end - (inside[-1] if inside else t_old) > merge:
+            ts.append(t_end)
+            zs.append(y_old + (y_end - y_old))  # the dense output at x = 1
+    if len(ts) == 1:  # every knot after t0 merged: keep the end
+        ts.append(t[-1])
+        zs.append(y[-1])
+    ts[-1], zs[-1] = t[-1], y[-1]
+    return np.array(ts), np.array(zs)
 
-    # a bounded solve's caller may yet abandon it, and reads the inner
-    # knots once it can no longer do so
-    if stop is not None:
-        return Solution(np.array(steps), np.array(knot_t), zs, None, nfev,
-                        read_inner, record)
-    nfev += read_inner()
-    return Solution(np.array(steps), np.array(knot_t), zs, None, nfev, None,
-                    record)
+
+def _stages(K, Z, ss):
+    """Per stage ``s`` of ``ss``, of a step whose stage rows are ``K``:
+    ``(k, KT, a, c, z, x)``, its row ``k`` of ``K`` in the ``m`` columns
+    ``fun`` gives, the rows before it transposed (each stage combines them
+    as scipy does), its tableau row ``a`` and node ``c``, and its input
+    row ``z = Z[s - 1]`` with ``x`` the ``m`` columns ``fun`` reads.
+    Those ``m`` columns never read ``K``'s quadrature column, which is
+    filled once all the stage inputs are known."""
+    m = K.shape[1] - 1
+    return [(K[s, :m], K[:s].T, _A[s, :s], _C[s], Z[s - 1], Z[s - 1, :m])
+            for s in ss]
 
 
 def _with_quad(fun, quad):

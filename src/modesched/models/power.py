@@ -44,6 +44,9 @@ class PowerNetwork:
         Mechanical input powers (per unit).
     f_s : float
         Synchronous frequency (Hz).
+
+    ``ValueError`` unless ``Y``, ``E`` and ``Pm`` are finite and ``H`` and
+    ``f_s`` finite and positive.
     """
 
     Y: list
@@ -66,6 +69,15 @@ class PowerNetwork:
                 )
         if not len(self.H) == len(self.Pm) == n:
             raise ValueError("E, H, Pm must have one entry per generator")
+        # a machine without inertia or a network of non-numbers has no
+        # swing dynamics: the integration would fail far from the cause
+        if not all(np.isfinite(a).all() for a in (*self.Y, self.E, self.Pm)):
+            raise ValueError("Y, E and Pm must be finite")
+        if not np.all(np.isfinite(self.H) & (self.H > 0)):
+            raise ValueError(f"H must be finite and positive, got {self.H}")
+        if not (_is_finite(self.f_s) and self.f_s > 0):
+            raise ValueError(
+                f"f_s must be finite and positive, got {self.f_s!r}")
 
     @property
     def n_gen(self):

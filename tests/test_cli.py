@@ -169,6 +169,24 @@ def test_dry_run_rejects_a_disturbance_it_would_coerce(tmp_path, capsys,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gen, key, value", [
+    (0, "H", 0.0), (1, "H", -3.0), (2, "H", math.inf), (0, "E", math.nan),
+    (1, "Pm", math.inf), (None, "f_s", 0.0), (None, "f_s", math.nan),
+])
+def test_horizon_rejects_an_impossible_machine(tmp_path, capsys, gen, key,
+                                              value):
+    # a machine without inertia used to end the run in divide-by-zero
+    # warnings and "integration failed" with exit 1; the network is now
+    # refused when it is loaded, before any run
+    net = json.loads(THREE_MACHINE.read_text())
+    (net if gen is None else net["generators"][gen])[key] = value
+    cfg = power_cfg()
+    cfg["model"]["network"] = write_cfg(tmp_path, net, "net.json")
+    assert main(["horizon", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "bad network description" in err and key in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("window", True), ("window", "1.0"), ("advance", True),
     ("advance", "0.4")])

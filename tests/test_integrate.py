@@ -783,7 +783,7 @@ def test_a_replayed_segment_is_a_fresh_solve_to_the_bit(case):
         return
     # the selection's two calls, and 12 for each step replayed before the
     # solve ended or stopped, more for one that rejected an attempt
-    took = min(r, len(solves[0][1].t) - 1)
+    took = min(r, len(solves[0][1].steps.t) - 1)
     assert saved[0] >= 2 + 12 * took and (saved[0] - 2) % 12 == 0
     if all(record.t[j] + record.h_first[j] == record.t[j + 1]
            for j in range(took)):
@@ -1046,10 +1046,20 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
     tol = dict(rtol=p["rtol"], atol=p["atol"])
 
     def own_solve(end, **kwargs):
+        return integrate.solve_ivp(own_fun, (t0, end), z0, p["rtol"],
+                                   p["atol"], quad=quad, **kwargs)
+
+    def own_knots(end, steps):
+        # the knots read from the record, and the fun calls the read makes
+        calls = []
+
+        def counted(t, x):
+            calls.append(t)
+            return own_fun(t, x)
+
         grid = np.linspace(t0, end, max(2, int(np.ceil((end - t0)
                                                        / p["spacing"])) + 1))
-        return integrate.solve_ivp(own_fun, (t0, end), z0, p["rtol"],
-                                   p["atol"], grid=grid, quad=quad, **kwargs)
+        return (*integrate.read_knots(counted, quad, steps, grid), len(calls))
 
     whole = own_solve(t1)
     # the solve to t1; then solves that replay the steps of another solve
@@ -1063,20 +1073,25 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
                         dense_output=True, **tol)
         assert ref.success
         own = own_solve(end, replay=replay)
-        assert bits(own.t) == bits(ref.t)
-        assert bits(own.zs[-1]) == bits(ref.y[:, -1])
+        assert own.t_stop is None
+        assert bits(own.steps.t) == bits(ref.t)
+        own_ts, own_zs, dense_calls = own_knots(end, own.steps)
+        assert bits(own_zs[-1]) == bits(ref.y[:, -1])
         ts = reference_knots(t0, end, ref.t, p["spacing"])
-        assert bits(own.ts) == bits(ts)
-        assert bits(own.zs[0]) == bits(z0)
+        assert bits(own_ts) == bits(ts)
+        assert bits(own_zs[0]) == bits(z0)
         if len(ts) > 2:
-            assert bits(own.zs[1:-1]) == bits(ref.sol(ts[1:-1]).T)
-        # dense stages only on the steps with a knot strictly inside
+            assert bits(own_zs[1:-1]) == bits(ref.sol(ts[1:-1]).T)
+        # the solve takes no dense stage; the read takes them only on the
+        # steps with a knot strictly inside
+        steps = len(ref.t) - 1
         bare = sum(not np.any((ts > lo) & (ts < hi))
                    for lo, hi in zip(ref.t[:-1], ref.t[1:]))
+        assert dense_calls == 3 * (steps - bare)
         if replay is None or min(end, replay.t[-1]) - t0 < replay.h0:
-            assert own.nfev == ref.nfev - 3 * bare
+            assert own.nfev == ref.nfev - 3 * steps
         else:
-            assert own.nfev < ref.nfev - 3 * bare
+            assert own.nfev < ref.nfev - 3 * steps
 
     # a stop that crosses zero mid-interval, through the state and the
     # last component (a system's cost accumulator) as well, in a solve of
@@ -1090,12 +1105,12 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
     assert ref.status == 1
     for replay in (None, whole.steps):
         own = own_solve(t1, stop=stop, replay=replay)
-        assert own.ts is None and own.zs is None and own.steps is None
+        own_t = own.steps.t
         # scipy's last time is the root it found inside the crossing step
-        assert bits(own.t[:-1]) == bits(ref.t[:-1])
-        assert own.t_stop == own.t[-1]
-        assert own.t[-2] < ref.t_events[0][0] <= own.t_stop
-        assert own.t_stop == whole.t[len(own.t) - 1]
+        assert bits(own_t[:-1]) == bits(ref.t[:-1])
+        assert own.t_stop == own_t[-1]
+        assert own_t[-2] < ref.t_events[0][0] <= own.t_stop
+        assert own.t_stop == whole.steps.t[len(own_t) - 1]
         # scipy takes the crossing step's dense stages, which this skips
         if replay is None:
             assert own.nfev == ref.nfev - 3
@@ -1117,16 +1132,57 @@ def test_a_blow_up_fails_naming_the_interval():
         integrate_state(sys_, [1.0], constant_schedule(1, 2.0, 1))
 
 
+#: a vehicle run that is not finite at its start: a NaN in ``x0``, for
+#: the integration alone and for the descent and receding-horizon drivers,
+#: and a mode field that is NaN at a start state off the origin (at the
+#: origin the first step is the fixed 1e-6, which used to fail in time)
+NOT_FINITE_RUNS = {
+    "x0": ("x0 = [math.nan, 0.0, 0.0, 0.0]",
+           "integrate_state(sys_, x0, sched)", "ValueError: x0 must be"),
+    "x0 optimize": ("x0 = [math.nan, 0.0, 0.0, 0.0]",
+                    "optimize(sys_, x0, sched)", "ValueError: x0 must be"),
+    "x0 horizon": ("x0 = [math.nan, 0.0, 0.0, 0.0]",
+                   "receding_horizon(sys_, x0, sched, 2)",
+                   "ValueError: x0 must be"),
+    "field": ("sys_ = dataclasses.replace(sys_, mode_field=lambda i, x: "
+              "np.full(np.shape(x), math.nan)); "
+              "x0 = vehicle_initial_state([1.0, 1.0, 0.5])",
+              "integrate_state(sys_, x0, sched)",
+              r"RuntimeError: integration failed on [0.0, 1.0]: Required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FINITE_RUNS))
+def test_a_run_that_is_not_finite_fails_at_once(case):
+    # these used to hang: the first step size was NaN, which no test of
+    # the step size ever caught.  The run is a subprocess with a timeout,
+    # so a hang fails the test instead of the suite
+    setup, call, error = NOT_FINITE_RUNS[case]
+    code = "\n".join([
+        "import dataclasses, math", "import numpy as np",
+        "from modesched import (constant_schedule, integrate_state, "
+        "optimize, receding_horizon)",
+        "from modesched.models import vehicle_initial_state, vehicle_system",
+        "sys_, x0 = vehicle_system(), vehicle_initial_state()",
+        "sched = constant_schedule(1, 1.0, 4)", setup, call])
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 1
+    assert run.stderr.strip().splitlines()[-1].startswith(error), run.stderr
+
+
 def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
                                                          monkeypatch):
     # the benchmark's tracer (bench/tracing.py) patches the name
     # modesched.integrate.solve_ivp, times each call and adds up the nfev
     # of what it returns; count_solves reads args[1] as (t0, t1).  Both
     # must keep seeing every segment solve and every right-hand side call
-    # a solve makes.  A bounded solve that runs to its end leaves the
-    # dense stages of its inner knots to integrate_state, which takes them
-    # after the call, once no segment can be abandoned: they are in
-    # neither count.
+    # a solve makes.  A solve only steps: integrate_state reads its knots
+    # from its recorded steps after the call, once every segment is
+    # solved, so the dense stages of the inner knots are in neither count.
     real = integrate.solve_ivp
     seen = []
 
@@ -1179,10 +1235,10 @@ def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
                                                     monkeypatch, bounded):
     # the stages call the mode field alone; the accumulator's stage
     # derivatives come from one running_cost call per attempted step on
-    # its 12 stage inputs, one per step with dense stages on their 3, and
-    # two single-row calls in the first-step selection.  The knots' slopes
-    # take one more call, on all the knots at once; a stopped solve takes
-    # neither dense stages nor slopes.
+    # its 12 stage inputs, and two single-row calls in the first-step
+    # selection.  The knot read after the solve takes one call per step
+    # with dense stages on their 3, and the knots' slopes one more, on all
+    # the knots at once; a stopped solve is read for neither.
     rows = []
 
     def cost(x):
@@ -1211,12 +1267,15 @@ def test_the_cost_is_called_once_per_attempted_step(vehicle, vehicle_x0,
     if bounded:
         assert rows[-1] == (12, n)
     else:
-        assert rows.pop() == (len(sol.ts), n)
+        assert rows.pop() == (len(out.knots[0][0]), n)
     assert rows[:2] == [(1, n), (1, n)]
     attempts, dense = rows.count((12, n)), rows.count((3, n))
     assert attempts + dense == len(rows) - 2
-    assert attempts >= len(sol.t) - 1 and (dense > 0) != bounded
-    assert sol.nfev == 2 + 12 * attempts + 3 * dense
+    # the read follows the solve: no attempt after the first dense stage
+    if dense:
+        assert (12, n) not in rows[rows.index((3, n)):]
+    assert attempts >= len(sol.steps.t) - 1 and (dense > 0) != bounded
+    assert sol.nfev == 2 + 12 * attempts
 
 
 def recording_system(sys_, log):
@@ -1301,13 +1360,16 @@ def test_a_curve_builds_its_tables_on_its_first_query():
 
 
 @pytest.mark.parametrize("T, L", [(0.01, 5e-15), (1.0, 5e-15),
-                                  (100.0, 5e-13), (1e-3, 1e-16)])
+                                  (100.0, 5e-13), (1e-3, 1e-16),
+                                  (1.0, None), (5.5, None), (100.0, None)])
 def test_a_short_segment_keeps_its_two_end_knots(vehicle, vehicle_x0, T, L):
-    # a segment shorter than the knot merge, 1e-14 max(1, |t1|), but not
-    # below the sliver bound, 1e-13 T (a horizon under 1), used to lose
-    # its end knot; every segment now has at least its two ends, and a
+    # a segment shorter than the knot merge, 1e-14 max(1, |t1|), used to
+    # lose its end knot when it was not below a separate sliver bound;
+    # every segment, down to one float spacing long (L None), is now
+    # solved by the one step loop and has at least its two ends, and a
     # segment that short changes the trajectory at solver accuracy only
-    sched = ModeSchedule((1, 2, 1), (T / 2, T / 2 + L), T, 4)
+    t1 = math.nextafter(T / 2, math.inf) if L is None else T / 2 + L
+    sched = ModeSchedule((1, 2, 1), (T / 2, t1), T, 4)
     x = integrate_state(vehicle, vehicle_x0, sched)
     ts = x.knots[1][0]
     assert len(ts) == 2 and tuple(ts) == sched.segment_bounds(1)

@@ -206,6 +206,22 @@ def test_load_network_direct_layout():
         np.testing.assert_allclose(other.H, net.H)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("H", [0.0, 4.0]), ("H", [-3.0, 4.0]), ("H", [math.nan, 4.0]),
+    ("H", [math.inf, 4.0]), ("E", [math.nan, 0.8]), ("Pm", [0.0, math.inf]),
+    ("Y", [[[math.nan, 1j], [1j, -1j]]]), ("f_s", 0.0), ("f_s", -60.0),
+    ("f_s", math.nan), ("f_s", math.inf), ("f_s", "60"),
+])
+def test_power_network_rejects_an_impossible_machine(field, value):
+    # H = 0 used to divide by zero in the swing field and fail the
+    # integration with "Required step size"; now the network is refused
+    good = dict(Y=two_machine().Y, E=[1.0, 0.8], H=[3.0, 4.0],
+                Pm=[0.0, 0.0], f_s=60.0)
+    PowerNetwork(**good)
+    with pytest.raises(ValueError, match=field):
+        PowerNetwork(**{**good, field: value})
+
+
 def test_load_network_bus_layout():
     data = {
         "buses": [1, 2],
