@@ -39,11 +39,14 @@ of ``PPoly``'s evaluation kernel (:func:`_power_sums`).
 
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
-Magnus step per knot interval, with every interval's matrix exponential
-taken in one batched Taylor series.  Its accuracy follows the state's
-knots.  The insertion-gradient field (:mod:`.gradient`) is sampled on the
-same knots, so they are the one time discretization of state, adjoint and
-field.
+Magnus step per knot interval.  Its work is batched over the horizon, not
+per segment: the states at every interval's Gauss nodes are read from the
+knot arrays in one pass, and the intervals are cut, from the last one
+back, into stacks that run across switching times, sized by a budget of
+:data:`MAGNUS_STACK` entries; each stack takes its matrix exponentials in
+one batched Taylor series.  Its accuracy follows the state's knots.  The
+insertion-gradient field (:mod:`.gradient`) is sampled on the same knots,
+so they are the one time discretization of state, adjoint and field.
 """
 from __future__ import annotations
 
@@ -66,9 +69,17 @@ DEFAULT_ATOL = 1e-9
 #: switching times (``tests/test_accuracy.py``); at 128 theta and cost
 #: leave that budget by up to fourfold
 KNOTS_PER_HORIZON = 256
-#: knot intervals per batched Magnus step of the adjoint; bounds the
-#: ``(chunk, n+1, n+1)`` stacks it builds
-MAGNUS_CHUNK = 64
+#: entries, ``intervals * (n+1)**2``, of each batched Magnus stack of the
+#: adjoint, which is filled from the last knot interval back across
+#: segment boundaries.  It bounds the ``(intervals, n+1, n+1)`` exponents
+#: and the Taylor series' products on them (the stack's Gauss-node
+#: Jacobians are twice as many).  Sized so that dimension 24 keeps the
+#: 64-interval stacks it had when stacks were cut per segment, where the
+#: products, not the per-call cost, set the time (stacks of 15 intervals
+#: were slower there); at dimension 6 a stack holds 816 intervals, so a
+#: three-machine window (about 280) is one stack and pays its per-call
+#: overhead once
+MAGNUS_STACK = 64 * 25 ** 2
 #: Gauss-Legendre nodes on ``[0, 1]``, where each Magnus step samples
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -127,8 +138,10 @@ class SwitchedSystem:
     ``[mode_field(m, x), running_cost(x)]`` to the bit, provided that each
     row of a stacked ``running_cost`` call holds the bits of the call on
     that row alone (as row-wise numpy reductions do).  Every other call is
-    on a stack: all the knots or Gauss nodes of a segment (or a chunk of
-    one) at a time, or the points where the insertion gradient is sampled;
+    on a stack: the knots of a segment, the Gauss nodes of one of the
+    adjoint's stacks, which run across segments (see
+    :data:`MAGNUS_STACK`; the Jacobian takes those of one mode at a
+    time), or the points where the insertion gradient is sampled;
     ``mode_jacobian``, ``running_cost`` and ``running_cost_gradient`` see
     only stacks.
     """
@@ -713,8 +726,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
     lower.
 
     Raises ``RuntimeError`` naming ``t_span`` when the step size falls
-    below ten spacings of floating-point numbers at ``t``, or is not a
-    number (a state or field that is not finite).
+    below ten spacings of floating-point numbers at ``t``, and at once,
+    saying that the state or the mode field is not finite, when a step's
+    size or error norm is not a number.
     """
     t, t1 = map(float, t_span)
     y = np.asarray(y0, float)
@@ -776,11 +790,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
             K[0] = K[_S]  # the slope at the step start
             rejected = False
             while True:
-                if not h_abs >= min_step:  # a NaN step size too
+                if h_abs < min_step:
                     raise RuntimeError(
                         f"integration failed on [{t_span[0]}, {t_span[1]}]: "
                         "Required step size is less than spacing between "
                         "numbers.")
+                if h_abs != h_abs:  # from a field that is not finite at t0
+                    raise _not_finite(t_span, t)
                 t_new = min(t + h_abs, t1)
                 h = h_abs = t_new - t
                 for k, KT, a, c, z, x in stages:
@@ -814,6 +830,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
                         factor = min(1, factor)
                     h_abs *= factor
                     break
+                if error_norm != error_norm:
+                    # no shorter step mends a NaN stage
+                    raise _not_finite(t_span, t)
                 h_abs *= max(_MIN_FACTOR,
                              _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
@@ -826,6 +845,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
         if stop is not None and stop(t, y) > 0.0:
             return Solution(record, t, nfev)
     return Solution(record, None, nfev)
+
+
+def _not_finite(t_span, t):
+    """:func:`solve_ivp`'s error for a step whose size or error norm is not
+    a number, at ``t``: no step size mends that."""
+    return RuntimeError(
+        f"integration failed on [{t_span[0]}, {t_span[1]}]: the state or "
+        f"the mode field is not finite at t = {t}")
 
 
 def read_knots(fun, quad, steps, grid):
@@ -950,12 +977,20 @@ def integrate_adjoint(sys, schedule, x):
 
     The adjoint ``rhodot = -Df_sigma(x(t))^T rho - Dl(x(t))^T`` is linear in
     rho.  Augmented to ``z = [rho; 1]`` it reads ``zdot = A(t) z`` with
-    ``A = [[-J^T, -g], [0, 0]]``, which is propagated backward segment by
-    segment with one fourth-order Magnus step across each interval between
-    ``x``'s own knots: no adaptive solve.  Each step reads the state at the
+    ``A = [[-J^T, -g], [0, 0]]``, which is propagated backward from ``T``
+    with one fourth-order Magnus step across each interval between ``x``'s
+    own knots: no adaptive solve.  Each step reads the state at the
     interval's two Gauss nodes from ``x``'s Hermite interpolant, so the
     adjoint shares the state curve's knots and its accuracy follows them
     (their spacing and the state solver's tolerances).
+
+    The work is batched over the whole horizon, not per segment: the
+    Gauss-node states of every interval come from one pass over the knot
+    arrays (:func:`_gauss_states`); the intervals are cut, from the last
+    one back, into stacks of at most :data:`MAGNUS_STACK` entries that run
+    across segment boundaries, and each stack's propagators take one
+    Jacobian call per mode it holds, one cost-gradient call and one
+    exponential; the knot derivatives take one call of each per segment.
 
     Parameters
     ----------
@@ -975,37 +1010,88 @@ def integrate_adjoint(sys, schedule, x):
     """
     _check_partition(x, schedule)
     n = sys.dim
-    w = np.zeros(n + 1)
-    w[n] = 1.0  # [rho(T)^T, 1]
-    segs = [None] * schedule.n_segments
-    for i in range(schedule.n_segments - 1, -1, -1):
-        m = schedule.sequence[i]
-        ts, xs, _ = x.knots[i]
-        h = np.diff(ts)
-        # the state at each interval's two Gauss nodes, in one evaluation
-        xg = x((ts[:-1, None] + h[:, None] * _GAUSS).ravel(), seg=i)
-        ws = np.empty((len(ts), n + 1))
-        ws[-1] = w
-        # chunks of intervals from the last one back, each propagated from
-        # its right end; they bound the (chunk, n+1, n+1) stacks
-        last = len(ts) - 1
-        for lo in range(last - 1 - (last - 1) % MAGNUS_CHUNK, -1,
-                        -MAGNUS_CHUNK):
-            hi = min(lo + MAGNUS_CHUNK, last)
-            ws[lo:hi] = _sweep(
-                _magnus_maps(sys, m, xg[2 * lo:2 * hi], h[lo:hi]), ws[hi])
-        w = ws[0]
-        rs = ws[:, :n]
-        # knot derivatives in one batch; the stacked matmul runs one BLAS
-        # product per knot, the same as a pointwise J^T @ rho
-        fs = -(rs[:, None, :] @ sys.mode_jacobian(m, xs))[:, 0] \
-            - sys.running_cost_gradient(xs)
-        segs[i] = (ts, rs, fs)
-    return SampledCurve._trusted(schedule.boundaries, segs)
+    seq = schedule.sequence
+    # segment i's knot intervals are offs[i] .. offs[i + 1] - 1 of the
+    # horizon's, and its knots rows offs[i] .. offs[i + 1] of ws
+    offs = [0]
+    for ts, _, _ in x.knots:
+        offs.append(offs[-1] + len(ts) - 1)
+    last = offs[-1]
+    h, xg = _gauss_states(x)
+    ws = np.empty((last + 1, n + 1))
+    ws[last, :n] = 0.0
+    ws[last, n] = 1.0  # [rho(T)^T, 1]
+    # stacks of intervals from the last one back, each propagated from its
+    # right end across the segments it holds
+    size = max(1, MAGNUS_STACK // (n + 1) ** 2)
+    for hi in range(last, 0, -size):
+        lo = max(0, hi - size)
+        rows = {}  # per mode, the stack's Gauss-node rows in it
+        for i in range(bisect.bisect_right(offs, lo) - 1,
+                       bisect.bisect_left(offs, hi)):
+            rows.setdefault(seq[i], []).append(
+                slice(2 * (max(offs[i], lo) - lo),
+                      2 * (min(offs[i + 1], hi) - lo)))
+        W = _magnus_exponents(sys, rows, xg[2 * lo:2 * hi], h[lo:hi])
+        ws[lo:hi] = _sweep(_expm(W), ws[hi])
+    # knot derivatives, one batch per segment (one per mode, over all its
+    # segments, ran slower at dimension 24 and no faster at 6); the stacked
+    # matmul runs one BLAS product per knot, the same as a pointwise
+    # J^T @ rho
+    rhos = [ws[a:b + 1, :n] for a, b in zip(offs, offs[1:])]
+    slopes = []
+    for m, (_, xs, _), rs in zip(seq, x.knots, rhos):
+        slopes.append(-(rs[:, None, :] @ sys.mode_jacobian(m, xs))[:, 0]
+                      - sys.running_cost_gradient(xs))
+    return SampledCurve._trusted(
+        schedule.boundaries,
+        [(k[0], r, f) for k, r, f in zip(x.knots, rhos, slopes)])
 
 
-def _magnus_maps(sys, m, xg, h):
-    """Backward propagators of the adjoint over intervals of lengths ``h``.
+def _gauss_states(x):
+    """The knot intervals of the curve ``x``, over all its segments in
+    order: their lengths ``h``, shape ``(L,)``, and the state at each
+    interval's two Gauss nodes, two rows per interval, ``(2 L, n)``.
+
+    Each state holds the bits of ``x(t, seg=i)`` at the node ``t`` of an
+    interval of segment ``i``, taken in one pass over the knot arrays with
+    the arithmetic of :meth:`SampledCurve._table` and :func:`_power_sums`
+    on the interval's own piece, and no table built.  A node that rounds
+    onto a knot reads that knot's value, as :meth:`SampledCurve._piece`
+    does: a segment one float spacing long is read at its two knots."""
+    ts, ys, fs = (np.concatenate(k) for k in zip(*x.knots))
+    # every knot but each segment's last starts an interval
+    start = np.ones(len(ts), bool)
+    start[np.cumsum([len(k[0]) for k in x.knots]) - 1] = False
+    a = np.flatnonzero(start)
+    t0, t1 = ts[a], ts[a + 1]
+    y0, y1, f0 = ys[a], ys[a + 1], fs[a]
+    h = t1 - t0
+    tg = t0[:, None] + h[:, None] * _GAUSS
+    s = (tg - t0[:, None])[:, :, None]
+    # the table's row of each interval, and the power sums at s.  Only an
+    # interval a few float spacings long can overflow them, and its nodes
+    # round onto its knots, which are read below instead
+    hh = h[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (y1 - y0) / hh
+        d = (f0 + fs[a + 1] - 2 * slope) / hh
+        c1 = (slope - f0) / hh - d
+        c0 = d / hh
+        s2 = s * s
+        xg = (((y0 + 0.0)[:, None] + (f0 + 0.0)[:, None] * s)
+              + c1[:, None] * s2) + c0[:, None] * (s2 * s)
+    at_end = tg >= t1[:, None]
+    knot = at_end | (s[:, :, 0] == 0.0)
+    if knot.any():
+        j, g = np.nonzero(knot)
+        xg[j, g] = np.where(at_end[j, g][:, None], y1[j], y0[j]) + 0.0
+    return h, xg.reshape(-1, ys.shape[1])
+
+
+def _magnus_exponents(sys, rows, xg, h):
+    """Magnus exponents of the adjoint's backward propagators over
+    intervals of lengths ``h``.
 
     In row form the augmented adjoint ``w = [rho^T, 1]`` solves
     ``wdot = -w U`` with ``U = [[J, 0], [g^T, 0]]``, the transpose of the
@@ -1013,20 +1099,30 @@ def _magnus_maps(sys, m, xg, h):
     in mode ``m``, ``w(t) = w(t + h) exp(W)`` with the fourth-order Magnus
     exponent ``W = h/2 (U1 + U2) + sqrt(3) h^2/12 [U2, U1]``, where ``U1``,
     ``U2`` are taken at the states ``xg`` at the two Gauss nodes (two rows
-    per interval); this is ``-Omega`` of the column form, transposed.  All
-    Jacobians and cost gradients come from one batched call each.  Returns
-    the ``exp(W)``.
+    per interval); this is ``-Omega`` of the column form, transposed.
+    ``rows`` maps each mode to the slices of ``xg`` in it.  The Jacobians
+    come from one batched call per mode, the cost gradients from one call.
+    Returns the ``W``, whose exponentials :func:`_expm` takes after ``U``
+    is freed.
     """
     n = sys.dim
     U = np.empty((len(xg), n + 1, n + 1))
-    U[:, :n, :n] = sys.mode_jacobian(m, xg)
+    for m, parts in rows.items():
+        sel = parts[0] if len(parts) == 1 else np.r_[tuple(parts)]
+        U[sel, :n, :n] = sys.mode_jacobian(m, xg[sel])
     U[:, n, :n] = sys.running_cost_gradient(xg)
     U[:, :, n] = 0.0
-    U1, U2 = U[0::2], U[1::2]
+    V = U.reshape(len(h), 2, n + 1, n + 1)  # an interval's two nodes
+    U1, U2 = V[:, 0], V[:, 1]
     h = h[:, None, None]
-    W = (U2 @ U1 - U1 @ U2) * (np.sqrt(3.0) / 12.0 * h * h)
-    W += (U1 + U2) * (0.5 * h)
-    return _expm(W)
+    # in place: no more than one temporary the size of W beside U
+    W = U2 @ U1
+    W -= U1 @ U2
+    W *= np.sqrt(3.0) / 12.0 * h * h
+    S = V.sum(axis=1)  # U1 + U2, with no buffered strided add
+    S *= 0.5 * h
+    W += S
+    return W
 
 
 def _taylor_plan(theta):

@@ -109,7 +109,47 @@ def vehicle_problem():
     return vehicle_system(), vehicle_initial_state(), sched
 
 
-@pytest.mark.parametrize("problem", [vehicle_problem, power_problem])
+def one_spacing_problem(t=1.1):
+    """The vehicle with a segment one float spacing long, from ``t``."""
+    sched = ModeSchedule((1, 4, 2), (t, math.nextafter(t, math.inf)), 3.0, 4)
+    return vehicle_system(), vehicle_initial_state(), sched
+
+
+def tiny_spacing_problem():
+    """:func:`one_spacing_problem` at ``t = 1e-150``, where the short
+    segment's table would overflow: its coefficients grow as the inverse
+    cube of its length."""
+    return one_spacing_problem(1e-150)
+
+
+#: switching times of a 12-segment schedule on a horizon of 1, three of
+#: its segments one knot interval long
+SWITCHING = (0.05, 0.05 + 1e-5, 0.2, 0.31, 0.31 + 2e-5, 0.45, 0.58, 0.6, 0.72,
+             0.72 + 1e-5, 0.9)
+
+
+def switching_schedule():
+    """Modes 1 and 2 alternating over the segments of :data:`SWITCHING`."""
+    return ModeSchedule(tuple(1 + k % 2 for k in range(len(SWITCHING) + 1)),
+                        SWITCHING, 1.0, 2)
+
+
+def power_switching_problem():
+    net = load_network(THREE_MACHINE)
+    return (power_system(net), initial_state(net, magnitude=0.3, seed=0),
+            switching_schedule())
+
+
+def ring_switching_problem():
+    net = ring_network()
+    return (power_system(net), initial_state(net, magnitude=0.1, seed=0),
+            switching_schedule())
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem,
+                                     power_switching_problem,
+                                     ring_switching_problem,
+                                     tiny_spacing_problem])
 def test_adjoint_knot_derivatives_are_pointwise(problem):
     # the batched knot derivatives equal -(J(x)^T rho) - grad l(x) taken
     # one knot at a time, with the states read from x's own segments
@@ -155,8 +195,10 @@ def reference_adjoint(sys_, sched, x):
 
 
 @pytest.mark.parametrize("problem", [vehicle_problem, power_problem,
-                                     ring_problem],
-                         ids=["vehicle", "three-machine", "ring12"])
+                                     ring_problem, power_switching_problem,
+                                     ring_switching_problem],
+                         ids=["vehicle", "three-machine", "ring12",
+                              "three-machine switching", "ring12 switching"])
 def test_adjoint_knots_match_a_tight_reference(problem):
     # on the same state curve, so only the adjoint's own error counts
     sys_, x0, sched = problem()
@@ -171,64 +213,157 @@ def test_adjoint_knots_match_a_tight_reference(problem):
     assert err <= 2e-8 * scale
 
 
+@pytest.mark.parametrize("problem, stacks", [(power_switching_problem, 1),
+                                             (ring_switching_problem, 5)],
+                         ids=["dimension 6", "dimension 24"])
+def test_adjoint_stacks_run_across_segments(problem, stacks, monkeypatch):
+    # the switching schedules' Magnus stacks are cut from the last interval
+    # back, across segment boundaries: at dimension 6 one stack holds all
+    # 12 segments, at dimension 24 stacks of 64 intervals split segments
+    # (the tight-reference and pointwise tests above check their answers)
+    sys_, x0, sched = problem()
+    x = integrate_state(sys_, x0, sched)
+    sizes = [len(ts) - 1 for ts, _, _ in x.knots]
+    assert sizes.count(1) == 3
+    expm_sizes = []
+    real = integrate._expm
+
+    def counted(W):
+        expm_sizes.append(len(W))
+        return real(W)
+
+    monkeypatch.setattr(integrate, "_expm", counted)
+    integrate_adjoint(sys_, sched, x)
+    size = integrate.MAGNUS_STACK // (sys_.dim + 1) ** 2
+    last = sum(sizes)
+    assert expm_sizes == [min(size, last - k) for k in range(0, last, size)]
+    assert len(expm_sizes) == stacks
+    # where one stack starts and the one before it ends: each cut falls
+    # inside a segment, at no switch
+    cuts = set(range(last - size, 0, -size))
+    assert len(cuts) == stacks - 1
+    assert not cuts & set(np.cumsum(sizes).tolist())
+
+
+@pytest.mark.parametrize("problem", [vehicle_problem, power_problem,
+                                     ring_problem, one_spacing_problem,
+                                     tiny_spacing_problem],
+                         ids=["vehicle", "three-machine", "ring12",
+                              "one float spacing", "tiny float spacing"])
+def test_gauss_node_states_are_the_curves_to_the_bit(problem):
+    # the adjoint reads the state at each interval's two Gauss nodes from
+    # the knot arrays, over every segment at once, building no table; the
+    # states hold the bits of the curve's own query x(t, seg=i)
+    sys_, x0, sched = problem()
+    x = integrate_state(sys_, x0, sched)
+    h, xg = integrate._gauss_states(x)
+    assert x._tables == [None] * x.n_segments
+    k = 0
+    for i, (ts, ys, _) in enumerate(x.knots):
+        hi = np.diff(ts)
+        rows = slice(2 * k, 2 * (k + len(hi)))
+        assert same_bits(h[k:k + len(hi)], hi)
+        assert same_bits(
+            xg[rows],
+            x((ts[:-1, None] + hi[:, None] * integrate._GAUSS).ravel(), seg=i))
+        if len(ts) == 2 and ts[1] == math.nextafter(ts[0], math.inf):
+            # the nodes round onto the two knots, which the curve reads
+            # from its knot arrays: no table is built, so none overflows
+            assert x._tables[i] is None
+            assert same_bits(xg[rows], ys + 0.0)
+            if ts[0] < 1e-100:
+                with np.errstate(over="ignore"), \
+                        pytest.raises(ValueError, match="finite"):
+                    x._table(i)
+        k += len(hi)
+    assert k == len(h)
+
+
 @st.composite
 def linear_quadratic(draw):
-    """``x' = A x`` with running cost ``x^T Q x / 2`` on ``[0, T]``.
+    """``x' = A_i x`` on segment ``i`` of 1 to 4 on ``[0, T]``, in its own
+    mode, with running cost ``x^T Q x / 2``; each segment at least a
+    thirteenth of the horizon.
 
     Coarse draws solve the state on its solver steps alone and start at a
-    null vector of ``A``: the state stands still, so the augmented adjoint
-    has constant coefficients and its Magnus step is exact on any knots,
-    which leaves the batched exponential on trial, at ``|Omega|_1 > 1``.
+    null vector of every ``A_i``: the state stands still, so the augmented
+    adjoint has constant coefficients on each segment and its Magnus step
+    is exact on any knots, which leaves the batched exponential on trial,
+    at ``|Omega|_1 > 1``.
     """
     n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
     unit = st.floats(-1.0, 1.0)
-    A = draw(arrays(np.float64, (n, n), elements=unit))
+    As = [draw(arrays(np.float64, (n, n), elements=unit)) for _ in range(k)]
     B = draw(arrays(np.float64, (n, n), elements=unit))
     x0 = draw(arrays(np.float64, (n,), elements=unit))
     x0[np.argmax(np.abs(x0))] = 1.0
     coarse = draw(st.booleans())
     if coarse:
-        A = A - np.outer(A @ x0, x0) / (x0 @ x0)
-    weight = 10.0 ** draw(st.floats(1.0 if coarse else 0.0, 3.0))
+        As = [A - np.outer(A @ x0, x0) / (x0 @ x0) for A in As]
+    # a coarse draw's weight grows with its segment count, which shortens
+    # its longest interval
+    weight = 10.0 ** draw(st.floats(1.0 + math.log10(k) if coarse else 0.0,
+                                    3.0))
     Q = weight * (B @ B.T + np.eye(n))
-    return A, Q, x0, draw(st.floats(0.5, 2.0)), coarse
+    T = draw(st.floats(0.5, 2.0))
+    lengths = np.cumsum(draw(st.lists(st.floats(1.0, 4.0), min_size=k,
+                                      max_size=k)))
+    switches = tuple(T * lengths[:-1] / lengths[-1])
+    return As, Q, x0, T, switches, coarse
 
 
-def linear_quadratic_adjoint(A, Q, x0, T, knot_spacing):
-    """Knot times, adjoint knots and their closed form for ``x' = A x``
-    with cost ``x^T Q x / 2``, the state solved at rtol 1e-12."""
+def linear_quadratic_adjoint(As, Q, x0, T, knot_spacing, switches=()):
+    """Knot times, adjoint knots and their closed form, per segment, for
+    ``x' = A_i x`` on segment ``i`` (switching at ``switches``) with cost
+    ``x^T Q x / 2``, the state solved at rtol 1e-12."""
     n = len(x0)
     sys_ = SwitchedSystem(
-        num_modes=1, dim=n,
-        mode_field=lambda i, x: x @ A.T,
-        mode_jacobian=lambda i, x: np.broadcast_to(A, np.shape(x) + (n,)),
+        num_modes=len(As), dim=n,
+        mode_field=lambda i, x: x @ As[i - 1].T,
+        mode_jacobian=lambda i, x: np.broadcast_to(As[i - 1],
+                                                   np.shape(x) + (n,)),
         running_cost=lambda x: 0.5 * np.sum((x @ Q) * x, axis=-1),
         running_cost_gradient=lambda x: x @ Q,
     )
-    sched = constant_schedule(1, T, 1)
+    sched = ModeSchedule(tuple(range(1, len(As) + 1)), switches, T, len(As))
     x = integrate_state(sys_, x0, sched, rtol=1e-12, atol=1e-14,
                         knot_spacing=knot_spacing)
-    ts, rs, _ = integrate_adjoint(sys_, sched, x).knots[0]
-    # [rho; x]' = [[-A^T, -Q], [0, A]] [rho; x], with rho(T) = 0
-    M = np.block([[-A.T, -Q], [np.zeros((n, n)), A]])
-    zT = np.concatenate([np.zeros(n), expm(A * T) @ x0])
-    want = np.array([(expm(M * (t - T)) @ zT)[:n] for t in ts])
-    return ts, rs, want
+    rho = integrate_adjoint(sys_, sched, x)
+    # [rho; x]' = [[-A_i^T, -Q], [0, A_i]] [rho; x] on segment i, with
+    # rho(T) = 0: x(T) forward, then z = [rho; x] back from T, segment by
+    # segment, from each segment's end
+    bnds = sched.boundaries
+    z = x0
+    for A, a, b in zip(As, bnds[:-1], bnds[1:]):
+        z = expm(A * (b - a)) @ z
+    z = np.concatenate([np.zeros(n), z])
+    out = [None] * len(As)
+    for i in range(len(As) - 1, -1, -1):
+        M = np.block([[-As[i].T, -Q], [np.zeros((n, n)), As[i]]])
+        ts, rs, _ = rho.knots[i]
+        out[i] = (ts, rs, np.array([(expm(M * (t - bnds[i + 1])) @ z)[:n]
+                                    for t in ts]))
+        z = expm(M * (bnds[i] - bnds[i + 1])) @ z
+    return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(lq=linear_quadratic())
 def test_linear_quadratic_adjoint_matches_the_closed_form(lq):
-    A, Q, x0, T, coarse = lq
-    ts, rs, want = linear_quadratic_adjoint(A, Q, x0, T,
-                                            T if coarse else None)
+    As, Q, x0, T, switches, coarse = lq
+    segs = linear_quadratic_adjoint(As, Q, x0, T, T if coarse else None,
+                                    switches)
+    err = max(np.abs(rs - want).max() for _, rs, want in segs)
+    scale = max(np.abs(want).max() for _, _, want in segs)
     tol = 1e-9
     if coarse:
         # the exponent's last row, h g^T, alone bounds its norm from below
-        theta = np.diff(ts).max() * np.abs(Q @ x0).sum()
+        theta = max(np.diff(ts).max() for ts, _, _ in segs) \
+            * np.abs(Q @ x0).sum()
         assert theta > 1.0
         tol = 1e-13 * (1.0 + theta)
-    assert np.abs(rs - want).max() <= tol * np.abs(want).max()
+    assert err <= tol * scale
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -244,8 +379,8 @@ def test_default_knot_spacing_keeps_the_adjoint_on_the_closed_form(seed):
     Q = 10.0 ** rng.uniform(0.0, 3.0) * (B @ B.T + np.eye(n))
     x0 = rng.uniform(-1.0, 1.0, n)
     T = rng.uniform(0.5, 2.0)
-    _, rs, want = linear_quadratic_adjoint(A, Q, x0, T,
-                                           OptimizerConfig().knot_spacing)
+    [(_, rs, want)] = linear_quadratic_adjoint(
+        [A], Q, x0, T, OptimizerConfig().knot_spacing)
     assert np.abs(rs - want).max() <= 1e-9 * np.abs(want).max()
 
 
@@ -1134,8 +1269,10 @@ def test_a_blow_up_fails_naming_the_interval():
 
 #: a vehicle run that is not finite at its start: a NaN in ``x0``, for
 #: the integration alone and for the descent and receding-horizon drivers,
-#: and a mode field that is NaN at a start state off the origin (at the
-#: origin the first step is the fixed 1e-6, which used to fail in time)
+#: and a mode field that is NaN everywhere, from a start state off the
+#: origin (a NaN first step size) and from the origin (a first step of the
+#: fixed 1e-6 whose error norm is NaN, which used to shrink until it fell
+#: below the float spacing and read as stiffness)
 NOT_FINITE_RUNS = {
     "x0": ("x0 = [math.nan, 0.0, 0.0, 0.0]",
            "integrate_state(sys_, x0, sched)", "ValueError: x0 must be"),
@@ -1148,7 +1285,14 @@ NOT_FINITE_RUNS = {
               "np.full(np.shape(x), math.nan)); "
               "x0 = vehicle_initial_state([1.0, 1.0, 0.5])",
               "integrate_state(sys_, x0, sched)",
-              r"RuntimeError: integration failed on [0.0, 1.0]: Required"),
+              "RuntimeError: integration failed on [0.0, 1.0]: the state or "
+              "the mode field is not finite at t = 0.0"),
+    "field at the origin": (
+        "sys_ = dataclasses.replace(sys_, mode_field=lambda i, x: "
+        "np.full(np.shape(x), math.nan)); x0 = [0.0, 0.0, 0.0, 0.0]",
+        "integrate_state(sys_, x0, sched)",
+        "RuntimeError: integration failed on [0.0, 1.0]: the state or the "
+        "mode field is not finite at t = 0.0"),
 }
 
 
