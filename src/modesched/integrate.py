@@ -43,10 +43,11 @@ Magnus step per knot interval.  Its work is batched over the horizon, not
 per segment: the states at every interval's Gauss nodes are read from the
 knot arrays in one pass, and the intervals are cut, from the last one
 back, into stacks that run across switching times, sized by a budget of
-:data:`MAGNUS_STACK` entries; each stack takes its matrix exponentials in
-one batched Taylor series.  Its accuracy follows the state's knots.  The
-insertion-gradient field (:mod:`.gradient`) is sampled on the same knots,
-so they are the one time discretization of state, adjoint and field.
+:data:`MAGNUS_STACK` entries and at least 64 intervals long; each stack
+takes its matrix exponentials in one batched Taylor series.  Its accuracy
+follows the state's knots.  The insertion-gradient field (:mod:`.gradient`)
+is sampled on the same knots, so they are the one time discretization of
+state, adjoint and field.
 """
 from __future__ import annotations
 
@@ -73,12 +74,13 @@ KNOTS_PER_HORIZON = 256
 #: adjoint, which is filled from the last knot interval back across
 #: segment boundaries.  It bounds the ``(intervals, n+1, n+1)`` exponents
 #: and the Taylor series' products on them (the stack's Gauss-node
-#: Jacobians are twice as many).  Sized so that dimension 24 keeps the
-#: 64-interval stacks it had when stacks were cut per segment, where the
-#: products, not the per-call cost, set the time (stacks of 15 intervals
-#: were slower there); at dimension 6 a stack holds 816 intervals, so a
+#: Jacobians are twice as many) below dimension 24, where it lets stacks
+#: grow past 64 intervals: at dimension 6 a stack holds 816, so a
 #: three-machine window (about 280) is one stack and pays its per-call
-#: overhead once
+#: overhead once.  From dimension 24 up a stack keeps 64 intervals
+#: (:func:`_stack_intervals`): there the products, not the per-call cost,
+#: set the time, stacks of 15 intervals were slower at dimension 24, and
+#: no other length was measured above it
 MAGNUS_STACK = 64 * 25 ** 2
 #: Gauss-Legendre nodes on ``[0, 1]``, where each Magnus step samples
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
@@ -357,19 +359,26 @@ class SampledCurve:
         the next knot; the last one is read at its knot alone, so its
         ``c1`` and ``c0`` are 0.  ``c3`` and ``c2`` hold the knot data
         plus ``0.0``, the start of PPoly's sums."""
-        ts, ys, fs = self.knots[seg]
-        h = (ts[1:] - ts[:-1])[:, None]
-        slope = (ys[1:] - ys[:-1]) / h
-        f0 = fs[:-1]
-        d = (f0 + fs[1:] - 2 * slope) / h
-        table = np.zeros((len(ts), 5, ys.shape[1]))
-        np.add(ys, 0.0, out=table[:, 0])
-        np.add(fs, 0.0, out=table[:, 1])
-        np.subtract((slope - f0) / h, d, out=table[:-1, 2])
-        np.divide(d, h, out=table[:-1, 3])
+        table = _hermite_table(*self.knots[seg])
         if not np.isfinite(table).all():
             raise ValueError("knot data must be finite")
         return table
+
+
+def _hermite_table(ts, ys, fs):
+    """The table of :meth:`SampledCurve._table` on the knot arrays ``ts,
+    ys, fs``, unchecked: a piece between two knots at one time, or a few
+    float spacings apart, is not finite."""
+    h = (ts[1:] - ts[:-1])[:, None]
+    slope = (ys[1:] - ys[:-1]) / h
+    f0 = fs[:-1]
+    d = (f0 + fs[1:] - 2 * slope) / h
+    table = np.zeros((len(ts), 5, ys.shape[1]))
+    np.add(ys, 0.0, out=table[:, 0])
+    np.add(fs, 0.0, out=table[:, 1])
+    np.subtract((slope - f0) / h, d, out=table[:-1, 2])
+    np.divide(d, h, out=table[:-1, 3])
+    return table
 
 
 #: the factors PPoly's kernel multiplies the ``s`` and ``s^2`` terms of a
@@ -987,7 +996,7 @@ def integrate_adjoint(sys, schedule, x):
     The work is batched over the whole horizon, not per segment: the
     Gauss-node states of every interval come from one pass over the knot
     arrays (:func:`_gauss_states`); the intervals are cut, from the last
-    one back, into stacks of at most :data:`MAGNUS_STACK` entries that run
+    one back, into stacks of :func:`_stack_intervals` intervals that run
     across segment boundaries, and each stack's propagators take one
     Jacobian call per mode it holds, one cost-gradient call and one
     exponential; the knot derivatives take one call of each per segment.
@@ -1011,19 +1020,14 @@ def integrate_adjoint(sys, schedule, x):
     _check_partition(x, schedule)
     n = sys.dim
     seq = schedule.sequence
-    # segment i's knot intervals are offs[i] .. offs[i + 1] - 1 of the
-    # horizon's, and its knots rows offs[i] .. offs[i + 1] of ws
-    offs = [0]
-    for ts, _, _ in x.knots:
-        offs.append(offs[-1] + len(ts) - 1)
+    offs, h, xg = _gauss_states(x)
     last = offs[-1]
-    h, xg = _gauss_states(x)
     ws = np.empty((last + 1, n + 1))
     ws[last, :n] = 0.0
     ws[last, n] = 1.0  # [rho(T)^T, 1]
     # stacks of intervals from the last one back, each propagated from its
     # right end across the segments it holds
-    size = max(1, MAGNUS_STACK // (n + 1) ** 2)
+    size = _stack_intervals(n)
     for hi in range(last, 0, -size):
         lo = max(0, hi - size)
         rows = {}  # per mode, the stack's Gauss-node rows in it
@@ -1048,45 +1052,52 @@ def integrate_adjoint(sys, schedule, x):
         [(k[0], r, f) for k, r, f in zip(x.knots, rhos, slopes)])
 
 
+def _stack_intervals(n):
+    """Knot intervals per Magnus stack of the adjoint at state dimension
+    ``n``: :data:`MAGNUS_STACK` entries, and never fewer than 64."""
+    return max(64, MAGNUS_STACK // (n + 1) ** 2)
+
+
 def _gauss_states(x):
     """The knot intervals of the curve ``x``, over all its segments in
-    order: their lengths ``h``, shape ``(L,)``, and the state at each
-    interval's two Gauss nodes, two rows per interval, ``(2 L, n)``.
+    order: ``offs``, where segment ``i``'s intervals are ``offs[i] ..
+    offs[i + 1] - 1``, their lengths ``h``, shape ``(L,)``, and the state
+    at each interval's two Gauss nodes, two rows per interval, ``(2 L,
+    n)``.
 
     Each state holds the bits of ``x(t, seg=i)`` at the node ``t`` of an
-    interval of segment ``i``, taken in one pass over the knot arrays with
-    the arithmetic of :meth:`SampledCurve._table` and :func:`_power_sums`
-    on the interval's own piece, and no table built.  A node that rounds
-    onto a knot reads that knot's value, as :meth:`SampledCurve._piece`
-    does: a segment one float spacing long is read at its two knots."""
+    interval of segment ``i``: one :func:`_power_sums` pass over one
+    :func:`_hermite_table` of all the segments' knots, each node read on
+    its interval's piece.  A node that rounds onto a knot reads that
+    knot's value, as :meth:`SampledCurve._piece` does, so a segment one or
+    two float spacings long is read at its knots.  ``ValueError`` when a
+    state is not finite, as the curve's own table raises: the knot data is
+    not, or an interval a few float spacings long has nodes between its
+    knots, where its piece overflows."""
+    offs = [0]
+    for ts, _, _ in x.knots:
+        offs.append(offs[-1] + len(ts) - 1)
     ts, ys, fs = (np.concatenate(k) for k in zip(*x.knots))
-    # every knot but each segment's last starts an interval
-    start = np.ones(len(ts), bool)
-    start[np.cumsum([len(k[0]) for k in x.knots]) - 1] = False
-    a = np.flatnonzero(start)
+    # interval k of segment i starts at knot k + i: each segment's last
+    # knot starts none
+    a = np.arange(offs[-1]) + np.repeat(np.arange(len(x.knots)),
+                                        np.diff(offs))
     t0, t1 = ts[a], ts[a + 1]
-    y0, y1, f0 = ys[a], ys[a + 1], fs[a]
     h = t1 - t0
     tg = t0[:, None] + h[:, None] * _GAUSS
-    s = (tg - t0[:, None])[:, :, None]
-    # the table's row of each interval, and the power sums at s.  Only an
-    # interval a few float spacings long can overflow them, and its nodes
-    # round onto its knots, which are read below instead
-    hh = h[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = (y1 - y0) / hh
-        d = (f0 + fs[a + 1] - 2 * slope) / hh
-        c1 = (slope - f0) / hh - d
-        c0 = d / hh
-        s2 = s * s
-        xg = (((y0 + 0.0)[:, None] + (f0 + 0.0)[:, None] * s)
-              + c1[:, None] * s2) + c0[:, None] * (s2 * s)
-    at_end = tg >= t1[:, None]
-    knot = at_end | (s[:, :, 0] == 0.0)
-    if knot.any():
-        j, g = np.nonzero(knot)
-        xg[j, g] = np.where(at_end[j, g][:, None], y1[j], y0[j]) + 0.0
-    return h, xg.reshape(-1, ys.shape[1])
+    s = (tg - t0[:, None]).ravel()
+    # the pieces from a segment's last knot to the next one's first, at
+    # the same time, are never read
+    piece = np.repeat(a, 2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xg = _power_sums(_hermite_table(ts, ys, fs), piece, s, (0,))[0]
+    at_end = (tg >= t1[:, None]).ravel()
+    knot = np.flatnonzero(at_end | (s == 0.0))
+    if len(knot):
+        xg[knot] = ys[piece[knot] + at_end[knot]] + 0.0
+    if not np.isfinite(xg).all():
+        raise ValueError("knot data must be finite")
+    return offs, h, xg
 
 
 def _magnus_exponents(sys, rows, xg, h):

@@ -122,6 +122,16 @@ def tiny_spacing_problem():
     return one_spacing_problem(1e-150)
 
 
+def three_tiny_spacings_problem():
+    """:func:`tiny_spacing_problem` with a segment three float spacings
+    long: its Gauss nodes round onto the two spacings inside it, not onto
+    its knots, so they are read on its overflowing piece."""
+    t = 1e-150
+    end = math.nextafter(math.nextafter(math.nextafter(t, 1), 1), 1)
+    return vehicle_system(), vehicle_initial_state(), \
+        ModeSchedule((1, 4, 2), (t, end), 3.0, 4)
+
+
 #: switching times of a 12-segment schedule on a horizon of 1, three of
 #: its segments one knot interval long
 SWITCHING = (0.05, 0.05 + 1e-5, 0.2, 0.31, 0.31 + 2e-5, 0.45, 0.58, 0.6, 0.72,
@@ -234,7 +244,7 @@ def test_adjoint_stacks_run_across_segments(problem, stacks, monkeypatch):
 
     monkeypatch.setattr(integrate, "_expm", counted)
     integrate_adjoint(sys_, sched, x)
-    size = integrate.MAGNUS_STACK // (sys_.dim + 1) ** 2
+    size = integrate._stack_intervals(sys_.dim)
     last = sum(sizes)
     assert expm_sizes == [min(size, last - k) for k in range(0, last, size)]
     assert len(expm_sizes) == stacks
@@ -245,22 +255,48 @@ def test_adjoint_stacks_run_across_segments(problem, stacks, monkeypatch):
     assert not cuts & set(np.cumsum(sizes).tolist())
 
 
+def test_magnus_stacks_keep_64_intervals_from_dimension_24_up():
+    # the stack budget lets stacks grow past 64 intervals below dimension
+    # 24 and never shrinks them below 64 above it
+    assert integrate._stack_intervals(4) == 1600
+    assert integrate._stack_intervals(6) == 816
+    assert [integrate._stack_intervals(n) for n in (24, 48, 96, 108)] \
+        == [64] * 4
+
+
 @pytest.mark.parametrize("problem", [vehicle_problem, power_problem,
                                      ring_problem, one_spacing_problem,
-                                     tiny_spacing_problem],
+                                     tiny_spacing_problem,
+                                     three_tiny_spacings_problem],
                          ids=["vehicle", "three-machine", "ring12",
-                              "one float spacing", "tiny float spacing"])
+                              "one float spacing", "tiny float spacing",
+                              "three tiny float spacings"])
 def test_gauss_node_states_are_the_curves_to_the_bit(problem):
     # the adjoint reads the state at each interval's two Gauss nodes from
-    # the knot arrays, over every segment at once, building no table; the
-    # states hold the bits of the curve's own query x(t, seg=i)
+    # the knot arrays, over every segment at once, building no table of
+    # the curve; the states hold the bits of its own query x(t, seg=i)
     sys_, x0, sched = problem()
     x = integrate_state(sys_, x0, sched)
-    h, xg = integrate._gauss_states(x)
+    if problem is three_tiny_spacings_problem:
+        # the short segment's nodes fall between its knots, where its
+        # piece overflows: the batched read refuses the curve, as the
+        # curve's own query does
+        ts = x.knots[1][0]
+        assert len(ts) == 2 and ts[1] - ts[0] == 3 * np.spacing(ts[0])
+        with pytest.raises(ValueError, match="finite"):
+            integrate._gauss_states(x)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            x(ts[0] + (ts[1] - ts[0]) * integrate._GAUSS, seg=1)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adjoint(sys_, sched, x)
+        return
+    offs, h, xg = integrate._gauss_states(x)
     assert x._tables == [None] * x.n_segments
     k = 0
     for i, (ts, ys, _) in enumerate(x.knots):
         hi = np.diff(ts)
+        assert offs[i:i + 2] == [k, k + len(hi)]
         rows = slice(2 * k, 2 * (k + len(hi)))
         assert same_bits(h[k:k + len(hi)], hi)
         assert same_bits(
@@ -276,7 +312,7 @@ def test_gauss_node_states_are_the_curves_to_the_bit(problem):
                         pytest.raises(ValueError, match="finite"):
                     x._table(i)
         k += len(hi)
-    assert k == len(h)
+    assert k == len(h) == offs[-1]
 
 
 @st.composite
