@@ -6,7 +6,8 @@ solved by the package's own adaptive step loop, :func:`solve_ivp`: the
 explicit Runge-Kutta method DOP853 (Dormand-Prince 8(5,3)) with scipy's
 tableau, step control and operation order, so it takes scipy's steps to
 the bit.  The running cost rides along as a quadrature: the stages call
-the mode field alone, and the accumulator's stage derivatives come from
+the mode field alone, on the state alone (a system is autonomous, so no
+stage reads a time), and the accumulator's stage derivatives come from
 one batched ``running_cost`` call per attempted step.  The loop only
 steps: it keeps its accepted steps, stage rows included, as a
 :class:`Steps` record, and chooses no knot.  Once every segment of an
@@ -27,9 +28,10 @@ same mode but ends elsewhere, replays the earlier solve's steps until an
 end would clip one, and is solved live from there.  Both give the bits of
 a solve from scratch.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
-curve's knots as one piecewise-cubic table per segment, built on the
-segment's first read between knots, in which every knot starts a piece,
-so a query at a knot returns that knot's value and derivative exactly.
+curve's knots as one table of four coefficients per piece and segment,
+built on the segment's first read between knots, in which every knot
+starts a piece, so a query at a knot returns that knot's value and
+derivative exactly.
 Each query reads one segment, so a switching time has exact one-sided
 limits: ``side`` picks the earlier or later segment, or ``seg`` names it.
 
@@ -55,6 +57,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -167,11 +170,12 @@ class SampledCurve:
     boundaries (each boundary sample is shared), while the derivative may
     jump there.
 
-    The curve is one piecewise-cubic table per segment, in which every
-    knot starts a piece.  Each piece but the last is the Hermite cubic to
-    the next knot, in powers of ``s = t - t_i`` (``c[k]`` multiplies the
-    power ``3 - k``), with the arithmetic of scipy's cubic Hermite spline,
-    so between knots values agree with it to the bit.  The segment's last
+    The curve is one table per segment, of the four coefficients ``c3,
+    c2, c1, c0`` of each piece, in which every knot starts a piece.  Each
+    piece but the last is the Hermite cubic to the next knot, in powers of
+    ``s = t - t_i`` (``c[k]`` multiplies the power ``3 - k``), with the
+    arithmetic of scipy's cubic Hermite spline, so between knots values
+    agree with it to the bit.  The segment's last
     knot starts a piece that no query reads past the knot.  A query is
     answered by one segment's table, with ``t`` clamped to its span: the
     segment ``seg`` when given, else the one containing ``t``, where
@@ -352,13 +356,12 @@ class SampledCurve:
         return _power_sums(table, i, s, dxs)
 
     def _table(self, seg):
-        """Segment ``seg``'s table, ``(k, 5, n)``: for the piece that
-        starts at each knot, ``c3, c2, c1, c0, 0`` in the notation of the
-        class, where the first four are the value's coefficients of ``s^0
-        .. s^3`` and the last four the derivative's.  Each piece runs to
-        the next knot; the last one is read at its knot alone, so its
-        ``c1`` and ``c0`` are 0.  ``c3`` and ``c2`` hold the knot data
-        plus ``0.0``, the start of PPoly's sums."""
+        """Segment ``seg``'s table, ``(4, k, n)``, coefficient-major: the
+        coefficients ``c3, c2, c1, c0`` of ``s^0 .. s^3`` in the notation
+        of the class, each for the piece that starts at each knot.  Each
+        piece runs to the next knot; the last one is read at its knot
+        alone, so its ``c1`` and ``c0`` are 0.  ``c3`` and ``c2`` hold the
+        knot data plus ``0.0``, the start of PPoly's sums."""
         table = _hermite_table(*self.knots[seg])
         if not np.isfinite(table).all():
             raise ValueError("knot data must be finite")
@@ -373,52 +376,34 @@ def _hermite_table(ts, ys, fs):
     slope = (ys[1:] - ys[:-1]) / h
     f0 = fs[:-1]
     d = (f0 + fs[1:] - 2 * slope) / h
-    table = np.zeros((len(ts), 5, ys.shape[1]))
-    np.add(ys, 0.0, out=table[:, 0])
-    np.add(fs, 0.0, out=table[:, 1])
-    np.subtract((slope - f0) / h, d, out=table[:-1, 2])
-    np.divide(d, h, out=table[:-1, 3])
+    table = np.zeros((4, len(ts), ys.shape[1]))
+    np.add(ys, 0.0, out=table[0])
+    np.add(fs, 0.0, out=table[1])
+    np.subtract((slope - f0) / h, d, out=table[2, :-1])
+    np.divide(d, h, out=table[3, :-1])
     return table
-
-
-#: the factors PPoly's kernel multiplies the ``s`` and ``s^2`` terms of a
-#: derivative by, ``2 c1 s`` and ``3 c0 s^2``: for a derivative alone, and
-#: for a value and a derivative together
-_SLOPE_FACTORS = (2.0, 3.0)
-_PAIR_FACTORS = (np.array([[1.0], [2.0]]), np.array([[1.0], [3.0]]))
 
 
 def _power_sums(table, i, s, dxs):
     """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
     pieces ``i`` of a :meth:`SampledCurve._table` at their offsets ``s``,
-    shape ``(k,)``: the curve's kernel, one pass for all of them.
+    ``i`` of ``s``'s shape or of one that broadcasts against it: the
+    curve's kernel, one pass for all of them, each result of shape
+    ``s.shape + (n,)``.
 
-    A piece's value and slope are the power sums ``((c[0] + c[1] s) +
-    c[2] s^2) + c[3] s^3`` of its row's entries 0-3 and 1-4, the slope's
-    ``s`` and ``s^2`` terms times 2 and 3.  These are the operations of
-    scipy's ``PPoly`` kernel in its order: ``s^2 = s s`` and ``s^3 = s^2
-    s``, each term a coefficient times its power and then times the
-    power's derivative factor (1 in a value, which is exact), summed from
-    the lowest power up, starting from the ``0.0`` that the table's first
-    two entries hold already.  A slope's last term is ``0 s^3 = 0``,
-    which leaves its sum unchanged.  Both sums are taken together, on
-    entries ``p`` and ``p + 1`` for the term in ``s^p``."""
-    rows = table.take(i, 0)
-    if len(dxs) == 2:
-        width, factors = 2, _PAIR_FACTORS
-    elif dxs[0]:
-        rows, width, factors = rows[:, 1:], 1, _SLOPE_FACTORS
-    else:
-        width, factors = 1, None
-    s = s[:, None, None]
+    A piece's value is ``((c3 + c2 s) + c1 s^2) + c0 s^3`` and its slope
+    ``(c2 + (c1 s) 2) + (c0 s^2) 3``.  These are the operations of scipy's
+    ``PPoly`` kernel in its order: ``s^2 = s s`` and ``s^3 = s^2 s``, each
+    term a coefficient times its power and then times the power's
+    derivative factor (1 in a value, which is exact), summed from the
+    lowest power up, starting from the ``0.0`` that ``c3`` and ``c2`` hold
+    already.  A slope's last term in PPoly, ``0 s^3``, adds ``+0.0`` to a
+    sum that is never ``-0.0``, and is left out."""
+    c3, c2, c1, c0 = table.take(i, 1)
+    s = s[..., None]
     s2 = s * s
-    t1 = rows[:, 1:1 + width] * s
-    t2 = rows[:, 2:2 + width] * s2
-    if factors is not None:
-        t1 *= factors[0]
-        t2 *= factors[1]
-    out = ((rows[:, :width] + t1) + t2) + rows[:, 3:3 + width] * (s2 * s)
-    return [out[:, j] for j in range(width)]
+    return [(c2 + c1 * s * 2.0) + c0 * s2 * 3.0 if dx
+            else ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s) for dx in dxs]
 
 
 @dataclass(frozen=True)
@@ -510,7 +495,7 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     for i in range(k, schedule.n_segments):
         if stop is not None and stop(bnds[i], z) > 0.0:
             return Abandoned(float(bnds[i]))
-        sol = solve_ivp(_mode_fun(sys, schedule.sequence[i]),
+        sol = solve_ivp(partial(sys.mode_field, schedule.sequence[i]),
                         (bnds[i], bnds[i + 1]), z, rtol, atol, stop,
                         quad=sys.running_cost, replay=replay)
         if sol.t_stop is not None:
@@ -578,10 +563,11 @@ def _shift_curve(x, dt, schedule):
     accumulator.  Knots within :func:`read_knots`'s knot merging distance
     of ``dt`` give way to a new first knot at ``x(dt)``; only the padded tail
     ``[T - dt, T]`` is solved, in the held final mode, from the pinned end
-    knot.  The result names ``schedule`` and ``x(dt)`` as its inputs, so it
-    stands in for ``integrate_state(sys, x(dt), schedule, ...)`` (to solver
-    tolerance): passed to that call as ``reuse``, it comes back itself, and
-    the trials' prefix reuse applies to it.  ``dt`` lies in ``(0, T]``.
+    knot, and none where ``T - dt`` rounds to ``T``.  The result names
+    ``schedule`` and ``x(dt)`` as its inputs, so it stands in for
+    ``integrate_state(sys, x(dt), schedule, ...)`` (to solver tolerance):
+    passed to that call as ``reuse``, it comes back itself, and the trials'
+    prefix reuse applies to it.  ``dt`` lies in ``(0, T]``.
     """
     sys, sched, rtol, atol, knot_spacing = x._inputs
     T = sched.horizon
@@ -598,12 +584,13 @@ def _shift_curve(x, dt, schedule):
     segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
                np.vstack([f0, fs[keep]]))
     ts, zs, fs = segs[-1]
-    m = sched.sequence[-1]
-    sol = solve_ivp(_mode_fun(sys, m), (float(ts[-1]), T), zs[-1], rtol,
-                    atol, quad=sys.running_cost)
-    tts, tzs, tfs = _read_segment(sys, m, sol.steps, T, knot_spacing)
-    segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
-                np.vstack([fs, tfs[1:]]))
+    if ts[-1] < T:  # a dt below T's float spacing leaves no tail
+        m = sched.sequence[-1]
+        sol = solve_ivp(partial(sys.mode_field, m), (float(ts[-1]), T),
+                        zs[-1], rtol, atol, quad=sys.running_cost)
+        tts, tzs, tfs = _read_segment(sys, m, sol.steps, T, knot_spacing)
+        segs[-1] = (np.concatenate([ts, tts[1:]]), np.vstack([zs, tzs[1:]]),
+                    np.vstack([fs, tfs[1:]]))
     n = sys.dim
     # the moved knots no longer lie on the steps a solve would take
     return _state_curve((sys, schedule, rtol, atol, knot_spacing),
@@ -627,22 +614,12 @@ def knot_grid(t0, t1, horizon, knot_spacing=None):
     return np.linspace(t0, t1, max(2, int(np.ceil((t1 - t0) / h)) + 1))
 
 
-def _mode_fun(sys, m):
-    """Mode ``m``'s field as :func:`solve_ivp`'s ``fun(t, x)``."""
-    mode_field = sys.mode_field
-
-    def fun(t, x):
-        return mode_field(m, x)
-
-    return fun
-
-
 def _read_segment(sys, m, steps, horizon, knot_spacing):
     """The knots ``(ts, zs, fs)`` of a segment solved in mode ``m`` with
     the running-cost accumulator as its quadrature, from its
     :class:`Steps`: :func:`read_knots` on :func:`knot_grid`, and the knot
     slopes from one :func:`_knot_slopes` call."""
-    ts, zs = read_knots(_mode_fun(sys, m), sys.running_cost, steps,
+    ts, zs = read_knots(partial(sys.mode_field, m), sys.running_cost, steps,
                         knot_grid(steps.t[0], steps.t[-1], horizon,
                                   knot_spacing))
     return ts, zs, _knot_slopes(sys, m, zs)
@@ -652,7 +629,6 @@ def _read_segment(sys, m, steps, horizon, knot_spacing):
 # I, II.5) with scipy's coefficients and step-size control
 _S = _dop853.N_STAGES  # 12 stages; the 13th row of K is f at the step end
 _A = _dop853.A
-_C = _dop853.C
 _B = _dop853.B
 _E3, _E5 = _dop853.E3, _dop853.E5
 _D = _dop853.D
@@ -676,10 +652,9 @@ class Steps(NamedTuple):
     #: solve stopped), and the solution there
     t: list
     y: list
-    #: per step: its first attempted ``h_abs``, the ``h_abs`` it proposes
-    #: for the next step, and its stage rows ``K[:_S + 1]`` (the stages
-    #: and the end slope), which its dense output is built from
-    h_first: list
+    #: per step: the ``h_abs`` it proposes for the next step, and its
+    #: stage rows ``K[:_S + 1]`` (the stages and the end slope), which its
+    #: dense output is built from
     h_next: list
     K: list
 
@@ -697,12 +672,14 @@ class Solution(NamedTuple):
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
-    """The package's own DOP853 solve of ``y' = [fun(t, x), quad(x)]``
-    over ``t_span = (t0, t1)``, ``t0 < t1``, where ``y = [x, q]``.
+    """The package's own DOP853 solve of the autonomous ``y' = [fun(x),
+    quad(x)]`` over ``t_span = (t0, t1)``, where ``y = [x, q]``;
+    ``ValueError`` naming ``t_span`` unless ``t0 < t1``.
 
     The last component of ``y`` is a quadrature ``q`` of the others,
-    ``x``, which no derivative reads.  ``fun(t, x)`` takes a state
-    ``(n-1,)`` and returns a float array ``(n-1,)``; ``quad(xs)`` takes a
+    ``x``, which no derivative reads.  ``fun(x)`` takes a state ``(n-1,)``
+    and returns a float array ``(n-1,)``, with no time: no stage reads
+    one, as no model of the package does; ``quad(xs)`` takes a
     stack ``(k, n-1)`` and returns ``(k,)``.  The stages call ``fun`` only;
     the quadrature's stage derivatives come from one ``quad`` call on the
     stacked stage inputs per attempted step, the first-step selection's
@@ -729,10 +706,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
     one, so they are not taken again: the recorded first-step selection
     when its ``h0`` fits before both ends, and then each recorded step
     whose first attempt ends before both, are copied, stage rows
-    included, and the solve goes on live from the last of them.  The
-    ``stop`` test runs on the copied steps as on its own, so the result
-    holds the bits of a solve without ``replay``, and only ``nfev`` is
-    lower.
+    included, and the solve goes on live from the last of them.  No
+    first attempt is recorded: a step's is the one before's proposed
+    ``h_abs`` at the same ``t``, and the first step's, when it ends
+    before both ends, is clipped by neither, so the live attempt ending
+    before both is the recorded one.  The ``stop`` test runs on the
+    copied steps as on its own, so the result holds the bits of a solve
+    without ``replay``, and only ``nfev`` is lower.
 
     Raises ``RuntimeError`` naming ``t_span`` when the step size falls
     below ten spacings of floating-point numbers at ``t``, and at once,
@@ -740,6 +720,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
     size or error norm is not a number.
     """
     t, t1 = map(float, t_span)
+    if not t < t1:
+        raise ValueError(f"t_span {t_span} is empty: need t0 < t1")
     y = np.asarray(y0, float)
     n = len(y)
     m = n - 1  # the components fun sees
@@ -764,15 +746,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
         nfev = 0
     else:
         replay = None
-        full = _with_quad(fun, quad)
-        K[_S] = f = full(t, y)
+        K[_S] = f = np.append(fun(y[:-1]), quad(y[None, :-1]))
         # first step (Hairer, Norsett & Wanner, II.4); h is h0 clipped to
         # the end
         scale = atol + np.abs(y) * rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h = min(h0, t1 - t)
-        f1 = full(t + h, y + h * f)
+        y1 = y + h * f
+        f1 = np.append(fun(y1[:-1]), quad(y1[None, :-1]))
         nfev = 2
         d2 = _rms((f1 - f) / scale) / h
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -780,18 +762,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h, h1, t1 - t)
-    record = Steps(h0, h1, [t], [y], [], [], [])
+    record = Steps(h0, h1, [t], [y], [], [])
 
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
-        record.h_first.append(h_abs)
-        j = len(record.h_next)
-        if replay is not None and t + h_abs < end \
-                and h_abs == replay.h_first[j]:
-            # the recorded step, stage rows included; any attempts it
-            # rejected were as short and were not clipped either
+        if replay is not None and t + h_abs < end:
+            # the recorded step, stage rows included, which first tried
+            # this h_abs too; any attempts it rejected were as short and
+            # were not clipped either
+            j = len(record.h_next)
             K[:] = rows = replay.K[j]
             t, y, h_abs = replay.t[j + 1], replay.y[j + 1], replay.h_next[j]
         else:
@@ -808,11 +789,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop=None, *, quad, replay=None):
                     raise _not_finite(t_span, t)
                 t_new = min(t + h_abs, t1)
                 h = h_abs = t_new - t
-                for k, KT, a, c, z, x in stages:
+                for k, KT, a, z, x in stages:
                     np.add(y, np.dot(KT, a) * h, z)
-                    k[:] = fun(t + c * h, x)
+                    k[:] = fun(x)
                 y_new = y + h * np.dot(KT_b, _B)
-                K[_S, :m] = fun(t + h, y_new[:m])
+                K[_S, :m] = fun(y_new[:m])
                 nfev += _S
                 Z[_S - 1] = y_new
                 kq[:] = quad(xq)
@@ -865,8 +846,9 @@ def _not_finite(t_span, t):
 
 
 def read_knots(fun, quad, steps, grid):
-    """The knots ``(ts, zs)`` of a :func:`solve_ivp` solve of ``fun`` and
-    ``quad`` that ran to its end, read from its :class:`Steps` ``steps``.
+    """The knots ``(ts, zs)`` of a :func:`solve_ivp` solve of ``fun(x)``
+    and ``quad`` that ran to its end, read from its :class:`Steps`
+    ``steps``.
 
     The knots are the step times and the points of the sorted ``grid``
     strictly inside a step, with every point that lies within ``1e-14
@@ -900,12 +882,12 @@ def read_knots(fun, quad, steps, grid):
         if kept:
             h = t_end - t_old
             K[:_S + 1] = steps.K[j]
-            for k, KT, a, c, z, x in extra:
+            for k, KT, a, z, x in extra:
                 np.add(y_old, np.dot(KT, a) * h, z)
-                k[:] = fun(t_old + c * h, x)
+                k[:] = fun(x)
             kq[:] = quad(xq)
             ts += kept
-            zs.extend(_interpolant(K, t_old, y_old, y_end, h)(np.array(kept)))
+            zs.extend(_interpolant(K, t_old, y_old, y_end, h, np.array(kept)))
         if t_end - (inside[-1] if inside else t_old) > merge:
             ts.append(t_end)
             zs.append(y_old + (y_end - y_old))  # the dense output at x = 1
@@ -918,26 +900,16 @@ def read_knots(fun, quad, steps, grid):
 
 def _stages(K, Z, ss):
     """Per stage ``s`` of ``ss``, of a step whose stage rows are ``K``:
-    ``(k, KT, a, c, z, x)``, its row ``k`` of ``K`` in the ``m`` columns
+    ``(k, KT, a, z, x)``, its row ``k`` of ``K`` in the ``m`` columns
     ``fun`` gives, the rows before it transposed (each stage combines them
-    as scipy does), its tableau row ``a`` and node ``c``, and its input
-    row ``z = Z[s - 1]`` with ``x`` the ``m`` columns ``fun`` reads.
-    Those ``m`` columns never read ``K``'s quadrature column, which is
-    filled once all the stage inputs are known."""
+    as scipy does), its tableau row ``a``, and its input row ``z = Z[s -
+    1]`` with ``x`` the ``m`` columns ``fun`` reads.  Those ``m`` columns
+    never read ``K``'s quadrature column, which is filled once all the
+    stage inputs are known.  ``fun`` takes no time: no stage node is
+    needed."""
     m = K.shape[1] - 1
-    return [(K[s, :m], K[:s].T, _A[s, :s], _C[s], Z[s - 1], Z[s - 1, :m])
+    return [(K[s, :m], K[:s].T, _A[s, :s], Z[s - 1], Z[s - 1, :m])
             for s in ss]
-
-
-def _with_quad(fun, quad):
-    """The full right-hand side ``(t, y) -> (n,)`` of a :func:`solve_ivp`
-    solve with quadrature ``quad``."""
-
-    def full(t, y):
-        x = y[:-1]
-        return np.append(fun(t, x), quad(x[None]))
-
-    return full
 
 
 def _rms(x):
@@ -945,10 +917,10 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _interpolant(K, t_old, y_old, y, h):
+def _interpolant(K, t_old, y_old, y, h, t):
     """scipy's ``Dop853DenseOutput`` of the step from ``(t_old, y_old)``
-    to ``y`` over ``h``, from its 16 stage rows ``K``: a callable of
-    ``t``."""
+    to ``y`` over ``h``, from its 16 stage rows ``K``, at the times ``t``,
+    shape ``(k,)``: ``(k, len(y))``."""
     F = np.empty((_dop853.INTERPOLATOR_POWER, len(y)))
     f_old = K[0]
     delta_y = y - y_old
@@ -956,19 +928,12 @@ def _interpolant(K, t_old, y_old, y, h):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (K[_S] + f_old)
     F[3:] = h * np.dot(_D, K)
-    F = F[::-1]
-
-    def evaluate(t):
-        x = (t - t_old) / h
-        if np.ndim(t):
-            x = x[:, None]
-        out = np.zeros(np.shape(x)[:1] + y.shape)
-        for i, row in enumerate(F):
-            out += row
-            out *= x if i % 2 == 0 else 1 - x
-        return out + y_old
-
-    return evaluate
+    x = ((t - t_old) / h)[:, None]
+    out = np.zeros((len(x), len(y)))
+    for i, row in enumerate(F[::-1]):
+        out += row
+        out *= x if i % 2 == 0 else 1 - x
+    return out + y_old
 
 
 def _check_partition(x, schedule):
@@ -1068,36 +1033,36 @@ def _gauss_states(x):
     Each state holds the bits of ``x(t, seg=i)`` at the node ``t`` of an
     interval of segment ``i``: one :func:`_power_sums` pass over one
     :func:`_hermite_table` of all the segments' knots, each node read on
-    its interval's piece.  A node that rounds onto a knot reads that
-    knot's value, as :meth:`SampledCurve._piece` does, so a segment one or
-    two float spacings long is read at its knots.  ``ValueError`` when a
-    state is not finite, as the curve's own table raises: the knot data is
-    not, or an interval a few float spacings long has nodes between its
-    knots, where its piece overflows."""
+    its interval's piece, whose coefficients are taken once for both
+    nodes.  A node that rounds onto a knot reads that knot's value, as
+    :meth:`SampledCurve._piece` does, so a segment one or two float
+    spacings long is read at its knots.  ``ValueError`` when a state is
+    not finite, as the curve's own table raises: the knot data is not, or
+    an interval a few float spacings long has nodes between its knots,
+    where its piece overflows."""
     offs = [0]
     for ts, _, _ in x.knots:
         offs.append(offs[-1] + len(ts) - 1)
     ts, ys, fs = (np.concatenate(k) for k in zip(*x.knots))
     # interval k of segment i starts at knot k + i: each segment's last
-    # knot starts none
-    a = np.arange(offs[-1]) + np.repeat(np.arange(len(x.knots)),
-                                        np.diff(offs))
+    # knot starts none; one row per interval, one column per node
+    a = (np.arange(offs[-1]) + np.repeat(np.arange(len(x.knots)),
+                                         np.diff(offs)))[:, None]
     t0, t1 = ts[a], ts[a + 1]
     h = t1 - t0
-    tg = t0[:, None] + h[:, None] * _GAUSS
-    s = (tg - t0[:, None]).ravel()
+    tg = t0 + h * _GAUSS
+    s = tg - t0
     # the pieces from a segment's last knot to the next one's first, at
     # the same time, are never read
-    piece = np.repeat(a, 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xg = _power_sums(_hermite_table(ts, ys, fs), piece, s, (0,))[0]
-    at_end = (tg >= t1[:, None]).ravel()
-    knot = np.flatnonzero(at_end | (s == 0.0))
-    if len(knot):
-        xg[knot] = ys[piece[knot] + at_end[knot]] + 0.0
+        xg = _power_sums(_hermite_table(ts, ys, fs), a, s, (0,))[0]
+    at_end = tg >= t1
+    knot = at_end | (s == 0.0)
+    if knot.any():
+        xg[knot] = ys[(a + at_end)[knot]] + 0.0
     if not np.isfinite(xg).all():
         raise ValueError("knot data must be finite")
-    return offs, h, xg
+    return offs, h[:, 0], xg.reshape(-1, xg.shape[-1])
 
 
 def _magnus_exponents(sys, rows, xg, h):

@@ -2,12 +2,13 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
@@ -866,16 +867,16 @@ def replays(draw):
 def logged_solves(monkeypatch):
     """Route the integrator's ``solve_ivp`` through a logger: per call,
     ``(t_span, result, fun calls made inside the call, every fun call)``,
-    each fun call logged as the bits of its ``(t, x)``."""
+    each fun call logged as the bits of its state ``x``."""
     real = integrate.solve_ivp
     solves = []
 
     def logged(fun, t_span, *args, **kwargs):
         calls = []
 
-        def rhs(t, x):
-            calls.append(bits([t, *x]))
-            return fun(t, x)
+        def rhs(x):
+            calls.append(bits(x))
+            return fun(x)
 
         out = real(rhs, t_span, *args, **kwargs)
         solves.append((t_span, out, len(calls), calls))
@@ -885,21 +886,46 @@ def logged_solves(monkeypatch):
     return solves
 
 
+def first_attempts(record):
+    """The first attempted step size of each of ``record``'s steps, a
+    solve that ran to its end, as scipy's DOP853 derives it: the first
+    step's from the first-step selection, ``min(100 h, h1, t1 - t0)`` with
+    ``h`` its ``h0`` clipped to the end, each later one the size the step
+    before proposed; each raised to ten float spacings at its start."""
+    t0, t1 = record.t[0], record.t[-1]
+    sizes = [min(100 * min(record.h0, t1 - t0), record.h1, t1 - t0),
+             *record.h_next[:-1]]
+    return [max(h, 10 * (math.nextafter(t, math.inf) - t))
+            for h, t in zip(sizes, record.t)]
+
+
 def replayed_steps(record, t0, t1):
     """How many of ``record``'s steps a solve from ``t0`` to ``t1`` takes
-    as they are: each before both ends, after a first-step selection whose
-    ``h0`` fits before both; ``None`` when the selection does not fit."""
+    as they are: each whose first attempt ends before both ends, after a
+    first-step selection whose ``h0`` fits before both; ``None`` when the
+    selection does not fit."""
     end = min(t1, record.t[-1])
     if record.h0 > end - t0:
         return None
+    first = first_attempts(record)
     r = 0
-    while record.t[r] + record.h_first[r] < end:
+    while record.t[r] + first[r] < end:
         r += 1
     return r
 
 
+#: the vehicle from mode 2, whose first step after a first-step selection
+#: of h0 = 1e-6 first tries 1e-4: a trial that switches at 5e-5 replays the
+#: selection, and its end clips the first step
+_CLIPPED_FIRST_STEP = (vehicle_system(), vehicle_initial_state(),
+                       constant_schedule(2, 3.0, 4),
+                       ModeSchedule((2, 1), (5e-5,), 3.0, 4))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=replays())
+@example(case=(*_CLIPPED_FIRST_STEP, None, 0.5))
+@example(case=(*_CLIPPED_FIRST_STEP, "replayed", 0.5))
 def test_a_replayed_segment_is_a_fresh_solve_to_the_bit(case):
     sys_, x0, inc, trial, where, share = case
     x_inc = integrate_state(sys_, x0, inc)
@@ -956,8 +982,8 @@ def test_a_replayed_segment_is_a_fresh_solve_to_the_bit(case):
     # solve ended or stopped, more for one that rejected an attempt
     took = min(r, len(solves[0][1].steps.t) - 1)
     assert saved[0] >= 2 + 12 * took and (saved[0] - 2) % 12 == 0
-    if all(record.t[j] + record.h_first[j] == record.t[j + 1]
-           for j in range(took)):
+    first = first_attempts(record)
+    if all(record.t[j] + first[j] == record.t[j + 1] for j in range(took)):
         assert saved[0] == 2 + 12 * took
 
 
@@ -985,6 +1011,10 @@ def warm_starts(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=warm_starts())
+# a shift below the horizon's float spacing, where T - dt rounds to T and
+# no tail is left to solve
+@example(case=(vehicle_system(), vehicle_initial_state(),
+               ModeSchedule((2, 1), (1.5,), 3.0, 4), 1e-17))
 def test_shifted_curve_matches_a_fresh_solve(case):
     sys_, x0, sched, dt = case
     x = integrate_state(sys_, x0, sched)
@@ -1159,9 +1189,10 @@ _QUAD_BUILT = {}
 
 
 def full_rhs(fun, quad):
-    """The right-hand side ``[fun(t, x), quad(x)]`` of a solve whose last
-    component is the quadrature, both taken on the single state ``x``."""
-    return lambda t, z: np.append(fun(t, z[:-1]), quad(z[:-1]))
+    """The right-hand side ``[fun(x), quad(x)]`` of a solve whose last
+    component is the quadrature, both taken on the single state ``x``, as
+    scipy's ``fun(t, z)``."""
+    return lambda t, z: np.append(fun(z[:-1]), quad(z[:-1]))
 
 
 @st.composite
@@ -1180,7 +1211,7 @@ def dop853_problems(draw):
         n = draw(st.integers(1, 4))
         A, b = rng.normal(0.0, 0.3, (n, n)), rng.normal(0.0, 2.0, n)
         # row-wise, so each row of a stack has the bits of that row alone
-        own = (lambda t, x: A @ x + b,
+        own = (lambda x: A @ x + b,
                lambda xs: 0.5 * np.add.reduce(xs * xs, axis=-1))
         # most components drift through zero, where a step end as the dense
         # output reads it, y_old + (y - y_old), may differ from y
@@ -1188,14 +1219,14 @@ def dop853_problems(draw):
                        rng.normal(0.0, 1.0))
     elif kind == "at rest":
         # a zero field and a zero quadrature
-        own = (lambda t, x: np.zeros_like(x), lambda xs: 0.0 * xs[..., 0])
+        own = (lambda x: np.zeros_like(x), lambda xs: 0.0 * xs[..., 0])
         z0 = rng.normal(0.0, 1.0, 3)
     else:
         if kind not in _QUAD_BUILT:
             _QUAD_BUILT[kind] = QUAD_MODELS[kind]()
         sys_, x0 = _QUAD_BUILT[kind]
         m = draw(st.integers(1, sys_.num_modes))
-        own = (lambda t, x: sys_.mode_field(m, x), sys_.running_cost)
+        own = (lambda x: sys_.mode_field(m, x), sys_.running_cost)
         z0 = np.concatenate([x0, [0.0]]) + rng.normal(0.0, 0.3, sys_.dim + 1)
     return dict(
         fun=full_rhs(*own), own=own, z0=z0, t0=t0, t1=t1,
@@ -1224,9 +1255,9 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
         # the knots read from the record, and the fun calls the read makes
         calls = []
 
-        def counted(t, x):
-            calls.append(t)
-            return own_fun(t, x)
+        def counted(x):
+            calls.append(x)
+            return own_fun(x)
 
         grid = np.linspace(t0, end, max(2, int(np.ceil((end - t0)
                                                        / p["spacing"])) + 1))
@@ -1287,6 +1318,14 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
             assert own.nfev == ref.nfev - 3
         else:
             assert own.nfev < ref.nfev - 3
+
+
+@pytest.mark.parametrize("t_span", [(1.0, 1.0), (2.0, 1.0)])
+def test_an_empty_span_fails_naming_it(t_span):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"t_span {t_span} is empty")):
+        integrate.solve_ivp(lambda x: -x, t_span, [1.0, 0.0], 1e-8, 1e-9,
+                            quad=lambda xs: xs[:, 0])
 
 
 def test_a_blow_up_fails_naming_the_interval():
@@ -1369,10 +1408,10 @@ def test_the_solver_hook_sees_every_segment_and_rhs_call(vehicle, vehicle_x0,
     def counted(fun, t_span, *args, **kwargs):
         calls = 0
 
-        def rhs(t, z):
+        def rhs(x):
             nonlocal calls
             calls += 1
-            return fun(t, z)
+            return fun(x)
 
         out = real(rhs, t_span, *args, **kwargs)
         seen.append((t_span, out.nfev, calls))
@@ -1624,11 +1663,11 @@ def test_dop853_tableau_is_scipys_to_the_bit():
        n=st.integers(1, 3), zeros=st.floats(0.0, 0.5))
 def test_power_sums_are_ppolys_kernel_to_the_bit(seed, k, n, zeros):
     # random tables, a share of their entries signed zeros, stored as
-    # SampledCurve stores them (c3, c2, c1, c0, 0 per piece, the first two
-    # plus 0.0) and read as it reads them: the piece of each time clamped
-    # to the span, and its offset.  PPoly reads the same pieces.  Values
-    # and slopes, alone or together, at random times, at every breakpoint
-    # and at the two clamped ends, agree to the bit
+    # SampledCurve stores them (coefficient-major, c3, c2, c1, c0 for each
+    # piece, the first two plus 0.0) and read as it reads them: the piece
+    # of each time clamped to the span, and its offset.  PPoly reads the
+    # same pieces.  Values and slopes, alone or together, at random times,
+    # at every breakpoint and at the two clamped ends, agree to the bit
     rng = np.random.default_rng(seed)
     x = np.cumsum(np.append(rng.uniform(-2.0, 2.0),
                             10.0 ** rng.uniform(-3.0, 1.0, k)))
@@ -1636,9 +1675,8 @@ def test_power_sums_are_ppolys_kernel_to_the_bit(seed, k, n, zeros):
                                                                (4, 1, n))
     c[rng.uniform(size=c.shape) < zeros] = 0.0
     c[rng.uniform(size=c.shape) < zeros] = -0.0
-    table = np.zeros((k, 5, n))
-    table[:, :4] = np.moveaxis(c[::-1], 0, 1)
-    table[:, :2] += 0.0
+    table = c[::-1].copy()
+    table[:2] += 0.0
     t = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 30), x])
     t = np.minimum(np.maximum(t, x[0]), x[-1])
     i = np.minimum(np.searchsorted(x, t, "right") - 1, k - 1)

@@ -2,6 +2,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -661,6 +662,24 @@ def test_receding_horizon_fallback_keeps_plan(monkeypatch):
     assert (rh.schedule.sequence, rh.schedule.times) == ((1,), ())
     assert rh.schedule.horizon == pytest.approx(0.6)
     assert rh.cost == pytest.approx(2.0 * (1.0 - math.exp(-1.2)), rel=1e-7)
+
+
+def test_an_advance_below_the_windows_float_spacing_is_applied():
+    # check_windows accepts any advance in (0, window], but 1.0 - 1e-17
+    # rounds to 1.0: the warm curve of the next window then has no tail to
+    # solve, and none is solved, with no warning
+    net = load_network(str(THREE_MACHINE))
+    sys_ = power_system(net)
+    x0 = initial_state(net, 0.3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rh = receding_horizon(sys_, x0, constant_schedule(1, 1.0, 2), 2,
+                              advance=1e-17)
+        fresh = integrate_state(sys_, x0, rh.schedule)
+    assert not any(w.fell_back for w in rh.windows)
+    assert rh.schedule.horizon == 2e-17
+    assert abs(rh.cost - fresh.cost) \
+        <= 100 * OptimizerConfig().rtol * abs(fresh.cost)
 
 
 @pytest.mark.parametrize("n_windows", [0, -2, 2.7, True])
