@@ -13,15 +13,17 @@ mode/time insertion of steepest descent.
 An :class:`InsertionGradientField` is built once per iterate and is plain
 data from then on: construction samples each segment at the times its
 builder gives, which for the field of a trajectory are the state curve's
-own knots (the adjoint's knots too), and solves the segment's interior
-minima; :func:`optimality`, the step events of :mod:`.linesearch` and the
-max rule of :mod:`.projection` read those results.  Every query names the
-segment whose branch it reads, so a value at a switching time is never
-ambiguous.
+own knots (the adjoint's knots too), and solves the interior minima of
+all segments; :func:`optimality`, the step events of :mod:`.linesearch`
+and the max rule of :mod:`.projection` read those results.  Every query
+names, for each of its points, the segment whose branch it reads, so a
+value at a switching time is never ambiguous, and one read takes points
+of any mix of segments.
 
 The field's interior minima, and the max rule's threshold crossings in
 :mod:`.projection`, are found by one mechanism (:func:`_solve_roots`):
-all of a segment's roots at once, each in a bracket taken from those
+all of a field's minima at once, or all of a trial's crossings, whatever
+their segments, each in a bracket taken from those
 samples, on the true field (the channel's analytic slope for a minimum,
 the difference of two modes for a crossing).  Each root is first
 estimated from data at hand, a cubic model through its bracket's known
@@ -36,8 +38,8 @@ whose step leaves its bracket or points away from the root, or that is
 still open after :data:`ROOT_ROUNDS` rounds, takes the midpoint of its
 narrowed bracket instead: it bisects, in the same batched rounds, until
 a test settles it or its bracket is ``2 ROOT_TOL * horizon`` wide.
-Every read of the field, for its samples and for every root, is one call
-of its ``channels_at``.
+Every read of the field, for its samples and for every round of roots,
+is one call of its ``channels_at`` over all the segments it reads.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from .integrate import _check_partition, knot_grid
 #: width reads noise, and :func:`_solve_roots` settles such a root by its
 #: rounding bound instead
 ROOT_TOL = 1e-12
-#: batched Newton/secant rounds of a segment's roots before the ones
+#: batched Newton/secant rounds of a group of roots before the ones
 #: still open bisect.  Most roots settle in the second or third; flat
 #: crossings with a poor first estimate need a fourth (on the published
 #: receding-horizon run 3 rounds left 17 of 369 roots open, 4 leave 4)
@@ -91,12 +93,13 @@ class InsertionGradientField:
     Channel ``a`` at time ``t`` is ``rho(t)^T (f_a(x(t)) - f_active(x(t)))``;
     the active channel is identically zero.  Values and slopes are smooth
     inside each segment and may jump at switching times, so every query
-    names the segment whose branch it reads; a minimum carries its own.
+    names the segment whose branch it reads, one per point; a minimum
+    carries its own.
 
     The field is plain data, built once: construction samples every
     segment at the times ``grids[seg]`` that its builder gives and solves
-    its interior minima (:meth:`_scan`), and later queries only read these
-    attributes:
+    the interior minima of all segments together (:meth:`_scan`), and
+    later queries only read these attributes:
 
     ``grids[seg]``, ``grid_values[seg]``
         Segment ``seg``'s sample times, increasing from its start to its
@@ -119,17 +122,19 @@ class InsertionGradientField:
     ``norm_inf``
         Max |d| over all channels on the grids.
 
-    ``channels_at(seg, ts, modes=None, dx=0, bound=False)``, the one
-    callable the field is built from, evaluates segment ``seg``'s branch
-    at times ``ts``: the values (``dx = 0``) or slopes (``dx = 1``) of
-    all N channels, or with a sequence of ``modes`` only those columns, in
-    that order, as a (len(ts), N) or (len(ts), len(modes)) matrix ``F``,
-    and a bound ``E`` on their rounding error of the same shape.  ``E`` is
-    zero unless ``bound`` is true, and zero too where the builder counts
-    its values exact; ``F`` does not depend on ``bound``.  The root solves
-    settle a root whose value is within ``E``.
-    ``values_in_segment(seg, ts, channels=None)`` and
-    ``slopes_in_segment(seg, ts, channels=None)`` return ``F`` alone.
+    ``channels_at(segs, ts, modes=None, dx=0, bound=False)``, the one
+    callable the field is built from, evaluates at each time ``ts[i]``
+    the branch of segment ``segs[i]`` (``segs`` one index per point, or
+    one index for every point): the values (``dx = 0``) or slopes (``dx
+    = 1``) of all N channels, or with a sequence of ``modes`` only those
+    columns, in that order, as a (len(ts), N) or (len(ts), len(modes))
+    matrix ``F``, and a bound ``E`` on their rounding error of the same
+    shape.  A point's row does not depend on the other points of the
+    read.  ``E`` is zero unless ``bound`` is true, and zero too where the
+    builder counts its values exact; ``F`` does not depend on ``bound``.
+    The root solves settle a root whose value is within ``E``.
+    ``values_in_segment(segs, ts, channels=None)`` and
+    ``slopes_in_segment(segs, ts, channels=None)`` return ``F`` alone.
 
     Instances are built by :func:`insertion_gradient` from a trajectory
     and adjoint, sampled on the state curve's knots, or by
@@ -144,11 +149,13 @@ class InsertionGradientField:
         self.horizon = schedule.horizon
         self.channels_at = channels_at
         self.grids = grids
-        self.grid_values, self.samples, self.minima = [], [], []
-        for seg in range(schedule.n_segments):
-            self._scan(seg)
+        sizes = [len(ts) for ts in grids]
+        V = self.values_in_segment(np.repeat(np.arange(len(grids)), sizes),
+                                   np.concatenate(grids))
+        self.grid_values = np.split(V, np.cumsum(sizes)[:-1])
+        self._scan()
         self.lowest = [_lowest(D) for _, D in self.samples]
-        self.norm_inf = max(float(np.abs(v).max()) for v in self.grid_values)
+        self.norm_inf = float(np.abs(V).max())
 
     @classmethod
     def from_callables(cls, schedule, channels, channel_slopes=None):
@@ -156,52 +163,60 @@ class InsertionGradientField:
 
         ``channels[a-1](t)`` gives channel ``a``; functions must be smooth
         inside each schedule segment, which is sampled on
-        :func:`.integrate.knot_grid`.  At a switch a function of absolute
-        time already gives the next segment's branch, so a segment ending
-        there reads its own end at the float just below the switch.  Slopes
-        default to a central finite difference with step up to
-        ``h = 1e-7 * horizon`` whose stencil stays strictly inside the
-        segment.  The values count as exact: the rounding bound is zero.
+        :func:`.integrate.knot_grid`, and act on arrays elementwise.  At a
+        switch a function of absolute time already gives the next
+        segment's branch, so a segment ending there reads its own end at
+        the float just below the switch.  Slopes default to a central
+        finite difference with step up to ``h = 1e-7 * horizon`` whose
+        stencil stays strictly inside the segment.  The values count as
+        exact: the rounding bound is zero.
         """
         if len(channels) != schedule.num_modes:
             raise ValueError(
                 f"{len(channels)} channel functions for "
                 f"{schedule.num_modes} modes"
             )
-        switches = schedule.times
+        # each segment's own branch ends below its switch
+        caps = np.append(np.nextafter(schedule.times, -np.inf), np.inf)
+        bounds = np.array(schedule.boundaries)
         h = 1e-7 * schedule.horizon
 
-        def columns(fns, seg, ts, modes):
-            if seg < len(switches):  # own branch, below the switch
-                ts = np.minimum(ts, np.nextafter(switches[seg], -np.inf))
+        def columns(fns, ts, cap, modes):
+            ts = np.minimum(ts, cap)
             if modes is None:
                 modes = range(1, len(fns) + 1)
             return np.column_stack([np.broadcast_to(fns[a - 1](ts), ts.shape)
                                     for a in modes])
 
-        def channels_at(seg, ts, modes=None, dx=0, bound=False):
+        def channels_at(segs, ts, modes=None, dx=0, bound=False):
             ts = np.atleast_1d(np.asarray(ts, float))
+            segs = np.broadcast_to(segs, ts.shape)
+            cap = caps[segs]
             if not dx or channel_slopes is not None:
-                F = columns(channel_slopes if dx else channels, seg, ts, modes)
+                F = columns(channel_slopes if dx else channels, ts, cap,
+                            modes)
             else:
-                a, b = schedule.segment_bounds(seg)
-                hs = min(h, (b - a) / 4.0)  # stencil in [a + hs, b - hs]
+                a, b = bounds[segs], bounds[segs + 1]
+                hs = np.minimum(h, (b - a) / 4.0)  # stencil in [a+hs, b-hs]
                 tc = np.clip(ts, a + 2.0 * hs, b - 2.0 * hs)
-                F = (columns(channels, seg, tc + hs, modes)
-                     - columns(channels, seg, tc - hs, modes)) / (2.0 * hs)
+                F = (columns(channels, tc + hs, cap, modes)
+                     - columns(channels, tc - hs, cap, modes)) \
+                    / (2.0 * hs)[:, None]
             return F, np.zeros_like(F)
 
         grids = [knot_grid(*schedule.segment_bounds(seg), schedule.horizon)
                  for seg in range(schedule.n_segments)]
         return cls(schedule, channels_at, grids)
 
-    def values_in_segment(self, seg, ts, channels=None):
-        """Segment ``seg``'s channel values at ``ts`` (``channels_at``)."""
-        return self.channels_at(seg, ts, channels)[0]
+    def values_in_segment(self, segs, ts, channels=None):
+        """Channel values at ``ts``, each on its segment's branch
+        (``channels_at``)."""
+        return self.channels_at(segs, ts, channels)[0]
 
-    def slopes_in_segment(self, seg, ts, channels=None):
-        """Segment ``seg``'s channel slopes at ``ts`` (``channels_at``)."""
-        return self.channels_at(seg, ts, channels, 1)[0]
+    def slopes_in_segment(self, segs, ts, channels=None):
+        """Channel slopes at ``ts``, each on its segment's branch
+        (``channels_at``)."""
+        return self.channels_at(segs, ts, channels, 1)[0]
 
     def value_channel(self, a, t, side="right"):
         """Channel ``a`` at scalar time ``t``, from the segment that
@@ -210,23 +225,38 @@ class InsertionGradientField:
         return float(self.values_in_segment(seg, np.array([float(t)]),
                                             (a,))[0, 0])
 
+    def slopes_and_curvatures(self, segs, ts, modes):
+        """Slope and second time-derivative of channel ``modes[i]`` at
+        ``ts[i]`` on segment ``segs[i]``'s branch, for every ``i``, as two
+        arrays, from one ``channels_at`` call.
+
+        The curvature is a central difference of slopes with step ``1e-5
+        *`` (segment length), the stencil clamped inside the segment so
+        boundary queries become one-sided automatically.
+        """
+        segs = np.asarray(segs, int)
+        ts = np.asarray(ts, float)
+        b = np.array(self.schedule.boundaries)
+        lo, hi = b[segs], b[segs + 1]
+        h = 1e-5 * (hi - lo)
+        tc = np.minimum(np.maximum(ts, lo + h), hi - h)
+        cols = sorted(set(modes))
+        k = len(ts)
+        S = self.slopes_in_segment(np.tile(segs, 3),
+                                   np.concatenate([ts, tc - h, tc + h]),
+                                   cols)
+        at = [cols.index(a) for a in modes]
+        rows = np.arange(k)
+        return S[rows, at], (S[rows + 2 * k, at] - S[rows + k, at]) / (2.0 * h)
+
     def curvature(self, seg, a, t):
         """Second time-derivative of channel ``a`` at ``t`` on segment
-        ``seg``'s branch, by differencing slopes.
+        ``seg``'s branch (:meth:`slopes_and_curvatures`)."""
+        return float(self.slopes_and_curvatures([seg], [t], [a])[1][0])
 
-        Central difference with step ``1e-5 *`` (segment length), the
-        evaluation stencil clamped inside the segment so boundary queries
-        become one-sided automatically.
-        """
-        lo, hi = self.schedule.segment_bounds(seg)
-        h = 1e-5 * (hi - lo)
-        tc = min(max(float(t), lo + h), hi - h)
-        sl = self.slopes_in_segment(seg, np.array([tc - h, tc + h]), (a,))
-        return float((sl[1, 0] - sl[0, 0]) / (2.0 * h))
-
-    def _scan(self, seg):
-        """Sample segment ``seg`` at ``grids[seg]`` and append its values,
-        samples and minima.
+    def _scan(self):
+        """Set every segment's samples and the field's minima from the
+        grid values.
 
         Each non-active channel contributes its two one-sided end values
         and its interior minima.  An interior minimum is the root of the
@@ -234,72 +264,84 @@ class InsertionGradientField:
         Brackets are the two cells around each grid node no higher than the
         node before it and lower than the one after it, plus the first and
         last cell, where a minimum hides from the node test; one batched
-        slope call at the bracket ends keeps those whose slope changes sign.
-        Of two equal neighbouring nodes around a minimum only the later one
-        passes, so one well gives one bracket; a segment of one cell
-        brackets it once.  The segment's minima are solved together by
-        :func:`_solve_roots` to ``ROOT_TOL * horizon``, each estimated from
-        the slope of the cubic Hermite through its bracket ends' values and
-        slopes, and refined by batched slope calls.
+        slope call at the bracket ends of all segments keeps those whose
+        slope changes sign.  Of two equal neighbouring nodes around a
+        minimum only the later one passes, so one well gives one bracket;
+        a segment of one cell brackets it once.  The field's minima, in
+        all segments, are solved together by :func:`_solve_roots` to
+        ``ROOT_TOL * horizon``, each estimated from the slope of the cubic
+        Hermite through its bracket ends' values and slopes and refined
+        by batched slope calls, and one call reads the values at all of
+        them.
         """
-        ts = self.grids[seg]
-        vals = self.values_in_segment(seg, ts)
-        self.grid_values.append(vals)
-        last = len(ts) - 1
-        active = self.schedule.sequence[seg]
-        found = self.minima
-        brackets = []
-        for a in range(1, self.num_modes + 1):
-            if a == active:
-                continue
-            v = vals[:, a - 1]
-            found.append(dict(value=float(v[0]), time=float(ts[0]),
-                              mode=a, segment=seg, boundary="right"))
-            found.append(dict(value=float(v[-1]), time=float(ts[-1]),
-                              mode=a, segment=seg, boundary="left"))
-            nodes = np.flatnonzero(
-                (v[1:-1] <= v[:-2]) & (v[1:-1] < v[2:])) + 1
-            brackets.extend((a, j - 1, j + 1) for j in nodes)
-            if 1 not in nodes:
-                brackets.append((a, 0, 1))
-            if last > 1 and last - 1 not in nodes:
-                brackets.append((a, last - 1, last))
-        roots = []
-        if brackets:
-            ends = np.unique([i for _, lo, hi in brackets for i in (lo, hi)])
-            S = self.slopes_in_segment(seg, ts[ends])
-            row = {int(i): k for k, i in enumerate(ends)}
-            wells, modes = [], []
-            for a, lo, hi in brackets:
-                s_lo = float(S[row[lo], a - 1])
-                s_hi = float(S[row[hi], a - 1])
-                if not s_lo < 0.0 <= s_hi:
+        sched = self.schedule
+        found, brackets = [], []
+        for seg, (ts, vals) in enumerate(zip(self.grids, self.grid_values)):
+            last = len(ts) - 1
+            edges = []
+            for a in range(1, self.num_modes + 1):
+                if a == sched.sequence[seg]:
                     continue
-                t_lo, t_hi = float(ts[lo]), float(ts[hi])
-                wells.append((t_lo, t_hi, s_lo, s_hi, _slope_model(
-                    t_lo, t_hi, float(vals[lo, a - 1]),
-                    float(vals[hi, a - 1]), s_lo, s_hi)))
-                modes.append(a)
+                v = vals[:, a - 1]
+                edges.append(dict(value=float(v[0]), time=float(ts[0]),
+                                  mode=a, segment=seg, boundary="right"))
+                edges.append(dict(value=float(v[-1]), time=float(ts[-1]),
+                                  mode=a, segment=seg, boundary="left"))
+                nodes = np.flatnonzero(
+                    (v[1:-1] <= v[:-2]) & (v[1:-1] < v[2:])) + 1
+                brackets.extend((seg, a, j - 1, j + 1) for j in nodes)
+                if 1 not in nodes:
+                    brackets.append((seg, a, 0, 1))
+                if last > 1 and last - 1 not in nodes:
+                    brackets.append((seg, a, last - 1, last))
+            found.append(edges)
+        # the slopes at every bracket end, all segments in one read
+        ends = sorted({(seg, i) for seg, _, lo, hi in brackets
+                       for i in (lo, hi)})
+        row = {e: k for k, e in enumerate(ends)}
+        if ends:
+            S = self.slopes_in_segment(
+                np.array([seg for seg, _ in ends]),
+                np.array([self.grids[seg][i] for seg, i in ends]))
+        wells, segs, modes = [], [], []
+        for seg, a, lo, hi in brackets:
+            s_lo = float(S[row[seg, lo], a - 1])
+            s_hi = float(S[row[seg, hi], a - 1])
+            if not s_lo < 0.0 <= s_hi:
+                continue
+            ts, vals = self.grids[seg], self.grid_values[seg]
+            t_lo, t_hi = float(ts[lo]), float(ts[hi])
+            wells.append((t_lo, t_hi, s_lo, s_hi, _slope_model(
+                t_lo, t_hi, float(vals[lo, a - 1]), float(vals[hi, a - 1]),
+                s_lo, s_hi)))
+            segs.append(seg)
+            modes.append(a)
 
-            def evaluate(ks, pts, bound):
-                cols = sorted({modes[k] for k in ks})
-                F, E = self.channels_at(seg, np.array(pts), cols, 1, bound)
-                at = (np.arange(len(ks)), [cols.index(modes[k]) for k in ks])
-                return F[at].tolist(), E[at].tolist()
+        def evaluate(ks, pts, bound):
+            cols = sorted({modes[k] for k in ks})
+            F, E = self.channels_at(np.array([segs[k] for k in ks]),
+                                    np.array(pts), cols, 1, bound)
+            at = (np.arange(len(ks)), [cols.index(modes[k]) for k in ks])
+            return F[at].tolist(), E[at].tolist()
 
-            roots = list(zip(_solve_roots(wells, evaluate,
-                                          ROOT_TOL * self.horizon), modes))
-        if not roots:
-            self.samples.append((ts, vals))
-            return
-        te = np.array([t for t, _ in roots])
-        V = self.values_in_segment(seg, te)
-        found.extend(dict(value=float(V[k, a - 1]), time=t, mode=a,
-                          segment=seg, boundary=None)
-                     for k, (t, a) in enumerate(roots))
-        # a minimum on a grid time keeps the grid's row
-        ts, first = np.unique(np.concatenate([ts, te]), return_index=True)
-        self.samples.append((ts, np.vstack([vals, V])[first]))
+        te = np.array(_solve_roots(wells, evaluate, ROOT_TOL * self.horizon))
+        segs = np.array(segs, int)
+        if wells:
+            V = self.values_in_segment(segs, te)
+        self.samples, self.minima = [], []
+        for seg, (ts, vals) in enumerate(zip(self.grids, self.grid_values)):
+            self.minima += found[seg]
+            own = np.flatnonzero(segs == seg)
+            if not own.size:
+                self.samples.append((ts, vals))
+                continue
+            self.minima += [dict(value=float(V[k, modes[k] - 1]),
+                                 time=float(te[k]), mode=modes[k],
+                                 segment=seg, boundary=None) for k in own]
+            # a minimum on a grid time keeps the grid's row
+            ts, first = np.unique(np.concatenate([ts, te[own]]),
+                                  return_index=True)
+            self.samples.append((ts, np.vstack([vals, V[own]])[first]))
 
 
 def _lowest(D):
@@ -316,7 +358,7 @@ def _lowest(D):
 
 
 def _solve_roots(brackets, evaluate, tol):
-    """Roots of a segment's functions, each in its own bracket, to ``tol``.
+    """Roots of a group of functions, each in its own bracket, to ``tol``.
 
     ``brackets[k]`` is ``(lo, hi, f_lo, f_hi, model)``: function ``k``'s
     known values at its bracket ends, of opposite signs (a zero end is the
@@ -485,9 +527,12 @@ def insertion_gradient(sys, schedule, x, rho):
     and solves its minima here, so this call does the model evaluations;
     :func:`optimality` only reads them.  ``x`` and ``rho`` are read as one
     curve of their columns (:meth:`.integrate.SampledCurve.joined`): each
-    field read is one pass of the curve's kernel for both, slopes
-    included, and a read at knots, as the samples are, reads their knot
-    arrays.
+    field read, whatever segments its points are in, is one pass of the
+    curve's kernel for both, slopes included
+    (:meth:`.integrate.SampledCurve.read`), and a read at knots, as the
+    samples are, reads their knot arrays.  Each read makes one
+    ``mode_field`` call per mode it needs, and for slopes one
+    ``mode_jacobian`` call per mode, on a stack of its points.
 
     Parameters
     ----------
@@ -505,48 +550,68 @@ def insertion_gradient(sys, schedule, x, rho):
     _check_partition(x, schedule)
     N, n = sys.num_modes, sys.dim
     xr = x.joined(rho)
+    sequence = np.array(schedule.sequence)
 
-    def channels_at(seg, ts, modes=None, dx=0, bound=False):
+    def channels_at(segs, ts, modes=None, dx=0, bound=False):
         """Values (``dx = 0``) or slopes (``dx = 1``) of the channels of
-        ``modes`` (all N by default), and their rounding bound, zero
-        unless ``bound``: ``n eps``, ``n`` the state dimension, times the
-        sum of each product's factor sizes, ``|rho_i| (|f_a,i| +
-        |f_active,i|)`` for a value, and for a slope the same with
-        ``rhodot`` plus ``|rho|^T (|J_a| + |J_active|) |xdot|``.  The
-        sizes of the factors, not of the products, bound it: on the power
-        models the mode fields cancel to differences far below their
-        terms, and bounds built from the products fell up to 4e6-fold
-        short of the measured noise."""
+        ``modes`` (all N by default), each point on its segment's branch,
+        and their rounding bound, zero unless ``bound``: ``n eps``, ``n``
+        the state dimension, times the sum of each product's factor
+        sizes, ``|rho_i| (|f_a,i| + |f_active,i|)`` for a value, and for
+        a slope the same with ``rhodot`` plus ``|rho|^T (|J_a| +
+        |J_active|) |xdot|``.  The sizes of the factors, not of the
+        products, bound it: on the power models the mode fields cancel to
+        differences far below their terms, and bounds built from the
+        products fell up to 4e6-fold short of the measured noise.
+
+        A mode of ``modes`` is evaluated on every point, and a point's
+        active mode that is not among them on that mode's points: a
+        model call on a stack of two or more rows gives each row the bits
+        it has in any other such stack, so a point's row does not depend
+        on the read's other points."""
         ts = np.atleast_1d(np.asarray(ts, float))
-        if dx:
-            v, vd = xr.value_and_derivative(ts, seg)
-            xd, rd = vd[:, :n], vd[:, n:]
-        else:
-            v = xr(ts, seg=seg)
+        segs = np.broadcast_to(segs, ts.shape)
+        v, *vd = xr.read(segs, ts, (0, 1) if dx else (0,))
         xs, rs = v[:, :n], v[:, n:]
-        active = schedule.sequence[seg]
+        if dx:
+            xd, rd = vd[0][:, :n], vd[0][:, n:]
+        active = sequence[segs]
         if modes is None:
             modes = range(1, N + 1)
         out = np.zeros((len(ts), len(modes)))
         err = np.zeros_like(out)
-        if any(a != active for a in modes):
-            fm = sys.mode_field(active, xs)
+        mine = [active == a for a in modes]
+        if all(own.all() for own in mine):
+            return out, err
+        # one model call per mode: on every point for a column, on its
+        # own points for an active mode that is none
+        fs, js = {}, {}
+        for a in dict.fromkeys([*modes, *np.unique(active).tolist()]):
+            on = slice(None) if a in modes else active == a
+            fs[a] = sys.mode_field(a, xs[on])
             if dx:
-                Jm = sys.mode_jacobian(active, xs)
-            if bound:
-                # the active mode's share of every channel's bound
-                ar = np.abs(rd if dx else rs)
-                base = np.einsum("ij,ij->i", ar, np.abs(fm))
-                if dx:
-                    ars = np.abs(rs)[:, None, :]
-                    axd = np.abs(xd)[:, :, None]
-                    base += (ars @ (np.abs(Jm) @ axd))[:, 0, 0]
-        for col, a in enumerate(modes):
-            if a == active:
+                js[a] = sys.mode_jacobian(a, xs[on])
+        fm = np.empty_like(xs)
+        Jm = np.empty(xs.shape + (n,)) if dx else None
+        for a in np.unique(active).tolist():
+            own = active == a
+            fm[own] = fs[a][own] if a in modes else fs[a]
+            if dx:
+                Jm[own] = js[a][own] if a in modes else js[a]
+        if bound:
+            # the active mode's share of every channel's bound
+            ar = np.abs(rd if dx else rs)
+            base = np.einsum("ij,ij->i", ar, np.abs(fm))
+            if dx:
+                ars = np.abs(rs)[:, None, :]
+                axd = np.abs(xd)[:, :, None]
+                base += (ars @ (np.abs(Jm) @ axd))[:, 0, 0]
+        for col, (a, own) in enumerate(zip(modes, mine)):
+            if own.all():
                 continue
-            fa = sys.mode_field(a, xs)
+            fa = fs[a]
             if dx:
-                Ja = sys.mode_jacobian(a, xs)
+                Ja = js[a]
                 term1 = np.einsum("ij,ij->i", rd, fa - fm)
                 # rho^T (J_a - J_active) xdot per point, as stacked
                 # matmuls: each point keeps the BLAS arithmetic of the
@@ -560,7 +625,8 @@ def insertion_gradient(sys, schedule, x, rho):
                 size = base + np.einsum("ij,ij->i", ar, np.abs(fa))
                 if dx:
                     size += (ars @ (np.abs(Ja) @ axd))[:, 0, 0]
-                err[:, col] = (xs.shape[1] * _EPS) * size
+                err[:, col] = (n * _EPS) * size
+            out[own, col] = err[own, col] = 0.0
         return out, err
 
     return InsertionGradientField(schedule, channels_at,

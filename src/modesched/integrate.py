@@ -148,7 +148,13 @@ class SwitchedSystem:
     :data:`MAGNUS_STACK`; the Jacobian takes those of one mode at a
     time), or the points where the insertion gradient is sampled;
     ``mode_jacobian``, ``running_cost`` and ``running_cost_gradient`` see
-    only stacks.
+    only stacks.  A read of the field stacks points of several segments,
+    and each keeps its bits only if the callables are row-stable: in any
+    stack of two or more states a row gets the same bits, whatever the
+    other rows are, as the built-in models' row-wise numpy and matrix
+    products give it.  A one-row call may differ in bits from the same
+    state in a stack (a BLAS product takes the matrix-vector path for
+    one row and the matrix-matrix path for more).
     """
 
     num_modes: int
@@ -255,6 +261,9 @@ class SampledCurve:
         self.knots = knots
         # what the kernel reads, per segment: each built on its first read
         self._tables = [None] * len(knots)
+        # every segment's knots as one array each, and their table, for
+        # reads across segments: built on the first such read
+        self._flat = self._flat_table = None
         # searchsorted in the inner boundaries is the segment rule
         self._inner = boundaries[1:-1]
         self.dim = knots[0][1].shape[1]
@@ -311,6 +320,44 @@ class SampledCurve:
             knots.append((ts, np.concatenate((ys, ys2), axis=1),
                           np.concatenate((fs, fs2), axis=1)))
         return SampledCurve._trusted(self.boundaries, knots)
+
+    def read(self, segs, t, dxs=(0,)):
+        """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
+        curve at the times ``t``, shape ``(k,)``, each on the branch of
+        its segment ``segs`` (``(k,)``, or one index for every time) and
+        clamped to that segment's span, each result ``(k, n)``.
+
+        One kernel pass reads them all, whichever segments they are in,
+        over one table of every segment's knots, built on the first read
+        between knots, as :func:`_gauss_states` reads the adjoint's nodes;
+        a time on a knot reads that knot's row.  Each row holds the bits
+        of ``self(t, seg=...)`` at its time.  ``ValueError`` when a value
+        is not finite, as the segment tables raise."""
+        if self._flat is None:
+            ts, ys, fs = (np.concatenate(k) for k in zip(*self.knots))
+            last = np.cumsum([len(k[0]) for k in self.knots]) - 1
+            first = np.concatenate(([0], last[:-1] + 1))
+            self._flat = ts, ys, fs, first, last
+        ts, ys, fs, first, last = self._flat
+        segs = np.broadcast_to(segs, t.shape)
+        t = np.minimum(np.maximum(t, ts[first[segs]]), ts[last[segs]])
+        # the last knot at or before each time, within its segment
+        i = np.minimum(ts.searchsorted(t, "right") - 1, last[segs])
+        s = t - ts[i]
+        knot = s == 0.0
+        if knot.all():
+            return [(fs if dx else ys).take(i, 0) + 0.0 for dx in dxs]
+        # the pieces from a segment's last knot to the next one's first,
+        # at the same time, are read at their knot alone
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if self._flat_table is None:
+                self._flat_table = _hermite_table(ts, ys, fs)
+            outs = _power_sums(self._flat_table, i, s, dxs)
+        for dx, out in zip(dxs, outs):
+            out[knot] = (fs if dx else ys)[i[knot]] + 0.0
+            if not np.isfinite(out).all():
+                raise ValueError("knot data must be finite")
+        return outs
 
     def _evaluate(self, t, side, seg, dxs):
         """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the

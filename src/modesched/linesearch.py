@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
 #: default backtracking contraction and iteration cap
 BETA_DEFAULT = 0.4
@@ -57,17 +56,14 @@ class SwitchEvent:
     is_new: bool = False
 
 
-def _classify(field, m, omega, is_new):
+def _classify(field, m, slope, curv, omega, is_new):
     """The :class:`SwitchEvent` of a switch born or re-typed at minimum ``m``.
 
-    ``m`` is one of ``field.minima``; its ``time``, ``mode`` (the pinning
-    channel) and ``segment`` give where the one-sided slope and curvature
-    are read: on that segment's branch, so a minimum at a segment end is
-    classified from the segment it was found in.
+    ``m`` is one of ``field.minima``; ``slope`` and ``curv`` are its
+    channel's one-sided slope and curvature at its time, read on the
+    branch of the segment it was found in, so a minimum at a segment end
+    is classified from that segment.
     """
-    t, a, seg = m["time"], m["mode"], m["segment"]
-    slope = float(field.slopes_in_segment(seg, np.array([t]), (a,))[0, 0])
-    curv = field.curvature(seg, a, t)
     slope_tol = STATIONARY_TOL * (1.0 + field.norm_inf / field.horizon)
     curv_tol = CURVATURE_TOL * (1.0 + field.norm_inf)
     # A first-order event needs the channel rising away from the moving
@@ -81,8 +77,9 @@ def _classify(field, m, omega, is_new):
         kind = 2
     else:
         kind = 3
-    return SwitchEvent(time=t, omega=omega, channel=a, event_type=kind,
-                       slope=slope, curvature=curv, is_new=is_new)
+    return SwitchEvent(time=m["time"], omega=omega, channel=m["mode"],
+                       event_type=kind, slope=slope, curvature=curv,
+                       is_new=is_new)
 
 
 def initial_switch_events(field, opt):
@@ -96,8 +93,10 @@ def initial_switch_events(field, opt):
     when its channel is the mode on the far side of that switch, and a
     new event otherwise (the horizon ends have no far side).  Existing
     switches that nothing re-types stay put (type 0).  Each moving event
-    is typed from its minimum's own segment (:func:`_classify`); the
-    field's samples are read, not re-evaluated.
+    is typed from its minimum's own segment (:func:`_classify`), from
+    slopes and curvatures that one field read gives for all the moving
+    minima (:meth:`.InsertionGradientField.slopes_and_curvatures`); an
+    interior minimum's two events share its read.
 
     Parameters
     ----------
@@ -114,13 +113,15 @@ def initial_switch_events(field, opt):
         return []
     sched = field.schedule
     match_tol = 1e-9 * (1.0 + abs(theta))
+    moving = [m for m in field.minima if m["value"] <= theta + match_tol]
+    slopes, curvs = field.slopes_and_curvatures(
+        [m["segment"] for m in moving], [m["time"] for m in moving],
+        [m["mode"] for m in moving])
     events, retyped = [], set()
-    for m in field.minima:
-        if m["value"] > theta + match_tol:
-            continue
+    for m, slope, curv in zip(moving, slopes.tolist(), curvs.tolist()):
         if m["boundary"] is None:
-            events += [_classify(field, m, 1, True),
-                       _classify(field, m, 0, True)]
+            events += [_classify(field, m, slope, curv, 1, True),
+                       _classify(field, m, slope, curv, 0, True)]
             continue
         # index of the switch at the minimum and the segment on its far side
         seg = m["segment"]
@@ -132,7 +133,7 @@ def initial_switch_events(field, opt):
                       and sched.sequence[far] == m["mode"])
         if not is_new:
             retyped.add(i)
-        events.append(_classify(field, m, omega, is_new))
+        events.append(_classify(field, m, slope, curv, omega, is_new))
     events += [SwitchEvent(time=t, omega=0, channel=None, event_type=0)
                for i, t in enumerate(sched.times) if i not in retyped]
     return events

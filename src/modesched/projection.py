@@ -7,13 +7,14 @@ component, which reduces to a simple threshold rule: the active mode
 changes to ``argmin_a d_a(t)`` wherever ``min_a d_a(t) < -1/gamma`` and
 stays with the incumbent elsewhere.  Projecting is therefore a matter of
 locating the threshold crossings, assembling the new schedule, and
-re-integrating.  Each crossing is a bracketed root of the field; a
-segment's crossings are solved together, as the field's minima are
-(:func:`.gradient._solve_roots`): estimated from the cubic through the
-neighbouring samples, then refined by batched reads of the field's
-values (its ``channels_at``), in Newton/secant rounds and then by
-bisection.  A segment with no sample below the threshold keeps its mode
-without that work.
+re-integrating.  Each crossing is a bracketed root of the field; the
+crossings of all segments are solved together, as the field's minima
+are (:func:`.gradient._solve_roots`): estimated from the cubic through
+the neighbouring samples, then refined by batched reads of the field's
+values, one ``channels_at`` call per round for every open crossing
+whatever its segment, in Newton/secant rounds and then by bisection.  A
+segment with no sample below the threshold keeps its mode without that
+work.
 Applied to an already-feasible pair (``gamma = 0`` or a one-hot signal)
 the map is the identity, which makes it a projection.
 """
@@ -65,8 +66,9 @@ def _winners(lowest, inc, threshold, ts, seg):
     return np.where(below, modes, inc)
 
 
-def _segment_spans(field, seg, gamma):
-    """(start, end, mode) spans for one segment under the max rule.
+def _segment_spans(field, segs, gamma):
+    """(start, end, mode) spans of each segment of ``segs`` under the max
+    rule, one list per segment, in the order of ``segs``.
 
     Winners are taken on the field's ``samples[seg]``, its grid and
     interior minima, from the lowest channel there (``lowest[seg]``, kept
@@ -76,52 +78,66 @@ def _segment_spans(field, seg, gamma):
     so that the max rule is ``argmin E``.  Every interval where a
     challenger beats the threshold holds a local minimum of its channel,
     and the field's minima are samples, so no such interval hides between
-    two samples.  The segment's crossings are solved together by
-    :func:`.gradient._solve_roots` to ``ROOT_TOL * horizon``, each
+    two samples.  The crossings of all the segments are solved together
+    by :func:`.gradient._solve_roots` to ``ROOT_TOL * horizon``, each
     estimated from the cubic through ``E_new - E_old`` at the four
     samples around its bracket (fewer at the segment's ends) and refined
-    by batched ``channels_at`` value calls, each with the rounding bounds
-    of its two channels summed.
+    by batched ``channels_at`` value calls, one per round for the
+    crossings of every segment, each with the rounding bounds of its two
+    channels summed.
     """
     sched = field.schedule
-    a, b = sched.segment_bounds(seg)
-    inc = sched.sequence[seg]
     threshold = -1.0 / gamma
-    ts, D = field.samples[seg]
-    w = _winners(field.lowest[seg], inc, threshold, ts, seg)
 
-    def gap(d_new, d_old, new, old):
+    def gap(d_new, d_old, new, old, inc):
         """``E_new - E_old`` from the two channels' values."""
         e = lambda v, m: min(v, threshold) if m == inc else v
         return e(d_new, new) - e(d_old, old)
 
     tol = ROOT_TOL * sched.horizon
-    changes = np.flatnonzero(w[1:] != w[:-1]).tolist()
-    pairs = [(int(w[j + 1]), int(w[j])) for j in changes]
-    brackets = []
-    for j, (new, old) in zip(changes, pairs):
-        near = range(max(j - 1, 0), min(j + 3, len(ts)))
-        g = [gap(float(D[i, new - 1]), float(D[i, old - 1]), new, old)
-             for i in near]
-        at = j - near.start
-        brackets.append((float(ts[j]), float(ts[j + 1]), g[at], g[at + 1],
-                         _interpolant([float(ts[i]) for i in near], g)))
+    # per segment its first winner and where its crossings start; per
+    # crossing its bracket and (seg, new, old, inc)
+    firsts, offs, brackets, crossings = [], [], [], []
+    for seg in segs:
+        offs.append(len(crossings))
+        inc = sched.sequence[seg]
+        ts, D = field.samples[seg]
+        w = _winners(field.lowest[seg], inc, threshold, ts, seg)
+        firsts.append(int(w[0]))
+        for j in np.flatnonzero(w[1:] != w[:-1]).tolist():
+            new, old = int(w[j + 1]), int(w[j])
+            near = range(max(j - 1, 0), min(j + 3, len(ts)))
+            g = [gap(float(D[i, new - 1]), float(D[i, old - 1]), new, old,
+                     inc) for i in near]
+            at = j - near.start
+            brackets.append((float(ts[j]), float(ts[j + 1]), g[at],
+                             g[at + 1],
+                             _interpolant([float(ts[i]) for i in near], g)))
+            crossings.append((seg, new, old, inc))
 
     def evaluate(ks, pts, bound):
-        cols = sorted({m for k in ks for m in pairs[k]})
-        V, E = field.channels_at(seg, np.array(pts), cols, 0, bound)
+        cols = sorted({m for k in ks for m in crossings[k][1:3]})
+        V, E = field.channels_at(np.array([crossings[k][0] for k in ks]),
+                                 np.array(pts), cols, 0, bound)
         V, E = V.tolist(), E.tolist()
         f, err = [], []
         for i, k in enumerate(ks):
-            new, old = (cols.index(m) for m in pairs[k])
-            f.append(gap(V[i][new], V[i][old], *pairs[k]))
-            err.append(E[i][new] + E[i][old])
+            _, new, old, inc = crossings[k]
+            a, b = cols.index(new), cols.index(old)
+            f.append(gap(V[i][a], V[i][b], new, old, inc))
+            err.append(E[i][a] + E[i][b])
         return f, err
 
-    cuts = [a, *_solve_roots(brackets, evaluate, tol), b]
-    modes = [int(w[0])] + [new for new, _ in pairs]
-    return [(lo, hi, m) for lo, hi, m in zip(cuts[:-1], cuts[1:], modes)
-            if hi - lo > tol]
+    roots = _solve_roots(brackets, evaluate, tol)
+    offs.append(len(crossings))
+    spans = []
+    for seg, first, lo, hi in zip(segs, firsts, offs, offs[1:]):
+        a, b = sched.segment_bounds(seg)
+        cuts = [a, *roots[lo:hi], b]
+        modes = [first] + [new for _, new, _, _ in crossings[lo:hi]]
+        spans.append([(t0, t1, m) for t0, t1, m
+                      in zip(cuts[:-1], cuts[1:], modes) if t1 - t0 > tol])
+    return spans
 
 
 def max_map(u, field, gamma, dwell=None):
@@ -130,11 +146,12 @@ def max_map(u, field, gamma, dwell=None):
     In each segment of ``u`` the max rule is evaluated on the field's
     sampling grid and its interior minima; every change of winner between
     two samples is cut at the root of the two modes' difference, solved
-    with the segment's other crossings on the field to ``ROOT_TOL *
-    horizon`` (:func:`_segment_spans`).  A segment whose lowest sample
-    value (``field.lowest[seg]``) is at or above ``-1/gamma`` has no
-    winner but its incumbent, so it is kept whole without that work, as
-    the span :func:`_segment_spans` would give it.
+    on the field to ``ROOT_TOL * horizon`` together with the crossings of
+    every other segment, one field read per round
+    (:func:`_segment_spans`).  A segment whose lowest sample value
+    (``field.lowest[seg]``) is at or above ``-1/gamma`` has no winner but
+    its incumbent, so it is kept whole without that work, as the span
+    :func:`_segment_spans` would give it.
 
     Parameters
     ----------
@@ -161,10 +178,13 @@ def max_map(u, field, gamma, dwell=None):
     sched = field.schedule
     threshold = -1.0 / gamma
     tol = ROOT_TOL * sched.horizon
+    crossed = [seg for seg in range(u.n_segments)
+               if field.lowest[seg][0].min() < threshold]
+    below = dict(zip(crossed, _segment_spans(field, crossed, gamma)))
     spans = []
     for seg in range(u.n_segments):
-        if field.lowest[seg][0].min() < threshold:
-            spans.extend(_segment_spans(field, seg, gamma))
+        if seg in below:
+            spans.extend(below[seg])
             continue
         a, b = sched.segment_bounds(seg)
         if b - a > tol:

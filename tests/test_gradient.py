@@ -1,9 +1,10 @@
 """Insertion/switching-time gradients against finite-difference oracles."""
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from modesched import (
     InsertionGradientField,
@@ -20,7 +21,8 @@ from modesched import (
 from modesched.models import (initial_state, load_network, power_system,
                               vehicle_initial_state, vehicle_system)
 from conftest import (THREE_MACHINE, masked_channels, quadratic_bottoms,
-                      quadratic_field, random_schedule)
+                      quadratic_field, random_field, random_schedule,
+                      ring_network)
 
 
 def field_for(sys_, x0, sched):
@@ -333,12 +335,17 @@ def test_a_field_samples_each_grid_once_and_then_only_reads():
     field = InsertionGradientField.from_callables(
         sched, counted(values, value_calls),
         channel_slopes=counted(slopes, slope_calls))
-    for seg, grid in enumerate(field.grids):
-        # a segment ending at a switch reads its end just below it
-        own = grid[:-1] if seg < len(sched.times) else grid
-        hits = [ts for ts in value_calls
-                if len(ts) == len(grid) and np.array_equal(ts[:len(own)], own)]
-        assert len(hits) == sched.num_modes  # one call per channel function
+    # all grids in one read: one call per channel function
+    grids = np.concatenate(field.grids)
+    hits = [ts for ts in value_calls if len(ts) == len(grids)]
+    assert len(hits) == sched.num_modes
+    for ts in hits:
+        at = 0
+        for seg, grid in enumerate(field.grids):
+            # a segment ending at a switch reads its end just below it
+            own = grid[:-1] if seg < len(sched.times) else grid
+            assert np.array_equal(ts[at:at + len(own)], own)
+            at += len(grid)
     value_calls.clear()
     slope_calls.clear()
     opt = optimality(field)
@@ -349,9 +356,10 @@ def test_a_field_samples_each_grid_once_and_then_only_reads():
     assert value_calls == [] and slope_calls == []
     events = initial_switch_events(field, opt)
     assert sorted(e.omega for e in events if e.event_type != 0) == [0, 1]
-    # one-sided slopes and curvature stencils only: one or two points
+    # one read of the one interior minimum's slope and curvature
+    # stencil, shared by its two events: three points, its channel alone
     assert value_calls == []
-    assert slope_calls and all(len(ts) <= 2 for ts in slope_calls)
+    assert len(slope_calls) == 1 and len(slope_calls[0]) == 3
 
 
 def test_theta_nonpositive_and_attained(vehicle, vehicle_x0):
@@ -474,3 +482,99 @@ def test_a_one_mode_field_has_no_minima_and_no_ties():
     assert all(runs.size == 0 for _, _, runs in field.lowest)
     assert optimality(field).theta == 0.0
     assert max_map(sched, field, 1.0) == sched
+
+
+@functools.lru_cache(maxsize=None)
+def mixed_read_field(kind):
+    """A field of several segments to read across them: a trajectory
+    field of the vehicle, the three-machine network or the 12-machine
+    ring, or a synthetic one from callables."""
+    rng = np.random.default_rng(71)
+    if kind == "callables":
+        return random_field(rng, random_schedule(rng, 3.0, 3, 4))
+    if kind == "vehicle":
+        sys_, x0 = vehicle_system(), vehicle_initial_state()
+        sched = random_schedule(rng, 5.5, 4, 4)
+    else:
+        net = load_network(str(THREE_MACHINE)) if kind == "three-machine" \
+            else ring_network()
+        sys_, x0 = power_system(net), initial_state(net, 0.2, seed=3)
+        sched = random_schedule(rng, 1.0, 2, 4)
+    return field_for(sys_, x0, sched)[2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), dx=st.sampled_from([0, 1]),
+       bound=st.booleans())
+@pytest.mark.parametrize("kind", ["vehicle", "three-machine", "ring12",
+                                  "callables"])
+def test_a_read_across_segments_gives_each_point_its_own_bits(
+        kind, data, dx, bound):
+    # a read of points from any mix of segments gives each point the bits
+    # of the read of its segment's points alone: values, slopes and
+    # rounding bounds, for all channels or some, knots included
+    field = mixed_read_field(kind)
+    sched = field.schedule
+    segs = data.draw(st.lists(st.integers(0, sched.n_segments - 1),
+                              min_size=1, max_size=4, unique=True))
+    parts = []
+    for seg in segs:
+        grid = field.grids[seg]
+        lo, hi = sched.segment_bounds(seg)
+        picks = data.draw(st.lists(
+            st.one_of(st.floats(0.0, 1.0).map(lambda u: lo + u * (hi - lo)),
+                      st.integers(0, len(grid) - 1).map(
+                          lambda i: float(grid[i]))),
+            min_size=2, max_size=5))
+        parts.append((seg, np.array(picks)))
+    modes = data.draw(st.one_of(st.none(), st.permutations(
+        range(1, sched.num_modes + 1)).flatmap(
+            lambda p: st.integers(1, len(p)).map(lambda k: list(p[:k])))))
+    order = data.draw(st.permutations(range(sum(len(t) for _, t in parts))))
+    all_segs = np.concatenate([np.full(len(t), seg) for seg, t in parts])
+    all_ts = np.concatenate([t for _, t in parts])
+    order = np.array(order)
+    F, E = field.channels_at(all_segs[order], all_ts[order], modes, dx, bound)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    start = 0
+    for seg, ts in parts:
+        rows = at[start:start + len(ts)]
+        start += len(ts)
+        F1, E1 = field.channels_at(seg, ts, modes, dx, bound)
+        assert F[rows].tobytes() == F1.tobytes()
+        assert E[rows].tobytes() == E1.tobytes()
+
+
+def test_a_field_build_makes_as_many_reads_on_12_segments_as_on_2(
+        monkeypatch):
+    # every read of a field build spans all segments: the values at the
+    # grids, the slopes at the bracket ends, each round of the minima and
+    # the values at them, so its ``channels_at`` calls do not grow with
+    # the segment count: each segment holds wells of the same shape, so
+    # the slowest minimum takes as many rounds on either schedule
+    calls = []
+    init = InsertionGradientField.__init__
+
+    def counted(self, schedule, channels_at, grids):
+        def read(*args):
+            calls.append(args)
+            return channels_at(*args)
+        init(self, schedule, read, grids)
+
+    monkeypatch.setattr(InsertionGradientField, "__init__", counted)
+    counts = []
+    for n_switches in (1, 11):
+        sched = ModeSchedule(
+            tuple(1 + k % 2 for k in range(n_switches + 1)),
+            tuple(np.linspace(0.0, 6.0, n_switches + 2)[1:-1].tolist()),
+            6.0, 3)
+        raws = [lambda t, c=c: (np.sin(np.pi * t / 0.25) + c) ** 2
+                for c in (0.1, 0.2, 0.3)]
+        calls.clear()
+        field = InsertionGradientField.from_callables(
+            sched, masked_channels(sched, raws))
+        assert sum(m["boundary"] is None for m in field.minima) \
+            >= n_switches + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

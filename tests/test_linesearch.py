@@ -33,7 +33,8 @@ from conftest import max_rule_crossings, random_field, random_schedule
 
 
 def synth_field(sched, seg_channels):
-    """Field with per-segment channel callables (active channels masked).
+    """Field with per-segment channel callables (active channels masked),
+    read at points of any mix of segments.
 
     ``seg_channels[seg][a-1]`` is channel ``a`` on segment ``seg``; this
     keeps one-sided limits at switching times honest, which a single
@@ -41,21 +42,26 @@ def synth_field(sched, seg_channels):
     :func:`knot_grid`, as :meth:`InsertionGradientField.from_callables`
     samples it.
     """
-    def values_fn(seg, ts):
-        fns = seg_channels[seg]
-        return np.column_stack([np.broadcast_to(f(ts), ts.shape)
-                                for f in fns])
+    def values_fn(segs, ts):
+        F = np.empty((len(ts), len(seg_channels[0])))
+        for seg in np.unique(segs):
+            own = segs == seg
+            F[own] = np.column_stack([np.broadcast_to(f(ts[own]),
+                                                      ts[own].shape)
+                                      for f in seg_channels[seg]])
+        return F
 
     h = 1e-7 * sched.horizon
+    bounds = np.array(sched.boundaries)
 
-    def channels_at(seg, ts, modes=None, dx=0, bound=False):
+    def channels_at(segs, ts, modes=None, dx=0, bound=False):
         ts = np.atleast_1d(np.asarray(ts, float))
+        segs = np.broadcast_to(segs, ts.shape)
         if dx:
-            a, b = sched.segment_bounds(seg)
-            tc = np.clip(ts, a + h, b - h)
-            F = (values_fn(seg, tc + h) - values_fn(seg, tc - h)) / (2 * h)
+            tc = np.clip(ts, bounds[segs] + h, bounds[segs + 1] - h)
+            F = (values_fn(segs, tc + h) - values_fn(segs, tc - h)) / (2 * h)
         else:
-            F = values_fn(seg, ts)
+            F = values_fn(segs, ts)
         if modes is not None:
             F = F[:, [m - 1 for m in modes]]
         return F, np.zeros_like(F)

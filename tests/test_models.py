@@ -1,4 +1,5 @@
 """Built-in models against hand calculations and finite differences."""
+import functools
 import json
 import math
 
@@ -557,3 +558,39 @@ def test_running_cost_rows_hold_their_single_state_bits(name, data):
         assert got.shape == (k,)
         assert [v.hex() for v in got.tolist()] == \
             [float(v).hex() for v in singles]
+
+
+# -- stacked callables ---------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def stacked_model(kind):
+    """A built-in system and a state to perturb around."""
+    if kind == "vehicle":
+        return vehicle_system(), vehicle_initial_state()
+    net = load_network(str(THREE_MACHINE)) if kind == "three-machine" \
+        else ring_network()
+    return power_system(net), initial_state(net, 0.3, seed=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 30),
+       m=st.integers(2, 30))
+@pytest.mark.parametrize("kind", ["vehicle", "three-machine", "ring12"])
+def test_stacked_callables_are_row_stable(kind, seed, k, m):
+    # in any stack of two or more states, each row gets the bits it gets
+    # in any other such stack: the field reads stack points of several
+    # segments and keeps each point's bits only if this holds
+    sys_, x0 = stacked_model(kind)
+    rng = np.random.default_rng(seed)
+    X = x0 + rng.normal(0.0, 0.5, (k, sys_.dim))
+    # the same states, each in another stack: shuffled among m others
+    Y = np.vstack([X, x0 + rng.normal(0.0, 0.5, (m, sys_.dim))])
+    perm = rng.permutation(len(Y))
+    Y = Y[perm]
+    at = np.argsort(perm)[:k]
+    calls = [sys_.running_cost, sys_.running_cost_gradient]
+    for a in range(1, sys_.num_modes + 1):
+        calls += [functools.partial(sys_.mode_field, a),
+                  functools.partial(sys_.mode_jacobian, a)]
+    for call in calls:
+        assert call(Y)[at].tobytes() == call(X).tobytes()

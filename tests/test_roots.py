@@ -116,23 +116,27 @@ def test_batched_roots_match_scalar_brent_and_stay_in_their_brackets(
 
 def test_each_root_group_makes_at_most_its_rounds_of_field_calls(
         vehicle, vehicle_x0, monkeypatch):
-    # on the published vehicle start each segment's roots, minima or
-    # crossings, are settled together by at most ROOT_ROUNDS batched
-    # rounds, each one ``channels_at`` call, so none bisects
-    groups, field_calls = [], []
+    # on the published vehicle start the roots are solved in one group per
+    # field, all its minima, and one per trial, the crossings of all its
+    # segments; each group settles by at most ROOT_ROUNDS batched rounds,
+    # each one ``channels_at`` call, so none bisects
+    groups, field_calls, fields, trials = [], [], [], []
     solve = gradient._solve_roots
+    max_rule = projection.max_map
 
-    def counted(brackets, evaluate, tol):
-        group = dict(roots=len(brackets), rounds=0, calls=[])
-        groups.append(group)
+    def counted(kind):
+        def run(brackets, evaluate, tol):
+            group = dict(kind=kind, roots=len(brackets), rounds=0, calls=[])
+            groups.append(group)
 
-        def batched(ks, ts, bound):
-            group["rounds"] += 1
-            before = len(field_calls)
-            out = evaluate(ks, ts, bound)
-            group["calls"].append(len(field_calls) - before)
-            return out
-        return solve(brackets, batched, tol)
+            def batched(ks, ts, bound):
+                group["rounds"] += 1
+                before = len(field_calls)
+                out = evaluate(ks, ts, bound)
+                group["calls"].append(len(field_calls) - before)
+                return out
+            return solve(brackets, batched, tol)
+        return run
 
     init = gradient.InsertionGradientField.__init__
 
@@ -140,10 +144,16 @@ def test_each_root_group_makes_at_most_its_rounds_of_field_calls(
         def channels_at_counted(*args, **kwargs):
             field_calls.append(args)
             return channels_at(*args, **kwargs)
+        fields.append(schedule)
         init(self, schedule, channels_at_counted, grids)
 
-    monkeypatch.setattr(gradient, "_solve_roots", counted)
-    monkeypatch.setattr(projection, "_solve_roots", counted)
+    def max_map_counted(*args, **kwargs):
+        trials.append(args)
+        return max_rule(*args, **kwargs)
+
+    monkeypatch.setattr(gradient, "_solve_roots", counted("minima"))
+    monkeypatch.setattr(projection, "_solve_roots", counted("crossings"))
+    monkeypatch.setattr(projection, "max_map", max_map_counted)
     monkeypatch.setattr(gradient.InsertionGradientField, "__init__",
                         init_counted)
     res = optimize(vehicle, vehicle_x0,
@@ -151,6 +161,8 @@ def test_each_root_group_makes_at_most_its_rounds_of_field_calls(
                    OptimizerConfig(alpha=0.4, beta=0.4, max_iter=3,
                                    theta_stop=0.0))
     assert len(res.iterations) >= 3
+    assert [g["kind"] for g in groups].count("minima") == len(fields)
+    assert [g["kind"] for g in groups].count("crossings") == len(trials)
     solved = [g for g in groups if g["roots"]]
     assert len(solved) >= 10 and sum(g["roots"] for g in solved) >= 20
     assert all(1 <= g["rounds"] <= ROOT_ROUNDS for g in solved)
@@ -205,8 +217,8 @@ def test_max_map_skips_segments_that_keep_their_mode(vehicle, vehicle_x0):
     mixed = 0
     for scale in (0.5, 1.01, 1.5, 3.0, 10.0, 100.0):
         gamma = scale * g0
-        spans = [s for seg in range(sched.n_segments)
-                 for s in projection._segment_spans(field, seg, gamma)]
+        spans = [s for part in projection._segment_spans(
+                     field, range(sched.n_segments), gamma) for s in part]
         full = enforce_dwell(
             ModeSchedule(tuple(m for _, _, m in spans),
                          tuple(lo for lo, _, _ in spans[1:]),
