@@ -373,23 +373,30 @@ def _solve_roots(brackets, evaluate, tol):
     the only field access.
 
     Each root starts at the model's root and is refined in rounds, one
-    ``evaluate`` call for all roots still open.  A round evaluates each at
-    ``e - tol`` and ``e + tol`` (clamped to the bracket, where the known
-    end values stand in) around its estimate ``e``.  The root is ``e``
-    when the two values differ in sign (or one is zero), as Brent's method
-    would stop, or when either is within its rounding bound, where the
-    sign is noise.  Otherwise the two values lie on one side of the root:
-    the bracket narrows to the other, and in the first
-    :data:`ROOT_ROUNDS` rounds ``e`` takes a Newton step from their mean.
-    Its slope is the model's in the first round and then the secant
-    through the last two estimates, which lie far apart next to ``tol``;
-    the secant over ``2 tol`` would be noise.  After those rounds, or when
-    the slope points away from the root or the step leaves the bracket,
-    ``e`` is the narrowed bracket's midpoint: bisection, which at least
-    halves the bracket each round.  A root whose bracket is at most ``2
-    tol`` wide is its midpoint, so a bracket of width ``w`` takes at most
-    ``ROOT_ROUNDS + ceil(log2(w / (2 tol)))`` rounds.  All bookkeeping is
-    in Python floats; only the field calls are batched.
+    ``evaluate`` call for all roots still open; a root's rounds do not
+    depend on the other roots.  A round evaluates each at ``e - tol`` and
+    ``e + tol`` (clamped to the bracket, where the known end values stand
+    in) around its estimate ``e``.  The root is ``e`` when the two values
+    differ in sign (or one is zero), as Brent's method would stop, or
+    when either is within its rounding bound, where the sign is noise.
+    Otherwise the two values lie on one side of the root: the bracket
+    narrows to the other, and in the first :data:`ROOT_ROUNDS` rounds
+    ``e`` takes a Newton step from their mean.  Its slope is the model's
+    in the first round and then the secant through the last two
+    estimates, which lie far apart next to ``tol``; the secant over ``2
+    tol`` would be noise.  After those rounds ``e`` takes an Illinois
+    regula-falsi step: the root of the line through the bracket's two end
+    values, where an end the bracket kept in two rounds in a row counts
+    at half its value, once more for each further round.  When the slope
+    points away from the root or a step leaves the bracket, when the
+    bracket has not halved over the last two rounds, or when one more
+    round that did not narrow it would leave too few rounds to bisect it
+    within the bound below, ``e`` is the narrowed bracket's midpoint
+    instead: bisection, which at least halves the bracket.  A root whose
+    bracket is at most ``2 tol`` wide is its midpoint, so a bracket of
+    width ``w`` takes at most ``ROOT_ROUNDS + ceil(log2(w / (2 tol)))``
+    rounds.  All bookkeeping is in Python floats; only the field calls
+    are batched.
     """
     roots = [None] * len(brackets)
     live = []
@@ -399,8 +406,12 @@ def _solve_roots(brackets, evaluate, tol):
         elif f_hi == 0.0:
             roots[k] = hi
         else:
+            # the Illinois end values and the end that moved last, the
+            # widths after the last two rounds, and the round bound
             live.append((k, lo, hi, f_lo, f_hi,
-                         _model_root(model, lo, hi, f_lo, tol), None))
+                         _model_root(model, lo, hi, f_lo, tol), None,
+                         (f_lo, f_hi, None), (hi - lo, hi - lo),
+                         ROOT_ROUNDS + _halvings(hi - lo, tol)))
     rounds = 0
     while True:
         todo = []
@@ -412,13 +423,15 @@ def _solve_roots(brackets, evaluate, tol):
         if not todo:
             return roots
         pts = []
-        for _, lo, hi, _, _, e, _ in todo:
+        for r in todo:
+            lo, hi, e = r[1], r[2], r[5]
             pts += (max(e - tol, lo), min(e + tol, hi))
         f, err = evaluate([r[0] for r in todo for _ in (0, 1)], pts,
                           rounds > 0)
         rounds += 1
         live = []
-        for i, (k, lo, hi, f_lo, f_hi, e, last) in enumerate(todo):
+        for i, (k, lo, hi, f_lo, f_hi, e, last, (g_lo, g_hi, moved),
+                widths, cap) in enumerate(todo):
             t1, t2 = pts[2 * i], pts[2 * i + 1]
             f1, e1 = (f_lo, 0.0) if t1 == lo else (f[2 * i], err[2 * i])
             f2, e2 = (f_hi, 0.0) if t2 == hi else (f[2 * i + 1],
@@ -430,8 +443,16 @@ def _solve_roots(brackets, evaluate, tol):
             neg = f_lo < 0.0
             if (f2 < 0.0) == neg:
                 lo, f_lo = t2, f2
+                g_lo = f2
+                if moved == "lo":
+                    g_hi *= 0.5
+                moved = "lo"
             else:
                 hi, f_hi = t1, f1
+                g_hi = f1
+                if moved == "hi":
+                    g_lo *= 0.5
+                moved = "hi"
             fe = 0.5 * (f1 + f2)
             nxt = 0.5 * (lo + hi)
             if rounds < ROOT_ROUNDS:
@@ -441,7 +462,18 @@ def _solve_roots(brackets, evaluate, tol):
                     step = e - fe / slope
                     if lo < step < hi:
                         nxt = step
-            live.append((k, lo, hi, f_lo, f_hi, nxt, (e, fe)))
+            elif hi - lo <= 0.5 * widths[0] \
+                    and rounds + 1 + _halvings(hi - lo, tol) <= cap:
+                step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+                if lo < step < hi:
+                    nxt = step
+            live.append((k, lo, hi, f_lo, f_hi, nxt, (e, fe),
+                         (g_lo, g_hi, moved), (widths[1], hi - lo), cap))
+
+
+def _halvings(width, tol):
+    """Bisection rounds that narrow a bracket of ``width`` to ``2 tol``."""
+    return max(0, math.ceil(math.log2(width / (2.0 * tol))))
 
 
 def _model_root(model, lo, hi, f_lo, tol):
