@@ -249,11 +249,6 @@ class InsertionGradientField:
         rows = np.arange(k)
         return S[rows, at], (S[rows + 2 * k, at] - S[rows + k, at]) / (2.0 * h)
 
-    def curvature(self, seg, a, t):
-        """Second time-derivative of channel ``a`` at ``t`` on segment
-        ``seg``'s branch (:meth:`slopes_and_curvatures`)."""
-        return float(self.slopes_and_curvatures([seg], [t], [a])[1][0])
-
     def _scan(self):
         """Set every segment's samples and the field's minima from the
         grid values.

@@ -145,8 +145,8 @@ def test_optimality_on_synthetic_parabola():
     assert opt.time == pytest.approx(0.75, abs=1e-6)
     assert opt.stationary
     assert opt.boundary is None
-    assert field.curvature(0, opt.mode, opt.time) == pytest.approx(2.0,
-                                                                   rel=1e-3)
+    _, curv = field.slopes_and_curvatures([0], [opt.time], [opt.mode])
+    assert curv[0] == pytest.approx(2.0, rel=1e-3)
     # the sup-norm is a grid-level diagnostic, not a refined quantity
     assert field.norm_inf == pytest.approx(2.0, rel=1e-3)
 
