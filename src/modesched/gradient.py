@@ -23,8 +23,8 @@ of any mix of segments.
 The field's interior minima, and the max rule's threshold crossings in
 :mod:`.projection`, are found by one mechanism (:func:`_solve_roots`):
 all of a field's minima at once, or all of a trial's crossings, whatever
-their segments, each in a bracket taken from those
-samples, on the true field (the channel's analytic slope for a minimum,
+their segments, each in a bracket taken from those samples, on the true
+field (the channel's analytic slope for a minimum,
 the difference of two modes for a crossing).  Each root is first
 estimated from data at hand, a cubic model through its bracket's known
 values, then refined in rounds of one batched field call for every root
@@ -34,10 +34,12 @@ root as Brent's method would stop, and so does a value within the field's
 rounding bound, at which the sign is noise.  Otherwise the bracket
 narrows and a Newton step gives the next estimate, with the model's
 slope first and then the secant through the last two estimates.  A root
-whose step leaves its bracket or points away from the root, or that is
-still open after :data:`ROOT_ROUNDS` rounds, takes the midpoint of its
-narrowed bracket instead: it bisects, in the same batched rounds, until
-a test settles it or its bracket is ``2 ROOT_TOL * horizon`` wide.
+whose step leaves its bracket or points away from the root takes the
+midpoint of its narrowed bracket instead.  One still open after
+:data:`ROOT_ROUNDS` rounds takes safeguarded Illinois regula-falsi
+steps, bisecting whenever its bracket has not halved over two rounds, in
+the same batched rounds, until a test settles it or its bracket is ``2
+ROOT_TOL * horizon`` wide.
 Every read of the field, for its samples and for every round of roots,
 is one call of its ``channels_at`` over all the segments it reads.
 """
@@ -59,7 +61,7 @@ from .integrate import _check_partition, knot_grid
 #: rounding bound instead
 ROOT_TOL = 1e-12
 #: batched Newton/secant rounds of a group of roots before the ones
-#: still open bisect.  Most roots settle in the second or third; flat
+#: still open take safeguarded regula-falsi steps.  Most roots settle in the second or third; flat
 #: crossings with a poor first estimate need a fourth (on the published
 #: receding-horizon run 3 rounds left 17 of 369 roots open, 4 leave 4)
 ROOT_ROUNDS = 4
@@ -591,40 +593,42 @@ def insertion_gradient(sys, schedule, x, rho):
         differences far below their terms, and bounds built from the
         products fell up to 4e6-fold short of the measured noise.
 
-        A mode of ``modes`` is evaluated on every point, and a point's
-        active mode that is not among them on that mode's points: a
-        model call on a stack of two or more rows gives each row the bits
-        it has in any other such stack, so a point's row does not depend
-        on the read's other points."""
+        Every mode of ``modes`` and every active mode of a point is
+        evaluated on all the points, one model call each: a call on a
+        stack of two or more rows gives each row the bits it has in any
+        other such stack, so a point's row does not depend on the read's
+        other points."""
         ts = np.atleast_1d(np.asarray(ts, float))
-        segs = np.broadcast_to(segs, ts.shape)
         v, *vd = xr.read(segs, ts, (0, 1) if dx else (0,))
         xs, rs = v[:, :n], v[:, n:]
         if dx:
             xd, rd = vd[0][:, :n], vd[0][:, n:]
-        active = sequence[segs]
         if modes is None:
             modes = range(1, N + 1)
         out = np.zeros((len(ts), len(modes)))
         err = np.zeros_like(out)
-        mine = [active == a for a in modes]
-        if all(own.all() for own in mine):
+        active = np.atleast_1d(sequence[segs])
+        acts = set(active.tolist())
+        # a column is zero on its mode's own points: skipped when that is
+        # every point, else zeroed on each active mode's mask
+        own = {a: active == a for a in acts} if len(acts) > 1 else {}
+        cols = [(col, a) for col, a in enumerate(modes)
+                if own or a not in acts]
+        if not cols:
             return out, err
-        # one model call per mode: on every point for a column, on its
-        # own points for an active mode that is none
-        fs, js = {}, {}
-        for a in dict.fromkeys([*modes, *np.unique(active).tolist()]):
-            on = slice(None) if a in modes else active == a
-            fs[a] = sys.mode_field(a, xs[on])
-            if dx:
-                js[a] = sys.mode_jacobian(a, xs[on])
-        fm = np.empty_like(xs)
-        Jm = np.empty(xs.shape + (n,)) if dx else None
-        for a in np.unique(active).tolist():
-            own = active == a
-            fm[own] = fs[a][own] if a in modes else fs[a]
-            if dx:
-                Jm[own] = js[a][own] if a in modes else js[a]
+        fs = {a: sys.mode_field(a, xs) for a in sorted({*modes, *acts})}
+        if dx:
+            js = {a: sys.mode_jacobian(a, xs) for a in fs}
+        if own:
+            fm = np.empty_like(xs)
+            Jm = np.empty(xs.shape + (n,)) if dx else None
+            for a, on in own.items():
+                fm[on] = fs[a][on]
+                if dx:
+                    Jm[on] = js[a][on]
+        else:
+            fm = fs[active[0]]
+            Jm = js[active[0]] if dx else None
         if bound:
             # the active mode's share of every channel's bound
             ar = np.abs(rd if dx else rs)
@@ -633,9 +637,7 @@ def insertion_gradient(sys, schedule, x, rho):
                 ars = np.abs(rs)[:, None, :]
                 axd = np.abs(xd)[:, :, None]
                 base += (ars @ (np.abs(Jm) @ axd))[:, 0, 0]
-        for col, (a, own) in enumerate(zip(modes, mine)):
-            if own.all():
-                continue
+        for col, a in cols:
             fa = fs[a]
             if dx:
                 Ja = js[a]
@@ -653,7 +655,8 @@ def insertion_gradient(sys, schedule, x, rho):
                 if dx:
                     size += (ars @ (np.abs(Ja) @ axd))[:, 0, 0]
                 err[:, col] = (n * _EPS) * size
-            out[own, col] = err[own, col] = 0.0
+            if a in own:
+                out[own[a], col] = err[own[a], col] = 0.0
         return out, err
 
     return InsertionGradientField(schedule, channels_at,

@@ -33,7 +33,9 @@ built on the segment's first read between knots, in which every knot
 starts a piece, so a query at a knot returns that knot's value and
 derivative exactly.
 Each query reads one segment, so a switching time has exact one-sided
-limits: ``side`` picks the earlier or later segment, or ``seg`` names it.
+limits: ``side`` picks the earlier or later segment, or ``seg`` names it;
+:meth:`SampledCurve.read`, the field's read, names one segment per time
+and reads times of any mix of segments in one pass.
 
 No scipy module is imported.  The package owns the two pieces of scipy
 whose bits it keeps: DOP853's tableau (:mod:`._dop853`) and the power sums
@@ -190,9 +192,9 @@ class SampledCurve:
     The value is the power sum ``((c3 + c2 s) + c1 s^2) + c0 s^3`` and the
     derivative ``(c2 + 2 c1 s) + 3 c0 s^2``, in the operation order of
     scipy's ``PPoly`` kernel, so the bits are PPoly's; every query, one
-    time or a batch, is one numpy pass per segment it touches, which gives
-    values and derivatives together when both are asked for
-    (:meth:`value_and_derivative`).  A query whose times are all knots is
+    time or a batch, is one numpy pass per segment it touches.
+    :meth:`read` takes times of any mix of segments, and values and
+    derivatives together, in one pass.  A query whose times are all knots is
     read from the knot arrays, as the table would give them, and builds
     no table: every knot, a segment's ends included, reads back its own
     value and derivative exactly.  A segment's table is built on its first
@@ -301,11 +303,6 @@ class SampledCurve:
         """Interpolant time-derivative at ``t``; one-sided at boundaries."""
         return self._evaluate(t, side, seg, (1,))[0]
 
-    def value_and_derivative(self, t, seg):
-        """``(curve(t, seg=seg), derivative(t, seg=seg))`` from one pass
-        of the kernel."""
-        return self._evaluate(t, None, seg, (0, 1))
-
     def joined(self, other):
         """The curve of this curve's columns and then ``other``'s, two
         curves on the same knot times (a state and its adjoint).  Each
@@ -328,36 +325,34 @@ class SampledCurve:
         clamped to that segment's span, each result ``(k, n)``.
 
         One kernel pass reads them all, whichever segments they are in,
-        over one table of every segment's knots, built on the first read
-        between knots, as :func:`_gauss_states` reads the adjoint's nodes;
-        a time on a knot reads that knot's row.  Each row holds the bits
-        of ``self(t, seg=...)`` at its time.  ``ValueError`` when a value
-        is not finite, as the segment tables raise."""
+        over one table of every segment's knots, the segment tables side
+        by side, built on the first read between knots.  Each row holds
+        the bits of ``self(t, seg=...)`` at its time: a piece's sums at a
+        knot are the knot's data plus ``0.0``, as a read at knots alone
+        gives it.  ``ValueError`` when the table is not finite, as the
+        segment tables raise."""
         if self._flat is None:
             ts, ys, fs = (np.concatenate(k) for k in zip(*self.knots))
             last = np.cumsum([len(k[0]) for k in self.knots]) - 1
-            first = np.concatenate(([0], last[:-1] + 1))
-            self._flat = ts, ys, fs, first, last
-        ts, ys, fs, first, last = self._flat
-        segs = np.broadcast_to(segs, t.shape)
-        t = np.minimum(np.maximum(t, ts[first[segs]]), ts[last[segs]])
+            ends = ts[np.concatenate(([0], last[:-1] + 1))], ts[last]
+            self._flat = ts, ys, fs, ends, last
+        ts, ys, fs, (lo, hi), last = self._flat
+        t = np.minimum(np.maximum(t, lo[segs]), hi[segs])
         # the last knot at or before each time, within its segment
         i = np.minimum(ts.searchsorted(t, "right") - 1, last[segs])
         s = t - ts[i]
-        knot = s == 0.0
-        if knot.all():
+        if not np.count_nonzero(s):
             return [(fs if dx else ys).take(i, 0) + 0.0 for dx in dxs]
-        # the pieces from a segment's last knot to the next one's first,
-        # at the same time, are read at their knot alone
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self._flat_table is None:
-                self._flat_table = _hermite_table(ts, ys, fs)
-            outs = _power_sums(self._flat_table, i, s, dxs)
-        for dx, out in zip(dxs, outs):
-            out[knot] = (fs if dx else ys)[i[knot]] + 0.0
-            if not np.isfinite(out).all():
+        if self._flat_table is None:
+            # a segment's last piece runs to the next one's first knot,
+            # at the same time: read at its knot alone, as in its table
+            with np.errstate(divide="ignore", invalid="ignore"):
+                table = _hermite_table(ts, ys, fs)
+            table[2:, last] = 0.0
+            if not np.isfinite(table).all():
                 raise ValueError("knot data must be finite")
-        return outs
+            self._flat_table = table
+        return _power_sums(self._flat_table, i, s, dxs)
 
     def _evaluate(self, t, side, seg, dxs):
         """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the

@@ -580,7 +580,7 @@ def test_every_query_is_one_kernel_call_per_segment_it_touches(
     # answered by one pass of the numpy kernel per segment the query
     # touches, on the table the curve stored for that segment: nothing is
     # built per query.  Values and derivatives read the same table, with
-    # dx 0 and 1, and value_and_derivative both in one pass.  A query at
+    # dx 0 and 1, and read both in one pass.  A query at
     # knots alone (a time clamped to a segment's end included) reads the
     # knot arrays and makes no pass
     calls, builds = [], []
@@ -624,11 +624,16 @@ def test_every_query_is_one_kernel_call_per_segment_it_touches(
     for query, dxs in ((curve, (0,)), (curve.derivative, (1,))):
         for t, kw, segs in queries:
             read(query, t, kw, segs, dxs)
+    # each table was built once, on its segment's first read
+    assert builds == [0, 1, 2]
+    # read: one pass on one table of all the segments for both, none at
+    # knots alone, and no segment table
     for t, kw, segs in queries:
         if "seg" in kw:
-            read(lambda t, seg: curve.value_and_derivative(t, seg), t, kw,
-                 segs, (0, 1))
-    # each table was built once, on its segment's first read
+            calls.clear()
+            curve.read(kw["seg"], np.atleast_1d(t), (0, 1))
+            assert [parts for _, parts in calls] == [(0, 1)] * len(segs)
+            assert all(table is curve._flat_table for table, _ in calls)
     assert builds == [0, 1, 2]
 
 
@@ -1603,8 +1608,7 @@ def test_a_query_of_a_segment_the_curve_lacks_is_refused(seg):
     # and seg 3 ended in a bare IndexError
     sys_, x0, sched = vehicle_problem()
     x = integrate_state(sys_, x0, sched)
-    for query in (x, x.derivative,
-                  lambda t, seg: x.value_and_derivative(t, seg)):
+    for query in (x, x.derivative):
         with pytest.raises(ValueError, match=r"0 \.\. 2"):
             query(0.5, seg=seg)
 
@@ -1621,7 +1625,7 @@ def test_a_joined_curve_reads_both_curves_to_the_bit(problem):
     xr = x.joined(rho)
     for seg, (ts, _, _) in enumerate(x.knots):
         for t in (ts, 0.5 * (ts[1:] + ts[:-1]), ts[[0, -1]]):
-            v, d = xr.value_and_derivative(t, seg)
+            v, d = xr.read(seg, t, (0, 1))
             assert same_bits(v, np.hstack([x(t, seg=seg), rho(t, seg=seg)]))
             assert same_bits(d, np.hstack([x.derivative(t, seg=seg),
                                            rho.derivative(t, seg=seg)]))
