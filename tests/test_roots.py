@@ -203,6 +203,34 @@ def test_a_rejected_newton_step_bisects_in_batched_rounds():
         assert abs(g - r) <= tol
 
 
+@pytest.mark.parametrize("fn", [
+    lambda t: math.tanh(40.0 * t), lambda t: math.expm1(30.0 * t)],
+    ids=["tanh", "expm1"])
+def test_a_root_open_after_the_newton_rounds_takes_regula_falsi_steps(fn):
+    # the model's slope points away from the root, so the Newton rounds
+    # leave these smooth simple roots open; Illinois steps through the
+    # narrowed brackets' end values then settle them in a few rounds,
+    # where bisection takes over 30
+    roots = [0.3 + 1e-4 * math.pi, 0.71234567891]
+    spans = [(0.25, 0.5), (0.6, 0.9)]
+    tol = 1e-12
+    fns = [lambda t, r=r: fn(t - r) for r in roots]
+    brackets = [(lo, hi, fns[k](lo), fns[k](hi),
+                 lambda t, lo=lo, hi=hi: (0.5 * (lo + hi) - t, -1.0))
+                for k, (lo, hi) in enumerate(spans)]
+    calls = []
+
+    def evaluate(ks, ts, bound):
+        calls.append(list(ks))
+        return [fns[k](t) for k, t in zip(ks, ts)], [0.0] * len(ks)
+
+    got = gradient._solve_roots(brackets, evaluate, tol)
+    assert ROOT_ROUNDS < len(calls) <= ROOT_ROUNDS + 8
+    for r, g, (lo, hi) in zip(roots, got, spans):
+        assert lo <= g <= hi
+        assert abs(g - r) <= tol
+
+
 def test_max_map_skips_segments_that_keep_their_mode(vehicle, vehicle_x0):
     # a segment whose lowest sample is at or above the threshold is kept
     # whole without the max rule's work; the schedule is the full rule's,
