@@ -28,14 +28,14 @@ same mode but ends elsewhere, replays the earlier solve's steps until an
 end would clip one, and is solved live from there.  Both give the bits of
 a solve from scratch.
 A :class:`SampledCurve` keeps the cubic Hermite interpolant through a
-curve's knots as one table of four coefficients per piece and segment,
-built on the segment's first read between knots, in which every knot
-starts a piece, so a query at a knot returns that knot's value and
-derivative exactly.
-Each query reads one segment, so a switching time has exact one-sided
-limits: ``side`` picks the earlier or later segment, or ``seg`` names it;
-:meth:`SampledCurve.read`, the field's read, names one segment per time
-and reads times of any mix of segments in one pass.
+curve's knots as one table of four coefficients per knot, over all its
+segments, built on the curve's first read between knots, in which every
+knot starts a piece, so a read at a knot returns that knot's value and
+derivative exactly.  Each time is read on one segment's branch, so a
+switching time has exact one-sided limits: ``side`` picks the earlier or
+later segment, or ``seg`` names it; :meth:`SampledCurve.read`, which
+every query ends in, names one segment per time and reads times of any
+mix of segments in one pass.
 
 No scipy module is imported.  The package owns the two pieces of scipy
 whose bits it keeps: DOP853's tableau (:mod:`._dop853`) and the power sums
@@ -44,14 +44,14 @@ of ``PPoly``'s evaluation kernel (:func:`_power_sums`).
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
 Magnus step per knot interval.  Its work is batched over the horizon, not
-per segment: the states at every interval's Gauss nodes are read from the
-knot arrays in one pass, and the intervals are cut, from the last one
-back, into stacks that run across switching times, sized by a budget of
-:data:`MAGNUS_STACK` entries and at least 64 intervals long; each stack
-takes its matrix exponentials in one batched Taylor series.  Its accuracy
-follows the state's knots.  The insertion-gradient field (:mod:`.gradient`)
-is sampled on the same knots, so they are the one time discretization of
-state, adjoint and field.
+per segment: the states at every interval's Gauss nodes are read on the
+state curve's own knot arrays and table in one pass, and the intervals
+are cut, from the last one back, into stacks that run across switching
+times, sized by a budget of :data:`MAGNUS_STACK` entries and at least 64
+intervals long; each stack takes its matrix exponentials in one batched
+Taylor series.  Its accuracy follows the state's knots.  The
+insertion-gradient field (:mod:`.gradient`) is sampled on the same knots,
+so they are the one time discretization of state, adjoint and field.
 """
 from __future__ import annotations
 
@@ -60,6 +60,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -178,29 +179,29 @@ class SampledCurve:
     boundaries (each boundary sample is shared), while the derivative may
     jump there.
 
-    The curve is one table per segment, of the four coefficients ``c3,
-    c2, c1, c0`` of each piece, in which every knot starts a piece.  Each
-    piece but the last is the Hermite cubic to the next knot, in powers of
-    ``s = t - t_i`` (``c[k]`` multiplies the power ``3 - k``), with the
-    arithmetic of scipy's cubic Hermite spline, so between knots values
-    agree with it to the bit.  The segment's last
-    knot starts a piece that no query reads past the knot.  A query is
-    answered by one segment's table, with ``t`` clamped to its span: the
-    segment ``seg`` when given, else the one containing ``t``, where
-    ``side`` picks the earlier (``"left"``) or later (``"right"``) segment
-    at a boundary, and times outside ``[t0, t1]`` go to the first or last.
-    The value is the power sum ``((c3 + c2 s) + c1 s^2) + c0 s^3`` and the
+    The curve is one table, of the four coefficients ``c3, c2, c1, c0``
+    of each piece, over every segment's knots in order, in which every
+    knot starts a piece.  Each piece is the Hermite cubic to the next knot
+    of its segment, in powers of ``s = t - t_i`` (``c[k]`` multiplies the
+    power ``3 - k``), with the arithmetic of scipy's cubic Hermite spline,
+    so between knots values agree with it to the bit; a segment's last
+    knot starts a piece that no read takes past the knot.  Every query
+    maps each time to a segment, ``seg`` when given, else the one
+    containing ``t``, where ``side`` picks the earlier (``"left"``) or
+    later (``"right"``) segment at a boundary and times outside ``[t0,
+    t1]`` go to the first or last, and then makes one :meth:`read`: each
+    time clamped to its segment's span and read on its piece.  The value
+    is the power sum ``((c3 + c2 s) + c1 s^2) + c0 s^3`` and the
     derivative ``(c2 + 2 c1 s) + 3 c0 s^2``, in the operation order of
-    scipy's ``PPoly`` kernel, so the bits are PPoly's; every query, one
-    time or a batch, is one numpy pass per segment it touches.
-    :meth:`read` takes times of any mix of segments, and values and
-    derivatives together, in one pass.  A query whose times are all knots is
+    scipy's ``PPoly`` kernel, so the bits are PPoly's; a query, one time
+    or a batch over any number of segments, values and derivatives
+    together, is one numpy pass.  A query whose times are all knots is
     read from the knot arrays, as the table would give them, and builds
     no table: every knot, a segment's ends included, reads back its own
-    value and derivative exactly.  A segment's table is built on its first
-    read elsewhere: many curves are never read between knots (a trial's
-    cost accumulator is read only at its last knot), and many are read in
-    one segment only.  The knots are checked when the curve is made, but
+    value and derivative exactly.  The table is built on the first read
+    elsewhere, once: many curves are never read between knots (a trial's
+    cost accumulator is read only at its last knot, through
+    :attr:`cost`).  The knots are checked when the curve is made, but
     for the solvers' own curves, whose knots pass the checks by
     construction.
 
@@ -261,11 +262,9 @@ class SampledCurve:
     def _init(self, boundaries, knots, cost_curve):
         self.boundaries = boundaries
         self.knots = knots
-        # what the kernel reads, per segment: each built on its first read
-        self._tables = [None] * len(knots)
-        # every segment's knots as one array each, and their table, for
-        # reads across segments: built on the first such read
-        self._flat = self._flat_table = None
+        # every segment's knots as one array each, built on the first read,
+        # and their table, built on the first read between knots
+        self._flat = self._coeffs = None
         # searchsorted in the inner boundaries is the segment rule
         self._inner = boundaries[1:-1]
         self.dim = knots[0][1].shape[1]
@@ -306,8 +305,7 @@ class SampledCurve:
     def joined(self, other):
         """The curve of this curve's columns and then ``other``'s, two
         curves on the same knot times (a state and its adjoint).  Each
-        column keeps its own curve's bits, and one table per segment
-        answers both."""
+        column keeps its own curve's bits, and one table answers both."""
         if other.n_segments != self.n_segments:
             raise ValueError("the curves have different segments")
         knots = []
@@ -325,110 +323,106 @@ class SampledCurve:
         clamped to that segment's span, each result ``(k, n)``.
 
         One kernel pass reads them all, whichever segments they are in,
-        over one table of every segment's knots, the segment tables side
-        by side, built on the first read between knots.  Each row holds
-        the bits of ``self(t, seg=...)`` at its time: a piece's sums at a
-        knot are the knot's data plus ``0.0``, as a read at knots alone
-        gives it.  ``ValueError`` when the table is not finite, as the
-        segment tables raise."""
-        if self._flat is None:
-            ts, ys, fs = (np.concatenate(k) for k in zip(*self.knots))
-            last = np.cumsum([len(k[0]) for k in self.knots]) - 1
-            ends = ts[np.concatenate(([0], last[:-1] + 1))], ts[last]
-            self._flat = ts, ys, fs, ends, last
-        ts, ys, fs, (lo, hi), last = self._flat
+        on the curve's table, built on its first read between knots.  A
+        read at knots alone takes the knot arrays and makes no pass.
+        ``ValueError`` for a segment the curve lacks, and for a time
+        between the knots of a piece that is not finite (a few float
+        spacings long, its coefficients overflow); a time at a knot
+        reads that knot's data."""
+        ts, ys, fs, lo, hi, last = self._knot_arrays()
+        # one test for both ends: a negative index is a huge unsigned one
+        if not (np.asarray(segs, np.intp).view(np.uintp).max(initial=0)
+                < len(lo) if isinstance(segs, np.ndarray)
+                else 0 <= segs < len(lo)):
+            raise ValueError(f"seg {segs} is not a segment of the curve: "
+                             f"0 .. {len(lo) - 1}")
         t = np.minimum(np.maximum(t, lo[segs]), hi[segs])
         # the last knot at or before each time, within its segment
-        i = np.minimum(ts.searchsorted(t, "right") - 1, last[segs])
-        s = t - ts[i]
-        if not np.count_nonzero(s):
-            return [(fs if dx else ys).take(i, 0) + 0.0 for dx in dxs]
-        if self._flat_table is None:
-            # a segment's last piece runs to the next one's first knot,
-            # at the same time: read at its knot alone, as in its table
-            with np.errstate(divide="ignore", invalid="ignore"):
-                table = _hermite_table(ts, ys, fs)
-            table[2:, last] = 0.0
-            if not np.isfinite(table).all():
-                raise ValueError("knot data must be finite")
-            self._flat_table = table
-        return _power_sums(self._flat_table, i, s, dxs)
-
-    def _evaluate(self, t, side, seg, dxs):
-        """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
-        curve at ``t``, by the segment rule of the class: one kernel pass
-        per segment that the query touches."""
-        t = np.asarray(t, float)
-        flat = t.reshape(-1)
-        if seg is not None:
-            if not 0 <= seg < len(self.knots):
-                raise ValueError(f"seg {seg} is not a segment of the curve: "
-                                 f"0 .. {len(self.knots) - 1}")
-            outs = self._piece(seg, flat, dxs)
-        else:
-            segs = np.searchsorted(self._inner, flat, side)
-            touched = np.unique(segs)
-            if len(touched) == 1:
-                outs = self._piece(touched[0], flat, dxs)
-            else:
-                outs = [np.empty((len(flat), self.dim)) for _ in dxs]
-                for i in touched:
-                    sel = segs == i
-                    for out, part in zip(outs, self._piece(i, flat[sel], dxs)):
-                        out[sel] = part
-        shape = t.shape + (self.dim,)
-        return [out.reshape(shape) for out in outs]
-
-    def _piece(self, seg, t, dxs):
-        """Derivatives ``dxs`` of segment ``seg``'s branch at the times
-        ``t``, shape ``(k,)``, clamped to its span."""
-        ts, ys, fs = self.knots[seg]
-        # clamped as np.clip would, at a fraction of its call overhead
-        t = np.minimum(np.maximum(t, ts[0]), ts[-1])
-        # the piece of each time starts at the last knot at or before it
-        i = ts[1:].searchsorted(t, "right")
+        i = np.minimum(ts[1:].searchsorted(t, "right"), last[segs])
         s = t - ts[i]
         if not np.count_nonzero(s):
             # all at knots, where the power sums reduce to 0.0 + c3 and
             # 0.0 + c2: the knot data, with a zero's sign as PPoly gives it
             return [(fs if dx else ys).take(i, 0) + 0.0 for dx in dxs]
-        table = self._tables[seg]
-        if table is None:
-            table = self._tables[seg] = self._table(seg)
-        return _power_sums(table, i, s, dxs)
+        table, finite = self._table_of_pieces()
+        if finite:
+            return _power_sums(table, i, s, dxs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outs = _power_sums(table, i, s, dxs)
+        knot = s == 0.0
+        for dx, out in zip(dxs, outs):
+            out[knot] = (fs if dx else ys)[i[knot]] + 0.0
+            if not np.isfinite(out).all():
+                raise ValueError("knot data must be finite")
+        return outs
 
-    def _table(self, seg):
-        """Segment ``seg``'s table, ``(4, k, n)``, coefficient-major: the
-        coefficients ``c3, c2, c1, c0`` of ``s^0 .. s^3`` in the notation
-        of the class, each for the piece that starts at each knot.  Each
-        piece runs to the next knot; the last one is read at its knot
-        alone, so its ``c1`` and ``c0`` are 0.  ``c3`` and ``c2`` hold the
-        knot data plus ``0.0``, the start of PPoly's sums."""
-        table = _hermite_table(*self.knots[seg])
-        if not np.isfinite(table).all():
-            raise ValueError("knot data must be finite")
-        return table
+    def _evaluate(self, t, side, seg, dxs):
+        """Derivatives ``dxs`` of the curve at ``t``, by the segment rule
+        of the class, in one :meth:`read`."""
+        t = np.asarray(t, float)
+        flat = t.reshape(-1)
+        if seg is None:
+            seg = self._inner.searchsorted(flat, side)
+        shape = t.shape + (self.dim,)
+        return [out.reshape(shape) for out in self.read(seg, flat, dxs)]
+
+    def _drop_reads(self):
+        """Free what reads built on this curve and its cost curve, the
+        knot arrays and the table; a later read builds them again."""
+        for curve in (self, self.cost_curve):
+            if curve is not None:
+                curve._flat = curve._coeffs = None
+
+    def _knot_arrays(self):
+        """``(ts, ys, fs, lo, hi, last)``: every segment's knots as one
+        array each, one row per knot, a segment's last knot and the next
+        one's first each kept; and per segment, its first and last knot
+        times and the index of its last knot."""
+        if self._flat is None:
+            ts, ys, fs = (np.concatenate(k) for k in zip(*self.knots))
+            ends = np.array([0, *accumulate(len(k[0]) for k in self.knots)])
+            last = ends[1:] - 1
+            self._flat = ts, ys, fs, ts[ends[:-1]], ts[last], last
+        return self._flat
+
+    def _table_of_pieces(self):
+        """The curve's table, ``(4, K, n)`` over all ``K`` knots, and
+        whether it is finite: see :func:`_hermite_table`."""
+        if self._coeffs is None:
+            ts, ys, fs, _, _, last = self._knot_arrays()
+            table = _hermite_table(ts, ys, fs, last)
+            self._coeffs = table, bool(np.isfinite(table).all())
+        return self._coeffs
 
 
-def _hermite_table(ts, ys, fs):
-    """The table of :meth:`SampledCurve._table` on the knot arrays ``ts,
-    ys, fs``, unchecked: a piece between two knots at one time, or a few
-    float spacings apart, is not finite."""
-    h = (ts[1:] - ts[:-1])[:, None]
-    slope = (ys[1:] - ys[:-1]) / h
-    f0 = fs[:-1]
-    d = (f0 + fs[1:] - 2 * slope) / h
-    table = np.zeros((4, len(ts), ys.shape[1]))
-    np.add(ys, 0.0, out=table[0])
-    np.add(fs, 0.0, out=table[1])
-    np.subtract((slope - f0) / h, d, out=table[2, :-1])
-    np.divide(d, h, out=table[3, :-1])
+def _hermite_table(ts, ys, fs, last):
+    """The table of the knot arrays ``ts, ys, fs``, ``(4, K, n)``,
+    coefficient-major: the coefficients ``c3, c2, c1, c0`` of ``s^0 ..
+    s^3`` in the notation of :class:`SampledCurve`, each for the piece
+    that starts at each knot.  Each piece runs to the next knot; those at
+    a segment's last knot, the indices ``last``, run to the next
+    segment's first knot at the same time, and are read at their knot
+    alone, so their ``c1`` and ``c0`` are 0.  ``c3`` and ``c2`` hold the
+    knot data plus ``0.0``, the start of PPoly's sums.  Built without a
+    warning: a piece whose knots are a few float spacings apart may not
+    be finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = (ts[1:] - ts[:-1])[:, None]
+        slope = (ys[1:] - ys[:-1]) / h
+        f0 = fs[:-1]
+        d = (f0 + fs[1:] - 2 * slope) / h
+        table = np.zeros((4, len(ts), ys.shape[1]))
+        np.add(ys, 0.0, out=table[0])
+        np.add(fs, 0.0, out=table[1])
+        np.subtract((slope - f0) / h, d, out=table[2, :-1])
+        np.divide(d, h, out=table[3, :-1])
+    table[2:, last] = 0.0
     return table
 
 
 def _power_sums(table, i, s, dxs):
     """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
-    pieces ``i`` of a :meth:`SampledCurve._table` at their offsets ``s``,
+    pieces ``i`` of a :func:`_hermite_table` at their offsets ``s``,
     ``i`` of ``s``'s shape or of one that broadcasts against it: the
     curve's kernel, one pass for all of them, each result of shape
     ``s.shape + (n,)``.
@@ -1073,31 +1067,25 @@ def _gauss_states(x):
     n)``.
 
     Each state holds the bits of ``x(t, seg=i)`` at the node ``t`` of an
-    interval of segment ``i``: one :func:`_power_sums` pass over one
-    :func:`_hermite_table` of all the segments' knots, each node read on
-    its interval's piece, whose coefficients are taken once for both
-    nodes.  A node that rounds onto a knot reads that knot's value, as
-    :meth:`SampledCurve._piece` does, so a segment one or two float
-    spacings long is read at its knots.  ``ValueError`` when a state is
-    not finite, as the curve's own table raises: the knot data is not, or
-    an interval a few float spacings long has nodes between its knots,
-    where its piece overflows."""
-    offs = [0]
-    for ts, _, _ in x.knots:
-        offs.append(offs[-1] + len(ts) - 1)
-    ts, ys, fs = (np.concatenate(k) for k in zip(*x.knots))
-    # interval k of segment i starts at knot k + i: each segment's last
-    # knot starts none; one row per interval, one column per node
-    a = (np.arange(offs[-1]) + np.repeat(np.arange(len(x.knots)),
-                                         np.diff(offs)))[:, None]
+    interval of segment ``i``: one :func:`_power_sums` pass on ``x``'s
+    own knot arrays and table, each node read on its interval's piece,
+    whose coefficients are taken once for both nodes.  A node that rounds
+    onto a knot reads that knot's value, as :meth:`SampledCurve.read`
+    does, so a segment one or two float spacings long is read at its
+    knots.  ``ValueError`` when a state is not finite, as the curve's own
+    read raises: an interval a few float spacings long has nodes between
+    its knots, where its piece overflows."""
+    ts, ys, _, _, _, last = x._knot_arrays()
+    offs = [0, *(last - np.arange(len(last))).tolist()]
+    # every knot but a segment's last starts an interval; one row per
+    # interval, one column per node
+    a = np.delete(np.arange(len(ts)), last)[:, None]
     t0, t1 = ts[a], ts[a + 1]
     h = t1 - t0
     tg = t0 + h * _GAUSS
     s = tg - t0
-    # the pieces from a segment's last knot to the next one's first, at
-    # the same time, are never read
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xg = _power_sums(_hermite_table(ts, ys, fs), a, s, (0,))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xg = _power_sums(x._table_of_pieces()[0], a, s, (0,))[0]
     at_end = tg >= t1
     knot = at_end | (s == 0.0)
     if knot.any():

@@ -471,6 +471,9 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
         plan = shift_schedule(res.schedule, advance)
         if w + 1 < n_windows:
             warm = _shift_curve(res.trajectory, advance, plan)
+        # the window's result outlives this loop wherever a caller keeps
+        # it; what its two reads built, some 100 KB a window, need not
+        res.trajectory._drop_reads()
         t_abs += advance
 
     applied = ModeSchedule(sequence=tuple(seq), times=tuple(times),

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from modesched import (
     SwitchedSystem,
     constant_schedule,
     integrate_adjoint,
+    insertion_gradient,
     integrate_state,
+    optimality,
+    optimize,
     shift_schedule,
 )
 from modesched import integrate
@@ -272,28 +276,37 @@ def test_magnus_stacks_keep_64_intervals_from_dimension_24_up():
                          ids=["vehicle", "three-machine", "ring12",
                               "one float spacing", "tiny float spacing",
                               "three tiny float spacings"])
-def test_gauss_node_states_are_the_curves_to_the_bit(problem):
-    # the adjoint reads the state at each interval's two Gauss nodes from
-    # the knot arrays, over every segment at once, building no table of
-    # the curve; the states hold the bits of its own query x(t, seg=i)
+def test_gauss_node_states_are_the_curves_to_the_bit(problem, monkeypatch):
+    # the adjoint reads the state at each interval's two Gauss nodes in one
+    # pass over every segment at once, on the curve's own table, which a
+    # later query of the curve reads again; the states hold the bits of
+    # its own query x(t, seg=i)
     sys_, x0, sched = problem()
     x = integrate_state(sys_, x0, sched)
     if problem is three_tiny_spacings_problem:
         # the short segment's nodes fall between its knots, where its
         # piece overflows: the batched read refuses the curve, as the
-        # curve's own query does
+        # curve's own query does, and neither warns
         ts = x.knots[1][0]
         assert len(ts) == 2 and ts[1] - ts[0] == 3 * np.spacing(ts[0])
         with pytest.raises(ValueError, match="finite"):
             integrate._gauss_states(x)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             x(ts[0] + (ts[1] - ts[0]) * integrate._GAUSS, seg=1)
         with pytest.raises(ValueError, match="finite"):
             integrate_adjoint(sys_, sched, x)
         return
+    tables = []
+    power_sums = integrate._power_sums
+
+    def recorded(table, i, s, dxs):
+        tables.append(table)
+        return power_sums(table, i, s, dxs)
+
+    monkeypatch.setattr(integrate, "_power_sums", recorded)
     offs, h, xg = integrate._gauss_states(x)
-    assert x._tables == [None] * x.n_segments
+    table = x._table_of_pieces()[0]
+    assert len(tables) == 1 and tables[0] is table
     k = 0
     for i, (ts, ys, _) in enumerate(x.knots):
         hi = np.diff(ts)
@@ -305,15 +318,34 @@ def test_gauss_node_states_are_the_curves_to_the_bit(problem):
             x((ts[:-1, None] + hi[:, None] * integrate._GAUSS).ravel(), seg=i))
         if len(ts) == 2 and ts[1] == math.nextafter(ts[0], math.inf):
             # the nodes round onto the two knots, which the curve reads
-            # from its knot arrays: no table is built, so none overflows
-            assert x._tables[i] is None
+            # as its knot data whether or not the piece between them is
+            # finite: at 1e-150 it overflows
             assert same_bits(xg[rows], ys + 0.0)
-            if ts[0] < 1e-100:
-                with np.errstate(over="ignore"), \
-                        pytest.raises(ValueError, match="finite"):
-                    x._table(i)
+            assert x._table_of_pieces()[1] == (ts[0] > 1e-100)
         k += len(hi)
     assert k == len(h) == offs[-1]
+    # the later queries read the table the adjoint's read built
+    assert all(t is table for t in tables)
+    assert x._table_of_pieces()[0] is table
+
+
+def test_the_field_builds_on_a_segment_whose_piece_overflows():
+    # the short segment of tiny_spacing_problem is one float spacing long
+    # at 1e-150, so its piece overflows; no read takes a time between its
+    # two knots, so the field's reads, like the curve's queries and the
+    # adjoint, read it at its knots, without a warning, and a descent
+    # step runs on it
+    sys_, x0, sched = tiny_spacing_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = integrate_state(sys_, x0, sched)
+        rho = integrate_adjoint(sys_, sched, x)
+        field = insertion_gradient(sys_, sched, x, rho)
+        assert not x._table_of_pieces()[1]
+        opt = optimality(field)
+        res = optimize(sys_, x0, sched, OptimizerConfig(max_iter=1))
+    assert np.isfinite(opt.theta) and opt.theta < 0.0
+    assert res.cost <= x.cost
 
 
 @st.composite
@@ -574,67 +606,130 @@ def same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_every_query_is_one_kernel_call_per_segment_it_touches(
-        monkeypatch):
-    # a scalar, a length-1 array or a batch, with ``seg`` or ``side``, is
-    # answered by one pass of the numpy kernel per segment the query
-    # touches, on the table the curve stored for that segment: nothing is
-    # built per query.  Values and derivatives read the same table, with
-    # dx 0 and 1, and read both in one pass.  A query at
-    # knots alone (a time clamped to a segment's end included) reads the
-    # knot arrays and makes no pass
-    calls, builds = [], []
-    power_sums, build = integrate._power_sums, SampledCurve._table
+def three_segment_curve():
+    """A curve of ``sin`` on three segments of five knots each, with a
+    cost curve on the same knots."""
+    ts = np.linspace(0.0, 1.0, 5)
+    segs = [(k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
+            for k in range(3)]
+    return SampledCurve([0.0, 1.0, 2.0, 3.0], segs,
+                        cost_curve=SampledCurve([0.0, 1.0, 2.0, 3.0], segs))
 
-    def counted_build(self, seg):
-        builds.append(seg)
-        return build(self, seg)
+
+def counted_kernel(monkeypatch):
+    """Record each kernel pass, ``(table, dxs)``, and each table built."""
+    calls, builds = [], []
+    power_sums, build = integrate._power_sums, integrate._hermite_table
+
+    def counted_build(*args):
+        builds.append(build(*args))
+        return builds[-1]
 
     def counted(table, i, s, dxs):
         calls.append((table, tuple(dxs)))
         return power_sums(table, i, s, dxs)
 
     monkeypatch.setattr(integrate, "_power_sums", counted)
-    monkeypatch.setattr(SampledCurve, "_table", counted_build)
-    ts = np.linspace(0.0, 1.0, 5)
-    curve = SampledCurve([0.0, 1.0, 2.0, 3.0], [
-        (k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
-        for k in range(3)])
+    monkeypatch.setattr(integrate, "_hermite_table", counted_build)
+    return calls, builds
+
+
+def test_every_query_is_one_kernel_pass_on_the_curves_one_table(
+        monkeypatch):
+    # a scalar, a length-1 array or a batch, with ``seg`` or ``side``, over
+    # any number of segments, is answered by one pass of the numpy kernel
+    # on the curve's one table, built on its first read between knots and
+    # never again.  Values and derivatives read the same table, with dx 0
+    # and 1, and read both in one pass.  A query at knots alone (a time
+    # clamped to a segment's end included) reads the knot arrays and makes
+    # no pass
+    calls, builds = counted_kernel(monkeypatch)
+    curve = three_segment_curve()
     queries = [
-        (0.3, {}, [0]),
-        (1.0, {}, []),
-        (1.0, {"side": "left"}, []),
-        (1.1, {}, [1]),
-        (np.float64(1.7), {"seg": 0}, []),
-        (np.array(0.9), {"side": "left"}, [0]),
-        (np.array([0.3]), {"seg": 2}, []),
-        (np.array([2.6]), {}, [2]),
-        (np.array([0.3, 0.4, 2.7]), {}, [0, 2]),
-        (np.array([2.7, 0.3, 1.0, 2.1]), {"side": "left"}, [0, 2]),
-        (np.array([0.3, 1.7, 2.5]), {"seg": 1}, [1]),
+        (1.0, {}, 0),
+        (1.0, {"side": "left"}, 0),
+        (np.float64(1.7), {"seg": 0}, 0),
+        (np.array([0.3]), {"seg": 2}, 0),
+        (0.3, {}, 1),
+        (1.1, {}, 1),
+        (np.array(0.9), {"side": "left"}, 1),
+        (np.array([2.6]), {}, 1),
+        (np.array([0.3, 0.4, 2.7]), {}, 1),
+        (np.array([2.7, 0.3, 1.0, 2.1]), {"side": "left"}, 1),
+        (np.array([0.3, 1.7, 2.5]), {"seg": 1}, 1),
     ]
-
-    def read(query, t, kw, segs, dxs):
-        calls.clear()
-        query(t, **kw)
-        assert len(calls) == len(segs)
-        for (table, parts), i in zip(calls, segs):
-            assert table is curve._tables[i] and parts == dxs
-
     for query, dxs in ((curve, (0,)), (curve.derivative, (1,))):
-        for t, kw, segs in queries:
-            read(query, t, kw, segs, dxs)
-    # each table was built once, on its segment's first read
-    assert builds == [0, 1, 2]
-    # read: one pass on one table of all the segments for both, none at
-    # knots alone, and no segment table
-    for t, kw, segs in queries:
-        if "seg" in kw:
+        for t, kw, passes in queries:
             calls.clear()
-            curve.read(kw["seg"], np.atleast_1d(t), (0, 1))
-            assert [parts for _, parts in calls] == [(0, 1)] * len(segs)
-            assert all(table is curve._flat_table for table, _ in calls)
-    assert builds == [0, 1, 2]
+            query(t, **kw)
+            assert len(calls) == passes
+            assert all(table is builds[0] and parts == dxs
+                       for table, parts in calls)
+    assert len(builds) == 1
+    # read: both derivatives in one pass, over any mix of segments
+    calls.clear()
+    curve.read(np.array([2, 0, 1, 0]), np.array([2.7, 0.3, 1.0, 1.2]), (0, 1))
+    curve.read(1, np.array([1.0, 1.25]), (0, 1))
+    assert len(calls) == 1 and calls[0][0] is builds[0]
+    assert calls[0][1] == (0, 1)
+    # the cost curve: its total is its last knot, and cost_at off the knots
+    # builds its own table once
+    calls.clear()
+    assert curve.cost == np.sin(3.0) and curve.cost_at(2.0) == np.sin(2.0)
+    assert calls == [] and len(builds) == 1
+    curve.cost_at(0.3)
+    curve.cost_at(2.9)
+    assert len(builds) == 2 and builds[1] is not builds[0]
+    assert [parts for _, parts in calls] == [(0,)] * 2
+    assert all(table is builds[1] for table, _ in calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5), n=st.integers(1, 3))
+def test_a_batch_query_holds_each_times_own_bits(data, m, n):
+    # whatever segments a batch spans, each row holds the bits of the
+    # query of its time alone, for values and derivatives, with ``side``
+    # or a ``seg``; knots, switching times and times outside [t0, t1]
+    # included
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))])
+    segs = []
+    for a, c in zip(b[:-1], b[1:]):
+        ts = np.concatenate([[a], np.sort(rng.uniform(a, c, 3)), [c]])
+        segs.append((ts, rng.standard_normal((5, n)),
+                     rng.standard_normal((5, n))))
+    curve = SampledCurve(b, segs)
+    knots = np.concatenate([k[0] for k in segs])
+    t = np.concatenate([rng.uniform(-0.5, b[-1] + 0.5, 6),
+                        rng.choice(knots, 3)])
+    kw = data.draw(st.sampled_from(
+        [{"side": "left"}, {"side": "right"}]
+        + [{"seg": i} for i in range(m)]))
+    for query in (curve, curve.derivative):
+        got = query(t, **kw)
+        assert got.shape == (len(t), n)
+        for tj, row in zip(t, got):
+            assert same_bits(row, query(tj, **kw))
+
+
+def test_a_curve_builds_its_one_table_on_its_first_read_between_knots(
+        monkeypatch):
+    # a curve that is never queried builds no table, and its cost is its
+    # accumulator's last knot, read without one; reads at knots build none
+    # either, whichever segments they span; the first read between knots
+    # builds the table of every segment, and no read builds another
+    calls, builds = counted_kernel(monkeypatch)
+    curve = three_segment_curve()
+    assert curve.cost == np.sin(3.0)
+    curve(np.array([2.0, 2.25, 2.5, 0.0, 1.0]))
+    curve.derivative(np.array([1.0, 3.0]), side="left")
+    curve.read(np.array([0, 2]), np.array([0.75, 2.5]), (0, 1))
+    assert builds == [] and calls == []
+    curve(2.6)
+    assert len(builds) == 1 and curve._table_of_pieces()[0] is builds[0]
+    curve(np.array([0.1, 1.1, 2.1]))
+    curve.read(np.array([0, 1]), np.array([0.4, 1.4]), (0, 1))
+    assert len(builds) == 1 and len(calls) == 3
 
 
 @pytest.mark.parametrize("segments", [
@@ -1318,8 +1413,10 @@ def test_own_dop853_matches_scipy_to_the_bit(p):
         assert own.t_stop == own_t[-1]
         assert own_t[-2] < ref.t_events[0][0] <= own.t_stop
         assert own.t_stop == whole.steps.t[len(own_t) - 1]
-        # scipy takes the crossing step's dense stages, which this skips
-        if replay is None:
+        # scipy takes the crossing step's dense stages, which this skips;
+        # a replay saves calls only when its first-step selection's h0
+        # fits in the span, as in the solves above
+        if replay is None or t1 - t0 < replay.h0:
             assert own.nfev == ref.nfev - 3
         else:
             assert own.nfev < ref.nfev - 3
@@ -1563,26 +1660,6 @@ def test_a_met_bound_reads_the_same_knots_with_the_same_calls(problem):
     assert bits(bounded.cost) == bits(x.cost)
 
 
-def test_a_curve_builds_its_tables_on_its_first_query():
-    # a curve that is never queried builds no table, and its cost is its
-    # accumulator's last knot, read without one; each segment's table is
-    # built on its own first read
-    ts = np.linspace(0.0, 1.0, 5)
-    segs = [(k + ts, np.sin(k + ts)[:, None], np.cos(k + ts)[:, None])
-            for k in range(3)]
-    cost = SampledCurve([0.0, 1.0, 2.0, 3.0], segs)
-    curve = SampledCurve([0.0, 1.0, 2.0, 3.0], segs, cost_curve=cost)
-    assert curve._tables == [None] * 3 and cost._tables == [None] * 3
-    assert curve.cost == np.sin(3.0)
-    assert cost._tables == [None] * 3
-    # a read at knots builds none either; a read between them builds the
-    # table of its segment alone
-    curve(np.array([2.0, 2.25, 2.5]))
-    assert curve._tables == [None] * 3
-    curve(2.6)
-    assert [c is not None for c in curve._tables] == [False, False, True]
-
-
 @pytest.mark.parametrize("T, L", [(0.01, 5e-15), (1.0, 5e-15),
                                   (100.0, 5e-13), (1e-3, 1e-16),
                                   (1.0, None), (5.5, None), (100.0, None)])
@@ -1611,6 +1688,11 @@ def test_a_query_of_a_segment_the_curve_lacks_is_refused(seg):
     for query in (x, x.derivative):
         with pytest.raises(ValueError, match=r"0 \.\. 2"):
             query(0.5, seg=seg)
+    # read names its segments by index, one or one per time: -1 used to
+    # read the last segment, 3 to end in a bare IndexError
+    for segs in (seg, np.array([0, seg, 1])):
+        with pytest.raises(ValueError, match=r"0 \.\. 2"):
+            x.read(segs, np.array([0.5, 0.6, 1.5]))
 
 
 @pytest.mark.parametrize("problem", [vehicle_problem, power_problem],

@@ -647,6 +647,27 @@ def test_receding_horizon_reports_as_with_the_final_field(monkeypatch):
     assert rh.cost == ref.cost
 
 
+def test_a_windows_result_keeps_nothing_its_reads_built(monkeypatch):
+    # a caller may keep every window's result; the driver reads each
+    # accepted trajectory at the advance and for the warm start, and then
+    # frees what those reads built (knot arrays and table, some 100 KB a
+    # window on three machines), the cost curve's too
+    import modesched.scheduler as scheduler_module
+    real_optimize = scheduler_module.optimize
+    results = []
+
+    def optimize(*args, **kwargs):
+        results.append(real_optimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scheduler_module, "optimize", optimize)
+    three_machine_horizon(monkeypatch)
+    assert len(results) == 5
+    for res in results:
+        for curve in (res.trajectory, res.trajectory.cost_curve):
+            assert curve._flat is None and curve._coeffs is None
+
+
 def test_receding_horizon_fallback_keeps_plan(monkeypatch):
     def boom(*a, **kw):
         raise LineSearchError("forced")
