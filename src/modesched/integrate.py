@@ -35,7 +35,9 @@ derivative exactly.  Each time is read on one segment's branch, so a
 switching time has exact one-sided limits: ``side`` picks the earlier or
 later segment, or ``seg`` names it; :meth:`SampledCurve.read`, which
 every query ends in, names one segment per time and reads times of any
-mix of segments in one pass.
+mix of segments in one pass.  It is the only code that evaluates a
+curve's pieces: the adjoint's Gauss nodes and a warm start's first
+knot are read through it too.
 
 No scipy module is imported.  The package owns the two pieces of scipy
 whose bits it keeps: DOP853's tableau (:mod:`._dop853`) and the power sums
@@ -44,10 +46,10 @@ of ``PPoly``'s evaluation kernel (:func:`_power_sums`).
 The adjoint is linear in the costate, so it is not solved adaptively: it
 is propagated backward on the state curve's own knots, one fourth-order
 Magnus step per knot interval.  Its work is batched over the horizon, not
-per segment: the states at every interval's Gauss nodes are read on the
-state curve's own knot arrays and table in one pass, and the intervals
-are cut, from the last one back, into stacks that run across switching
-times, sized by a budget of :data:`MAGNUS_STACK` entries and at least 64
+per segment: the states at every interval's Gauss nodes are one
+:meth:`SampledCurve.read` of the state curve, and the intervals are cut,
+from the last one back, into stacks that run across switching times,
+sized by a budget of :data:`MAGNUS_STACK` entries and at least 64
 intervals long; each stack takes its matrix exponentials in one batched
 Taylor series.  Its accuracy follows the state's knots.  The
 insertion-gradient field (:mod:`.gradient`) is sampled on the same knots,
@@ -366,13 +368,6 @@ class SampledCurve:
         shape = t.shape + (self.dim,)
         return [out.reshape(shape) for out in self.read(seg, flat, dxs)]
 
-    def _drop_reads(self):
-        """Free what reads built on this curve and its cost curve, the
-        knot arrays and the table; a later read builds them again."""
-        for curve in (self, self.cost_curve):
-            if curve is not None:
-                curve._flat = curve._coeffs = None
-
     def _knot_arrays(self):
         """``(ts, ys, fs, lo, hi, last)``: every segment's knots as one
         array each, one row per knot, a segment's last knot and the next
@@ -597,9 +592,12 @@ def _shift_curve(x, dt, schedule):
     solves the shifted schedule's ODE from ``x(dt)``, so its knots there
     are kept, moved to ``t - dt``, with ``x.cost_at(dt)`` taken off the
     accumulator.  Knots within :func:`read_knots`'s knot merging distance
-    of ``dt`` give way to a new first knot at ``x(dt)``; only the padded tail
-    ``[T - dt, T]`` is solved, in the held final mode, from the pinned end
-    knot, and none where ``T - dt`` rounds to ``T``.  The result names
+    of ``dt`` give way to a new first knot at ``x(dt)``.  ``x(dt)`` and
+    ``x.cost_at(dt)``, to the bit, come from one read of the temporary
+    curve ``x.joined(x.cost_curve)``, so the read builds nothing that
+    ``x`` or its cost curve keeps.  Only the padded tail ``[T - dt, T]``
+    is solved, in the held final mode, from the pinned end knot, and none
+    where ``T - dt`` rounds to ``T``.  The result names
     ``schedule`` and ``x(dt)`` as its inputs, so it stands in for
     ``integrate_state(sys, x(dt), schedule, ...)`` (to solver tolerance):
     passed to that call as ``reuse``, it comes back itself, and the trials'
@@ -608,14 +606,15 @@ def _shift_curve(x, dt, schedule):
     sys, sched, rtol, atol, knot_spacing = x._inputs
     T = sched.horizon
     i0 = sched.segment_of(dt)
-    c_dt = x.cost_at(dt)
+    z0 = x.joined(x.cost_curve).read(i0, [dt])[0][0]
+    c_dt = z0[-1]
+    z0[-1] = 0.0
     segs = [(ts - dt, np.hstack([ys, cs - c_dt]), np.hstack([fs, gs]))
             for (ts, ys, fs), (_, cs, gs)
             in zip(x.knots[i0:], x.cost_curve.knots[i0:])]
     ts, zs, fs = segs[0]
     keep = ts > _KNOT_MERGE * max(1.0, T)
     keep[-1] = ts[-1] > 0.0  # a segment end past dt is a boundary
-    z0 = np.concatenate([x(dt), [0.0]])
     f0 = _knot_slopes(sys, sched.sequence[i0], z0[None])
     segs[0] = (np.concatenate([[0.0], ts[keep]]), np.vstack([z0, zs[keep]]),
                np.vstack([f0, fs[keep]]))
@@ -995,8 +994,8 @@ def integrate_adjoint(sys, schedule, x):
     (their spacing and the state solver's tolerances).
 
     The work is batched over the whole horizon, not per segment: the
-    Gauss-node states of every interval come from one pass over the knot
-    arrays (:func:`_gauss_states`); the intervals are cut, from the last
+    Gauss-node states of every interval come from one read of ``x``
+    (:func:`_gauss_states`); the intervals are cut, from the last
     one back, into stacks of :func:`_stack_intervals` intervals that run
     across segment boundaries, and each stack's propagators take one
     Jacobian call per mode it holds, one cost-gradient call and one
@@ -1066,33 +1065,20 @@ def _gauss_states(x):
     at each interval's two Gauss nodes, two rows per interval, ``(2 L,
     n)``.
 
-    Each state holds the bits of ``x(t, seg=i)`` at the node ``t`` of an
-    interval of segment ``i``: one :func:`_power_sums` pass on ``x``'s
-    own knot arrays and table, each node read on its interval's piece,
-    whose coefficients are taken once for both nodes.  A node that rounds
-    onto a knot reads that knot's value, as :meth:`SampledCurve.read`
-    does, so a segment one or two float spacings long is read at its
-    knots.  ``ValueError`` when a state is not finite, as the curve's own
-    read raises: an interval a few float spacings long has nodes between
-    its knots, where its piece overflows."""
-    ts, ys, _, _, _, last = x._knot_arrays()
+    The states are one :meth:`SampledCurve.read` of ``x``, each node on
+    its interval's segment, so each holds the bits of ``x(t, seg=i)``, a
+    node that rounds onto a knot reads that knot's value, and a node
+    between the knots of a piece that overflows (an interval a few float
+    spacings long) raises the read's ``ValueError``."""
+    ts, _, _, _, _, last = x._knot_arrays()
     offs = [0, *(last - np.arange(len(last))).tolist()]
-    # every knot but a segment's last starts an interval; one row per
-    # interval, one column per node
-    a = np.delete(np.arange(len(ts)), last)[:, None]
-    t0, t1 = ts[a], ts[a + 1]
-    h = t1 - t0
-    tg = t0 + h * _GAUSS
-    s = tg - t0
-    with np.errstate(over="ignore", invalid="ignore"):
-        xg = _power_sums(x._table_of_pieces()[0], a, s, (0,))[0]
-    at_end = tg >= t1
-    knot = at_end | (s == 0.0)
-    if knot.any():
-        xg[knot] = ys[(a + at_end)[knot]] + 0.0
-    if not np.isfinite(xg).all():
-        raise ValueError("knot data must be finite")
-    return offs, h[:, 0], xg.reshape(-1, xg.shape[-1])
+    # every knot but a segment's last starts an interval
+    a = np.delete(np.arange(len(ts)), last)
+    t0 = ts[a]
+    h = ts[a + 1] - t0
+    segs = np.repeat(np.arange(len(last)), 2 * np.diff(offs))
+    xg = x.read(segs, (t0[:, None] + h[:, None] * _GAUSS).ravel())[0]
+    return offs, h, xg
 
 
 def _magnus_exponents(sys, rows, xg, h):

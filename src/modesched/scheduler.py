@@ -407,9 +407,10 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     warm-started: its starting trajectory is the previous plan's accepted
     one slid by ``advance``, which already solves the shifted plan on all
     but the padded tail, so only that tail is integrated.  The window's
-    state is that trajectory's value at ``advance``, and its costs agree
-    with a fresh integration to solver tolerance.  A window whose step
-    fails keeps the inherited plan unchanged and is flagged in its
+    state is that curve's first knot, which holds the bits of the accepted
+    trajectory's value at ``advance``: the driver reads no window's
+    result.  Its costs agree with a fresh integration to solver
+    tolerance.  A window whose step fails keeps the inherited plan unchanged and is flagged in its
     report; planning continues from it.  The stepped plan's adjoint and
     field are not built (``optimize(..., final_field=False)``): a window
     reports ``"optimal"`` only when its first iterate already meets the
@@ -467,13 +468,10 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
             seq.append(m)
             if t_abs + a > 0.0:
                 times.append(t_abs + a)
-        state = res.trajectory(advance)
         plan = shift_schedule(res.schedule, advance)
         if w + 1 < n_windows:
             warm = _shift_curve(res.trajectory, advance, plan)
-        # the window's result outlives this loop wherever a caller keeps
-        # it; what its two reads built, some 100 KB a window, need not
-        res.trajectory._drop_reads()
+            state = warm.knots[0][1][0]  # x(advance)
         t_abs += advance
 
     applied = ModeSchedule(sequence=tuple(seq), times=tuple(times),

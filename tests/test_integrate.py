@@ -278,9 +278,9 @@ def test_magnus_stacks_keep_64_intervals_from_dimension_24_up():
                               "three tiny float spacings"])
 def test_gauss_node_states_are_the_curves_to_the_bit(problem, monkeypatch):
     # the adjoint reads the state at each interval's two Gauss nodes in one
-    # pass over every segment at once, on the curve's own table, which a
-    # later query of the curve reads again; the states hold the bits of
-    # its own query x(t, seg=i)
+    # read of the curve over every segment at once, one pass on the
+    # curve's own table, which a later query of the curve reads again; the
+    # states hold the bits of its own query x(t, seg=i)
     sys_, x0, sched = problem()
     x = integrate_state(sys_, x0, sched)
     if problem is three_tiny_spacings_problem:
@@ -1120,9 +1120,14 @@ def test_shifted_curve_matches_a_fresh_solve(case):
     x = integrate_state(sys_, x0, sched)
     shifted = shift_schedule(sched, dt)
     warm = _shift_curve(x, dt, shifted)
+    # the shift reads x on a temporary curve: nothing is built on x
+    for curve in (x, x.cost_curve):
+        assert curve._flat is None and curve._coeffs is None
     fresh = integrate_state(sys_, x(dt), shifted)
-    # the next window's x0 and schedule, bit for bit
+    # the next window's x0 and schedule, bit for bit, and its accumulator
+    # starting from 0
     assert np.array_equal(warm.knots[0][1][0], x(dt))
+    assert same_bits(warm.cost_curve.knots[0][1][0], np.zeros(1))
     assert np.array_equal(warm.boundaries, shifted.boundaries)
     assert warm._inputs == fresh._inputs
     ts = np.linspace(0.0, sched.horizon, 401)

@@ -648,10 +648,10 @@ def test_receding_horizon_reports_as_with_the_final_field(monkeypatch):
 
 
 def test_a_windows_result_keeps_nothing_its_reads_built(monkeypatch):
-    # a caller may keep every window's result; the driver reads each
-    # accepted trajectory at the advance and for the warm start, and then
-    # frees what those reads built (knot arrays and table, some 100 KB a
-    # window on three machines), the cost curve's too
+    # a caller may keep every window's result; the driver reads none: the
+    # warm start reads the state and cost at the advance on a temporary
+    # curve, so no knot arrays or table (some 100 KB a window on three
+    # machines) are built on a result or its cost curve
     import modesched.scheduler as scheduler_module
     real_optimize = scheduler_module.optimize
     results = []
@@ -666,6 +666,25 @@ def test_a_windows_result_keeps_nothing_its_reads_built(monkeypatch):
     for res in results:
         for curve in (res.trajectory, res.trajectory.cost_curve):
             assert curve._flat is None and curve._coeffs is None
+
+
+def test_each_window_starts_at_the_accepted_trajectorys_advance(
+        monkeypatch):
+    # the next window's state is its warm curve's first knot, which holds
+    # the bits of the accepted trajectory read at the advance
+    import modesched.scheduler as scheduler_module
+    real_optimize = scheduler_module.optimize
+    runs = []
+
+    def optimize(*args, **kwargs):
+        runs.append((args[1], real_optimize(*args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(scheduler_module, "optimize", optimize)
+    three_machine_horizon(monkeypatch)
+    assert len(runs) == 5
+    for (_, res), (state, _) in zip(runs, runs[1:]):
+        assert state.tobytes() == res.trajectory(0.1).tobytes()
 
 
 def test_receding_horizon_fallback_keeps_plan(monkeypatch):
