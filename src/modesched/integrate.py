@@ -291,9 +291,14 @@ class SampledCurve:
         return float(self.cost_curve.knots[-1][1][-1, 0])
 
     def cost_at(self, t):
+        """Accumulated running cost at ``t``, a time or an array of times,
+        each read as ``curve(t)`` reads it: a float for a scalar ``t``,
+        else an array of ``t``'s shape, from one :meth:`read` (requires a
+        cost accumulator)."""
         if self.cost_curve is None:
             raise AttributeError("curve was built without a cost accumulator")
-        return float(self.cost_curve(t)[0])
+        c = self.cost_curve(t)[..., 0]
+        return float(c) if c.ndim == 0 else c
 
     def __call__(self, t, side="right", seg=None):
         """Curve value(s) at ``t``: shape ``(n,)`` for a scalar ``t``,
@@ -321,8 +326,9 @@ class SampledCurve:
     def read(self, segs, t, dxs=(0,)):
         """Derivatives ``dxs`` (0 for the value, 1 for the slope) of the
         curve at the times ``t``, shape ``(k,)``, each on the branch of
-        its segment ``segs`` (``(k,)``, or one index for every time) and
-        clamped to that segment's span, each result ``(k, n)``.
+        its segment ``segs`` (``(k,)`` integers, an array, list or tuple,
+        or one index for every time) and clamped to that segment's span,
+        each result ``(k, n)``.
 
         One kernel pass reads them all, whichever segments they are in,
         on the curve's table, built on its first read between knots.  A
@@ -332,10 +338,16 @@ class SampledCurve:
         spacings long, its coefficients overflow); a time at a knot
         reads that knot's data."""
         ts, ys, fs, lo, hi, last = self._knot_arrays()
-        # one test for both ends: a negative index is a huge unsigned one
-        if not (np.asarray(segs, np.intp).view(np.uintp).max(initial=0)
-                < len(lo) if isinstance(segs, np.ndarray)
-                else 0 <= segs < len(lo)):
+        if isinstance(segs, int):
+            known = 0 <= segs < len(lo)
+        else:
+            # integers of any array, list or tuple; a float is refused,
+            # not truncated
+            segs = np.asarray(segs).astype(np.intp, casting="same_kind",
+                                           copy=False)
+            # one test for both ends: a negative index is a huge unsigned
+            known = segs.view(np.uintp).max(initial=0) < len(lo)
+        if not known:
             raise ValueError(f"seg {segs} is not a segment of the curve: "
                              f"0 .. {len(lo) - 1}")
         t = np.minimum(np.maximum(t, lo[segs]), hi[segs])
@@ -473,6 +485,8 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     x0 : array_like, shape (n,)
         Initial state; ``ValueError`` unless it is finite.
     schedule : ModeSchedule
+        ``ValueError`` unless its ``num_modes`` is ``sys.num_modes``: the
+        field and the max rule read one channel per mode of both.
     rtol, atol : float
         Solver tolerances (applied to state and accumulator alike).
     knot_spacing : float, optional
@@ -507,6 +521,9 @@ def integrate_state(sys, x0, schedule, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         raise ValueError(f"x0 has shape {x0.shape}, expected ({sys.dim},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0}")
+    if schedule.num_modes != sys.num_modes:
+        raise ValueError(f"the schedule has {schedule.num_modes} modes, "
+                         f"the system {sys.num_modes}")
     n = sys.dim
     inputs = (sys, schedule, rtol, atol, knot_spacing)
     x_segs, c_segs, steps, replay = _shared_prefix(inputs, x0, reuse)

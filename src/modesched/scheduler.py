@@ -210,7 +210,8 @@ def optimize(sys, x0, schedule, config=None, *, final_field=True,
     x0 : ndarray
         Initial state.
     schedule : ModeSchedule
-        Starting schedule; also fixes horizon and mode count.
+        Starting schedule; also fixes the horizon.  Its mode count must
+        be the system's (:func:`integrate_state` checks it).
     config : OptimizerConfig, optional
     final_field : bool
         With ``False``, a run that takes its ``max_iter``-th step (``max_iter

@@ -698,7 +698,9 @@ def test_a_batch_query_holds_each_times_own_bits(data, m, n):
         ts = np.concatenate([[a], np.sort(rng.uniform(a, c, 3)), [c]])
         segs.append((ts, rng.standard_normal((5, n)),
                      rng.standard_normal((5, n))))
-    curve = SampledCurve(b, segs)
+    cost = SampledCurve(b, [(ts, ys[:, :1], fs[:, :1])
+                            for ts, ys, fs in segs])
+    curve = SampledCurve(b, segs, cost)
     knots = np.concatenate([k[0] for k in segs])
     t = np.concatenate([rng.uniform(-0.5, b[-1] + 0.5, 6),
                         rng.choice(knots, 3)])
@@ -710,6 +712,12 @@ def test_a_batch_query_holds_each_times_own_bits(data, m, n):
         assert got.shape == (len(t), n)
         for tj, row in zip(t, got):
             assert same_bits(row, query(tj, **kw))
+    # cost_at takes times of any shape too, one float per time
+    got = curve.cost_at(t.reshape(3, 3))
+    assert got.shape == (3, 3)
+    for tj, c in zip(t, got.ravel()):
+        alone = curve.cost_at(tj)
+        assert type(alone) is float and same_bits(c, np.float64(alone))
 
 
 def test_a_curve_builds_its_one_table_on_its_first_read_between_knots(
@@ -839,6 +847,21 @@ def test_segment_count_matches_schedule(vehicle, vehicle_x0):
     x = integrate_state(vehicle, vehicle_x0, sched)
     assert x.n_segments == 4
     np.testing.assert_allclose(x.boundaries, sched.boundaries)
+
+
+@pytest.mark.parametrize("num_modes", [3, 5])
+def test_a_schedule_of_another_mode_count_is_refused(vehicle, vehicle_x0,
+                                                     num_modes, monkeypatch):
+    # the field and the max rule read one channel per mode of the system
+    # and of the schedule: with 5 the field failed on a missing column,
+    # with 3 the run went on, theta over modes 1-3, the max rule over 1-4
+    calls = count_solves(monkeypatch)
+    u = constant_schedule(2, 2.0, num_modes)
+    for run in (integrate_state, optimize):
+        with pytest.raises(ValueError, match=f"the schedule has {num_modes} "
+                                             "modes, the system 4"):
+            run(vehicle, vehicle_x0, u)
+    assert calls == []
 
 
 # -- reusing an incumbent's prefix -------------------------------------------------
@@ -1695,9 +1718,29 @@ def test_a_query_of_a_segment_the_curve_lacks_is_refused(seg):
             query(0.5, seg=seg)
     # read names its segments by index, one or one per time: -1 used to
     # read the last segment, 3 to end in a bare IndexError
-    for segs in (seg, np.array([0, seg, 1])):
+    for segs in (seg, np.array([0, seg, 1]), [0, seg, 1]):
         with pytest.raises(ValueError, match=r"0 \.\. 2"):
             x.read(segs, np.array([0.5, 0.6, 1.5]))
+
+
+def test_a_read_takes_its_segments_as_an_array_a_list_or_a_tuple():
+    # a list or tuple of segments used to fail the range test with a
+    # TypeError, and with it a list passed to the field's channels_at; a
+    # float index is refused, not truncated
+    sys_, x0, sched = vehicle_problem()
+    x = integrate_state(sys_, x0, sched)
+    ts = np.array([0.5, 1.1, 1.5, 2.9])
+    segs = [0, 1, 1, 2]
+    want = x.read(np.array(segs), ts, (0, 1))
+    for given in (segs, tuple(segs)):
+        for got, w in zip(x.read(given, ts, (0, 1)), want):
+            assert same_bits(got, w)
+    field = insertion_gradient(sys_, sched, x,
+                               integrate_adjoint(sys_, sched, x))
+    assert same_bits(field.channels_at(segs, ts)[0],
+                     field.channels_at(np.array(segs), ts)[0])
+    with pytest.raises(TypeError):
+        x.read([0.0, 1.0], ts[:2])
 
 
 @pytest.mark.parametrize("problem", [vehicle_problem, power_problem],
