@@ -607,7 +607,7 @@ def insertion_gradient(sys, schedule, x, rho):
             modes = range(1, N + 1)
         out = np.zeros((len(ts), len(modes)))
         err = np.zeros_like(out)
-        active = np.atleast_1d(sequence[segs])
+        active = np.atleast_1d(sequence.take(segs))
         acts = set(active.tolist())
         # a column is zero on its mode's own points: skipped when that is
         # every point, else zeroed on each active mode's mask

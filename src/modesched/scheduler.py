@@ -411,11 +411,11 @@ def receding_horizon(sys, x0, schedule0, n_windows, advance=0.1,
     state is that curve's first knot, which holds the bits of the accepted
     trajectory's value at ``advance``: the driver reads no window's
     result.  Its costs agree with a fresh integration to solver
-    tolerance.  A window whose step fails keeps the inherited plan unchanged and is flagged in its
-    report; planning continues from it.  The stepped plan's adjoint and
-    field are not built (``optimize(..., final_field=False)``): a window
-    reports ``"optimal"`` only when its first iterate already meets the
-    stop.
+    tolerance.  A window whose step fails keeps the inherited plan
+    unchanged and is flagged in its report; planning continues from it.
+    The stepped plan's adjoint and field are not built
+    (``optimize(..., final_field=False)``): a window reports
+    ``"optimal"`` only when its first iterate already meets the stop.
 
     Parameters
     ----------

@@ -1725,8 +1725,8 @@ def test_a_query_of_a_segment_the_curve_lacks_is_refused(seg):
 
 def test_a_read_takes_its_segments_as_an_array_a_list_or_a_tuple():
     # a list or tuple of segments used to fail the range test with a
-    # TypeError, and with it a list passed to the field's channels_at; a
-    # float index is refused, not truncated
+    # TypeError, and with it the field's channels_at; a float index is
+    # refused, not truncated
     sys_, x0, sched = vehicle_problem()
     x = integrate_state(sys_, x0, sched)
     ts = np.array([0.5, 1.1, 1.5, 2.9])
@@ -1737,8 +1737,9 @@ def test_a_read_takes_its_segments_as_an_array_a_list_or_a_tuple():
             assert same_bits(got, w)
     field = insertion_gradient(sys_, sched, x,
                                integrate_adjoint(sys_, sched, x))
-    assert same_bits(field.channels_at(segs, ts)[0],
-                     field.channels_at(np.array(segs), ts)[0])
+    want = field.channels_at(np.array(segs), ts)[0]
+    for given in (segs, tuple(segs)):
+        assert same_bits(field.channels_at(given, ts)[0], want)
     with pytest.raises(TypeError):
         x.read([0.0, 1.0], ts[:2])
 
